@@ -122,6 +122,12 @@ type NIC struct {
 	dropper fault.Dropper
 	opts    Options
 
+	// Retransmission-timer callbacks, bound once in scheduleTimer so a
+	// timer fire allocates no method value or closure.
+	scanFn         func() // n.timerScan
+	adaptiveFireFn func() // n.adaptiveTimerFire
+	adaptiveScanFn func() // n.adaptiveTimerScan
+
 	ctr *stats.Counters
 	mx  *metrics.Scope
 }
@@ -579,8 +585,11 @@ func (n *NIC) scheduleTimer() {
 	// re-deadlock forever — a livelock only possible because the
 	// simulation starts every NIC at t=0.
 	phase := time.Duration(int64(n.node)%16) * (interval / 16)
+	n.scanFn = n.timerScan
 	if n.snd.Config().Adaptive {
-		n.k.After(interval+phase, n.adaptiveTimerFire)
+		n.adaptiveFireFn = n.adaptiveTimerFire
+		n.adaptiveScanFn = n.adaptiveTimerScan
+		n.k.After(interval+phase, n.adaptiveFireFn)
 		return
 	}
 	var tick func()
@@ -596,7 +605,7 @@ func (n *NIC) scheduleTimer() {
 func (n *NIC) timerFire() {
 	active := len(n.routes)
 	cost := n.cost.TimerScanCost + time.Duration(active)*n.cost.TimerPerDestCost
-	n.cpu.Submit(cost, n.timerScan)
+	n.cpu.Submit(cost, n.scanFn)
 }
 
 // timerScan is the scan body, run in firmware (cpu) context.
@@ -626,24 +635,28 @@ func (n *NIC) timerScan() {
 func (n *NIC) adaptiveTimerFire() {
 	active := len(n.routes)
 	cost := n.cost.TimerScanCost + time.Duration(active)*n.cost.TimerPerDestCost
-	n.cpu.Submit(cost, func() {
-		n.timerScan()
-		cfg := n.snd.Config()
-		delay := cfg.Interval
-		if dl, ok := n.snd.NextDeadline(); ok {
-			if d := dl.Sub(n.k.Now()); d < delay {
-				delay = d
-			}
+	n.cpu.Submit(cost, n.adaptiveScanFn)
+}
+
+// adaptiveTimerScan runs the scan in firmware context, then schedules the
+// next fire at the earliest timeout deadline.
+func (n *NIC) adaptiveTimerScan() {
+	n.timerScan()
+	cfg := n.snd.Config()
+	delay := cfg.Interval
+	if dl, ok := n.snd.NextDeadline(); ok {
+		if d := dl.Sub(n.k.Now()); d < delay {
+			delay = d
 		}
-		floor := cfg.RTOMin / 2
-		if floor <= 0 {
-			floor = 50 * time.Microsecond
-		}
-		if delay < floor {
-			delay = floor
-		}
-		n.k.After(delay, n.adaptiveTimerFire)
-	})
+	}
+	floor := cfg.RTOMin / 2
+	if floor <= 0 {
+		floor = 50 * time.Microsecond
+	}
+	if delay < floor {
+		delay = floor
+	}
+	n.k.After(delay, n.adaptiveFireFn)
 }
 
 // noteAcked records the acknowledgment latency of freed entries: how long

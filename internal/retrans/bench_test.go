@@ -40,6 +40,7 @@ func BenchmarkTickIdle(b *testing.B) {
 		s.OnTransmitted(e, now)
 		s.OnAck(topology.NodeID(d), 0, 0, now) // all acked: queues empty
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batches := s.Tick(now.Add(time.Duration(i) * time.Microsecond)); len(batches) != 0 {

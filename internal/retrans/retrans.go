@@ -35,8 +35,9 @@
 package retrans
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sanft/internal/proto"
@@ -149,6 +150,7 @@ type Entry struct {
 }
 
 type destState struct {
+	id           topology.NodeID
 	nextSeq      uint64
 	gen          uint32
 	queue        []*Entry // unacked, ascending seq
@@ -169,6 +171,10 @@ type destState struct {
 type Sender struct {
 	cfg   Config
 	dests map[topology.NodeID]*destState
+	// order holds the same destinations in ascending NodeID, so the
+	// periodic scans visit them deterministically without iterating the
+	// map or sorting on every timer fire.
+	order []*destState
 
 	// Counters.
 	Prepared      uint64
@@ -193,8 +199,12 @@ func (s *Sender) Config() Config { return s.cfg }
 func (s *Sender) dest(dst topology.NodeID, now sim.Time) *destState {
 	d := s.dests[dst]
 	if d == nil {
-		d = &destState{lastProgress: now}
+		d = &destState{id: dst, lastProgress: now}
 		s.dests[dst] = d
+		i, _ := slices.BinarySearchFunc(s.order, dst, func(e *destState, id topology.NodeID) int {
+			return cmp.Compare(e.id, id)
+		})
+		s.order = slices.Insert(s.order, i, d)
 	}
 	return d
 }
@@ -385,7 +395,7 @@ func (s *Sender) TimeoutFor(dst topology.NodeID) time.Duration {
 // removes the up-to-one-period detection blind spot of a free-running
 // scan.
 func (s *Sender) NextDeadline() (deadline sim.Time, ok bool) {
-	for _, d := range s.dests {
+	for _, d := range s.order {
 		if len(d.queue) == 0 || d.unreachable {
 			continue
 		}
@@ -431,9 +441,7 @@ type Batch struct {
 // destination, to preserve wire order).
 func (s *Sender) Tick(now sim.Time) []Batch {
 	var out []Batch
-	dsts := s.destIDs()
-	for _, dst := range dsts {
-		d := s.dests[dst]
+	for _, d := range s.order {
 		if len(d.queue) == 0 || d.unreachable {
 			continue
 		}
@@ -461,22 +469,12 @@ func (s *Sender) Tick(now sim.Time) []Batch {
 				d.backoff++
 			}
 			out = append(out, Batch{
-				Dst: dst, Entries: batch,
+				Dst: d.id, Entries: batch,
 				Oldest: age, Timeout: timeout, Waited: age - timeout,
 			})
 		}
 	}
 	return out
-}
-
-// destIDs returns destination IDs in ascending order for determinism.
-func (s *Sender) destIDs() []topology.NodeID {
-	ids := make([]topology.NodeID, 0, len(s.dests))
-	for id := range s.dests {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Unacked returns the number of entries queued for dst.
@@ -492,7 +490,7 @@ func (s *Sender) Unacked(dst topology.NodeID) int {
 // destinations — the number of send buffers in use.
 func (s *Sender) TotalUnacked() int {
 	t := 0
-	for _, d := range s.dests {
+	for _, d := range s.order {
 		t += len(d.queue)
 	}
 	return t
@@ -506,13 +504,12 @@ func (s *Sender) StalePaths(now sim.Time) []topology.NodeID {
 		return nil
 	}
 	var out []topology.NodeID
-	for _, dst := range s.destIDs() {
-		d := s.dests[dst]
+	for _, d := range s.order {
 		if len(d.queue) == 0 || d.unreachable {
 			continue
 		}
 		if d.queue[0].Sent && now.Sub(d.lastProgress) >= s.cfg.PermFailThreshold {
-			out = append(out, dst)
+			out = append(out, d.id)
 		}
 	}
 	return out

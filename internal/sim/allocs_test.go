@@ -46,6 +46,71 @@ func TestScheduleCancelAllocs(t *testing.T) {
 	}
 }
 
+// TestResourceSubmitAllocs pins the FIFO server every NIC CPU and PCI
+// operation goes through: once warm, submitting an item and completing it
+// must not allocate.
+func TestResourceSubmitAllocs(t *testing.T) {
+	k := New(1)
+	r := NewResource(k, "cpu")
+	done := func() {}
+	for i := 0; i < 4; i++ {
+		r.Submit(time.Microsecond, done)
+	}
+	k.Run()
+	avg := testing.AllocsPerRun(10000, func() {
+		r.Submit(time.Microsecond, done)
+		r.Submit(time.Microsecond, done)
+		k.Step()
+		k.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("resource submit+complete allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestResourceBacklogBoundedMemory keeps one resource busy for 100000
+// items without ever draining, with eight items outstanding (seven
+// waiting, one in service): the
+// head-indexed queue must reclaim its consumed prefix (bounded capacity)
+// and the accounting must stay exact.
+func TestResourceBacklogBoundedMemory(t *testing.T) {
+	const (
+		total   = 100000
+		backlog = 8
+		service = 3 * time.Microsecond
+	)
+	k := New(1)
+	r := NewResource(k, "cpu")
+	submitted, maxCap := 0, 0
+	var done func()
+	done = func() {
+		if submitted < total {
+			if got := r.QueueLen(); got != backlog-1 {
+				t.Fatalf("after %d completions QueueLen = %d, want %d", r.Served(), got, backlog-1)
+			}
+			submitted++
+			r.Submit(service, done)
+		}
+		if c := cap(r.queue); c > maxCap {
+			maxCap = c
+		}
+	}
+	for ; submitted < backlog; submitted++ {
+		r.Submit(service, done)
+	}
+	end := k.Run()
+	if r.Served() != total || r.BusyTime() != total*service || r.QueueLen() != 0 || r.Busy() {
+		t.Fatalf("served %d busy %v queue %d busy=%v, want %d, %v, 0, false",
+			r.Served(), r.BusyTime(), r.QueueLen(), r.Busy(), total, total*service)
+	}
+	if end != Time(total*service) {
+		t.Fatalf("resource idled: finished at %v, want %v", end, Time(total*service))
+	}
+	if maxCap > 4*backlog {
+		t.Fatalf("queue capacity grew to %d with a backlog of %d", maxCap, backlog)
+	}
+}
+
 // oldEvent/oldHeap/oldKernel replicate the pre-overhaul event queue — a
 // container/heap of per-event pointer boxes with tombstone cancellation —
 // so the flat-kernel benchmarks below have a faithful baseline to beat.

@@ -62,3 +62,20 @@ func BenchmarkResource(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 }
+
+// BenchmarkResourceSubmit measures steady-state Submit plus completion
+// against a standing backlog, as a busy NIC firmware processor sees it.
+func BenchmarkResourceSubmit(b *testing.B) {
+	k := New(1)
+	r := NewResource(k, "cpu")
+	done := func() {}
+	for i := 0; i < 8; i++ {
+		r.Submit(time.Microsecond, done)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Submit(time.Microsecond, done)
+		k.Step()
+	}
+}

@@ -12,13 +12,22 @@ import (
 // has elapsed.
 //
 // Resource accumulates busy time, so utilization can be reported after a
-// run.
+// run. In steady state submitting and completing work allocates nothing:
+// waiting items sit in a head-indexed slice that is compacted in place,
+// and completions are scheduled through one callback bound at
+// construction.
 type Resource struct {
 	k    *Kernel
 	name string
 
-	busy      bool
+	busy bool
+	// queue[head:] are the waiting items. The consumed prefix is
+	// reclaimed once it reaches half the slice, so a resource that never
+	// drains still keeps bounded memory.
 	queue     []resWork
+	head      int
+	cur       resWork // the item in service
+	finish    func()  // r.complete, bound once
 	busyNS    time.Duration
 	served    uint64
 	lastStart Time
@@ -31,7 +40,9 @@ type resWork struct {
 
 // NewResource returns an idle resource attached to kernel k.
 func NewResource(k *Kernel, name string) *Resource {
-	return &Resource{k: k, name: name}
+	r := &Resource{k: k, name: name}
+	r.finish = r.complete
+	return r
 }
 
 // Name returns the resource's diagnostic name.
@@ -43,10 +54,12 @@ func (r *Resource) Submit(service time.Duration, done func()) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: resource %s: negative service time %v", r.name, service))
 	}
-	r.queue = append(r.queue, resWork{service: service, done: done})
-	if !r.busy {
-		r.startNext()
+	w := resWork{service: service, done: done}
+	if r.busy {
+		r.queue = append(r.queue, w)
+		return
 	}
+	r.start(w)
 }
 
 // SubmitBytes enqueues a transfer of n bytes at rate bytes/sec plus a fixed
@@ -59,23 +72,36 @@ func (r *Resource) SubmitBytes(n int, rate float64, setup time.Duration, done fu
 	r.Submit(setup+xfer, done)
 }
 
-func (r *Resource) startNext() {
-	if len(r.queue) == 0 {
+func (r *Resource) start(w resWork) {
+	r.busy = true
+	r.cur = w
+	r.lastStart = r.k.Now()
+	r.k.After(w.service, r.finish)
+}
+
+// complete finishes the item in service and starts the next waiting one.
+// The resource stays busy while done runs, so work submitted from done
+// queues behind items already waiting.
+func (r *Resource) complete() {
+	w := r.cur
+	r.cur = resWork{}
+	r.busyNS += w.service
+	r.served++
+	if w.done != nil {
+		w.done()
+	}
+	if r.head == len(r.queue) {
 		r.busy = false
 		return
 	}
-	w := r.queue[0]
-	r.queue = r.queue[1:]
-	r.busy = true
-	r.lastStart = r.k.Now()
-	r.k.After(w.service, func() {
-		r.busyNS += w.service
-		r.served++
-		if w.done != nil {
-			w.done()
-		}
-		r.startNext()
-	})
+	next := r.queue[r.head]
+	r.head++
+	if 2*r.head >= len(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.start(next)
 }
 
 // Busy reports whether the resource is currently serving an item.
@@ -83,7 +109,7 @@ func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of items waiting (not including the one in
 // service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // Served returns the number of completed work items.
 func (r *Resource) Served() uint64 { return r.served }
