@@ -107,13 +107,6 @@ func RouteQualityReport(rows []RouteQualityRow) *ReportTable {
 	return t
 }
 
-// RouteQualityString renders the comparison.
-//
-// Deprecated: use RouteQualityReport, which also serializes to JSON.
-func RouteQualityString(rows []RouteQualityRow) string {
-	return RouteQualityReport(rows).String()
-}
-
 // ---------------------------------------------------------------------------
 // Extension 2 — bursty vs uniform errors at equal rate
 // ---------------------------------------------------------------------------
@@ -177,13 +170,6 @@ func BurstErrorReport(rows []BurstErrorRow) *ReportTable {
 	return t
 }
 
-// BurstErrorString renders the comparison.
-//
-// Deprecated: use BurstErrorReport, which also serializes to JSON.
-func BurstErrorString(rows []BurstErrorRow) string {
-	return BurstErrorReport(rows).String()
-}
-
 // ---------------------------------------------------------------------------
 // Extension 3 — protocol state scaling: per-node vs per-connection
 // ---------------------------------------------------------------------------
@@ -234,13 +220,6 @@ func StateScalingReport(rows []StateScalingRow) *ReportTable {
 			fmt.Sprint(r.PerNodeQueues), fmt.Sprint(r.PerConnQueues)})
 	}
 	return t
-}
-
-// StateScalingString renders the comparison.
-//
-// Deprecated: use StateScalingReport, which also serializes to JSON.
-func StateScalingString(rows []StateScalingRow) string {
-	return StateScalingReport(rows).String()
 }
 
 // ---------------------------------------------------------------------------
@@ -294,13 +273,6 @@ func ReliabilityLevelsReport(rows []ReliabilityLevelRow) *ReportTable {
 		t.Cells = append(t.Cells, []string{r.Level, r.Latency4B.String(), fmt.Sprintf("%.1f", r.UniMBps)})
 	}
 	return t
-}
-
-// ReliabilityLevelsString renders the comparison.
-//
-// Deprecated: use ReliabilityLevelsReport, which also serializes to JSON.
-func ReliabilityLevelsString(rows []ReliabilityLevelRow) string {
-	return ReliabilityLevelsReport(rows).String()
 }
 
 // ---------------------------------------------------------------------------
@@ -404,13 +376,6 @@ func ScalabilityReport(rows []ScalabilityRow) *ReportTable {
 			fmt.Sprintf("%.1f", r.PerHost), fmt.Sprint(r.Retransmissions)})
 	}
 	return t
-}
-
-// ScalabilityString renders the scaling table.
-//
-// Deprecated: use ScalabilityReport, which also serializes to JSON.
-func ScalabilityString(rows []ScalabilityRow) string {
-	return ScalabilityReport(rows).String()
 }
 
 // ExtensionReports runs every extension experiment with its defaults and

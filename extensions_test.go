@@ -30,7 +30,7 @@ func TestRouteQualityExtension(t *testing.T) {
 	if ring.Inflated == 0 {
 		t.Fatal("ring: UP*/DOWN* inflated no routes — the quality gap should exist")
 	}
-	if !strings.Contains(RouteQualityString(rows), "ring6") {
+	if !strings.Contains(RouteQualityReport(rows).String(), "ring6") {
 		t.Fatal("render missing")
 	}
 }
@@ -51,7 +51,7 @@ func TestBurstErrorsExtension(t *testing.T) {
 		t.Fatalf("bursty (%v) markedly worse than uniform (%v); contradicts the burst-amortization argument",
 			r.Bursty, r.Uniform)
 	}
-	if !strings.Contains(BurstErrorString(rows), "burst") {
+	if !strings.Contains(BurstErrorReport(rows).String(), "burst") {
 		t.Fatal("render missing")
 	}
 }
@@ -62,7 +62,7 @@ func TestStateScalingExtension(t *testing.T) {
 	if r.PerNodeQueues != 63 || r.PerConnQueues != 63*4 {
 		t.Fatalf("row = %+v", r)
 	}
-	if !strings.Contains(StateScalingString(rows), "per-node") {
+	if !strings.Contains(StateScalingReport(rows).String(), "per-node") {
 		t.Fatal("render missing")
 	}
 }

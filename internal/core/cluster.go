@@ -158,12 +158,6 @@ type Config struct {
 	// GOMAXPROCS) only changes wall-clock time. Ignored by the
 	// sequential engine.
 	Workers int
-
-	// Shards is the historical name for Workers.
-	//
-	// Deprecated: set Workers (and Engine/Plan). Read only when Workers
-	// is zero.
-	Shards int
 }
 
 // Cluster is a fully wired simulation instance, on either engine.
@@ -236,7 +230,10 @@ func New(cfg Config) *Cluster {
 	return newSequential(cfg)
 }
 
-func newSequential(cfg Config) *Cluster {
+// resolve fills in the defaults both engines share: a two-host star when
+// no network is given, every host of the network, the calibrated fabric
+// constants, and the liveness seed folding.
+func (cfg *Config) resolve() {
 	if cfg.Net == nil {
 		n := cfg.NumHosts
 		if n == 0 {
@@ -256,11 +253,56 @@ func newSequential(cfg Config) *Cluster {
 		}
 		// Fold the cluster seed into the session-jitter base so different
 		// cluster seeds give independent control-packet phasing (each NIC
-		// then derives per-session streams from this base).
+		// then derives per-session streams from this base). The base never
+		// depends on the shard, so sharded results stay byte-identical
+		// across worker counts.
 		lc := *cfg.Liveness
 		lc.Seed = lc.Seed*1000003 + cfg.Seed
 		cfg.Liveness = &lc
 	}
+}
+
+// newNIC builds host h's NIC on wire w. Its dropper is seeded per
+// (cluster, host): different cluster seeds — and different NICs within
+// one cluster — get independent drop schedules at the same rate, and a
+// host's schedule never depends on the engine or its shard.
+func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace.Tracer, reg *metrics.Registry) *nic.NIC {
+	var dropper fault.Dropper
+	if cfg.ErrorRate > 0 {
+		dropper = fault.NewRateSeeded(cfg.ErrorRate, cfg.Seed*1000003+int64(h)*7919+12289)
+	}
+	return nic.New(k, w, h, nic.Options{
+		FT:       cfg.FT,
+		Retrans:  cfg.Retrans,
+		Cost:     cfg.Cost,
+		Dropper:  dropper,
+		Tracer:   tr,
+		Metrics:  reg,
+		Liveness: cfg.Liveness,
+	})
+}
+
+// installRoutes pre-installs the shortest route from n's host to every
+// other host, in host order, as a freshly mapped system would have them.
+// One BFS per source host (ShortestFrom's visit order and tie-breaks match
+// per-pair Shortest byte for byte) keeps construction O(H·E). With
+// liveness on, every route starts a session timer, so the order is part
+// of the result.
+func installRoutes(n *nic.NIC, nw *topology.Network, hosts []topology.NodeID) {
+	a := n.Node()
+	routes := routing.ShortestFrom(nw, a)
+	for _, b := range hosts {
+		if b == a {
+			continue
+		}
+		if r, ok := routes[b]; ok {
+			n.SetRoute(b, r)
+		}
+	}
+}
+
+func newSequential(cfg Config) *Cluster {
+	cfg.resolve()
 	k := sim.New(cfg.Seed)
 	obs := metrics.NewObserver(cfg.Metrics)
 	reg := obs.Registry()
@@ -285,39 +327,12 @@ func newSequential(cfg Config) *Cluster {
 		c.InstallTracer(cfg.Tracer)
 	}
 	for _, h := range cfg.Hosts {
-		var dropper fault.Dropper
-		if cfg.ErrorRate > 0 {
-			// Seed per (cluster, host): different cluster seeds — and
-			// different NICs within one cluster — get independent drop
-			// schedules at the same rate.
-			dropper = fault.NewRateSeeded(cfg.ErrorRate, cfg.Seed*1000003+int64(h)*7919+12289)
-		}
-		n := nic.New(k, c.Fab, h, nic.Options{
-			FT:       cfg.FT,
-			Retrans:  cfg.Retrans,
-			Cost:     cfg.Cost,
-			Dropper:  dropper,
-			Tracer:   cfg.Tracer,
-			Metrics:  reg,
-			Liveness: cfg.Liveness,
-		})
+		n := cfg.newNIC(k, c.Fab, h, cfg.Tracer, reg)
 		c.nics[h] = n
 		c.eps[h] = vmmc.NewEndpoint(k, n, c.Dir)
 	}
-	// Pre-install all-pairs shortest routes with one BFS per source host
-	// (O(H·E) total). ShortestFrom's visit order and tie-breaks are
-	// identical to per-pair Shortest, so installed routes are byte-for-byte
-	// the same as the historical O(H²·E) rescan produced.
-	for _, a := range cfg.Hosts {
-		routes := routing.ShortestFrom(cfg.Net, a)
-		for _, b := range cfg.Hosts {
-			if a == b {
-				continue
-			}
-			if r, ok := routes[b]; ok {
-				c.nics[a].SetRoute(b, r)
-			}
-		}
+	for _, h := range cfg.Hosts {
+		installRoutes(c.nics[h], cfg.Net, cfg.Hosts)
 	}
 	if cfg.Mapper {
 		if !cfg.FT {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sanft/internal/liveness"
 	"sanft/internal/proto"
 	"sanft/internal/retrans"
 	"sanft/internal/sim"
@@ -199,6 +200,23 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestLivenessRequiresFTOnBothEngines: both engines resolve their Config
+// through one path, so both reject liveness sessions without the
+// retransmission protocol, with the same panic.
+func TestLivenessRequiresFTOnBothEngines(t *testing.T) {
+	const want = "core: liveness sessions require the retransmission protocol"
+	for _, eng := range []EngineKind{EngineSequential, EngineSharded} {
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("%v engine: panic %v, want %q", eng, r, want)
+				}
+			}()
+			New(Config{NumHosts: 2, Engine: eng, Liveness: &liveness.Config{}})
+		}()
+	}
+}
+
 func TestFrameTypesOnWireAreCounted(t *testing.T) {
 	c := New(Config{NumHosts: 2, FT: true, Seed: 1})
 	exp := c.EndpointAt(1).Export("x", 64)
@@ -211,12 +229,14 @@ func TestFrameTypesOnWireAreCounted(t *testing.T) {
 	})
 	c.RunFor(10 * time.Millisecond)
 	c.Stop()
-	st := c.Fab.Stats()
-	if st.Injected < 2 { // data + at least one ack eventually
-		t.Fatalf("injected = %d", st.Injected)
+	reg := c.Metrics()
+	injected := reg.CounterTotal("fabric.pkts_injected")
+	delivered := reg.CounterTotal("fabric.pkts_delivered")
+	if injected < 2 { // data + at least one ack eventually
+		t.Fatalf("injected = %d", injected)
 	}
-	if st.Delivered != st.Injected {
-		t.Fatalf("loss without injection: %+v", st)
+	if delivered != injected {
+		t.Fatalf("loss without injection: injected %d, delivered %d", injected, delivered)
 	}
 	_ = proto.FrameData
 }

@@ -80,8 +80,8 @@ func TestDeadlockRecoveryEndToEnd(t *testing.T) {
 	c.RunFor(5 * time.Second)
 	c.Stop()
 
-	st := c.Fab.Stats()
-	if st.WatchdogResets == 0 {
+	resets := c.Metrics().CounterTotal("fabric.watchdog_resets")
+	if resets == 0 {
 		t.Fatal("no watchdog resets: the route set did not deadlock, test proves nothing")
 	}
 	for _, h := range hosts {
@@ -95,7 +95,7 @@ func TestDeadlockRecoveryEndToEnd(t *testing.T) {
 	}
 	if total != 4*msgs {
 		t.Fatalf("delivered %d of %d messages across deadlock recovery (resets=%d)",
-			total, 4*msgs, st.WatchdogResets)
+			total, 4*msgs, resets)
 	}
 }
 

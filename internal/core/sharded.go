@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sanft/internal/fabric"
-	"sanft/internal/fault"
 	"sanft/internal/metrics"
 	"sanft/internal/nic"
 	"sanft/internal/parsim"
@@ -63,22 +62,6 @@ type Flow struct {
 	Src, Dst topology.NodeID
 }
 
-// ShardedCluster is the historical name for a Cluster built with
-// EngineSharded; the two have been one type since the constructors were
-// unified.
-//
-// Deprecated: use Cluster (New with Config.Engine = EngineSharded, or the
-// root package's WithEngine/WithShardPlan options).
-type ShardedCluster = Cluster
-
-// NewSharded builds a sharded cluster from the same Config as New.
-//
-// Deprecated: set cfg.Engine = EngineSharded and call New.
-func NewSharded(cfg Config) *Cluster {
-	cfg.Engine = EngineSharded
-	return New(cfg)
-}
-
 // planGroups resolves a ShardPlan against the host list: explicit groups
 // are validated (every host exactly once, no strangers), HostsPerShard
 // chunks the hosts in order, and the zero plan is one host per shard.
@@ -130,39 +113,14 @@ func newSharded(cfg Config) *Cluster {
 	if cfg.Mapper {
 		panic("core: sharded execution does not support on-demand mapping yet")
 	}
-	if cfg.Net == nil {
-		n := cfg.NumHosts
-		if n == 0 {
-			n = 2
-		}
-		cfg.Net, cfg.Hosts = topology.Star(n)
-	}
-	if len(cfg.Hosts) == 0 {
-		cfg.Hosts = cfg.Net.Hosts()
-	}
+	cfg.resolve()
 	if len(cfg.Hosts) < 2 {
 		panic("core: sharded execution needs at least two hosts")
-	}
-	if cfg.Fabric == (fabric.Config{}) {
-		cfg.Fabric = fabric.DefaultConfig()
-	}
-	if cfg.Liveness != nil {
-		// Same seed folding as the sequential engine: the derived base
-		// depends only on the cluster seed, never the shard, so results
-		// stay byte-identical across worker counts.
-		lc := *cfg.Liveness
-		lc.Seed = lc.Seed*1000003 + cfg.Seed
-		cfg.Liveness = &lc
 	}
 	groups := planGroups(cfg.Plan, cfg.Hosts)
 	if len(groups) < 2 {
 		panic("core: shard plan must create at least two shards")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = cfg.Shards
-	}
-
 	s := &Cluster{
 		Net:       cfg.Net,
 		Hosts:     cfg.Hosts,
@@ -184,20 +142,8 @@ func newSharded(cfg Config) *Cluster {
 			nics: make(map[topology.NodeID]*nic.NIC, len(g)),
 		}
 		for _, h := range g {
-			var dropper fault.Dropper
-			if cfg.ErrorRate > 0 {
-				dropper = fault.NewRateSeeded(cfg.ErrorRate, cfg.Seed*1000003+int64(h)*7919+12289)
-			}
 			host := h
-			n := nic.New(k, pipe, h, nic.Options{
-				FT:       cfg.FT,
-				Retrans:  cfg.Retrans,
-				Cost:     cfg.Cost,
-				Dropper:  dropper,
-				Tracer:   ring,
-				Metrics:  obs.Registry(),
-				Liveness: cfg.Liveness,
-			})
+			n := cfg.newNIC(k, pipe, h, ring, obs.Registry())
 			n.SetOnDeliver(func(f *proto.Frame) {
 				c.deliveries = append(c.deliveries, Delivery{
 					At: k.Now(), Src: f.Src, Dst: host, Msg: msgID(f), Gen: f.Gen, Seq: f.Seq,
@@ -209,24 +155,12 @@ func newSharded(cfg Config) *Cluster {
 		s.cells = append(s.cells, c)
 		shards[i] = c
 	}
-	// Pre-install shortest routes, as the sequential engine does — each
-	// NIC only needs routes from its own host. One BFS per source host
-	// (ShortestFrom matches per-pair Shortest byte for byte) keeps
-	// thousand-host construction O(H·E) instead of O(H²·E).
-	hostSet := make(map[topology.NodeID]bool, len(cfg.Hosts))
-	for _, h := range cfg.Hosts {
-		hostSet[h] = true
-	}
 	for _, c := range s.cells {
 		for _, a := range c.hosts {
-			for b, r := range routing.ShortestFrom(cfg.Net, a) {
-				if b != a && hostSet[b] {
-					c.nics[a].SetRoute(b, r)
-				}
-			}
+			installRoutes(c.nics[a], cfg.Net, cfg.Hosts)
 		}
 	}
-	s.eng = parsim.NewEngine(shards, s.Lookahead, workers)
+	s.eng = parsim.NewEngine(shards, s.Lookahead, cfg.Workers)
 	// Shard boundary: a packet terminating at a host of another cell
 	// crosses via the engine, deep-copied from pooled storage — wire
 	// transit is the serialization point. Intra-cell packets never get

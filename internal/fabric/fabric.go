@@ -9,7 +9,6 @@ import (
 	"sanft/internal/metrics"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
-	"sanft/internal/trace"
 )
 
 // Config holds the physical constants of the fabric. Defaults (via
@@ -57,44 +56,23 @@ type channelState struct {
 
 // Fabric is the network wire simulator.
 type Fabric struct {
-	k   *sim.Kernel
-	nw  *topology.Network
-	cfg Config
+	wire
 
 	chans   map[chanKey]*channelState
-	deliver map[topology.NodeID]func(*Packet)
 	worms   map[*worm]struct{} // in-flight, for flush operations
 	wormSeq uint64             // injection-order serial for deterministic worm ordering
-	gray    map[int]*grayLink  // per-link probabilistic loss (SetLinkLoss)
-
-	// transitHook, if set, runs once per packet at delivery time and may
-	// mutate it (set Corrupted) or return false to drop it in transit.
-	transitHook func(*Packet) bool
-
-	// tracer, if set, receives hop-level events: channel acquire / block /
-	// release, watchdog resets, drops with reason, and deliveries.
-	tracer trace.Tracer
-
-	stats Stats
-	reg   *metrics.Registry
-	mx    *metrics.Scope
 }
 
 // New returns a fabric over network nw driven by kernel k.
 func New(k *sim.Kernel, nw *topology.Network, cfg Config) *Fabric {
-	if cfg.LinkRate <= 0 {
-		panic("fabric: LinkRate must be positive")
-	}
+	w := newWire(k, nw, cfg)
 	if cfg.Watchdog <= 0 {
 		panic("fabric: Watchdog must be positive")
 	}
 	f := &Fabric{
-		k:       k,
-		nw:      nw,
-		cfg:     cfg,
-		chans:   make(map[chanKey]*channelState),
-		deliver: make(map[topology.NodeID]func(*Packet)),
-		worms:   make(map[*worm]struct{}),
+		wire:  w,
+		chans: make(map[chanKey]*channelState),
+		worms: make(map[*worm]struct{}),
 	}
 	f.BindMetrics(metrics.NewRegistry())
 	return f
@@ -105,8 +83,7 @@ func New(k *sim.Kernel, nw *topology.Network, cfg Config) *Fabric {
 // fabrics keep the private registry New installed). Per-link busy time and
 // utilization are published as derived gauges, one per directed channel.
 func (f *Fabric) BindMetrics(reg *metrics.Registry) {
-	f.reg = reg
-	f.mx = reg.Scope(nil)
+	f.wire.BindMetrics(reg)
 	for _, l := range f.nw.Links {
 		for dir := 0; dir < 2; dir++ {
 			key := chanKey{l.ID, dir}
@@ -131,71 +108,8 @@ func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Metrics returns the registry the fabric currently records into.
-func (f *Fabric) Metrics() *metrics.Registry { return f.reg }
-
-// Kernel returns the driving kernel.
-func (f *Fabric) Kernel() *sim.Kernel { return f.k }
-
-// Network returns the underlying topology.
-func (f *Fabric) Network() *topology.Network { return f.nw }
-
-// Config returns the fabric constants.
-func (f *Fabric) Config() Config { return f.cfg }
-
-// Stats returns a snapshot of fabric counters.
-func (f *Fabric) Stats() Stats {
-	s := f.stats
-	s.Dropped = make(map[DropReason]uint64, len(f.stats.Dropped))
-	for k, v := range f.stats.Dropped {
-		s.Dropped[k] = v
-	}
-	return s
-}
-
 // InFlight returns the number of worms currently in the network.
 func (f *Fabric) InFlight() int { return len(f.worms) }
-
-// AttachHost registers the receive callback for a host: it runs (in event
-// context) when a packet's tail fully arrives at that host.
-func (f *Fabric) AttachHost(h topology.NodeID, fn func(*Packet)) {
-	if f.nw.Node(h).Kind != topology.Host {
-		panic(fmt.Sprintf("fabric: %d is not a host", h))
-	}
-	f.deliver[h] = fn
-}
-
-// SetTransitHook installs a fault-injection hook invoked once per packet at
-// delivery. Returning false drops the packet (counted as DropInjected); the
-// hook may also set pkt.Corrupted to model CRC errors.
-func (f *Fabric) SetTransitHook(fn func(*Packet) bool) { f.transitHook = fn }
-
-// SetTracer wires (or removes, with nil) a hop-level event tracer. Fabric
-// events are attributed to the packet's source (Event.Node = Src) so they
-// join the source's message span.
-func (f *Fabric) SetTracer(tr trace.Tracer) { f.tracer = tr }
-
-// emitPkt records one hop-level trace event for pkt. link < 0 means "no
-// channel involved" (drops at injection, deliveries).
-func (f *Fabric) emitPkt(kind trace.Kind, pkt *Packet, link, dir int, note string) {
-	if f.tracer == nil {
-		return
-	}
-	e := trace.Event{
-		At: f.k.Now(), Node: pkt.Src, Kind: kind, Peer: pkt.Dst,
-		Gen: pkt.Gen, Seq: pkt.Seq, Msg: pkt.Msg, Note: note,
-	}
-	if link >= 0 {
-		e.Link = int32(link + 1)
-		e.Dir = uint8(dir)
-	}
-	f.tracer.Trace(e)
-}
-
-// SerializationTime returns how long a packet of n bytes occupies a link.
-func (f *Fabric) SerializationTime(n int) time.Duration {
-	return time.Duration(float64(n) / f.cfg.LinkRate * 1e9)
-}
 
 func (f *Fabric) chanState(key chanKey) *channelState {
 	cs := f.chans[key]
@@ -215,33 +129,12 @@ func keyFor(l *topology.Link, from topology.NodeID) chanKey {
 }
 
 // Inject launches a packet from host src. The packet's fate is reported via
-// its callbacks and fabric stats; there is no error return — the wire gives
-// no feedback, which is precisely why the retransmission protocol exists.
+// its callbacks and the registry's fabric.* counters; there is no error
+// return — the wire gives no feedback, which is precisely why the
+// retransmission protocol exists.
 func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
-	pkt.Src = src
-	pkt.Injected = f.k.Now()
-	f.stats.Injected++
-	f.mx.Add("fabric.pkts_injected", 1)
-	n := f.nw.Node(src)
-	if n.Kind != topology.Host {
-		panic(fmt.Sprintf("fabric: inject from non-host %s", n.Name))
-	}
-	l := n.Ports[0]
-	if !f.nw.LinkUsable(l) {
-		f.drop(pkt, DropNoRoute)
-		// No worm was created, so nothing will ever release the injection
-		// channel: complete the send DMA here or the source NIC's transmit
-		// path wedges forever.
-		if pkt.OnInjectDone != nil {
-			pkt.OnInjectDone()
-		}
-		return
-	}
-	if f.graySample(l.ID) {
-		f.drop(pkt, DropGray)
-		if pkt.OnInjectDone != nil {
-			pkt.OnInjectDone()
-		}
+	l := f.inject(src, pkt)
+	if l == nil {
 		return
 	}
 	f.wormSeq++
@@ -249,18 +142,6 @@ func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
 	f.worms[w] = struct{}{}
 	e := l.Other(src)
 	w.request(keyFor(l, src), e.Node)
-}
-
-func (f *Fabric) drop(pkt *Packet, reason DropReason) {
-	if f.stats.Dropped == nil {
-		f.stats.Dropped = make(map[DropReason]uint64)
-	}
-	f.stats.Dropped[reason]++
-	f.reg.Counter("fabric.pkts_dropped", metrics.L("reason", reason.String())).Inc()
-	f.emitPkt(trace.EvFabDrop, pkt, -1, 0, reason.String())
-	if pkt.OnDropped != nil {
-		pkt.OnDropped(reason)
-	}
 }
 
 // KillLink marks a link permanently failed and flushes any worms holding or

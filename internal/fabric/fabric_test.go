@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"sanft/internal/metrics"
 	"sanft/internal/routing"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
@@ -23,6 +24,21 @@ func testNet(t *testing.T, nHosts int) (*sim.Kernel, *Fabric, []topology.NodeID,
 		f.AttachHost(h, func(p *Packet) { got[h] = append(got[h], p) })
 	}
 	return k, f, hosts, got
+}
+
+// total sums the registry counter fabric.<name> over all its label sets.
+func total(w interface{ Metrics() *metrics.Registry }, name string) uint64 {
+	return w.Metrics().CounterTotal("fabric." + name)
+}
+
+// dropped returns the registry's drop count for one reason.
+func dropped(w interface{ Metrics() *metrics.Registry }, r DropReason) uint64 {
+	return w.Metrics().Counter("fabric.pkts_dropped", metrics.L("reason", r.String())).Value()
+}
+
+// conserved reports whether every injected packet was delivered or dropped.
+func conserved(w interface{ Metrics() *metrics.Registry }) bool {
+	return total(w, "pkts_injected") == total(w, "pkts_delivered")+total(w, "pkts_dropped")
 }
 
 func mkPacket(nw *topology.Network, src, dst topology.NodeID, size int) *Packet {
@@ -127,8 +143,8 @@ func TestContentionSharesLink(t *testing.T) {
 	if len(got[hosts[2]]) != 2*n {
 		t.Fatalf("delivered %d, want %d", len(got[hosts[2]]), 2*n)
 	}
-	if f.Stats().TotalDropped() != 0 {
-		t.Fatalf("drops under simple contention: %v", f.Stats().Dropped)
+	if d := total(f, "pkts_dropped"); d != 0 {
+		t.Fatalf("%d drops under simple contention", d)
 	}
 }
 
@@ -231,8 +247,8 @@ func TestTransitHookCorruptionAndDrop(t *testing.T) {
 	if !pkts[0].Corrupted || pkts[1].Corrupted {
 		t.Fatal("corruption flags wrong")
 	}
-	if f.Stats().Dropped[DropInjected] != 1 {
-		t.Fatalf("injected drops = %d, want 1", f.Stats().Dropped[DropInjected])
+	if d := dropped(f, DropInjected); d != 1 {
+		t.Fatalf("injected drops = %d, want 1", d)
 	}
 }
 
@@ -275,12 +291,11 @@ func TestDeadlockAndWatchdogRecovery(t *testing.T) {
 		f.Inject(src, &Packet{Route: route, Dst: dst, Size: 1 << 20})
 	}
 	k.Run()
-	st := f.Stats()
-	if st.WatchdogResets == 0 {
-		t.Fatalf("expected watchdog resets in a deadlocked ring; stats: %+v", st)
+	if total(f, "watchdog_resets") == 0 {
+		t.Fatal("expected watchdog resets in a deadlocked ring")
 	}
-	if delivered+int(st.TotalDropped()) != 4 {
-		t.Fatalf("accounting: delivered %d + dropped %d != 4", delivered, st.TotalDropped())
+	if d := total(f, "pkts_dropped"); delivered+int(d) != 4 {
+		t.Fatalf("accounting: delivered %d + dropped %d != 4", delivered, d)
 	}
 	if delivered == 0 {
 		t.Fatal("watchdog reset should let at least one packet drain")
@@ -376,12 +391,71 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	f.Inject(hosts[0], &Packet{Route: routing.Route{}, Size: 64}) // bad
 	k.Run()
-	st := f.Stats()
-	if st.Injected != 6 || st.Delivered != 5 || st.TotalDropped() != 1 {
-		t.Fatalf("stats: %+v", st)
+	inj, del, drop := total(f, "pkts_injected"), total(f, "pkts_delivered"), total(f, "pkts_dropped")
+	if inj != 6 || del != 5 || drop != 1 {
+		t.Fatalf("injected %d delivered %d dropped %d, want 6/5/1", inj, del, drop)
 	}
-	if st.BytesDelivered != 5*128 {
-		t.Fatalf("bytes = %d, want 640", st.BytesDelivered)
+	if b := total(f, "bytes_delivered"); b != 5*128 {
+		t.Fatalf("bytes = %d, want 640", b)
+	}
+}
+
+// TestFabricAndPipeAccountIdentically scripts the same packets through a
+// wormhole Fabric and a Pipe on one star — a delivery, a bad route, a dead
+// link, a gray link at rate 1 and a transit-hook drop — and requires the
+// same registry counts from both.
+func TestFabricAndPipeAccountIdentically(t *testing.T) {
+	type wireUnderTest interface {
+		Metrics() *metrics.Registry
+		Network() *topology.Network
+		AttachHost(topology.NodeID, func(*Packet))
+		SetTransitHook(func(*Packet) bool)
+		SetLinkLoss(link int, rate float64, seed int64)
+		Inject(topology.NodeID, *Packet)
+	}
+	const hookDropSize = 99
+	script := func(k *sim.Kernel, w wireUnderTest, hosts []topology.NodeID) {
+		for _, h := range hosts {
+			w.AttachHost(h, func(*Packet) {})
+		}
+		w.SetTransitHook(func(p *Packet) bool { return p.Size != hookDropSize })
+		nw := w.Network()
+		toDead := mkPacket(nw, hosts[0], hosts[2], 64)
+		nw.KillLink(nw.Node(hosts[2]).Ports[0])
+		w.Inject(hosts[0], mkPacket(nw, hosts[0], hosts[1], 128))
+		w.Inject(hosts[0], &Packet{Route: routing.Route{7}, Size: 64})
+		w.Inject(hosts[0], toDead)
+		w.SetLinkLoss(nw.Node(hosts[3]).Ports[0].ID, 1, 1)
+		w.Inject(hosts[0], mkPacket(nw, hosts[0], hosts[3], 64))
+		w.Inject(hosts[0], mkPacket(nw, hosts[0], hosts[1], hookDropSize))
+		k.Run()
+	}
+	kf := sim.New(1)
+	nwf, hf := topology.Star(4)
+	f := New(kf, nwf, DefaultConfig())
+	script(kf, f, hf)
+	kp := sim.New(1)
+	nwp, hp := topology.Star(4)
+	p := NewPipe(kp, nwp, DefaultConfig())
+	script(kp, p, hp)
+
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{{"pkts_injected", 5}, {"pkts_delivered", 1}, {"bytes_delivered", 128}} {
+		if got, pg := total(f, c.name), total(p, c.name); got != c.want || pg != c.want {
+			t.Errorf("fabric.%s: fabric %d, pipe %d, want %d", c.name, got, pg, c.want)
+		}
+	}
+	for r := DropNoRoute; r <= DropGray; r++ {
+		want := uint64(0)
+		switch r {
+		case DropBadRoute, DropDeadLink, DropGray, DropInjected:
+			want = 1
+		}
+		if got, pg := dropped(f, r), dropped(p, r); got != want || pg != want {
+			t.Errorf("fabric.pkts_dropped{reason=%s}: fabric %d, pipe %d, want %d", r, got, pg, want)
+		}
 	}
 }
 
@@ -426,8 +500,7 @@ func TestPropertyConservation(t *testing.T) {
 			fb.Inject(a, &Packet{Route: r, Dst: b, Size: size})
 		}
 		k.Run()
-		st := fb.Stats()
-		return st.Injected == st.Delivered+st.TotalDropped() && fb.InFlight() == 0
+		return conserved(fb) && fb.InFlight() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -461,8 +534,7 @@ func TestPropertyDeadlockAlwaysDrains(t *testing.T) {
 			})
 		}
 		k.Run()
-		st := fb.Stats()
-		return fb.InFlight() == 0 && st.Injected == st.Delivered+st.TotalDropped()
+		return fb.InFlight() == 0 && conserved(fb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

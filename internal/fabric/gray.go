@@ -55,42 +55,3 @@ func mix64(z uint64) uint64 {
 	z ^= z >> 31
 	return z
 }
-
-// SetLinkLoss makes link id gray on the wormhole fabric: every worm
-// crossing it is dropped with probability rate, drawn from the link's
-// deterministic (seed, link) stream. rate 0 removes the loss.
-func (f *Fabric) SetLinkLoss(link int, rate float64, seed int64) {
-	if rate <= 0 {
-		delete(f.gray, link)
-		return
-	}
-	if f.gray == nil {
-		f.gray = make(map[int]*grayLink)
-	}
-	f.gray[link] = newGrayLink(rate, seed, link)
-}
-
-// graySample draws the gray stream of link id (if any) for one crossing.
-func (f *Fabric) graySample(link int) bool {
-	g := f.gray[link]
-	return g != nil && g.drop()
-}
-
-// SetLinkLoss makes link id gray on the pipe fabric: packets whose
-// injection-time route walk crosses the link are dropped with probability
-// rate, drawn from this shard's deterministic (seed, link) stream.
-func (p *Pipe) SetLinkLoss(link int, rate float64, seed int64) {
-	if rate <= 0 {
-		delete(p.gray, link)
-		return
-	}
-	if p.gray == nil {
-		p.gray = make(map[int]*grayLink)
-	}
-	p.gray[link] = newGrayLink(rate, seed, link)
-}
-
-func (p *Pipe) graySample(link int) bool {
-	g := p.gray[link]
-	return g != nil && g.drop()
-}

@@ -104,23 +104,3 @@ type Packet struct {
 	// ClonePooled; nil for ordinary packets. See Release.
 	blk *packetBlock
 }
-
-// Stats counts fabric-level events.
-type Stats struct {
-	Injected  uint64
-	Delivered uint64
-	Dropped   map[DropReason]uint64
-	// WatchdogResets counts blocked-path resets (deadlock recoveries).
-	WatchdogResets uint64
-	// BytesDelivered counts payload+header bytes of delivered packets.
-	BytesDelivered uint64
-}
-
-// TotalDropped sums drops across all reasons.
-func (s Stats) TotalDropped() uint64 {
-	var t uint64
-	for _, v := range s.Dropped {
-		t += v
-	}
-	return t
-}

@@ -1,13 +1,11 @@
 package fabric
 
 import (
-	"fmt"
 	"time"
 
 	"sanft/internal/metrics"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
-	"sanft/internal/trace"
 )
 
 // Pipe is the shard-local fabric of the conservative parallel engine
@@ -37,76 +35,19 @@ import (
 // other destination is handed to the Egress hook with its precomputed
 // arrival time — the shard boundary the engine carries packets across.
 type Pipe struct {
-	k   *sim.Kernel
-	nw  *topology.Network
-	cfg Config
+	wire
 
-	deliver map[topology.NodeID]func(*Packet)
-	egress  func(dst topology.NodeID, at sim.Time, pkt *Packet)
-
-	transitHook func(*Packet) bool
-	tracer      trace.Tracer
-	gray        map[int]*grayLink // per-link probabilistic loss (SetLinkLoss)
-
-	stats Stats
-	reg   *metrics.Registry
-	mx    *metrics.Scope
+	egress func(dst topology.NodeID, at sim.Time, pkt *Packet)
 }
 
 // NewPipe returns a pipe-mode fabric over the (shard-local) network nw
-// driven by kernel k.
+// driven by kernel k. Pipe mode has no channel arbiters, so unlike the
+// wormhole fabric it publishes no per-link busy/utilization gauges — only
+// the packet counters.
 func NewPipe(k *sim.Kernel, nw *topology.Network, cfg Config) *Pipe {
-	if cfg.LinkRate <= 0 {
-		panic("fabric: LinkRate must be positive")
-	}
-	p := &Pipe{
-		k:       k,
-		nw:      nw,
-		cfg:     cfg,
-		deliver: make(map[topology.NodeID]func(*Packet)),
-	}
+	p := &Pipe{wire: newWire(k, nw, cfg)}
 	p.BindMetrics(metrics.NewRegistry())
 	return p
-}
-
-// BindMetrics points the pipe's instrumentation at reg. Pipe mode has no
-// channel arbiters, so unlike the wormhole fabric it publishes no per-link
-// busy/utilization gauges — only the packet counters.
-func (p *Pipe) BindMetrics(reg *metrics.Registry) {
-	p.reg = reg
-	p.mx = reg.Scope(nil)
-}
-
-// Metrics returns the registry the pipe currently records into.
-func (p *Pipe) Metrics() *metrics.Registry { return p.reg }
-
-// Kernel returns the driving kernel.
-func (p *Pipe) Kernel() *sim.Kernel { return p.k }
-
-// Network returns the shard-local topology replica.
-func (p *Pipe) Network() *topology.Network { return p.nw }
-
-// Config returns the fabric constants.
-func (p *Pipe) Config() Config { return p.cfg }
-
-// Stats returns a snapshot of this shard's fabric counters. In a sharded
-// run, injections count on the source shard and deliveries on the
-// destination shard; cluster-wide totals come from the merged registry.
-func (p *Pipe) Stats() Stats {
-	s := p.stats
-	s.Dropped = make(map[DropReason]uint64, len(p.stats.Dropped))
-	for k, v := range p.stats.Dropped {
-		s.Dropped[k] = v
-	}
-	return s
-}
-
-// AttachHost registers the receive callback for a locally-owned host.
-func (p *Pipe) AttachHost(h topology.NodeID, fn func(*Packet)) {
-	if p.nw.Node(h).Kind != topology.Host {
-		panic(fmt.Sprintf("fabric: %d is not a host", h))
-	}
-	p.deliver[h] = fn
 }
 
 // SetEgress installs the shard-boundary hook: packets terminating at a
@@ -118,70 +59,14 @@ func (p *Pipe) SetEgress(fn func(dst topology.NodeID, at sim.Time, pkt *Packet))
 	p.egress = fn
 }
 
-// SetTransitHook installs a fault-injection hook invoked once per packet
-// at delivery, exactly as on the wormhole fabric.
-func (p *Pipe) SetTransitHook(fn func(*Packet) bool) { p.transitHook = fn }
-
-// SetTracer wires (or removes, with nil) a packet-level event tracer.
-func (p *Pipe) SetTracer(tr trace.Tracer) { p.tracer = tr }
-
-// SerializationTime returns how long a packet of n bytes occupies a link.
-func (p *Pipe) SerializationTime(n int) time.Duration {
-	return time.Duration(float64(n) / p.cfg.LinkRate * 1e9)
-}
-
-func (p *Pipe) emitPkt(kind trace.Kind, pkt *Packet, note string) {
-	if p.tracer == nil {
-		return
-	}
-	p.tracer.Trace(trace.Event{
-		At: p.k.Now(), Node: pkt.Src, Kind: kind, Peer: pkt.Dst,
-		Gen: pkt.Gen, Seq: pkt.Seq, Msg: pkt.Msg, Note: note,
-	})
-}
-
-func (p *Pipe) drop(pkt *Packet, reason DropReason) {
-	if p.stats.Dropped == nil {
-		p.stats.Dropped = make(map[DropReason]uint64)
-	}
-	p.stats.Dropped[reason]++
-	p.reg.Counter("fabric.pkts_dropped", metrics.L("reason", reason.String())).Inc()
-	p.emitPkt(trace.EvFabDrop, pkt, reason.String())
-	if pkt.OnDropped != nil {
-		pkt.OnDropped(reason)
-	}
-}
-
 // Inject launches a packet from host src. The whole route is evaluated
 // now against the shard's topology replica; on success the send DMA
 // completes after one serialization time and the packet arrives at its
-// terminal host after the uncontended cut-through latency.
+// terminal host after the uncontended cut-through latency. Any drop
+// decided here still completes the send DMA, as on the wormhole fabric.
 func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
-	pkt.Src = src
-	pkt.Injected = p.k.Now()
-	p.stats.Injected++
-	p.mx.Add("fabric.pkts_injected", 1)
-	n := p.nw.Node(src)
-	if n.Kind != topology.Host {
-		panic(fmt.Sprintf("fabric: inject from non-host %s", n.Name))
-	}
-	// Any drop decided at injection must still complete the send DMA, or
-	// the source NIC's transmit path wedges forever (same contract as the
-	// wormhole fabric's no-route path).
-	fail := func(reason DropReason) {
-		p.drop(pkt, reason)
-		if pkt.OnInjectDone != nil {
-			pkt.OnInjectDone()
-		}
-	}
-
-	l := n.Ports[0]
-	if !p.nw.LinkUsable(l) {
-		fail(DropNoRoute)
-		return
-	}
-	if p.graySample(l.ID) {
-		fail(DropGray)
+	l := p.inject(src, pkt)
+	if l == nil {
 		return
 	}
 	lat := p.cfg.PropDelay
@@ -189,25 +74,25 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	for _, port := range pkt.Route {
 		node := p.nw.Node(cur)
 		if node.Kind != topology.Switch {
-			fail(DropBadRoute)
+			p.dropAtInject(pkt, DropBadRoute)
 			return
 		}
 		if !node.Up {
-			fail(DropDeadSwitch)
+			p.dropAtInject(pkt, DropDeadSwitch)
 			return
 		}
 		lat += p.cfg.RouteDelay
 		if port < 0 || port >= node.Radix() || node.Ports[port] == nil {
-			fail(DropBadRoute)
+			p.dropAtInject(pkt, DropBadRoute)
 			return
 		}
 		nl := node.Ports[port]
 		if !p.nw.LinkUsable(nl) {
-			fail(DropDeadLink)
+			p.dropAtInject(pkt, DropDeadLink)
 			return
 		}
 		if p.graySample(nl.ID) {
-			fail(DropGray)
+			p.dropAtInject(pkt, DropGray)
 			return
 		}
 		lat += p.cfg.PropDelay
@@ -215,7 +100,7 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	}
 	term := p.nw.Node(cur)
 	if term.Kind != topology.Host || !term.Up {
-		fail(DropBadRoute)
+		p.dropAtInject(pkt, DropBadRoute)
 		return
 	}
 
@@ -228,11 +113,11 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	at := p.k.Now().Add(lat + ser)
 	if fn := p.deliver[cur]; fn != nil {
 		dst := cur
-		p.k.At(at, func() { p.Arrive(dst, pkt) })
+		p.k.At(at, func() { p.arrive(dst, pkt) })
 		return
 	}
 	if p.egress == nil {
-		fail(DropNoRoute)
+		p.dropAtInject(pkt, DropNoRoute)
 		return
 	}
 	p.egress(cur, at, pkt)
@@ -241,21 +126,7 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 // Arrive completes delivery of pkt to terminal host dst at the current
 // instant. For cross-shard packets the engine calls this on the owning
 // shard's pipe at the arrival time the source shard computed.
-func (p *Pipe) Arrive(dst topology.NodeID, pkt *Packet) {
-	if p.transitHook != nil && !p.transitHook(pkt) {
-		p.drop(pkt, DropInjected)
-		return
-	}
-	pkt.Delivered = p.k.Now()
-	p.stats.Delivered++
-	p.stats.BytesDelivered += uint64(pkt.Size)
-	p.mx.Add("fabric.pkts_delivered", 1)
-	p.mx.Add("fabric.bytes_delivered", uint64(pkt.Size))
-	p.emitPkt(trace.EvDeliver, pkt, "")
-	if fn := p.deliver[dst]; fn != nil {
-		fn(pkt)
-	}
-}
+func (p *Pipe) Arrive(dst topology.NodeID, pkt *Packet) { p.arrive(dst, pkt) }
 
 // MinCrossLatency returns the smallest pipe-mode traversal latency between
 // any ordered pair of distinct hosts whose shortest route crosses minHops

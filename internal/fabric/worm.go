@@ -67,7 +67,6 @@ func (w *worm) request(key chanKey, next topology.NodeID) {
 	w.f.emitPkt(trace.EvLinkBlock, w.pkt, key.link, key.dir, "")
 	if !w.watchdog.Pending() {
 		w.watchdog = w.f.k.After(w.f.cfg.Watchdog, func() {
-			w.f.stats.WatchdogResets++
 			w.f.mx.Add("fabric.watchdog_resets", 1)
 			w.f.emitPkt(trace.EvWatchdog, w.pkt, w.waitKey.link, w.waitKey.dir, "")
 			w.die(DropWatchdog)
@@ -175,21 +174,8 @@ func (w *worm) deliverTo(h topology.NodeID) {
 	if w.dead {
 		return
 	}
-	f := w.f
 	w.finish()
-	if f.transitHook != nil && !f.transitHook(w.pkt) {
-		f.drop(w.pkt, DropInjected)
-		return
-	}
-	w.pkt.Delivered = f.k.Now()
-	f.stats.Delivered++
-	f.stats.BytesDelivered += uint64(w.pkt.Size)
-	f.mx.Add("fabric.pkts_delivered", 1)
-	f.mx.Add("fabric.bytes_delivered", uint64(w.pkt.Size))
-	f.emitPkt(trace.EvDeliver, w.pkt, -1, 0, "")
-	if fn := f.deliver[h]; fn != nil {
-		fn(w.pkt)
-	}
+	w.f.arrive(h, w.pkt)
 }
 
 // die aborts the worm (watchdog reset, dead route element, or flush): all

@@ -236,6 +236,17 @@ func (s *Scope) Counter(name string) *Counter {
 // Add increases the scope-labeled counter name by n.
 func (s *Scope) Add(name string, n uint64) { s.Counter(name).Add(n) }
 
+// Lookup returns the scope-labeled counter name if it has been recorded,
+// without creating it: a read that created a zero counter would add a
+// line to every later export.
+func (s *Scope) Lookup(name string) (*Counter, bool) {
+	if c := s.counters[name]; c != nil {
+		return c, true
+	}
+	c := s.r.counters[ident(name, s.labels)]
+	return c, c != nil
+}
+
 // Histogram returns the scope-labeled histogram, cached by name.
 func (s *Scope) Histogram(name string) *Histogram {
 	h := s.hists[name]

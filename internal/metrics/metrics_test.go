@@ -109,6 +109,51 @@ func TestScopeCachesHandles(t *testing.T) {
 	}
 }
 
+// TestScopeLookupDoesNotCreate: Lookup finds counters recorded through
+// the scope or straight into the registry under the scope's labels, and
+// a miss leaves every export unchanged.
+func TestScopeLookupDoesNotCreate(t *testing.T) {
+	o := NewObserver(Config{})
+	r := o.Registry()
+	s := r.Scope(L("host", "3"))
+	s.Add("nic.pkts-sent", 2)
+	r.Counter("nic.acks-sent", L("host", "3")).Add(4)
+	var before bytes.Buffer
+	if err := o.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := s.Lookup("nic.pkts-sent"); !ok || c.Value() != 2 {
+		t.Fatalf("Lookup(pkts-sent) = %v, %v", c, ok)
+	}
+	if c, ok := s.Lookup("nic.acks-sent"); !ok || c.Value() != 4 {
+		t.Fatalf("Lookup(acks-sent) = %v, %v", c, ok)
+	}
+	if _, ok := s.Lookup("nic.never"); ok {
+		t.Fatal("Lookup found a counter nothing recorded")
+	}
+	var after bytes.Buffer
+	if err := o.WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("Lookup changed the export:\n%s\nvs\n%s", before.String(), after.String())
+	}
+}
+
+// TestScopeRecordAllocs pins the per-event recording path: once a name
+// has been recorded, Scope.Add and Scope.Observe allocate nothing.
+func TestScopeRecordAllocs(t *testing.T) {
+	s := NewRegistry().Scope(HostLabels(3))
+	s.Add("nic.pkts-sent", 1)
+	s.Observe("retrans.ack_latency_ns", time.Microsecond)
+	if avg := testing.AllocsPerRun(1000, func() { s.Add("nic.pkts-sent", 1) }); avg != 0 {
+		t.Fatalf("Scope.Add allocates %.2f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.Observe("retrans.ack_latency_ns", time.Microsecond) }); avg != 0 {
+		t.Fatalf("Scope.Observe allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 func TestEpochSuppression(t *testing.T) {
 	k := sim.New(1)
 	o := NewObserver(Config{})

@@ -3,6 +3,7 @@ package nic
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"sanft/internal/fabric"
@@ -13,7 +14,6 @@ import (
 	"sanft/internal/retrans"
 	"sanft/internal/routing"
 	"sanft/internal/sim"
-	"sanft/internal/stats"
 	"sanft/internal/topology"
 	"sanft/internal/trace"
 )
@@ -128,15 +128,9 @@ type NIC struct {
 	adaptiveFireFn func() // n.adaptiveTimerFire
 	adaptiveScanFn func() // n.adaptiveTimerScan
 
-	ctr *stats.Counters
-	mx  *metrics.Scope
-}
-
-// inc bumps both the legacy per-NIC counter and the metrics-layer counter
-// (namespaced nic.*, labeled with this host).
-func (n *NIC) inc(name string, k uint64) {
-	n.ctr.Inc(name, k)
-	n.mx.Add("nic."+name, k)
+	// mx is the NIC's host-labeled scope: every firmware event is one
+	// add to a constant nic.* name, read back through Counters.
+	mx *metrics.Scope
 }
 
 // emit records a trace event if a tracer is wired.
@@ -181,7 +175,6 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		deposited:   make(map[topology.NodeID]depositMark),
 		dropper:     opts.Dropper,
 		opts:        opts,
-		ctr:         stats.NewCounters(),
 	}
 	if n.dropper == nil {
 		n.dropper = fault.None{}
@@ -296,8 +289,45 @@ func (n *NIC) SetDropper(d fault.Dropper) {
 	n.dropper = d
 }
 
-// Counters returns the NIC's event counters.
-func (n *NIC) Counters() *stats.Counters { return n.ctr }
+// counterNames lists the firmware's nic.* event counters without their
+// prefix, in the order Counters().String() renders them.
+var counterNames = [...]string{
+	"acks-piggybacked", "acks-received", "acks-sent", "control-no-route",
+	"crc-drops", "err-injected-drops", "path-resets", "pkts-accepted",
+	"pkts-dropped-unreachable", "pkts-retransmitted", "pkts-sent",
+	"probes-answered", "retransmit-bursts", "route-updates", "rx-dropped",
+	"rx-dup-drops", "rx-ooo-drops", "send-buffer-stall", "tx-no-route",
+}
+
+// Counters is a read view of a NIC's event counters, which live in its
+// metrics scope as nic.<name>{host=h}.
+type Counters struct{ mx *metrics.Scope }
+
+// Counters returns a read view of the NIC's event counters.
+func (n *NIC) Counters() Counters { return Counters{n.mx} }
+
+// Get returns the count of event name (e.g. "pkts-sent"), 0 if it never
+// fired. It never creates a counter.
+func (c Counters) Get(name string) uint64 {
+	if ctr, ok := c.mx.Lookup("nic." + name); ok {
+		return ctr.Value()
+	}
+	return 0
+}
+
+// String renders every event that fired as sorted name=value pairs.
+func (c Counters) String() string {
+	var b strings.Builder
+	for _, name := range counterNames {
+		if ctr, ok := c.mx.Lookup("nic." + name); ok {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%d", name, ctr.Value())
+		}
+	}
+	return b.String()
+}
 
 // CPU returns the firmware processor resource (for utilization reporting).
 func (n *NIC) CPU() *sim.Resource { return n.cpu }
@@ -367,7 +397,7 @@ func (n *NIC) Send(p *sim.Proc, frame *proto.Frame) {
 	// Reserve a send buffer; block while the pool is exhausted. This is
 	// where a small NIC send queue throttles the sender.
 	for n.freeBuffers == 0 {
-		n.inc("send-buffer-stall", 1)
+		n.mx.Add("nic.send-buffer-stall", 1)
 		n.bufGate.Wait(p)
 	}
 	n.freeBuffers--
@@ -429,7 +459,7 @@ func (n *NIC) attachPiggyback(frame *proto.Frame) {
 	frame.AckSeq = seq
 	n.rcv.AckEmitted(frame.Dst)
 	n.cancelDelayedAck(frame.Dst)
-	n.inc("acks-piggybacked", 1)
+	n.mx.Add("nic.acks-piggybacked", 1)
 }
 
 // SendControl queues a control frame (ack or probe) for transmission. If
@@ -442,7 +472,7 @@ func (n *NIC) SendControl(frame *proto.Frame, route routing.Route) {
 	if route == nil {
 		r, ok := n.routes[frame.Dst]
 		if !ok {
-			n.inc("control-no-route", 1)
+			n.mx.Add("nic.control-no-route", 1)
 			return
 		}
 		route = r
@@ -485,7 +515,7 @@ func (n *NIC) kickTX() {
 		// retransmission queue as if transmitted, but never touches the
 		// wire.
 		if frame.Type == proto.FrameData && n.dropper.ShouldDrop() {
-			n.inc("err-injected-drops", 1)
+			n.mx.Add("nic.err-injected-drops", 1)
 			n.emit(trace.EvErrDrop, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 			if n.ft && it.entry != nil {
 				n.snd.OnTransmitted(it.entry, n.k.Now())
@@ -500,7 +530,7 @@ func (n *NIC) kickTX() {
 		if route == nil {
 			r, ok := n.routes[frame.Dst]
 			if !ok {
-				n.inc("tx-no-route", 1)
+				n.mx.Add("nic.tx-no-route", 1)
 				if n.ft && it.entry != nil {
 					// Keep the entry queued; the timer will retry once a
 					// route exists. Mark transmitted so the timer owns it.
@@ -541,7 +571,7 @@ func (n *NIC) kickTX() {
 			},
 		}
 		n.txBusy = true
-		n.inc("pkts-sent", 1)
+		n.mx.Add("nic.pkts-sent", 1)
 		if frame.Type == proto.FrameData {
 			n.emit(trace.EvInject, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 		}
@@ -677,7 +707,7 @@ func (n *NIC) noteAcked(freed []*retrans.Entry) {
 // The final frame requests an immediate ack so the sender resynchronizes
 // in one round trip.
 func (n *NIC) retransmitBatch(b retrans.Batch) {
-	n.inc("retransmit-bursts", 1)
+	n.mx.Add("nic.retransmit-bursts", 1)
 	// detect_ns is the honest timeout-detection latency: the timeout in
 	// force plus the scan-quantization wait; scan_wait_ns isolates that
 	// second component (up to a full period for the fixed free-running
@@ -701,7 +731,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 				f.AckReq = proto.AckImmediate
 			}
 			n.attachPiggybackIfAny(&f)
-			n.inc("pkts-retransmitted", 1)
+			n.mx.Add("nic.pkts-retransmitted", 1)
 			n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(&f))
 			e.InFlight++
 			items = append(items, txItem{frame: &f, entry: e})
@@ -754,7 +784,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	// The CRC check covers every frame type; corrupted packets are
 	// dropped after the check cost is paid.
 	if pkt.Corrupted {
-		n.inc("crc-drops", 1)
+		n.mx.Add("nic.crc-drops", 1)
 		n.emit(trace.EvCrcDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 		frame.Release()
 		return
@@ -780,7 +810,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	case proto.FrameRouteUpdate:
 		if frame.Probe != nil {
 			n.SetRoute(frame.Src, frame.Probe.ReturnRoute)
-			n.inc("route-updates", 1)
+			n.mx.Add("nic.route-updates", 1)
 		}
 	case proto.FrameLiveness:
 		n.onLiveness(frame)
@@ -792,7 +822,7 @@ func (n *NIC) processAck(from topology.NodeID, gen uint32, seq uint64) {
 	if !n.ft {
 		return
 	}
-	n.inc("acks-received", 1)
+	n.mx.Add("nic.acks-received", 1)
 	n.emit(trace.EvAckRx, from, gen, seq, 0)
 	freed := n.snd.OnAck(from, gen, seq, n.k.Now())
 	n.noteAcked(freed)
@@ -823,12 +853,12 @@ func (n *NIC) processData(frame *proto.Frame) {
 			n.sendAck(frame.Src)
 		}
 		if !verdict.Accept {
-			n.inc("rx-dropped", 1)
+			n.mx.Add("nic.rx-dropped", 1)
 			if n.rcv.Expected(frame.Src) > frame.Seq {
-				n.inc("rx-dup-drops", 1)
+				n.mx.Add("nic.rx-dup-drops", 1)
 				n.emit(trace.EvDupDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			} else {
-				n.inc("rx-ooo-drops", 1)
+				n.mx.Add("nic.rx-ooo-drops", 1)
 				n.emit(trace.EvOooDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			}
 			frame.Release()
@@ -836,7 +866,7 @@ func (n *NIC) processData(frame *proto.Frame) {
 		}
 	}
 	frame.Stamps.NICRecvDone = n.k.Now()
-	n.inc("pkts-accepted", 1)
+	n.mx.Add("nic.pkts-accepted", 1)
 	n.emit(trace.EvAccept, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 	// Deposit into host memory through the PCI engine, then notify.
 	size := len(frame.Data.Data)
@@ -883,7 +913,7 @@ func (n *NIC) sendAck(to topology.NodeID) {
 	n.cancelDelayedAck(to)
 	n.rcv.AckEmitted(to)
 	n.cpu.Submit(n.cost.AckSendCost, func() {
-		n.inc("acks-sent", 1)
+		n.mx.Add("nic.acks-sent", 1)
 		n.emit(trace.EvAckTx, to, gen, seq, 0)
 		ack := &proto.Frame{
 			Type:   proto.FrameAck,
@@ -924,7 +954,7 @@ func (n *NIC) answerHostProbe(frame *proto.Frame) {
 	if frame.Probe == nil {
 		return
 	}
-	n.inc("probes-answered", 1)
+	n.mx.Add("nic.probes-answered", 1)
 	reply := &proto.Frame{
 		Type: proto.FrameHostProbeReply,
 		Dst:  frame.Probe.Mapper,
@@ -964,7 +994,7 @@ func (n *NIC) ResetPath(dst topology.NodeID, route routing.Route) {
 		e.InFlight++
 		n.enqueueTX(txItem{frame: &f, entry: e}, false)
 	}
-	n.inc("path-resets", 1)
+	n.mx.Add("nic.path-resets", 1)
 	n.emit(trace.EvGenReset, dst, n.snd.Generation(dst), 0, 0)
 }
 
@@ -976,7 +1006,7 @@ func (n *NIC) MarkUnreachable(dst topology.NodeID) {
 	if n.ft {
 		dropped := n.snd.MarkUnreachable(dst)
 		n.releaseBuffers(len(dropped))
-		n.inc("pkts-dropped-unreachable", uint64(len(dropped)))
+		n.mx.Add("nic.pkts-dropped-unreachable", uint64(len(dropped)))
 		n.emit(trace.EvUnreachable, dst, 0, uint64(len(dropped)), 0)
 	}
 }

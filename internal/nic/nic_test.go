@@ -1,12 +1,14 @@
 package nic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"sanft/internal/fabric"
 	"sanft/internal/fault"
+	"sanft/internal/metrics"
 	"sanft/internal/proto"
 	"sanft/internal/retrans"
 	"sanft/internal/routing"
@@ -583,5 +585,70 @@ func TestTracerRecordsProtocolStory(t *testing.T) {
 	}
 	if !strings.Contains(ring.Dump(), "retransmit") {
 		t.Fatal("dump missing retransmit line")
+	}
+}
+
+// TestCountersViewReadsRegistry: every NIC event is recorded once, as
+// nic.<name>{host=h} in the metrics registry, and Counters() is a read
+// view over it that never creates a counter.
+func TestCountersViewReadsRegistry(t *testing.T) {
+	obs := metrics.NewObserver(metrics.Config{})
+	r := newRig(t, 2, func(i int) Options {
+		o := ftOpts(8, time.Millisecond)
+		o.Metrics = obs.Registry()
+		o.Dropper = fault.NewRateSeeded(0.1, int64(i)+3)
+		return o
+	})
+	a, b := r.hosts[0], r.hosts[1]
+	for _, pair := range [][2]topology.NodeID{{a, b}, {b, a}} {
+		src, dst := pair[0], pair[1]
+		r.k.Spawn("sender", func(p *sim.Proc) {
+			for i := 0; i < 40; i++ {
+				r.nics[src].Send(p, dataFrame(dst, uint64(i), make([]byte, 512)))
+			}
+		})
+	}
+	r.runFor(time.Second)
+	if r.nics[a].Counters().Get("pkts-retransmitted") == 0 {
+		t.Fatal("no retransmissions in a lossy run; test proves nothing")
+	}
+
+	prom := func() string {
+		var buf strings.Builder
+		if err := obs.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	before := prom()
+	for _, name := range []string{"probes-answered", "no-such-event"} {
+		if got := r.nics[a].Counters().Get(name); got != 0 {
+			t.Fatalf("Get(%q) = %d for an event that never fired", name, got)
+		}
+	}
+	if after := prom(); after != before {
+		t.Fatal("reading a counter that never fired changed the Prometheus dump")
+	}
+
+	obs.SampleNow(r.k.Now())
+	recorded := obs.Samples()[0].Counters
+	for _, h := range r.hosts {
+		view := r.nics[h].Counters()
+		shown := make(map[string]bool)
+		for _, kv := range strings.Fields(view.String()) {
+			name, val, _ := strings.Cut(kv, "=")
+			shown[name] = true
+			want := recorded[fmt.Sprintf("nic.%s{host=%d}", name, h)]
+			if got := view.Get(name); got != want || val != fmt.Sprint(want) {
+				t.Errorf("host %d %s: Get %d, String %s, registry %d", h, name, got, val, want)
+			}
+		}
+		suffix := fmt.Sprintf("{host=%d}", h)
+		for id := range recorded {
+			name, ok := strings.CutPrefix(id, "nic.")
+			if name, ok2 := strings.CutSuffix(name, suffix); ok && ok2 && !shown[name] {
+				t.Errorf("host %d records %s but Counters().String() omits it", h, id)
+			}
+		}
 	}
 }

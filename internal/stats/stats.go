@@ -1,12 +1,10 @@
-// Package stats provides the instrumentation used by the evaluation: the
-// five-stage latency breakdown of Figure 3, bandwidth meters, counters, and
-// simple log-scale histograms.
+// Package stats holds the evaluation arithmetic that is not an event
+// count: the five-stage latency breakdown of Figure 3 and the bandwidth
+// conversion. Counters and histograms live in internal/metrics.
 package stats
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -65,38 +63,6 @@ func (a *BreakdownAvg) Mean() Breakdown {
 	}
 }
 
-// Counters is a named event-count registry.
-type Counters struct {
-	m map[string]uint64
-}
-
-// NewCounters returns an empty registry.
-func NewCounters() *Counters { return &Counters{m: make(map[string]uint64)} }
-
-// Inc adds n to counter name.
-func (c *Counters) Inc(name string, n uint64) { c.m[name] += n }
-
-// Get returns counter name's value.
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns all counter names, sorted.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%s=%d ", n, c.m[n])
-	}
-	return strings.TrimSpace(b.String())
-}
-
 // Bandwidth converts bytes over a duration to MB/s (decimal megabytes, as
 // the paper reports).
 func Bandwidth(bytes uint64, d time.Duration) float64 {
@@ -104,70 +70,4 @@ func Bandwidth(bytes uint64, d time.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) / d.Seconds() / 1e6
-}
-
-// Histogram is a power-of-two bucketed latency histogram.
-type Histogram struct {
-	buckets [64]uint64
-	count   uint64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-}
-
-// Add records one duration.
-func (h *Histogram) Add(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	b := 0
-	for v := int64(d); v > 1 && b < 63; v >>= 1 {
-		b++
-	}
-	h.buckets[b]++
-	h.count++
-	h.sum += d
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the average of all samples.
-func (h *Histogram) Mean() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min returns the smallest sample.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) based on
-// bucket boundaries.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var seen uint64
-	for i, c := range h.buckets {
-		seen += c
-		if seen > target {
-			return time.Duration(int64(1) << uint(i))
-		}
-	}
-	return h.max
 }

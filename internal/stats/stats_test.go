@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -41,23 +40,6 @@ func TestBreakdownAvg(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a", 1)
-	c.Inc("b", 2)
-	c.Inc("a", 3)
-	if c.Get("a") != 4 || c.Get("b") != 2 || c.Get("missing") != 0 {
-		t.Fatalf("counters: %v", c)
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
-	if s := c.String(); !strings.Contains(s, "a=4") || !strings.Contains(s, "b=2") {
-		t.Fatalf("String() = %q", s)
-	}
-}
-
 func TestBandwidth(t *testing.T) {
 	// 100 MB over 1 second = 100 MB/s.
 	if got := Bandwidth(100e6, time.Second); got != 100 {
@@ -65,64 +47,5 @@ func TestBandwidth(t *testing.T) {
 	}
 	if got := Bandwidth(1000, 0); got != 0 {
 		t.Fatalf("zero-duration bandwidth = %v, want 0", got)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-	for _, d := range []time.Duration{time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond} {
-		h.Add(d)
-	}
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Mean() != 2*time.Microsecond {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if h.Min() != time.Microsecond || h.Max() != 3*time.Microsecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Add(time.Duration(i) * time.Microsecond)
-	}
-	// Bucketed upper bound: the median is ≈500µs; its bucket bound is
-	// 2^19ns ≈ 524µs.
-	q50 := h.Quantile(0.5)
-	if q50 < 256*time.Microsecond || q50 > 1100*time.Microsecond {
-		t.Fatalf("p50 = %v, want near 512µs bucket", q50)
-	}
-	if h.Quantile(0) > h.Quantile(0.99) {
-		t.Fatal("quantiles not monotone")
-	}
-}
-
-func TestHistogramNegativeClamped(t *testing.T) {
-	var h Histogram
-	h.Add(-time.Second)
-	if h.Min() != 0 {
-		t.Fatalf("negative sample not clamped: %v", h.Min())
-	}
-}
-
-func TestPropertyHistogramMeanWithinRange(t *testing.T) {
-	f := func(samples []uint32) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		var h Histogram
-		for _, s := range samples {
-			h.Add(time.Duration(s))
-		}
-		return h.Mean() >= h.Min() && h.Mean() <= h.Max() && h.Count() == uint64(len(samples))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

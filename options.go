@@ -97,12 +97,6 @@ func WithRetrans(rc RetransConfig) Option {
 	return func(c *Config) { c.Retrans = rc }
 }
 
-// WithRetransParams sets protocol parameters without enabling the
-// protocol.
-//
-// Deprecated: renamed to WithRetrans.
-func WithRetransParams(rc RetransConfig) Option { return WithRetrans(rc) }
-
 // WithErrorRate injects send-side drops at rate p (e.g. 1e-3), each NIC
 // with its own deterministic schedule.
 func WithErrorRate(p float64) Option {
@@ -252,12 +246,6 @@ func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
 
-// WithShards sets the worker count for sharded parallel execution.
-//
-// Deprecated: renamed to WithWorkers (a "shard" is a cell of the
-// partition, not an OS thread).
-func WithShards(n int) Option { return WithWorkers(n) }
-
 // New builds a cluster from functional options:
 //
 //	c := sanft.New(
@@ -282,9 +270,3 @@ func New(opts ...Option) *Cluster {
 	}
 	return core.New(cfg)
 }
-
-// NewFromConfig builds a cluster from an explicit Config struct.
-//
-// Deprecated: use New with options (WithEngine/WithShardPlan cover the
-// cases that once required struct-style construction).
-func NewFromConfig(cfg Config) *Cluster { return core.New(cfg) }

@@ -161,12 +161,6 @@ type (
 	// ShardPlan partitions hosts into shards for EngineSharded; see
 	// WithShardPlan.
 	ShardPlan = core.ShardPlan
-	// ShardedCluster is the historical name for a Cluster built with
-	// EngineSharded.
-	//
-	// Deprecated: use Cluster — they have been one type since the
-	// constructors were unified.
-	ShardedCluster = core.ShardedCluster
 	// Flow is one directed traffic stream of a sharded workload.
 	Flow = core.Flow
 	// Delivery is one accepted data frame in a sharded run's merged
@@ -179,30 +173,6 @@ const (
 	EngineSequential = core.EngineSequential
 	EngineSharded    = core.EngineSharded
 )
-
-// NewSharded builds a sharded parallel cluster from the same options as
-// New.
-//
-// Deprecated: use New(append(opts, WithEngine(EngineSharded))...) — one
-// constructor builds both engines; WithShardPlan and WithWorkers shape
-// the sharded run.
-func NewSharded(opts ...Option) *ShardedCluster {
-	return New(append(opts, WithEngine(EngineSharded))...)
-}
-
-// NewStar builds a cluster of n hosts on one full-crossbar switch.
-//
-// Deprecated: use New with options, e.g.
-// New(WithStar(n), WithRetrans(rc), WithFaultTolerance(), WithErrorRate(p));
-// drop WithFaultTolerance for the non-FT baseline (WithRetrans still
-// applies — the queue size bounds the send-buffer pool either way).
-func NewStar(n int, ft bool, rc RetransConfig, errorRate float64) *Cluster {
-	opts := []Option{WithStar(n), WithRetrans(rc), WithErrorRate(errorRate)}
-	if ft {
-		opts = append(opts, WithFaultTolerance())
-	}
-	return New(opts...)
-}
 
 // Star builds the micro-benchmark topology (n hosts, one switch).
 func Star(n int) (*Network, []NodeID) { return topology.Star(n) }

@@ -279,7 +279,7 @@ func TestFeedbackAblation(t *testing.T) {
 
 func TestPublicAPISmoke(t *testing.T) {
 	// The facade exposes enough to build a custom scenario end to end.
-	c := NewStar(2, true, DefaultParams(), 0)
+	c := New(WithStar(2), WithRetrans(DefaultParams()), WithFaultTolerance())
 	a, b := c.EndpointAt(0), c.EndpointAt(1)
 	exp := b.Export("inbox", 128)
 	got := false
