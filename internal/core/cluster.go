@@ -282,23 +282,12 @@ func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace
 	})
 }
 
-// installRoutes pre-installs the shortest route from n's host to every
-// other host, in host order, as a freshly mapped system would have them.
-// One BFS per source host (ShortestFrom's visit order and tie-breaks match
-// per-pair Shortest byte for byte) keeps construction O(H·E). With
-// liveness on, every route starts a session timer, so the order is part
-// of the result.
-func installRoutes(n *nic.NIC, nw *topology.Network, hosts []topology.NodeID) {
-	a := n.Node()
-	routes := routing.ShortestFrom(nw, a)
-	for _, b := range hosts {
-		if b == a {
-			continue
-		}
-		if r, ok := routes[b]; ok {
-			n.SetRoute(b, r)
-		}
-	}
+// installRoutes hands n its row of the cluster's route table: the
+// shortest route from n's host to every other host, as a freshly mapped
+// system would have them. With liveness on, every route starts a session
+// timer, so the host order they start in is part of the result.
+func installRoutes(n *nic.NIC, t *routing.Table, hosts []topology.NodeID) {
+	n.InstallRoutes(t.Row(n.Node()), hosts)
 }
 
 func newSequential(cfg Config) *Cluster {
@@ -331,8 +320,9 @@ func newSequential(cfg Config) *Cluster {
 		c.nics[h] = n
 		c.eps[h] = vmmc.NewEndpoint(k, n, c.Dir)
 	}
+	routes := routing.NewTable(cfg.Net, cfg.Hosts)
 	for _, h := range cfg.Hosts {
-		installRoutes(c.nics[h], cfg.Net, cfg.Hosts)
+		installRoutes(c.nics[h], routes, cfg.Hosts)
 	}
 	if cfg.Mapper {
 		if !cfg.FT {

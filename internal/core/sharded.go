@@ -121,10 +121,11 @@ func newSharded(cfg Config) *Cluster {
 	if len(groups) < 2 {
 		panic("core: shard plan must create at least two shards")
 	}
+	routes := routing.NewTable(cfg.Net, cfg.Hosts)
 	s := &Cluster{
 		Net:       cfg.Net,
 		Hosts:     cfg.Hosts,
-		Lookahead: cfg.Fabric.MinCrossLatency(minCrossHops(cfg.Net, groups)),
+		Lookahead: cfg.Fabric.MinCrossLatency(minCrossHops(routes, groups)),
 		cfg:       cfg,
 		byHost:    make(map[topology.NodeID]int, len(cfg.Hosts)),
 	}
@@ -157,7 +158,7 @@ func newSharded(cfg Config) *Cluster {
 	}
 	for _, c := range s.cells {
 		for _, a := range c.hosts {
-			installRoutes(c.nics[a], cfg.Net, cfg.Hosts)
+			installRoutes(c.nics[a], routes, cfg.Hosts)
 		}
 	}
 	s.eng = parsim.NewEngine(shards, s.Lookahead, cfg.Workers)
@@ -211,33 +212,30 @@ func clonePacket(pkt *fabric.Packet) *fabric.Packet {
 }
 
 // minCrossHops returns the smallest switch count on any shortest route
-// between hosts of different shards — the hop floor for the lookahead
-// derivation. Routes inside one shard don't constrain the lookahead
-// (intra-cell delivery never crosses a barrier), which is exactly why
-// coarse shards widen the window on clustered topologies.
-func minCrossHops(nw *topology.Network, groups [][]topology.NodeID) int {
-	cellOf := make(map[topology.NodeID]int)
-	for i, g := range groups {
-		for _, h := range g {
-			cellOf[h] = i
-		}
-	}
-	best := 0
-	// One BFS per host instead of one per ordered pair: at 1k hosts the
-	// difference is construction completing in milliseconds vs minutes.
-	for a, ca := range cellOf {
-		for b, r := range routing.ShortestFrom(nw, a) {
-			cb, ok := cellOf[b]
-			if !ok || ca == cb {
-				continue
-			}
-			if best == 0 || len(r) < best {
-				best = len(r)
+// between hosts of different shards, read from the cluster's route table
+// — the hop floor for the lookahead derivation. Routes inside one shard
+// don't constrain the lookahead (intra-cell delivery never crosses a
+// barrier), which is exactly why coarse shards widen the window on
+// clustered topologies.
+func minCrossHops(t *routing.Table, groups [][]topology.NodeID) int {
+	best := -1
+	for i, ga := range groups {
+		for _, a := range ga {
+			row := t.Row(a)
+			for j, gb := range groups {
+				if i == j {
+					continue
+				}
+				for _, b := range gb {
+					if r := row[b]; r != nil && (best < 0 || len(r) < best) {
+						best = len(r)
+					}
+				}
 			}
 		}
 	}
-	if best == 0 {
-		best = 1
+	if best < 0 {
+		return 1 // no route crosses shards at all
 	}
 	return best
 }

@@ -69,7 +69,8 @@ type WorkerStat struct {
 	// AwakeNS is the wall-clock window the worker was accountable for:
 	// the coordinator's time inside Run, a helper's time between wake
 	// and park. The profiler's invariant (verified by test) is that
-	// Busy+Stall+Steal+Exchange covers AwakeNS within Tolerance.
+	// Busy+Stall+Steal+Exchange equals AwakeNS exactly: every clock read
+	// closes one bucket and opens the next.
 	AwakeNS int64 `json:"awake_ns"`
 
 	// Claims counts shard windows this worker executed; StealAttempts
@@ -110,14 +111,6 @@ func (w *WorkerStat) add(src *WorkerStat) {
 	w.Parks += src.Parks
 	w.Events += src.Events
 }
-
-// Tolerance is the documented accounting slack of the profiler: for every
-// worker, the explained buckets (busy + stall + steal + exchange) must
-// cover the worker's awake wall-clock within this fraction. The slack is
-// the instants between consecutive clock readings — segment boundaries,
-// wake/park edges — which are a few instructions each; 20% is generous
-// headroom for noisy CI machines. The invariant test asserts it.
-const Tolerance = 0.20
 
 // EngineStat is the epoch-loop-level account of a profiled run.
 type EngineStat struct {

@@ -81,31 +81,36 @@ func New(k *sim.Kernel, nw *topology.Network, cfg Config) *Fabric {
 // BindMetrics points the fabric's instrumentation at reg (core.New calls
 // this with the cluster-wide registry before any traffic flows; standalone
 // fabrics keep the private registry New installed). Per-link busy time and
-// utilization are published as derived gauges, one per directed channel.
+// utilization are published by one gauge collector, a pair of gauges per
+// directed channel of every link present now.
 func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 	f.wire.BindMetrics(reg)
-	for _, l := range f.nw.Links {
-		for dir := 0; dir < 2; dir++ {
-			key := chanKey{l.ID, dir}
-			ls := metrics.L("link", strconv.Itoa(l.ID), "dir", strconv.Itoa(dir))
-			reg.GaugeFunc("fabric.link.busy_ns", ls, func() float64 {
-				if cs := f.chans[key]; cs != nil {
-					return float64(cs.busy)
+	nlinks := len(f.nw.Links)
+	var ids []string // busy and utilization idents per channel, built on first export
+	reg.GaugeCollector("fabric.link", func(emit func(string, float64)) {
+		if ids == nil {
+			ids = make([]string, 0, 4*nlinks)
+			for id := 0; id < nlinks; id++ {
+				for dir := 0; dir < 2; dir++ {
+					ls := "{dir=" + strconv.Itoa(dir) + ",link=" + strconv.Itoa(id) + "}"
+					ids = append(ids, "fabric.link.busy_ns"+ls, "fabric.link.utilization"+ls)
 				}
-				return 0
-			})
-			reg.GaugeFunc("fabric.link.utilization", ls, func() float64 {
-				now := f.k.Now()
-				if now <= 0 {
-					return 0
-				}
-				if cs := f.chans[key]; cs != nil {
-					return float64(cs.busy) / float64(now)
-				}
-				return 0
-			})
+			}
 		}
-	}
+		now := f.k.Now()
+		for i := 0; i < 2*nlinks; i++ {
+			var busy float64
+			if cs := f.chans[chanKey{i / 2, i % 2}]; cs != nil {
+				busy = float64(cs.busy)
+			}
+			var util float64
+			if now > 0 {
+				util = busy / float64(now)
+			}
+			emit(ids[2*i], busy)
+			emit(ids[2*i+1], util)
+		}
+	})
 }
 
 // InFlight returns the number of worms currently in the network.

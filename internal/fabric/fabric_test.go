@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -538,5 +539,56 @@ func TestPropertyDeadlockAlwaysDrains(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkGaugesMatchPerLinkGaugeFuncs: the fabric's one link-gauge
+// collector exports exactly what a GaugeFunc per directed channel would,
+// for the links present at bind time and none added later.
+func TestLinkGaugesMatchPerLinkGaugeFuncs(t *testing.T) {
+	k := sim.New(1)
+	nw, hosts := topology.DoubleStar(4)
+	f := New(k, nw, DefaultConfig())
+	for _, h := range hosts {
+		f.AttachHost(h, func(*Packet) {})
+	}
+	reg := metrics.NewRegistry()
+	f.BindMetrics(reg)
+	ref := metrics.NewRegistry()
+	for _, l := range nw.Links {
+		for dir := 0; dir < 2; dir++ {
+			key := chanKey{l.ID, dir}
+			ls := metrics.L("link", fmt.Sprint(l.ID), "dir", fmt.Sprint(dir))
+			ref.GaugeFunc("fabric.link.busy_ns", ls, func() float64 {
+				if cs := f.chans[key]; cs != nil {
+					return float64(cs.busy)
+				}
+				return 0
+			})
+			ref.GaugeFunc("fabric.link.utilization", ls, func() float64 {
+				if cs := f.chans[key]; cs != nil && k.Now() > 0 {
+					return float64(cs.busy) / float64(k.Now())
+				}
+				return 0
+			})
+		}
+	}
+	gauges := func(r *metrics.Registry) string {
+		obs := metrics.NewObserver(metrics.Config{})
+		obs.Registry().MergeFrom(r)
+		obs.SampleNow(k.Now())
+		return fmt.Sprint(obs.Samples()[0].Gauges)
+	}
+	if got, want := gauges(reg), gauges(ref); got != want {
+		t.Fatalf("before traffic:\n%s\nwant:\n%s", got, want)
+	}
+	for i, a := range hosts {
+		b := hosts[(i+1)%len(hosts)]
+		f.Inject(a, mkPacket(nw, a, b, 512+64*i))
+	}
+	k.RunFor(50 * time.Microsecond)
+	nw.MoveHost(hosts[0], nw.Switches()[1], nw.Node(nw.Switches()[1]).FreePort())
+	if got, want := gauges(reg), gauges(ref); got != want {
+		t.Fatalf("after traffic:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -6,8 +6,9 @@ package metrics
 //   - counters add;
 //   - gauges add (shard-disjoint label sets — the common case, since
 //     producers label by host/link — simply union);
-//   - derived gauges (GaugeFunc) are evaluated now and added as plain
-//     gauges, materializing the source's instantaneous state;
+//   - derived gauges (GaugeFunc, GaugeCollector) are evaluated now and
+//     added as plain gauges, materializing the source's instantaneous
+//     state;
 //   - histograms merge bucket-wise, with count/sum added and min/max
 //     combined.
 //
@@ -21,12 +22,7 @@ func (r *Registry) MergeFrom(src *Registry) {
 			r.counterByIdent(id).Add(c.v)
 		}
 	}
-	for id, g := range src.gauges {
-		r.gaugeByIdent(id).Add(g.v)
-	}
-	for id, fn := range src.gaugeFns {
-		r.gaugeByIdent(id).Add(fn())
-	}
+	src.eachGauge(func(id string, v float64) { r.gaugeByIdent(id).Add(v) })
 	for id, h := range src.hists {
 		r.histByIdent(id).mergeFrom(h)
 	}

@@ -120,10 +120,11 @@ func (g *Gauge) Value() float64 { return g.v }
 // concurrent use: like the simulation kernel it serves, all access happens
 // on one logical thread.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	gaugeFns map[string]func() float64
-	hists    map[string]*Histogram
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	gaugeFns   map[string]func() float64
+	collectors map[string]func(emit func(id string, v float64))
+	hists      map[string]*Histogram
 
 	// epoch increments on every recorded observation (not on gauge-func
 	// reads); the sampler uses it to suppress samples of an idle system.
@@ -133,10 +134,11 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		gaugeFns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		gaugeFns:   make(map[string]func() float64),
+		collectors: make(map[string]func(emit func(id string, v float64))),
+		hists:      make(map[string]*Histogram),
 	}
 }
 
@@ -170,6 +172,38 @@ func (r *Registry) Gauge(name string, ls Labels) *Gauge {
 // Re-registering an ident replaces the previous function.
 func (r *Registry) GaugeFunc(name string, ls Labels, fn func() float64) {
 	r.gaugeFns[ident(name, ls)] = fn
+}
+
+// GaugeCollector registers one producer of many derived gauges, evaluated
+// at sample/export time: fn calls emit once per gauge with its full ident
+// — name{k=v,...} with label keys sorted, the key GaugeFunc would file
+// the same gauge under — and its value. It replaces a GaugeFunc closure
+// per element for producers with thousands of them. Re-registering under
+// the same key replaces the previous collector.
+func (r *Registry) GaugeCollector(key string, fn func(emit func(id string, v float64))) {
+	r.collectors[key] = fn
+}
+
+// eachGauge reports every gauge's current value: set gauges, then
+// derived gauges evaluated now, then collector output in key order.
+func (r *Registry) eachGauge(fn func(id string, v float64)) {
+	for id, g := range r.gauges {
+		fn(id, g.v)
+	}
+	for id, gf := range r.gaugeFns {
+		fn(id, gf())
+	}
+	for _, key := range sortedKeys(r.collectors) {
+		r.collectors[key](fn)
+	}
+}
+
+// gaugeValues returns every gauge's current value by ident; a later
+// source overrides an earlier one under the same ident.
+func (r *Registry) gaugeValues() map[string]float64 {
+	m := make(map[string]float64, len(r.gauges)+len(r.gaugeFns))
+	r.eachGauge(func(id string, v float64) { m[id] = v })
+	return m
 }
 
 // Histogram returns (creating if needed) the histogram name{labels}.

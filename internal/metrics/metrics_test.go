@@ -430,3 +430,41 @@ func TestSnapshotQuantileMerge(t *testing.T) {
 		t.Errorf("merged snapshot %+v != combined snapshot %+v", sa, want)
 	}
 }
+
+// TestGaugeCollectorReadLikeGaugeFuncs: a collector's gauges reach every
+// reader — sample, Prometheus, summary and merge — exactly as the same
+// gauges registered one GaugeFunc each, and re-registering under a key
+// replaces the collector.
+func TestGaugeCollectorReadLikeGaugeFuncs(t *testing.T) {
+	dump := func(r *Registry) string {
+		o := &Observer{reg: r}
+		o.SampleNow(5)
+		var b strings.Builder
+		if err := o.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(o.Summary())
+		merged := NewRegistry()
+		merged.MergeFrom(r)
+		b.WriteString((&Observer{reg: merged}).Summary())
+		return b.String()
+	}
+	perFunc := NewRegistry()
+	perFunc.Gauge("queue", L("host", "1")).Set(3)
+	perFunc.GaugeFunc("link.busy", L("link", "0", "dir", "1"), func() float64 { return 7 })
+	perFunc.GaugeFunc("link.busy", L("link", "2", "dir", "0"), func() float64 { return 0.5 })
+
+	bulk := NewRegistry()
+	bulk.Gauge("queue", L("host", "1")).Set(3)
+	bulk.GaugeCollector("link", func(emit func(string, float64)) { emit("stale", 1) })
+	bulk.GaugeCollector("link", func(emit func(string, float64)) {
+		emit("link.busy{dir=1,link=0}", 7)
+		emit("link.busy{dir=0,link=2}", 0.5)
+	})
+	if got, want := dump(bulk), dump(perFunc); got != want {
+		t.Fatalf("collector export differs from per-gauge GaugeFuncs:\n%s\nwant:\n%s", got, want)
+	}
+}

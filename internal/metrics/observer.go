@@ -74,14 +74,8 @@ func (o *Observer) snapshot(now sim.Time) Sample {
 			s.Counters[id] = c.v
 		}
 	}
-	if len(o.reg.gauges) > 0 || len(o.reg.gaugeFns) > 0 {
-		s.Gauges = make(map[string]float64, len(o.reg.gauges)+len(o.reg.gaugeFns))
-		for id, g := range o.reg.gauges {
-			s.Gauges[id] = g.v
-		}
-		for id, fn := range o.reg.gaugeFns {
-			s.Gauges[id] = fn()
-		}
+	if g := o.reg.gaugeValues(); len(g) > 0 {
+		s.Gauges = g
 	}
 	if len(o.reg.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(o.reg.hists))
@@ -252,13 +246,7 @@ func (o *Observer) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	gauges := make(map[string]float64, len(o.reg.gauges)+len(o.reg.gaugeFns))
-	for id, g := range o.reg.gauges {
-		gauges[id] = g.v
-	}
-	for id, fn := range o.reg.gaugeFns {
-		gauges[id] = fn()
-	}
+	gauges := o.reg.gaugeValues()
 	for _, f := range promFamilies(sortedKeys(gauges)) {
 		header(f.base, "gauge")
 		for _, id := range f.ids {
@@ -305,13 +293,7 @@ func (o *Observer) Summary() string {
 			fmt.Fprintf(&b, "  %-56s %d\n", id, o.reg.counters[id].v)
 		}
 	}
-	gauges := make(map[string]float64, len(o.reg.gauges)+len(o.reg.gaugeFns))
-	for id, g := range o.reg.gauges {
-		gauges[id] = g.v
-	}
-	for id, fn := range o.reg.gaugeFns {
-		gauges[id] = fn()
-	}
+	gauges := o.reg.gaugeValues()
 	if len(gauges) > 0 {
 		b.WriteString("gauges:\n")
 		for _, id := range sortedKeys(gauges) {

@@ -2,7 +2,6 @@ package nic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -100,7 +99,11 @@ type NIC struct {
 	cpu *sim.Resource
 	pci *sim.Resource
 
-	routes map[topology.NodeID]routing.Route
+	// routes is the routing table, indexed by destination node ID (nil:
+	// no route). A cluster build adopts one routing.Table row here in
+	// place; nroutes counts the installed destinations.
+	routes  []routing.Route
+	nroutes int
 
 	freeBuffers int
 	bufGate     sim.Gate
@@ -167,7 +170,6 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		ft:          opts.FT,
 		cpu:         sim.NewResource(k, fmt.Sprintf("nic%d-cpu", node)),
 		pci:         sim.NewResource(k, fmt.Sprintf("nic%d-pci", node)),
-		routes:      make(map[topology.NodeID]routing.Route),
 		freeBuffers: opts.Retrans.QueueSize,
 		delayedAck:  make(map[topology.NodeID]sim.Timer),
 		inRemap:     make(map[topology.NodeID]bool),
@@ -350,8 +352,39 @@ func (n *NIC) Cost() CostModel { return n.cost }
 // FT reports whether the retransmission protocol is enabled.
 func (n *NIC) FT() bool { return n.ft }
 
+// InstallRoutes adopts row as the NIC's whole routing table: row[d] is
+// the route to destination d, nil for none. The NIC takes the slice
+// itself — no per-destination insert, no copy — and owns it from then
+// on. order lists the routed destinations in the order their liveness
+// sessions start, as one SetRoute per destination would start them.
+func (n *NIC) InstallRoutes(row []routing.Route, order []topology.NodeID) {
+	n.routes = row
+	n.nroutes = 0
+	for _, r := range row {
+		if r != nil {
+			n.nroutes++
+		}
+	}
+	for _, dst := range order {
+		if _, ok := n.Route(dst); ok {
+			delete(n.inRemap, dst)
+			n.ensureSession(dst)
+		}
+	}
+}
+
 // SetRoute installs (or replaces) the source route used for frames to dst.
+// A nil route installs an empty one: present, with no switch hops.
 func (n *NIC) SetRoute(dst topology.NodeID, r routing.Route) {
+	if r == nil {
+		r = routing.Route{}
+	}
+	if grow := int(dst) + 1 - len(n.routes); grow > 0 {
+		n.routes = append(n.routes, make([]routing.Route, grow)...)
+	}
+	if n.routes[dst] == nil {
+		n.nroutes++
+	}
 	n.routes[dst] = r
 	delete(n.inRemap, dst)
 	n.ensureSession(dst)
@@ -359,21 +392,31 @@ func (n *NIC) SetRoute(dst topology.NodeID, r routing.Route) {
 
 // Route returns the installed route to dst.
 func (n *NIC) Route(dst topology.NodeID) (routing.Route, bool) {
-	r, ok := n.routes[dst]
-	return r, ok
+	if uint(dst) >= uint(len(n.routes)) {
+		return nil, false
+	}
+	r := n.routes[dst]
+	return r, r != nil
 }
 
 // RemoveRoute invalidates the route to dst (e.g. after a permanent failure
 // is detected).
-func (n *NIC) RemoveRoute(dst topology.NodeID) { delete(n.routes, dst) }
-
-// Destinations returns the destinations with installed routes, sorted.
-func (n *NIC) Destinations() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(n.routes))
-	for d := range n.routes {
-		out = append(out, d)
+func (n *NIC) RemoveRoute(dst topology.NodeID) {
+	if _, ok := n.Route(dst); ok {
+		n.routes[dst] = nil
+		n.nroutes--
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+}
+
+// Destinations returns the destinations with installed routes, in
+// ascending ID order.
+func (n *NIC) Destinations() []topology.NodeID {
+	out := make([]topology.NodeID, 0, n.nroutes)
+	for d, r := range n.routes {
+		if r != nil {
+			out = append(out, topology.NodeID(d))
+		}
+	}
 	return out
 }
 
@@ -470,7 +513,7 @@ func (n *NIC) attachPiggyback(frame *proto.Frame) {
 func (n *NIC) SendControl(frame *proto.Frame, route routing.Route) {
 	frame.Src = n.node
 	if route == nil {
-		r, ok := n.routes[frame.Dst]
+		r, ok := n.Route(frame.Dst)
 		if !ok {
 			n.mx.Add("nic.control-no-route", 1)
 			return
@@ -528,7 +571,7 @@ func (n *NIC) kickTX() {
 
 		route := frame.ControlRoute
 		if route == nil {
-			r, ok := n.routes[frame.Dst]
+			r, ok := n.Route(frame.Dst)
 			if !ok {
 				n.mx.Add("nic.tx-no-route", 1)
 				if n.ft && it.entry != nil {
@@ -551,8 +594,11 @@ func (n *NIC) kickTX() {
 		}
 		isData := frame.Type == proto.FrameData
 		entry := it.entry
+		// The packet carries the route itself: the wire only reads it,
+		// and no installed route is ever written in place (SetRoute
+		// replaces the slice, table routes are capacity-capped).
 		pkt := &fabric.Packet{
-			Route:   route.Clone(),
+			Route:   route,
 			Dst:     frame.Dst,
 			Size:    frame.WireSize(),
 			Payload: frame,
@@ -633,9 +679,13 @@ func (n *NIC) scheduleTimer() {
 // timerFire is the single periodic retransmission timer: one firmware scan
 // over the per-destination queues.
 func (n *NIC) timerFire() {
-	active := len(n.routes)
-	cost := n.cost.TimerScanCost + time.Duration(active)*n.cost.TimerPerDestCost
-	n.cpu.Submit(cost, n.scanFn)
+	n.cpu.Submit(n.scanCost(), n.scanFn)
+}
+
+// scanCost is the firmware time of one timer scan: a fixed part plus one
+// step per routed destination.
+func (n *NIC) scanCost() time.Duration {
+	return n.cost.TimerScanCost + time.Duration(n.nroutes)*n.cost.TimerPerDestCost
 }
 
 // timerScan is the scan body, run in firmware (cpu) context.
@@ -663,9 +713,7 @@ func (n *NIC) timerScan() {
 // detected within half an RTO-floor of expiring rather than up to a full
 // period late.
 func (n *NIC) adaptiveTimerFire() {
-	active := len(n.routes)
-	cost := n.cost.TimerScanCost + time.Duration(active)*n.cost.TimerPerDestCost
-	n.cpu.Submit(cost, n.adaptiveScanFn)
+	n.cpu.Submit(n.scanCost(), n.adaptiveScanFn)
 }
 
 // adaptiveTimerScan runs the scan in firmware context, then schedules the

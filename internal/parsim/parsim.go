@@ -344,12 +344,11 @@ func (e *Engine) workerLoop(id int) {
 			if g := e.gen.Load(); g != lastGen {
 				lastGen = g
 				if ws != nil {
-					ws.StallNS += enginestat.NowNS() - prev
+					now := enginestat.NowNS()
+					ws.StallNS += now - prev
+					prev = now
 				}
-				e.claimShards(ws, lg)
-				if ws != nil {
-					prev = enginestat.NowNS()
-				}
+				prev = e.claimShards(ws, lg, prev)
 				e.doneN.Add(1)
 				spins = 0
 				continue
@@ -398,11 +397,13 @@ func (e *Engine) parkWorkers() {
 // the epoch's shards drain onto its peers.
 //
 // ws is the claiming worker's profiling record (nil keeps the original
-// tight loop). The profiled variant takes its own local clock marks —
-// claimShards runs concurrently on every worker, so it cannot share the
-// coordinator's mark — splitting each iteration into steal overhead
-// (cursor claim + bookkeeping) and busy kernel time.
-func (e *Engine) claimShards(ws *enginestat.WorkerStat, lg *enginestat.SpanLog) {
+// tight loop). The profiled variant continues from the caller's clock
+// mark prev and returns its own last one — claimShards runs concurrently
+// on every worker, so it cannot share the coordinator's mark — splitting
+// each iteration into steal overhead (cursor claim + bookkeeping) and
+// busy kernel time. Every clock read closes one bucket and opens the
+// next, so no instant between the caller's marks goes unaccounted.
+func (e *Engine) claimShards(ws *enginestat.WorkerStat, lg *enginestat.SpanLog, prev int64) (last int64) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicMu.Lock()
@@ -410,6 +411,7 @@ func (e *Engine) claimShards(ws *enginestat.WorkerStat, lg *enginestat.SpanLog) 
 				e.panicVal = r
 			}
 			e.panicMu.Unlock()
+			last = enginestat.NowNS() // the run is failing; restart the marks
 		}
 	}()
 	end := e.epochEnd
@@ -417,18 +419,18 @@ func (e *Engine) claimShards(ws *enginestat.WorkerStat, lg *enginestat.SpanLog) 
 		for {
 			i := int(atomic.AddInt64(&e.cursor, 1))
 			if i >= len(e.active) {
-				return
+				return 0
 			}
 			e.shards[e.active[i]].Kernel().RunBefore(end)
 		}
 	}
-	prev := enginestat.NowNS()
 	for {
 		i := int(atomic.AddInt64(&e.cursor, 1))
 		ws.StealAttempts++
 		if i >= len(e.active) {
-			ws.StealNS += enginestat.NowNS() - prev
-			return
+			now := enginestat.NowNS()
+			ws.StealNS += now - prev
+			return now
 		}
 		ws.StealHits++
 		ws.Claims++
@@ -499,11 +501,10 @@ func (e *Engine) runEpoch(end sim.Time) {
 	e.doneN.Store(0)
 	e.gen.Add(1) // publish the epoch to the spinning helpers
 	if w0 == nil {
-		e.claimShards(nil, nil)
+		e.claimShards(nil, nil, 0)
 	} else {
-		e.profMark(&w0.StealNS) // wake + epoch publish overhead
-		e.claimShards(w0, lg0)
-		e.profPrev = enginestat.NowNS() // claimShards marked its own interior
+		// Wake and epoch-publish overhead lands in the first steal segment.
+		e.profPrev = e.claimShards(w0, lg0, e.profPrev)
 	}
 	barStart := e.profPrev
 	for e.doneN.Load() != int64(len(e.start)) {

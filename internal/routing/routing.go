@@ -10,6 +10,9 @@
 //   - Shortest: plain BFS shortest-path routes, used by the on-demand
 //     mapper (which does NOT need deadlock-free routes, because the
 //     retransmission protocol recovers from deadlock).
+//   - Table: the same shortest routes between every pair of a cluster's
+//     hosts, built once with one search per source, which is what the
+//     NICs of a freshly mapped cluster start with.
 //   - UpDown: the UP*/DOWN* deadlock-free routing baseline used by
 //     conventional full-map schemes (Autonet, Myrinet mapper).
 //   - DeadlockFree: a channel-dependency-graph cycle check, used to verify
@@ -159,48 +162,6 @@ func Shortest(nw *topology.Network, a, b topology.NodeID) (Route, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %s -> %s", ErrNoPath, nw.Node(a).Name, nw.Node(b).Name)
-}
-
-// ShortestFrom returns BFS shortest routes from host a to every other
-// reachable host in one traversal — the same routes Shortest(nw, a, b)
-// would return pair by pair (identical visit order and tie-breaks), at
-// O(nodes+links) total instead of O(hosts) separate searches. Route
-// pre-installation across H hosts costs O(H·E) with this instead of the
-// O(H²·E) per-pair rescan, which is what makes thousand-host fabrics
-// buildable.
-func ShortestFrom(nw *topology.Network, a topology.NodeID) map[topology.NodeID]Route {
-	preds := make(map[topology.NodeID]pred)
-	visited := map[topology.NodeID]bool{a: true}
-	queue := []topology.NodeID{a}
-	var hosts []topology.NodeID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := nw.Node(cur)
-		if n.Kind == topology.Host && cur != a {
-			continue // routes do not pass through hosts
-		}
-		for p := 0; p < n.Radix(); p++ {
-			next, _ := nw.Neighbor(cur, p)
-			if next == topology.None || visited[next] {
-				continue
-			}
-			if !nw.Node(next).Up {
-				continue
-			}
-			visited[next] = true
-			preds[next] = pred{cur, p}
-			if nw.Node(next).Kind == topology.Host {
-				hosts = append(hosts, next)
-			}
-			queue = append(queue, next)
-		}
-	}
-	routes := make(map[topology.NodeID]Route, len(hosts))
-	for _, h := range hosts {
-		routes[h] = reconstruct(nw, a, h, preds)
-	}
-	return routes
 }
 
 func reconstruct(nw *topology.Network, a, b topology.NodeID, preds map[topology.NodeID]pred) Route {

@@ -1,0 +1,136 @@
+package routing
+
+import "sanft/internal/topology"
+
+// Table holds the BFS shortest route from every host of a cluster to
+// every other, built once with one search per source host. Row a is
+// indexed by destination node ID; each of its routes is a
+// capacity-capped window into one port block sized exactly for that
+// source, so appending to a route never writes into its neighbour.
+type Table struct {
+	rows [][]Route // indexed by source node ID; nil for non-sources
+}
+
+// NewTable computes the shortest route between every ordered pair of
+// distinct hosts — the same routes Shortest returns pair by pair, at one
+// O(nodes+links) search per source. Destinations outside hosts, hosts
+// the source cannot reach, and the source itself have no route (nil).
+func NewTable(nw *topology.Network, hosts []topology.NodeID) *Table {
+	width := 0
+	for _, h := range hosts {
+		width = max(width, int(h)+1)
+	}
+	t := &Table{rows: make([][]Route, len(nw.Nodes))}
+	s := newSearch(nw)
+	for _, a := range hosts {
+		t.rows[a] = s.row(a, hosts, width)
+	}
+	return t
+}
+
+// Row returns host a's routes indexed by destination node ID (nil entries
+// have no route; IDs at or beyond len(row) have none either). The row is
+// the table's own storage, handed out without a copy: a caller that
+// adopts it owns it from then on.
+func (t *Table) Row(a topology.NodeID) []Route { return t.rows[a] }
+
+// ShortestFrom returns BFS shortest routes from host a to every other
+// reachable host of the network, keyed by destination — the map view of
+// one Table row.
+func ShortestFrom(nw *topology.Network, a topology.NodeID) map[topology.NodeID]Route {
+	hosts := nw.Hosts()
+	row := newSearch(nw).row(a, hosts, len(nw.Nodes))
+	routes := make(map[topology.NodeID]Route, len(hosts))
+	for _, h := range hosts {
+		if row[h] != nil {
+			routes[h] = row[h]
+		}
+	}
+	return routes
+}
+
+// step is one node's BFS record: how the search first reached it.
+type step struct {
+	from topology.NodeID // predecessor node
+	port int             // output port taken at from
+	hops int             // switches crossed from the source: the route length
+	seen bool
+}
+
+// search is a single-source BFS with Shortest's visit order and
+// tie-breaks (ports in ascending order, hosts never transit, link and
+// node liveness checked as Neighbor checks them). Its per-node records
+// are indexed by node ID and reused across sources.
+type search struct {
+	nw    *topology.Network
+	steps []step
+	queue []topology.NodeID
+}
+
+func newSearch(nw *topology.Network) *search {
+	n := len(nw.Nodes)
+	return &search{nw: nw, steps: make([]step, n), queue: make([]topology.NodeID, 0, n)}
+}
+
+// from runs the search from a.
+func (s *search) from(a topology.NodeID) {
+	clear(s.steps)
+	s.steps[a].seen = true
+	q := append(s.queue[:0], a)
+	for i := 0; i < len(q); i++ {
+		cur := q[i]
+		n := s.nw.Node(cur)
+		if n.Kind == topology.Host && cur != a {
+			continue // routes do not pass through hosts
+		}
+		hops := s.steps[cur].hops
+		if n.Kind == topology.Switch {
+			hops++
+		}
+		for p := 0; p < n.Radix(); p++ {
+			next, _ := s.nw.Neighbor(cur, p)
+			if next == topology.None || s.steps[next].seen {
+				continue
+			}
+			if !s.nw.Node(next).Up {
+				continue
+			}
+			s.steps[next] = step{from: cur, port: p, hops: hops, seen: true}
+			q = append(q, next)
+		}
+	}
+	s.queue = q
+}
+
+// row searches from a and returns its routes to dsts in a row of the
+// given width. All of the row's ports share one block, counted before
+// it is allocated, so the block is exactly the size of what it holds.
+func (s *search) row(a topology.NodeID, dsts []topology.NodeID, width int) []Route {
+	s.from(a)
+	total := 0
+	for _, b := range dsts {
+		if b != a && s.steps[b].seen {
+			total += s.steps[b].hops
+		}
+	}
+	block := make([]int, total)
+	row := make([]Route, width)
+	for _, b := range dsts {
+		if b == a || !s.steps[b].seen {
+			continue
+		}
+		h := s.steps[b].hops
+		r := Route(block[:h:h])
+		block = block[h:]
+		// Walk back from b: every node before it on the path is a switch
+		// except the source, whose own port is implicit.
+		cur := b
+		for i := h - 1; i >= 0; i-- {
+			st := s.steps[cur]
+			r[i] = st.port
+			cur = st.from
+		}
+		row[b] = r
+	}
+	return row
+}

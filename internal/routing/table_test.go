@@ -1,0 +1,184 @@
+package routing
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"sanft/internal/topology"
+)
+
+// tableCase is one network to check the route table on.
+type tableCase struct {
+	name  string
+	nw    *topology.Network
+	hosts []topology.NodeID
+	// trunk and sw are a switch-to-switch link and a switch to fail for
+	// the degraded variant.
+	trunk *topology.Link
+	sw    topology.NodeID
+}
+
+func tableCases(t *testing.T) []tableCase {
+	t.Helper()
+	var cs []tableCase
+	star, starHosts := topology.Star(5)
+	cs = append(cs, tableCase{name: "star", nw: star, hosts: starHosts, sw: star.Switches()[0]})
+	f := topology.NewFig2()
+	cs = append(cs, tableCase{name: "fig2", nw: f.Net, hosts: f.Net.Hosts(),
+		trunk: f.Net.Node(f.Switches[1]).Ports[0], sw: f.Switches[2]})
+	for _, spec := range []string{"fattree:4", "dragonfly:4,2,2", "torus:2,4,4", "fattree:16"} {
+		b, err := topology.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, tableCase{name: spec, nw: b.Net, hosts: b.Hosts,
+			trunk: b.Trunks[len(b.Trunks)/2], sw: b.Net.Switches()[len(b.Net.Switches())/3]})
+	}
+	return cs
+}
+
+// sample returns every host of a small fabric, or n spread evenly over a
+// large one (per-pair Shortest is the slow side of the comparison).
+func sample(hosts []topology.NodeID, n int) []topology.NodeID {
+	if len(hosts) <= 128 {
+		return hosts
+	}
+	out := make([]topology.NodeID, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, hosts[i*len(hosts)/n])
+	}
+	return out
+}
+
+// checkTable compares a table built over members against per-pair
+// Shortest, which is independent map-based code: every pair on a small
+// fabric, 32 sources by 128 destinations on fattree:16. Pairs outside
+// members and pairs to self must have no route.
+func checkTable(t *testing.T, name string, nw *topology.Network, members []topology.NodeID) {
+	t.Helper()
+	tab := NewTable(nw, members)
+	in := map[topology.NodeID]bool{}
+	for _, h := range members {
+		in[h] = true
+	}
+	dsts := sample(nw.Hosts(), 128)
+	for _, a := range sample(members, 32) {
+		row := tab.Row(a)
+		for _, b := range dsts {
+			var got Route
+			if int(b) < len(row) {
+				got = row[b]
+			}
+			want, err := Shortest(nw, a, b)
+			if a == b || !in[b] || err != nil {
+				if got != nil {
+					t.Fatalf("%s: %d->%d has route %v, want none", name, a, b, got)
+				}
+				continue
+			}
+			if got == nil || !got.Equal(want) {
+				t.Fatalf("%s: %d->%d table route %v, Shortest %v", name, a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestTableMatchesShortest checks the table against per-pair Shortest on
+// every builder, intact, with one trunk link and one switch failed before
+// the build, and over a host subset.
+func TestTableMatchesShortest(t *testing.T) {
+	for _, c := range tableCases(t) {
+		checkTable(t, c.name, c.nw, c.hosts)
+		var subset []topology.NodeID
+		for i, h := range c.hosts {
+			if i%3 != 1 {
+				subset = append(subset, h)
+			}
+		}
+		checkTable(t, c.name+" subset", c.nw, subset)
+		if c.trunk != nil {
+			c.nw.KillLink(c.trunk)
+		}
+		c.nw.KillSwitch(c.sw)
+		checkTable(t, c.name+" degraded", c.nw, c.hosts)
+	}
+}
+
+// TestShortestFromIsTableRow: the map view returns exactly the table row's
+// routes, keyed by destination.
+func TestShortestFromIsTableRow(t *testing.T) {
+	b, err := topology.ParseSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable(b.Net, b.Hosts)
+	for _, a := range b.Hosts {
+		m := ShortestFrom(b.Net, a)
+		if len(m) != len(b.Hosts)-1 {
+			t.Fatalf("ShortestFrom(%d) has %d routes, want %d", a, len(m), len(b.Hosts)-1)
+		}
+		for dst, r := range m {
+			if !r.Equal(tab.Row(a)[dst]) {
+				t.Fatalf("ShortestFrom(%d)[%d] = %v, table %v", a, dst, r, tab.Row(a)[dst])
+			}
+		}
+	}
+}
+
+// TestTableRoutesAreCapped: every route is capacity-capped, so appending
+// to one (which is what route extension does) reallocates instead of
+// writing into the neighbouring route's ports in the shared block.
+func TestTableRoutesAreCapped(t *testing.T) {
+	b, err := topology.ParseSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable(b.Net, b.Hosts)
+	for _, a := range b.Hosts {
+		row := tab.Row(a)
+		before := make([]Route, len(row))
+		for d, r := range row {
+			before[d] = r.Clone()
+		}
+		for d, r := range row {
+			if r == nil {
+				continue
+			}
+			if cap(r) != len(r) {
+				t.Fatalf("%d->%d: route has cap %d > len %d", a, d, cap(r), len(r))
+			}
+			ext := append(r, -1)
+			ext[len(ext)-1] = -2
+		}
+		for d, r := range row {
+			if !r.Equal(before[d]) {
+				t.Fatalf("%d->%d: route changed to %v after appending to its neighbours (was %v)", a, d, r, before[d])
+			}
+		}
+	}
+}
+
+// TestTableBuildAllocs pins the table's allocation shape on fattree:8: a
+// fixed setup (the table, its row index, the reused search state) plus
+// exactly two allocations per source — its row and its one port block.
+// The map-based search it replaced made thousands per source.
+func TestTableBuildAllocs(t *testing.T) {
+	b, err := topology.ParseSpec("fattree:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A collection allocates a few runtime objects of its own, which would
+	// count against whichever run it lands in, so none runs while the
+	// allocations are counted.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const setup, perSource = 4, 2
+	for _, n := range []int{2, 16, len(b.Hosts)} {
+		hosts := b.Hosts[:n]
+		got := testing.AllocsPerRun(10, func() { NewTable(b.Net, hosts) })
+		if want := float64(setup + perSource*n); got != want {
+			t.Errorf("NewTable over %d hosts: %v allocs, want %v (%d + %d per source)", n, got, want, setup, perSource)
+		}
+	}
+}
