@@ -288,11 +288,7 @@ func runScale(scenario, topo string, seed int64, reps, workers, flows int, event
 func publishMerged(srv *enginestat.Server, agg *metrics.Observer, mu *sync.Mutex, cl *core.Cluster) {
 	mu.Lock()
 	defer mu.Unlock()
-	if cl.Sharded() {
-		agg.Registry().MergeFrom(cl.MergedObserver().Registry())
-	} else {
-		agg.Registry().MergeFrom(cl.Observer().Registry())
-	}
+	agg.Registry().MergeFrom(cl.MergedObserver().Registry())
 	var buf bytes.Buffer
 	if err := agg.WritePrometheus(&buf); err == nil {
 		srv.PublishMetrics(buf.Bytes())

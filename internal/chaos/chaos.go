@@ -135,20 +135,6 @@ func (e *Engine) observeGap(d time.Duration) {
 	}
 }
 
-// TrunkLinks returns the switch-to-switch links of nw — the candidates
-// scenarios fail by default (host links sever a node outright, which the
-// paper treats as out of scope).
-func TrunkLinks(nw *topology.Network) []*topology.Link {
-	var out []*topology.Link
-	for _, l := range nw.Links {
-		if nw.Node(l.A.Node).Kind == topology.Switch &&
-			nw.Node(l.B.Node).Kind == topology.Switch {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // LinkName renders a link as "name<->name" for event logs.
 func LinkName(nw *topology.Network, l *topology.Link) string {
 	return fmt.Sprintf("%s<->%s", nw.Node(l.A.Node).Name, nw.Node(l.B.Node).Name)

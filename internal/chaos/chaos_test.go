@@ -82,7 +82,7 @@ func TestCutLinks(t *testing.T) {
 			t.Fatalf("cut link %s is not a trunk", LinkName(nw, l))
 		}
 	}
-	if n := len(TrunkLinks(nw)); n != 4 {
+	if n := len(nw.TrunkLinks()); n != 4 {
 		t.Fatalf("trunk count = %d, want 4", n)
 	}
 }

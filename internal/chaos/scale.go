@@ -11,15 +11,15 @@ import (
 )
 
 // The scale tier: chaos campaigns on thousand-host datacenter fabrics
-// under the sharded parallel engine. The sequential Engine/Campaign stack
-// needs a cluster-wide kernel and the on-demand mapper, neither of which
-// the sharded engine provides — so scale runs are their own small runner:
-// build the fabric from a topology spec, schedule a topology-knowledge
-// fault pattern as precomputed global events, drive a deterministic flow
-// matrix, and audit exactly-once delivery from the merged delivery log.
-// Everything is byte-identical for any worker count (the shard partition
-// defines the semantics), which is what makes the 1k-host differential
-// gate possible.
+// under the sharded parallel engine. The Engine/Campaign stack needs VMMC
+// endpoints and the on-demand mapper, which stay on the one-cell plan —
+// so scale runs are their own small runner on the frame-level API that
+// every plan shares: build the fabric from a topology spec, schedule a
+// topology-knowledge fault pattern as precomputed global events, drive a
+// deterministic flow matrix, and audit exactly-once delivery from the
+// merged delivery log. Everything is byte-identical for any worker count
+// (the shard partition defines the semantics), which is what makes the
+// 1k-host differential gate possible.
 
 // ScaleOpts configures one sharded scale campaign.
 type ScaleOpts struct {

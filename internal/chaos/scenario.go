@@ -40,7 +40,7 @@ func (s LinkFlap) Install(e *Engine) {
 	if s.Cycles == 0 {
 		s.Cycles = 8
 	}
-	trunks := TrunkLinks(e.C.Net)
+	trunks := e.C.Net.TrunkLinks()
 	if s.Link == nil && len(trunks) == 0 {
 		panic("chaos: LinkFlap with no trunk links and no explicit Link")
 	}
@@ -86,7 +86,7 @@ func (s LinkKill) Install(e *Engine) {
 		if n == 0 {
 			n = 1
 		}
-		trunks := TrunkLinks(e.C.Net)
+		trunks := e.C.Net.TrunkLinks()
 		if len(trunks) == 0 {
 			panic("chaos: LinkKill with no trunk links and no explicit Links")
 		}

@@ -97,7 +97,7 @@ func (s FlapStorm) Install(e *Engine) {
 	}
 	links := s.Links
 	if links == nil {
-		links = TrunkLinks(e.C.Net)
+		links = e.C.Net.TrunkLinks()
 	}
 	if len(links) == 0 {
 		panic("chaos: FlapStorm with no trunk links and no explicit Links")
@@ -184,7 +184,7 @@ func (s GrayLinks) Install(e *Engine) {
 		if n == 0 {
 			n = 1
 		}
-		trunks := TrunkLinks(e.C.Net)
+		trunks := e.C.Net.TrunkLinks()
 		if len(trunks) == 0 {
 			panic("chaos: GrayLinks with no trunk links and no explicit Links")
 		}

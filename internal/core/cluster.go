@@ -6,6 +6,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"sanft/internal/enginestat"
@@ -28,13 +29,14 @@ import (
 type EngineKind int
 
 const (
-	// EngineSequential is the default: one kernel drives every host, with
-	// full observability (endpoints, mappers, cluster-wide tracer).
+	// EngineSequential is the default: the one-cell plan, one kernel
+	// driving every host over the wormhole fabric, with the full API
+	// (VMMC endpoints, mappers, a cluster-wide observer and tracer).
 	EngineSequential EngineKind = iota
-	// EngineSharded partitions the hosts into shard cells driven by the
-	// conservative parallel engine. The partition — not the worker
-	// count — defines the semantics: results are byte-identical for any
-	// number of workers.
+	// EngineSharded partitions the hosts into cells (see ShardPlan)
+	// driven by the conservative parallel engine. The partition — not the
+	// worker count — defines the semantics: results are byte-identical
+	// for any number of workers.
 	EngineSharded
 )
 
@@ -102,7 +104,7 @@ type Config struct {
 
 	// Mapper enables on-demand mapping: stale paths and missing routes
 	// trigger a background remap exactly as §4.2 describes. Requires FT,
-	// and the sequential engine.
+	// and the one-cell plan.
 	Mapper    bool
 	MapperCfg mapping.Config
 
@@ -123,7 +125,7 @@ type Config struct {
 	// Tracer, if non-nil, receives every trace event from every layer:
 	// NIC protocol actions, fabric hop events, VMMC message lifecycle,
 	// and remap lifecycle. Typically a *trace.Ring or *trace.FlightRecorder.
-	// Sequential engine only; the sharded engine traces into per-shard
+	// One-cell plan only; the cells of a larger plan trace into private
 	// rings (see TraceEvents).
 	Tracer trace.Tracer
 
@@ -149,28 +151,33 @@ type Config struct {
 	// Engine selects the execution engine; a non-zero Plan implies
 	// EngineSharded.
 	Engine EngineKind
-	// Plan partitions hosts into shards under EngineSharded (zero = one
-	// host per shard).
+	// Plan partitions hosts into cells under EngineSharded (zero = one
+	// host per cell).
 	Plan ShardPlan
-	// Workers is the OS-thread count driving the shard kernels under
+	// Workers is the OS-thread count driving the cell kernels under
 	// EngineSharded. Results are byte-identical for any value — the
 	// partition defines the semantics — so Workers (default 0 =
-	// GOMAXPROCS) only changes wall-clock time. Ignored by the
-	// sequential engine.
+	// GOMAXPROCS) only changes wall-clock time. The one-cell plan runs
+	// its kernel directly and ignores it.
 	Workers int
 }
 
-// Cluster is a fully wired simulation instance, on either engine.
+// Cluster is a fully wired simulation instance: the hosts partitioned
+// into cells, each with its own kernel, topology view, wire, metrics
+// observer, tracer and NICs.
 //
-// Sequential engine: K, Fab and Dir are live; every per-host accessor
-// (Endpoint, Mapper, Observer, ...) works.
+// The default engine is the one-cell plan: one cell spans every host,
+// its wire is the wormhole fabric over Net, and K, Fab and Dir are that
+// cell's kernel, fabric and VMMC directory. Under EngineSharded the plan
+// has several cells, each running a contention-free fabric.Pipe over its
+// own replica of Net under the parallel engine, and K, Fab and Dir are
+// nil.
 //
-// Sharded engine: K, Fab and Dir are nil — hosts live in per-shard cells
-// with private kernels and fabric replicas, and the cross-engine subset
-// of the API (NIC, RunFor, Stop, Now) plus the sharded-only methods
-// (StartFlows, Deliveries, MergedObserver, DumpObservables, ...) apply.
-// Methods that would need a single cluster-wide kernel panic with a
-// pointer to the replacement.
+// The frame-level API (NIC, StartFlows, ScheduleLinkFlaps, Deliveries,
+// MergedObserver, DumpObservables, RunFor, ...) works on any cluster.
+// Observer, InstallTracer, Endpoint and StopSoon need one kernel,
+// registry, tracer and VMMC directory spanning every host, and panic on
+// a plan of several cells.
 type Cluster struct {
 	K     *sim.Kernel
 	Net   *topology.Network
@@ -178,32 +185,27 @@ type Cluster struct {
 	Hosts []topology.NodeID
 	Dir   *vmmc.Directory
 
-	// Lookahead is the conservative epoch window of the sharded engine:
-	// the minimum cross-shard fabric traversal time. Zero on the
-	// sequential engine.
+	// Lookahead is the conservative epoch window of the parallel engine:
+	// the minimum cross-cell fabric traversal time. Zero on the one-cell
+	// plan.
 	Lookahead time.Duration
 
-	nics    map[topology.NodeID]*nic.NIC
+	cfg    Config
+	cells  []*cell
+	byHost map[topology.NodeID]int // host → index of its cell
+	eng    *parsim.Engine          // nil on the one-cell plan
+
+	// One-cell extras (empty on a plan of several cells).
 	eps     map[topology.NodeID]*vmmc.Endpoint
 	mappers map[topology.NodeID]*mapping.Mapper
 	remaps  map[topology.NodeID]*remapManager
-
-	onUnreachable func(src, dst topology.NodeID)
-	obs           *metrics.Observer
-	tracer        trace.Tracer
 
 	// remapRunning counts mapping runs in flight cluster-wide, for
 	// RemapPolicy.MaxConcurrent pacing.
 	remapRunning int
 
-	// Sharded-engine state (nil/empty on the sequential engine).
-	cfg    Config
-	cells  []*cell
-	byHost map[topology.NodeID]int
-	eng    *parsim.Engine
-
 	// Engine-profiling state (nil/zero when Config.Profile is off).
-	prof      *enginestat.EngineProf // sharded engine's recording area
+	prof      *enginestat.EngineProf // parallel engine's recording area
 	profiled  bool
 	poolBase  enginestat.PoolStat // pool counters at construction time
 	telemetry *enginestat.Server
@@ -217,20 +219,49 @@ type Cluster struct {
 	RemapStats RemapStats
 }
 
-// New builds a cluster on the engine cfg selects: the sequential
-// single-kernel engine by default, or the conservative parallel engine
-// when cfg.Engine is EngineSharded or cfg.Plan is non-zero. All routes
-// between host pairs are pre-installed (shortest paths), as a freshly
-// mapped system would have them.
+// New builds a cluster. It resolves cfg, partitions the hosts into cells
+// (see cellGroups), builds the route table once, builds every cell and
+// hands each NIC its row of the table — all routes between host pairs
+// are pre-installed (shortest paths), as a freshly mapped system would
+// have them. It then adds what only the one-cell plan has (VMMC
+// endpoints, mappers and their remap managers, the metrics sampler) or
+// what a plan of several cells needs (the lookahead, the parallel engine
+// and the cell boundary), and finally turns on profiling and telemetry.
 func New(cfg Config) *Cluster {
-	if cfg.Engine == EngineSharded || !cfg.Plan.zero() {
-		cfg.Engine = EngineSharded
-		return newSharded(cfg)
+	cfg.resolve()
+	groups := cfg.cellGroups()
+	routes := routing.NewTable(cfg.Net, cfg.Hosts)
+	c := &Cluster{
+		Net:    cfg.Net,
+		Hosts:  cfg.Hosts,
+		cfg:    cfg,
+		byHost: make(map[topology.NodeID]int, len(cfg.Hosts)),
 	}
-	return newSequential(cfg)
+	for i, g := range groups {
+		c.cells = append(c.cells, c.newCell(i, g, len(groups) == 1))
+	}
+	// With liveness on, every route starts a session timer, so the host
+	// order routes are installed in is part of the result.
+	for _, cl := range c.cells {
+		for _, h := range cl.hosts {
+			cl.nics[h].InstallRoutes(routes.Row(h), cfg.Hosts)
+		}
+	}
+	if len(c.cells) == 1 {
+		c.addHostServices()
+	} else {
+		c.startEngine(routes, groups)
+	}
+	if cfg.Profile {
+		c.enableProfiling()
+	}
+	if cfg.Telemetry != "" {
+		c.startTelemetry(cfg.Telemetry)
+	}
+	return c
 }
 
-// resolve fills in the defaults both engines share: a two-host star when
+// resolve fills in the defaults every plan shares: a two-host star when
 // no network is given, every host of the network, the calibrated fabric
 // constants, and the liveness seed folding.
 func (cfg *Config) resolve() {
@@ -254,7 +285,7 @@ func (cfg *Config) resolve() {
 		// Fold the cluster seed into the session-jitter base so different
 		// cluster seeds give independent control-packet phasing (each NIC
 		// then derives per-session streams from this base). The base never
-		// depends on the shard, so sharded results stay byte-identical
+		// depends on the cell, so sharded results stay byte-identical
 		// across worker counts.
 		lc := *cfg.Liveness
 		lc.Seed = lc.Seed*1000003 + cfg.Seed
@@ -265,7 +296,7 @@ func (cfg *Config) resolve() {
 // newNIC builds host h's NIC on wire w. Its dropper is seeded per
 // (cluster, host): different cluster seeds — and different NICs within
 // one cluster — get independent drop schedules at the same rate, and a
-// host's schedule never depends on the engine or its shard.
+// host's schedule never depends on the plan or its cell.
 func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace.Tracer, reg *metrics.Registry) *nic.NIC {
 	var dropper fault.Dropper
 	if cfg.ErrorRate > 0 {
@@ -282,150 +313,139 @@ func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace
 	})
 }
 
-// installRoutes hands n its row of the cluster's route table: the
-// shortest route from n's host to every other host, as a freshly mapped
-// system would have them. With liveness on, every route starts a session
-// timer, so the host order they start in is part of the result.
-func installRoutes(n *nic.NIC, t *routing.Table, hosts []topology.NodeID) {
-	n.InstallRoutes(t.Row(n.Node()), hosts)
+// newCell builds cell i over hosts: its kernel, topology view, wire,
+// metrics observer, tracer and NICs. The one-cell plan's cell is seeded
+// cfg.Seed and runs the wormhole fabric over cfg.Net itself (chaos
+// scenarios kill links through Fab and restore them through Net), tracing
+// into cfg.Tracer. A cell of a larger plan is seeded
+// parsim.ShardSeed(cfg.Seed, i) and runs a Pipe over its own replica of
+// the network, tracing into a private ring.
+func (c *Cluster) newCell(i int, hosts []topology.NodeID, one bool) *cell {
+	cfg := &c.cfg
+	cl := &cell{hosts: hosts, nics: make(map[topology.NodeID]*nic.NIC, len(hosts))}
+	if one {
+		cl.k = sim.New(cfg.Seed)
+		cl.nw = cfg.Net
+		c.K, c.Fab = cl.k, fabric.New(cl.k, cl.nw, cfg.Fabric)
+		cl.wire, cl.tracer = c.Fab, cfg.Tracer
+	} else {
+		cl.k = sim.New(parsim.ShardSeed(cfg.Seed, i))
+		cl.nw = cfg.Net.Clone()
+		cl.wire, cl.tracer = fabric.NewPipe(cl.k, cl.nw, cfg.Fabric), trace.NewRing(shardTraceCap)
+	}
+	cl.obs = metrics.NewObserver(cfg.Metrics)
+	// Rebind before any traffic so every wire event lands in the cell's
+	// registry rather than the wire's private one.
+	cl.wire.BindMetrics(cl.obs.Registry())
+	cl.wire.SetTracer(cl.tracer)
+	for _, h := range hosts {
+		cl.nics[h] = cfg.newNIC(cl.k, cl.wire, h, cl.tracer, cl.obs.Registry())
+		c.byHost[h] = i
+	}
+	return cl
 }
 
-func newSequential(cfg Config) *Cluster {
-	cfg.resolve()
-	k := sim.New(cfg.Seed)
-	obs := metrics.NewObserver(cfg.Metrics)
-	reg := obs.Registry()
-	c := &Cluster{
-		cfg:           cfg,
-		K:             k,
-		Net:           cfg.Net,
-		Fab:           fabric.New(k, cfg.Net, cfg.Fabric),
-		Hosts:         cfg.Hosts,
-		Dir:           vmmc.NewDirectory(),
-		nics:          make(map[topology.NodeID]*nic.NIC),
-		eps:           make(map[topology.NodeID]*vmmc.Endpoint),
-		mappers:       make(map[topology.NodeID]*mapping.Mapper),
-		remaps:        make(map[topology.NodeID]*remapManager),
-		onUnreachable: cfg.OnUnreachable,
-		obs:           obs,
-	}
-	// Rebind before any traffic so every fabric event lands in the
-	// cluster-wide registry rather than the fabric's private one.
-	c.Fab.BindMetrics(reg)
-	if cfg.Tracer != nil {
-		c.InstallTracer(cfg.Tracer)
-	}
+// addHostServices gives the one-cell plan what needs a cell spanning
+// every host: a VMMC endpoint per host, on-demand mappers with their
+// remap managers, and the periodic metrics sampler.
+func (c *Cluster) addHostServices() {
+	cfg := &c.cfg
+	cl := c.cells[0]
+	c.Dir = vmmc.NewDirectory()
+	c.eps = make(map[topology.NodeID]*vmmc.Endpoint, len(cfg.Hosts))
 	for _, h := range cfg.Hosts {
-		n := cfg.newNIC(k, c.Fab, h, cfg.Tracer, reg)
-		c.nics[h] = n
-		c.eps[h] = vmmc.NewEndpoint(k, n, c.Dir)
-	}
-	routes := routing.NewTable(cfg.Net, cfg.Hosts)
-	for _, h := range cfg.Hosts {
-		installRoutes(c.nics[h], routes, cfg.Hosts)
+		c.eps[h] = vmmc.NewEndpoint(cl.k, cl.nics[h], c.Dir)
 	}
 	if cfg.Mapper {
 		if !cfg.FT {
 			panic("core: on-demand mapping requires the retransmission protocol")
 		}
 		pol := cfg.Remap.Defaults()
+		c.mappers = make(map[topology.NodeID]*mapping.Mapper, len(cfg.Hosts))
+		c.remaps = make(map[topology.NodeID]*remapManager, len(cfg.Hosts))
 		for _, h := range cfg.Hosts {
-			m := mapping.New(k, c.nics[h], cfg.MapperCfg)
+			n := cl.nics[h]
+			m := mapping.New(cl.k, n, cfg.MapperCfg)
 			c.mappers[h] = m
-			rm := newRemapManager(c, h, m, pol, cfg.Seed*9176+int64(h)*104729+31)
+			rm := newRemapManager(c, h, n, m, pol, cfg.Seed*9176+int64(h)*104729+31)
 			c.remaps[h] = rm
-			c.nics[h].SetOnPathStale(rm.trigger)
-			c.nics[h].SetOnNoRoute(rm.trigger)
+			n.SetOnPathStale(rm.trigger)
+			n.SetOnNoRoute(rm.trigger)
 			if cfg.Liveness != nil {
-				c.nics[h].SetOnSessionDown(rm.trigger)
+				n.SetOnSessionDown(rm.trigger)
 			}
 		}
 	}
 	if cfg.Metrics.SampleEvery > 0 {
-		obs.StartSampling(k, cfg.Metrics.SampleEvery)
+		cl.obs.StartSampling(cl.k, cfg.Metrics.SampleEvery)
 	}
-	if cfg.Profile {
-		c.enableProfiling()
-	}
-	if cfg.Telemetry != "" {
-		c.startTelemetry(cfg.Telemetry)
-	}
-	return c
 }
 
-// Sharded reports whether the cluster runs on the sharded engine.
+// oneCell is the API's one guard: it returns the cluster's only cell, and
+// panics, naming method, on a plan of several cells.
+func (c *Cluster) oneCell(method string) *cell {
+	if len(c.cells) != 1 {
+		panic(fmt.Sprintf("core: %s needs the one-cell plan, whose kernel, registry, tracer and VMMC directory span every host; this cluster has %d cells", method, len(c.cells)))
+	}
+	return c.cells[0]
+}
+
+// Sharded reports whether the cluster runs a plan of several cells under
+// the parallel engine.
 func (c *Cluster) Sharded() bool { return c.eng != nil }
 
-func (c *Cluster) mustSequential(method string) {
-	if c.eng != nil {
-		panic("core: " + method + " is sequential-engine only; this cluster runs EngineSharded")
-	}
-}
-
-func (c *Cluster) mustSharded(method string) {
-	if c.eng == nil {
-		panic("core: " + method + " requires EngineSharded (build with Config.Engine or WithEngine/WithShardPlan)")
-	}
-}
-
-// Observer returns the cluster's observability handle: its registry is
-// the single place every subsystem (NIC, fabric, retransmission protocol,
-// mapper, remap manager) records into, and its exporters render the
-// collected telemetry. Sequential engine only — shard registries are
-// per-cell; use MergedObserver.
-func (c *Cluster) Observer() *metrics.Observer {
-	c.mustSequential("Observer (use MergedObserver)")
-	return c.obs
-}
+// Observer returns the live observability handle of the one-cell plan:
+// its registry is the single place every subsystem (NIC, fabric,
+// retransmission protocol, mapper, remap manager) records into, and its
+// exporters render the collected telemetry. It panics on a plan of
+// several cells, whose registries are per cell; use MergedObserver for a
+// merged copy on any cluster.
+func (c *Cluster) Observer() *metrics.Observer { return c.oneCell("Observer").obs }
 
 // Metrics returns the cluster-wide metrics registry (shorthand for
-// Observer().Registry()). Sequential engine only.
-func (c *Cluster) Metrics() *metrics.Registry {
-	c.mustSequential("Metrics (use MergedObserver)")
-	return c.obs.Registry()
-}
+// Observer().Registry()).
+func (c *Cluster) Metrics() *metrics.Registry { return c.Observer().Registry() }
 
-// InstallTracer wires tr into every layer of an already-built cluster —
-// each NIC and the fabric — and remembers it for Tracer()/FlightRecorder().
-// Chaos campaigns use this to attach a tracer between cluster construction
-// and traffic start; nil removes the current tracer everywhere.
-// Sequential engine only — shard cells trace into private rings (see
-// TraceEvents).
+// InstallTracer wires tr into every layer of an already-built one-cell
+// cluster — each NIC and the fabric — and remembers it for
+// Tracer()/FlightRecorder(). Chaos campaigns use this to attach a tracer
+// between cluster construction and traffic start; nil removes the current
+// tracer everywhere. The cells of a larger plan trace into private rings
+// (see TraceEvents), so it panics there.
 func (c *Cluster) InstallTracer(tr trace.Tracer) {
-	c.mustSequential("InstallTracer (sharded clusters trace into per-shard rings)")
-	c.tracer = tr
-	c.Fab.SetTracer(tr)
-	for _, n := range c.nics {
+	cl := c.oneCell("InstallTracer")
+	cl.tracer = tr
+	cl.wire.SetTracer(tr)
+	for _, n := range cl.nics {
 		n.SetTracer(tr)
 	}
 }
 
-// Tracer returns the cluster-wide tracer (nil if tracing is off, and
-// always nil on the sharded engine).
-func (c *Cluster) Tracer() trace.Tracer { return c.tracer }
+// Tracer returns the cluster-wide tracer: nil if tracing is off, and
+// always nil on a plan of several cells.
+func (c *Cluster) Tracer() trace.Tracer {
+	if c.eng != nil {
+		return nil
+	}
+	return c.cells[0].tracer
+}
 
 // FlightRecorder returns the cluster tracer as a flight recorder, or nil
 // if the tracer is absent or of another kind.
 func (c *Cluster) FlightRecorder() *trace.FlightRecorder {
-	fr, _ := c.tracer.(*trace.FlightRecorder)
+	fr, _ := c.Tracer().(*trace.FlightRecorder)
 	return fr
 }
 
-// NIC returns the NIC of host h (works on both engines).
+// NIC returns the NIC of host h, or nil if h is not a cluster host.
 func (c *Cluster) NIC(h topology.NodeID) *nic.NIC {
-	if c.eng != nil {
-		i, ok := c.byHost[h]
-		if !ok {
-			return nil
-		}
-		return c.cells[i].nics[h]
-	}
-	return c.nics[h]
+	// A stranger maps to cell 0, whose NIC map does not hold it either.
+	return c.cells[c.byHost[h]].nics[h]
 }
 
-// Endpoint returns the VMMC endpoint of host h. Sequential engine only.
+// Endpoint returns the VMMC endpoint of host h. One-cell plan only.
 func (c *Cluster) Endpoint(h topology.NodeID) *vmmc.Endpoint {
-	c.mustSequential("Endpoint")
+	c.oneCell("Endpoint")
 	return c.eps[h]
 }
 
@@ -456,9 +476,8 @@ func (c *Cluster) RemapInFlight() (running, armed int) {
 // session-down triggers are held instead of starting mapping runs, so h
 // keeps routing on its pre-failure map. Stale-map divergence scenarios use
 // this to open a blind window; ResumeRemap replays the held triggers.
-// Sequential engine with mapping enabled only.
+// Requires Config.Mapper.
 func (c *Cluster) SuspendRemap(h topology.NodeID) {
-	c.mustSequential("SuspendRemap")
 	rm := c.remaps[h]
 	if rm == nil {
 		panic("core: SuspendRemap on a cluster without Config.Mapper")
@@ -469,7 +488,6 @@ func (c *Cluster) SuspendRemap(h topology.NodeID) {
 // ResumeRemap re-enables host h's failure recovery and replays every
 // trigger held while suspended, in destination order.
 func (c *Cluster) ResumeRemap(h topology.NodeID) {
-	c.mustSequential("ResumeRemap")
 	rm := c.remaps[h]
 	if rm == nil {
 		panic("core: ResumeRemap on a cluster without Config.Mapper")
@@ -478,34 +496,28 @@ func (c *Cluster) ResumeRemap(h topology.NodeID) {
 }
 
 // SetLinkLoss makes topology link id gray: packets crossing it drop with
-// probability rate from a deterministic per-(seed, link) stream. Works on
-// both engines (on the sharded engine every shard replica gets the same
-// stream parameters; each samples only the packets it carries). rate 0
-// clears the loss.
+// probability rate from a deterministic per-(seed, link) stream. Every
+// cell's wire gets the same stream parameters; each samples only the
+// packets it carries. rate 0 clears the loss.
 func (c *Cluster) SetLinkLoss(link int, rate float64) {
-	if c.eng != nil {
-		for _, cl := range c.cells {
-			cl.pipe.SetLinkLoss(link, rate, c.cfg.Seed)
-		}
-		return
+	for _, cl := range c.cells {
+		cl.wire.SetLinkLoss(link, rate, c.cfg.Seed)
 	}
-	c.Fab.SetLinkLoss(link, rate, c.cfg.Seed)
 }
 
 // Host returns the i-th host's node ID.
 func (c *Cluster) Host(i int) topology.NodeID { return c.Hosts[i] }
 
-// EndpointAt returns the i-th host's endpoint. Sequential engine only.
-func (c *Cluster) EndpointAt(i int) *vmmc.Endpoint {
-	c.mustSequential("EndpointAt")
-	return c.eps[c.Hosts[i]]
-}
+// EndpointAt returns the i-th host's endpoint. One-cell plan only.
+func (c *Cluster) EndpointAt(i int) *vmmc.Endpoint { return c.Endpoint(c.Hosts[i]) }
 
-// NICAt returns the i-th host's NIC (works on both engines).
+// NICAt returns the i-th host's NIC.
 func (c *Cluster) NICAt(i int) *nic.NIC { return c.NIC(c.Hosts[i]) }
 
 // RunFor advances the whole simulation by d, then stops the kernel(s)
 // (terminating any still-parked processes). Use for bounded experiments.
+// The one-cell plan runs its kernel directly, so events at the boundary
+// instant execute; the parallel engine stops before them.
 func (c *Cluster) RunFor(d time.Duration) {
 	if c.eng != nil {
 		c.eng.RunFor(d)
@@ -515,17 +527,15 @@ func (c *Cluster) RunFor(d time.Duration) {
 	c.publishTelemetry()
 }
 
-// Stop terminates the simulation and all its processes. On the sharded
-// engine this also shuts the worker pool down; the cluster can still be
-// inspected (Deliveries, DumpObservables, ...) but not resumed.
+// Stop terminates the simulation and all its processes. On a plan of
+// several cells this also shuts the worker pool down; the cluster can
+// still be inspected (Deliveries, DumpObservables, ...) but not resumed.
 func (c *Cluster) Stop() {
+	for _, cl := range c.cells {
+		cl.k.Stop()
+	}
 	if c.eng != nil {
-		for _, cl := range c.cells {
-			cl.k.Stop()
-		}
 		c.eng.Shutdown()
-	} else {
-		c.K.Stop()
 	}
 	// Final publish so a live scrape can read the end state; the server
 	// itself stays up until its owner closes it.
@@ -535,15 +545,15 @@ func (c *Cluster) Stop() {
 // StopSoon schedules a stop at the current instant; safe to call from
 // process context (the stop executes once control returns to the kernel).
 // Benchmarks call it when their workload completes so the run does not
-// idle through periodic timer events until its time bound. Sequential
-// engine only.
+// idle through periodic timer events until its time bound. One-cell plan
+// only.
 func (c *Cluster) StopSoon() {
-	c.mustSequential("StopSoon")
-	c.K.Immediately(func() { c.K.Stop() })
+	k := c.oneCell("StopSoon").k
+	k.Immediately(func() { k.Stop() })
 }
 
 // Now returns the current simulated time: the kernel clock, or the time
-// frontier all shards have reached.
+// frontier all cells have reached.
 func (c *Cluster) Now() sim.Time {
 	if c.eng != nil {
 		return c.eng.Now()

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"sanft/internal/chaos"
 	"sanft/internal/core"
 	"sanft/internal/proptest"
 	"sanft/internal/retrans"
@@ -47,7 +46,7 @@ func clusterDump(seed int64) []byte {
 		}
 	})
 	// One trunk flap mid-run so the dump covers the remap path too.
-	if trunks := chaos.TrunkLinks(nw); len(trunks) > 0 {
+	if trunks := nw.TrunkLinks(); len(trunks) > 0 {
 		c.K.After(10*time.Millisecond, func() { c.Fab.KillLink(trunks[0]) })
 		c.K.After(25*time.Millisecond, func() { nw.RestoreLink(trunks[0]) })
 	}

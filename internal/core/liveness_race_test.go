@@ -66,7 +66,7 @@ func TestSessionDownRacesWatchdogReset(t *testing.T) {
 				Msgs:  8, Bytes: 256, Gap: 200 * time.Microsecond,
 			}.Start(e)
 
-			trunk := chaos.TrunkLinks(nw)[0]
+			trunk := nw.TrunkLinks()[0]
 			c.K.After(time.Millisecond, func() { c.Fab.KillLink(trunk) })
 			c.K.After(time.Duration(healMS)*time.Millisecond, func() {
 				nw.RestoreLink(trunk)

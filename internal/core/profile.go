@@ -6,7 +6,6 @@ import (
 
 	"sanft/internal/enginestat"
 	"sanft/internal/fabric"
-	"sanft/internal/metrics"
 	"sanft/internal/proto"
 	"sanft/internal/sim"
 )
@@ -40,8 +39,8 @@ func readPools() enginestat.PoolStat {
 // ProfileSpans additionally records bounded per-worker wall-clock spans
 // (shard windows, solo batches, barrier stalls, exchanges) for the
 // Perfetto export, capped at capPerWorker spans per worker. Call before
-// the run being recorded; sharded engine with profiling on, no-op
-// otherwise.
+// the run being recorded; a plan of several cells with profiling on,
+// no-op otherwise.
 func (c *Cluster) ProfileSpans(capPerWorker int) {
 	if c.prof != nil {
 		c.prof.EnableSpans(capPerWorker)
@@ -49,11 +48,11 @@ func (c *Cluster) ProfileSpans(capPerWorker int) {
 }
 
 // EngineProfile returns the profiler's collected state, or nil when the
-// cluster was built without profiling. Sharded engine: engine totals,
-// per-worker wall-clock accounts, per-shard kernel counters, and pool
-// traffic since construction. Sequential engine: kernel counters only
-// (there is no epoch loop to account). Call while the cluster is
-// quiescent — between RunFor calls or after Stop.
+// cluster was built without profiling: per-cell kernel counters and pool
+// traffic since construction, plus, on a plan of several cells, engine
+// totals and per-worker wall-clock accounts (the one-cell plan has no
+// epoch loop to account). Call while the cluster is quiescent — between
+// RunFor calls or after Stop.
 func (c *Cluster) EngineProfile() *enginestat.Profile {
 	if !c.profiled {
 		return nil
@@ -66,12 +65,8 @@ func (c *Cluster) EngineProfile() *enginestat.Profile {
 		p.Engine.Workers = 1
 		p.Engine.Shards = 1
 	}
-	if c.eng != nil {
-		for i, cl := range c.cells {
-			p.Kernels = append(p.Kernels, kernelStat(i, cl.k))
-		}
-	} else {
-		p.Kernels = append(p.Kernels, kernelStat(0, c.K))
+	for i, cl := range c.cells {
+		p.Kernels = append(p.Kernels, kernelStat(i, cl.k))
 	}
 	cur := readPools()
 	p.Pools = enginestat.PoolStat{
@@ -100,8 +95,8 @@ func (c *Cluster) Telemetry() *enginestat.Server { return c.telemetry }
 
 // startTelemetry launches the HTTP endpoint and wires the publish points:
 // immediately (so the endpoint is never empty), on every observer sample
-// (sequential engine — the sampler runs on the simulation thread), and at
-// RunFor/Stop boundaries on both engines.
+// (one-cell plan — the sampler runs on the simulation thread), and at
+// RunFor/Stop boundaries on any plan.
 func (c *Cluster) startTelemetry(addr string) {
 	srv, err := enginestat.NewServer(addr)
 	if err != nil {
@@ -109,7 +104,7 @@ func (c *Cluster) startTelemetry(addr string) {
 	}
 	c.telemetry = srv
 	if c.eng == nil {
-		c.obs.OnSample(func(sim.Time) { c.publishTelemetry() })
+		c.cells[0].obs.OnSample(func(sim.Time) { c.publishTelemetry() })
 	}
 	c.publishTelemetry()
 }
@@ -122,11 +117,9 @@ func (c *Cluster) publishTelemetry() {
 	if c.telemetry == nil {
 		return
 	}
-	var obs *metrics.Observer
+	obs := c.cells[0].obs
 	if c.eng != nil {
 		obs = c.MergedObserver()
-	} else {
-		obs = c.obs
 	}
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf); err == nil {

@@ -145,7 +145,7 @@ func TestQuarantineLastUsableRoute(t *testing.T) {
 	})
 	src, dst := hosts[0], hosts[1]
 	exp := c.Endpoint(dst).Export("in", 4096)
-	trunks := chaos.TrunkLinks(nw)
+	trunks := nw.TrunkLinks()
 	if len(trunks) != 2 {
 		t.Fatalf("double star should have 2 trunks, have %d", len(trunks))
 	}
@@ -216,7 +216,7 @@ type trunkRace struct {
 func (trunkRace) ScenarioName() string { return "trunk-race" }
 
 func (s trunkRace) Install(e *chaos.Engine) {
-	trunks := chaos.TrunkLinks(e.C.Net)
+	trunks := e.C.Net.TrunkLinks()
 	if len(trunks) == 0 {
 		return
 	}

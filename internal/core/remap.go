@@ -8,6 +8,7 @@ import (
 
 	"sanft/internal/mapping"
 	"sanft/internal/metrics"
+	"sanft/internal/nic"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
 	"sanft/internal/trace"
@@ -119,6 +120,7 @@ type remapState struct {
 type remapManager struct {
 	c   *Cluster
 	h   topology.NodeID
+	n   *nic.NIC
 	m   *mapping.Mapper
 	pol RemapPolicy
 	rng *rand.Rand
@@ -132,15 +134,16 @@ type remapManager struct {
 	held      map[topology.NodeID]bool
 }
 
-func newRemapManager(c *Cluster, h topology.NodeID, m *mapping.Mapper, pol RemapPolicy, seed int64) *remapManager {
+func newRemapManager(c *Cluster, h topology.NodeID, n *nic.NIC, m *mapping.Mapper, pol RemapPolicy, seed int64) *remapManager {
 	return &remapManager{
 		c:    c,
 		h:    h,
+		n:    n,
 		m:    m,
 		pol:  pol,
 		rng:  rand.New(rand.NewSource(seed)),
 		dst:  make(map[topology.NodeID]*remapState),
-		mx:   c.nics[h].MetricsScope(),
+		mx:   n.MetricsScope(),
 		held: make(map[topology.NodeID]bool),
 	}
 }
@@ -204,7 +207,7 @@ func (rm *remapManager) trigger(dst topology.NodeID) {
 		st.armed = true
 		rm.c.RemapStats.Deferred++
 		rm.mx.Add("remap.deferred", 1)
-		rm.c.nics[rm.h].EmitEvent(trace.EvRemapDefer, dst)
+		rm.n.EmitEvent(trace.EvRemapDefer, dst)
 		rm.c.K.At(st.notBefore, func() {
 			st.armed = false
 			rm.trigger(dst)
@@ -229,7 +232,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 		st.armed = true
 		rm.c.RemapStats.Deferred++
 		rm.mx.Add("remap.deferred", 1)
-		rm.c.nics[rm.h].EmitEvent(trace.EvRemapDefer, dst)
+		rm.n.EmitEvent(trace.EvRemapDefer, dst)
 		rm.c.K.At(st.notBefore, func() {
 			st.armed = false
 			rm.trigger(dst)
@@ -241,7 +244,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 	rm.c.remapRunning++
 	rm.c.RemapStats.Attempts++
 	rm.mx.Add("remap.attempts", 1)
-	n := rm.c.nics[rm.h]
+	n := rm.n
 	n.EmitEvent(trace.EvRemapStart, dst)
 	succeed := func(elapsed time.Duration) {
 		rm.c.Remaps++
@@ -296,8 +299,8 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 				rm.c.RemapStats.Quarantines++
 				rm.mx.Add("remap.quarantines", 1)
 				n.EmitEvent(trace.EvQuarantine, dst)
-				if rm.c.onUnreachable != nil {
-					rm.c.onUnreachable(rm.h, dst)
+				if rm.c.cfg.OnUnreachable != nil {
+					rm.c.cfg.OnUnreachable(rm.h, dst)
 				}
 			}
 			st.notBefore = now.Add(st.release)

@@ -29,7 +29,7 @@ func TestFlappingLinkRemapsCoalesced(t *testing.T) {
 		Mapper: true,
 		Seed:   7,
 	})
-	trunks := trunkLinks(nw)
+	trunks := nw.TrunkLinks()
 	if len(trunks) != 1 {
 		t.Fatalf("expected a single trunk, have %d", len(trunks))
 	}

@@ -185,8 +185,8 @@ func TestRouteInstallAllocs(t *testing.T) {
 	k := sim.New(1)
 	n := nic.New(k, fabric.New(k, b.Net, fabric.DefaultConfig()), b.Hosts[0], nic.Options{})
 	row := tab.Row(b.Hosts[0])
-	if got := testing.AllocsPerRun(10, func() { installRoutes(n, tab, b.Hosts) }); got != 0 {
-		t.Errorf("installRoutes: %v allocs, want 0", got)
+	if got := testing.AllocsPerRun(10, func() { n.InstallRoutes(tab.Row(n.Node()), b.Hosts) }); got != 0 {
+		t.Errorf("InstallRoutes: %v allocs, want 0", got)
 	}
 	if got, _ := n.Route(b.Hosts[1]); &got[0] != &row[b.Hosts[1]][0] {
 		t.Error("the NIC copied its row instead of adopting it")

@@ -17,34 +17,54 @@ import (
 	"sanft/internal/trace"
 )
 
-// shardTraceCap bounds each shard's trace ring. Rings are per shard, so
-// overflow (oldest-event eviction) is a per-shard property, identical for
-// every worker count.
+// shardTraceCap bounds the trace ring of each cell of a plan of several
+// cells. Rings are per cell, so overflow (oldest-event eviction) is a
+// per-cell property, identical for every worker count.
 const shardTraceCap = 8192
 
-// cell is one shard of a sharded cluster: a group of hosts with their
-// NICs, a private kernel, and private replicas of everything the group's
-// protocol stacks touch — topology, fabric (pipe mode), metrics registry,
-// trace ring. Nothing in a cell is reachable from another cell except
-// through the engine's epoch-barrier exchange; traffic between hosts of
-// the same cell delivers directly through the cell's pipe, exactly as the
-// sequential engine would, with no clone and no barrier.
+// cell is the unit of a cluster: a group of hosts with their NICs, a
+// private kernel, and everything the group's protocol stacks touch — a
+// topology view, a wire, a metrics observer and a tracer. Nothing in a
+// cell is reachable from another cell except through the engine's
+// epoch-barrier exchange; traffic between hosts of the same cell delivers
+// directly through the cell's wire, with no clone and no barrier.
 type cell struct {
-	hosts []topology.NodeID
-	k     *sim.Kernel
-	nw    *topology.Network
-	pipe  *fabric.Pipe
-	nics  map[topology.NodeID]*nic.NIC
-	obs   *metrics.Observer
-	ring  *trace.Ring
+	hosts  []topology.NodeID
+	k      *sim.Kernel
+	nw     *topology.Network
+	wire   cellWire
+	nics   map[topology.NodeID]*nic.NIC
+	obs    *metrics.Observer
+	tracer trace.Tracer
 
 	deliveries []Delivery
 }
 
 func (c *cell) Kernel() *sim.Kernel { return c.k }
 
-// Delivery is one accepted data frame, as observed by the destination
-// shard — the sharded cluster's delivery-order oracle record.
+// cellWire is what a cell uses of its fabric: the wire its NICs inject
+// into plus the observability, loss and fault hooks the wormhole Fabric
+// and the Pipe share.
+type cellWire interface {
+	nic.Wire
+	BindMetrics(*metrics.Registry)
+	SetTracer(trace.Tracer)
+	SetLinkLoss(link int, rate float64, seed int64)
+	KillLink(*topology.Link)
+}
+
+// logDelivery returns host h's accepted-data upcall: it appends every
+// accepted frame to the cell's delivery log.
+func (c *cell) logDelivery(h topology.NodeID) func(*proto.Frame) {
+	return func(f *proto.Frame) {
+		c.deliveries = append(c.deliveries, Delivery{
+			At: c.k.Now(), Src: f.Src, Dst: h, Msg: msgID(f), Gen: f.Gen, Seq: f.Seq,
+		})
+	}
+}
+
+// Delivery is one accepted data frame of a StartFlows workload, as
+// observed by the destination's cell — the delivery-order oracle record.
 type Delivery struct {
 	At       sim.Time
 	Src, Dst topology.NodeID
@@ -57,14 +77,41 @@ func (d Delivery) String() string {
 	return fmt.Sprintf("t=%d deliver %d->%d msg=%d gen=%d seq=%d", d.At, d.Src, d.Dst, d.Msg, d.Gen, d.Seq)
 }
 
-// Flow is one directed traffic stream of a sharded workload.
+// Flow is one directed traffic stream of a frame-level workload.
 type Flow struct {
 	Src, Dst topology.NodeID
 }
 
+// cellGroups partitions the hosts into cells. The default engine is the
+// one-cell plan; EngineSharded, or any non-zero Plan, resolves the plan
+// with planGroups.
+//
+// A plan of several cells runs under the parallel engine, so it needs at
+// least two hosts and two groups, and some things stay one-cell. On-demand
+// mapping does: its probes and echoes would cross epoch barriers. So do
+// VMMC endpoints, and with them chaos.Engine and the workload tier:
+// vmmc.Import reads the exporter's table directly, a cross-cell read
+// outside the barrier.
+func (cfg *Config) cellGroups() [][]topology.NodeID {
+	if cfg.Engine != EngineSharded && cfg.Plan.zero() {
+		return [][]topology.NodeID{cfg.Hosts}
+	}
+	if cfg.Mapper {
+		panic("core: on-demand mapping needs the one-cell plan: its probes and echoes would cross epoch barriers")
+	}
+	if len(cfg.Hosts) < 2 {
+		panic("core: sharded execution needs at least two hosts")
+	}
+	groups := planGroups(cfg.Plan, cfg.Hosts)
+	if len(groups) < 2 {
+		panic("core: shard plan must create at least two shards")
+	}
+	return groups
+}
+
 // planGroups resolves a ShardPlan against the host list: explicit groups
 // are validated (every host exactly once, no strangers), HostsPerShard
-// chunks the hosts in order, and the zero plan is one host per shard.
+// chunks the hosts in order, and the zero plan is one host per cell.
 func planGroups(plan ShardPlan, hosts []topology.NodeID) [][]topology.NodeID {
 	if len(plan.Groups) > 0 {
 		seen := make(map[topology.NodeID]bool)
@@ -104,88 +151,32 @@ func planGroups(plan ShardPlan, hosts []topology.NodeID) [][]topology.NodeID {
 	return groups
 }
 
-// newSharded builds the sharded half of New: per-shard kernels under the
-// conservative parallel engine. Each shard's kernel is seeded
-// parsim.ShardSeed(cfg.Seed, shardIndex); per-NIC droppers use the same
-// per-host derivation as the sequential engine, so shard membership never
-// changes a host's drop schedule.
-func newSharded(cfg Config) *Cluster {
-	if cfg.Mapper {
-		panic("core: sharded execution does not support on-demand mapping yet")
+// startEngine puts a plan of several cells under the parallel engine. The
+// lookahead is the fastest cross-cell traversal the route table allows.
+// A packet terminating at a host of another cell crosses via the engine,
+// deep-copied from pooled storage — wire transit is the serialization
+// point. Intra-cell packets never get here: their hosts are attached to
+// the cell's own pipe.
+func (c *Cluster) startEngine(routes *routing.Table, groups [][]topology.NodeID) {
+	c.Lookahead = c.cfg.Fabric.MinCrossLatency(minCrossHops(routes, groups))
+	shards := make([]parsim.Shard, len(c.cells))
+	pipes := make([]*fabric.Pipe, len(c.cells))
+	for i, cl := range c.cells {
+		shards[i], pipes[i] = cl, cl.wire.(*fabric.Pipe)
 	}
-	cfg.resolve()
-	if len(cfg.Hosts) < 2 {
-		panic("core: sharded execution needs at least two hosts")
-	}
-	groups := planGroups(cfg.Plan, cfg.Hosts)
-	if len(groups) < 2 {
-		panic("core: shard plan must create at least two shards")
-	}
-	routes := routing.NewTable(cfg.Net, cfg.Hosts)
-	s := &Cluster{
-		Net:       cfg.Net,
-		Hosts:     cfg.Hosts,
-		Lookahead: cfg.Fabric.MinCrossLatency(minCrossHops(routes, groups)),
-		cfg:       cfg,
-		byHost:    make(map[topology.NodeID]int, len(cfg.Hosts)),
-	}
-	shards := make([]parsim.Shard, len(groups))
-	for i, g := range groups {
-		k := sim.New(parsim.ShardSeed(cfg.Seed, i))
-		obs := metrics.NewObserver(cfg.Metrics)
-		nw := cfg.Net.Clone()
-		pipe := fabric.NewPipe(k, nw, cfg.Fabric)
-		pipe.BindMetrics(obs.Registry())
-		ring := trace.NewRing(shardTraceCap)
-		pipe.SetTracer(ring)
-		c := &cell{
-			hosts: g, k: k, nw: nw, pipe: pipe, obs: obs, ring: ring,
-			nics: make(map[topology.NodeID]*nic.NIC, len(g)),
-		}
-		for _, h := range g {
-			host := h
-			n := cfg.newNIC(k, pipe, h, ring, obs.Registry())
-			n.SetOnDeliver(func(f *proto.Frame) {
-				c.deliveries = append(c.deliveries, Delivery{
-					At: k.Now(), Src: f.Src, Dst: host, Msg: msgID(f), Gen: f.Gen, Seq: f.Seq,
-				})
-			})
-			c.nics[h] = n
-			s.byHost[h] = i
-		}
-		s.cells = append(s.cells, c)
-		shards[i] = c
-	}
-	for _, c := range s.cells {
-		for _, a := range c.hosts {
-			installRoutes(c.nics[a], routes, cfg.Hosts)
-		}
-	}
-	s.eng = parsim.NewEngine(shards, s.Lookahead, cfg.Workers)
-	// Shard boundary: a packet terminating at a host of another cell
-	// crosses via the engine, deep-copied from pooled storage — wire
-	// transit is the serialization point. Intra-cell packets never get
-	// here: their hosts are locally attached to the cell's pipe.
-	for i := range s.cells {
-		src := s.cells[i]
-		port := s.eng.Port(i)
-		src.pipe.SetEgress(func(dst topology.NodeID, at sim.Time, pkt *fabric.Packet) {
-			j, ok := s.byHost[dst]
+	c.eng = parsim.NewEngine(shards, c.Lookahead, c.cfg.Workers)
+	for i, p := range pipes {
+		port := c.eng.Port(i)
+		p.SetEgress(func(dst topology.NodeID, at sim.Time, pkt *fabric.Packet) {
+			j, ok := c.byHost[dst]
 			if !ok {
 				return // terminal node is not a workload host: silently lost
 			}
 			cp := clonePacket(pkt)
-			dstCell := s.cells[j]
-			port.Send(at, j, func() { dstCell.pipe.Arrive(dst, cp) })
+			to := pipes[j]
+			port.Send(at, j, func() { to.Arrive(dst, cp) })
 		})
 	}
-	if cfg.Profile {
-		s.enableProfiling()
-	}
-	if cfg.Telemetry != "" {
-		s.startTelemetry(cfg.Telemetry)
-	}
-	return s
 }
 
 // msgID extracts the VMMC message ID of a data frame (0 otherwise).
@@ -240,37 +231,15 @@ func minCrossHops(t *routing.Table, groups [][]topology.NodeID) int {
 	return best
 }
 
-// trunkLinks returns the switch-to-switch links of nw in link-ID order —
-// the same deterministic candidate set on every shard's replica.
-func trunkLinks(nw *topology.Network) []*topology.Link {
-	var out []*topology.Link
-	for _, l := range nw.Links {
-		if nw.Node(l.A.Node).Kind == topology.Switch &&
-			nw.Node(l.B.Node).Kind == topology.Switch {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // FlapTrunk schedules trunk link index ti (modulo the trunk count, in
-// link-ID order) to fail at `at` and heal at `at+dur`. The fault is
-// replicated onto every shard's topology view at the same simulated
-// instant — fault events are global state changes, not cross-shard
-// messages, so they need no lookahead and are identical for any worker
-// count. Call before Run. Sharded engine only.
-func (s *Cluster) FlapTrunk(ti int, at, dur time.Duration) {
-	s.mustSharded("FlapTrunk")
-	for _, c := range s.cells {
-		trunks := trunkLinks(c.nw)
-		if len(trunks) == 0 {
-			return
-		}
-		l := trunks[ti%len(trunks)]
-		nw := c.nw
-		c.k.After(at, func() { nw.KillLink(l) })
-		c.k.After(at+dur, func() { nw.RestoreLink(l) })
+// link-ID order) to fail at `at` and heal at `at+dur`: a one-event
+// ScheduleLinkFlaps. A network without trunks is left alone.
+func (c *Cluster) FlapTrunk(ti int, at, dur time.Duration) {
+	trunks := c.Net.TrunkLinks()
+	if len(trunks) == 0 {
+		return
 	}
+	c.ScheduleLinkFlaps([]LinkFlapEvent{{Link: trunks[ti%len(trunks)].ID, At: at, Dur: dur}})
 }
 
 // LinkFlapEvent is one scheduled fault: topology link Link goes down at At
@@ -282,35 +251,48 @@ type LinkFlapEvent struct {
 }
 
 // ScheduleLinkFlaps replicates a precomputed link-fault schedule onto
-// every shard's topology view — the general form of FlapTrunk that flap
-// storms feed with hundreds of seeded events. Fault events are global
-// state changes applied identically on every replica at the same
-// simulated instant, so they need no lookahead and are byte-identical for
-// any worker count. Call before Run. Sharded engine only.
-func (s *Cluster) ScheduleLinkFlaps(events []LinkFlapEvent) {
-	s.mustSharded("ScheduleLinkFlaps")
-	for _, c := range s.cells {
-		nw := c.nw
+// every cell's topology view — the general form of FlapTrunk that flap
+// storms feed with hundreds of seeded events. A fault goes down through
+// the cell's wire (the wormhole fabric flushes the worms holding the
+// link) and heals on the topology view. Fault events are global state
+// changes applied identically on every cell at the same simulated
+// instant, so they need no lookahead and are byte-identical for any
+// worker count. Every link index is checked before anything is
+// scheduled. Call before Run.
+func (c *Cluster) ScheduleLinkFlaps(events []LinkFlapEvent) {
+	for _, ev := range events {
+		if ev.Link < 0 || ev.Link >= len(c.Net.Links) {
+			panic(fmt.Sprintf("core: ScheduleLinkFlaps link %d out of range (%d links)", ev.Link, len(c.Net.Links)))
+		}
+	}
+	for _, cl := range c.cells {
+		nw, w := cl.nw, cl.wire
 		for _, ev := range events {
-			if ev.Link < 0 || ev.Link >= len(nw.Links) {
-				panic(fmt.Sprintf("core: ScheduleLinkFlaps link %d out of range (%d links)", ev.Link, len(nw.Links)))
-			}
 			l := nw.Links[ev.Link]
-			c.k.After(ev.At, func() { nw.KillLink(l) })
+			cl.k.After(ev.At, func() { w.KillLink(l) })
 			if ev.Dur > 0 {
-				c.k.After(ev.At+ev.Dur, func() { nw.RestoreLink(l) })
+				cl.k.After(ev.At+ev.Dur, func() { nw.RestoreLink(l) })
 			}
 		}
 	}
 }
 
 // StartFlows spawns the frame-level workload: for each flow, a sender
-// process on the source shard pushes msgs data frames of size bytes with
-// gap pacing (plus the chaos workload's per-flow stagger), and the
-// destination shard's delivery log records every accepted frame. Sharded
-// engine only.
-func (s *Cluster) StartFlows(flows []Flow, msgs, bytes int, gap time.Duration) {
-	s.mustSharded("StartFlows")
+// process on the source's cell pushes msgs data frames of size bytes with
+// gap pacing (plus a per-flow stagger), and the destination's cell logs
+// every accepted frame (see Deliveries). Each flow must join two distinct
+// cluster hosts; StartFlows checks every flow, and panics naming the
+// first bad one, before it schedules anything. The delivery log takes
+// over each destination NIC's accepted-data upcall, so on the one-cell
+// plan a flow's destination stops being a VMMC receiver.
+func (c *Cluster) StartFlows(flows []Flow, msgs, bytes int, gap time.Duration) {
+	for i, f := range flows {
+		_, src := c.byHost[f.Src]
+		_, dst := c.byHost[f.Dst]
+		if !src || !dst || f.Src == f.Dst {
+			panic(fmt.Sprintf("core: StartFlows flow %d (%d->%d) must join two distinct cluster hosts", i, f.Src, f.Dst))
+		}
+	}
 	if msgs == 0 {
 		msgs = 6
 	}
@@ -321,123 +303,114 @@ func (s *Cluster) StartFlows(flows []Flow, msgs, bytes int, gap time.Duration) {
 		gap = 200 * time.Microsecond
 	}
 	for i, f := range flows {
-		c := s.cells[s.byHost[f.Src]]
-		n := c.nics[f.Src]
-		dst := f.Dst
+		sc, dc := c.cells[c.byHost[f.Src]], c.cells[c.byHost[f.Dst]]
+		dc.nics[f.Dst].SetOnDeliver(dc.logDelivery(f.Dst))
+		n := sc.nics[f.Src]
 		stagger := time.Duration(i%7) * 37 * time.Microsecond
-		mcount := msgs
-		size := bytes
-		pace := gap
-		c.k.Spawn(fmt.Sprintf("flow-%d-%d", f.Src, f.Dst), func(p *sim.Proc) {
+		sc.k.Spawn(fmt.Sprintf("flow-%d-%d", f.Src, f.Dst), func(p *sim.Proc) {
 			p.Sleep(stagger)
-			for m := 1; m <= mcount; m++ {
+			for m := 1; m <= msgs; m++ {
 				frame := &proto.Frame{
 					Type: proto.FrameData,
-					Dst:  dst,
+					Dst:  f.Dst,
 					Data: &proto.DataPayload{
 						MsgID:  uint64(m),
-						MsgLen: size,
-						Data:   make([]byte, size),
+						MsgLen: bytes,
+						Data:   make([]byte, bytes),
 						Notify: true,
 					},
 				}
 				n.Send(p, frame)
-				p.Sleep(pace)
+				p.Sleep(gap)
 			}
 		})
 	}
 }
 
-// Workers returns the engine's worker count. Sharded engine only.
-func (s *Cluster) Workers() int {
-	s.mustSharded("Workers")
-	return s.eng.Workers()
+// Workers returns the engine's worker count (1 on the one-cell plan).
+func (c *Cluster) Workers() int {
+	if c.eng == nil {
+		return 1
+	}
+	return c.eng.Workers()
 }
 
-// Epochs returns how many epoch windows the engine has executed. Sharded
-// engine only.
-func (s *Cluster) Epochs() uint64 {
-	s.mustSharded("Epochs")
-	return s.eng.Epochs()
+// Epochs returns how many epoch windows the engine has executed (0 on the
+// one-cell plan).
+func (c *Cluster) Epochs() uint64 {
+	if c.eng == nil {
+		return 0
+	}
+	return c.eng.Epochs()
 }
 
-// Exchanged returns how many packets crossed shard boundaries. Sharded
-// engine only.
-func (s *Cluster) Exchanged() uint64 {
-	s.mustSharded("Exchanged")
-	return s.eng.Exchanged()
+// Exchanged returns how many packets crossed cell boundaries (0 on the
+// one-cell plan).
+func (c *Cluster) Exchanged() uint64 {
+	if c.eng == nil {
+		return 0
+	}
+	return c.eng.Exchanged()
 }
 
-// TotalExecuted sums executed events across all shard kernels. Sharded
-// engine only.
-func (s *Cluster) TotalExecuted() uint64 {
-	s.mustSharded("TotalExecuted")
+// TotalExecuted sums executed events across all cell kernels.
+func (c *Cluster) TotalExecuted() uint64 {
 	var t uint64
-	for _, c := range s.cells {
-		t += c.k.Executed()
+	for _, cl := range c.cells {
+		t += cl.k.Executed()
 	}
 	return t
 }
 
-// Shards returns the shard count of the partition (≥ 2 in sharded mode).
-func (s *Cluster) Shards() int {
-	s.mustSharded("Shards")
-	return len(s.cells)
-}
+// Shards returns the cell count of the partition (1 on the one-cell plan).
+func (c *Cluster) Shards() int { return len(c.cells) }
 
-// CellKernel returns shard i's kernel (for RNG-discipline checks).
-// Sharded engine only.
-func (s *Cluster) CellKernel(i int) *sim.Kernel {
-	s.mustSharded("CellKernel")
-	return s.cells[i].k
-}
+// CellKernel returns cell i's kernel (for RNG-discipline checks).
+func (c *Cluster) CellKernel(i int) *sim.Kernel { return c.cells[i].k }
 
-// MergedObserver merges every shard's registry (in shard order — though
-// any order gives the same result, see metrics.MergeFrom) into one fresh
-// observer, materializing derived gauges at the current frontier. Sharded
-// engine only; the sequential engine's Observer is already cluster-wide.
-func (s *Cluster) MergedObserver() *metrics.Observer {
-	s.mustSharded("MergedObserver")
-	obs := metrics.NewObserver(s.cfg.Metrics)
-	for _, c := range s.cells {
-		obs.Registry().MergeFrom(c.obs.Registry())
+// MergedObserver merges every cell's registry (in cell order — though any
+// order gives the same result, see metrics.MergeFrom) into one fresh
+// observer, materializing derived gauges at the current frontier.
+func (c *Cluster) MergedObserver() *metrics.Observer {
+	obs := metrics.NewObserver(c.cfg.Metrics)
+	for _, cl := range c.cells {
+		obs.Registry().MergeFrom(cl.obs.Registry())
 	}
 	return obs
 }
 
-// TraceEvents returns the deterministic cluster-wide timeline: per-shard
-// rings merged by (time, shard index, emission order). Sharded engine
-// only.
-func (s *Cluster) TraceEvents() []trace.Event {
-	s.mustSharded("TraceEvents")
-	streams := make([][]trace.Event, len(s.cells))
-	for i, c := range s.cells {
-		streams[i] = c.ring.Events()
+// TraceEvents returns the deterministic cluster-wide timeline: the cells'
+// rings merged by (time, cell index, emission order). On the one-cell
+// plan that is the events of the cluster tracer when it is a *trace.Ring,
+// and nil otherwise.
+func (c *Cluster) TraceEvents() []trace.Event {
+	streams := make([][]trace.Event, len(c.cells))
+	for i, cl := range c.cells {
+		if r, ok := cl.tracer.(*trace.Ring); ok {
+			streams[i] = r.Events()
+		}
 	}
 	return trace.MergeStreams(streams...)
 }
 
-// Deliveries returns the merged delivery order: per-shard logs (each in
-// local time order) merged by (time, shard index, log position). Sharded
-// engine only.
-func (s *Cluster) Deliveries() []Delivery {
-	s.mustSharded("Deliveries")
-	// Reuse the stable-sort merge rule via concatenation in shard order.
+// Deliveries returns the merged delivery order of the StartFlows
+// workload: per-cell logs (each in local time order) merged by (time,
+// cell index, log position).
+func (c *Cluster) Deliveries() []Delivery {
+	// Reuse the stable-sort merge rule via concatenation in cell order.
 	var out []Delivery
-	for _, c := range s.cells {
-		out = append(out, c.deliveries...)
+	for _, cl := range c.cells {
+		out = append(out, cl.deliveries...)
 	}
 	stableSortDeliveries(out)
 	return out
 }
 
-// DeliveredCount returns the total number of accepted data frames.
-// Sharded engine only.
-func (s *Cluster) DeliveredCount() int {
-	s.mustSharded("DeliveredCount")
+// DeliveredCount returns the total number of accepted StartFlows frames.
+func (c *Cluster) DeliveredCount() int {
 	n := 0
-	for _, c := range s.cells {
-		n += len(c.deliveries)
+	for _, cl := range c.cells {
+		n += len(cl.deliveries)
 	}
 	return n
 }
@@ -445,9 +418,8 @@ func (s *Cluster) DeliveredCount() int {
 // DumpObservables renders every observable of the run as one byte
 // stream — delivery order, merged metrics summary, and the merged
 // Perfetto trace export — the payload of the differential determinism
-// gate: byte-identical for every worker count. Sharded engine only.
+// gate: byte-identical for every worker count.
 func (s *Cluster) DumpObservables() []byte {
-	s.mustSharded("DumpObservables")
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "sharded run: hosts=%d lookahead=%v frontier=%d exchanged=%d\n",
 		len(s.Hosts), s.Lookahead, s.Now(), s.Exchanged())
@@ -471,7 +443,7 @@ func (s *Cluster) DumpObservables() []byte {
 	return b.Bytes()
 }
 
-// stableSortDeliveries orders by time, keeping concatenation (shard,
+// stableSortDeliveries orders by time, keeping concatenation (cell,
 // position) order for ties.
 func stableSortDeliveries(ds []Delivery) {
 	sort.SliceStable(ds, func(i, j int) bool { return ds[i].At < ds[j].At })

@@ -80,6 +80,11 @@ func (w *wire) SetTransitHook(fn func(*Packet) bool) { w.transitHook = fn }
 // join the source's message span.
 func (w *wire) SetTracer(tr trace.Tracer) { w.tracer = tr }
 
+// KillLink marks link l failed on this wire's topology view. The wormhole
+// Fabric overrides it to also flush the worms holding the link; a Pipe
+// evaluates routes at injection and has nothing in flight to flush.
+func (w *wire) KillLink(l *topology.Link) { w.nw.KillLink(l) }
+
 // SerializationTime returns how long a packet of n bytes occupies a link.
 func (w *wire) SerializationTime(n int) time.Duration {
 	return time.Duration(float64(n) / w.cfg.LinkRate * 1e9)

@@ -70,7 +70,7 @@ type schedule struct {
 func (s schedule) ScenarioName() string { return "proptest" }
 
 func (s schedule) Install(e *chaos.Engine) {
-	trunks := chaos.TrunkLinks(e.C.Net)
+	trunks := e.C.Net.TrunkLinks()
 	switches := e.C.Net.Switches()
 	for fi, f := range s.faults {
 		fi, f := fi, f

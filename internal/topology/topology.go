@@ -168,6 +168,21 @@ func (nw *Network) Switches() []NodeID {
 	return ss
 }
 
+// TrunkLinks returns the switch-to-switch links in link-ID order: the
+// links fault scenarios fail by default (a host link severs its host
+// outright, which the paper treats as out of scope). Link IDs are shared
+// with every Clone, so an index into this list names the same link on
+// any replica.
+func (nw *Network) TrunkLinks() []*Link {
+	var out []*Link
+	for _, l := range nw.Links {
+		if nw.Node(l.A.Node).Kind == Switch && nw.Node(l.B.Node).Kind == Switch {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // Connect wires port pa of node a to port pb of node b and returns the new
 // link. It panics if either port is out of range or already wired.
 func (nw *Network) Connect(a NodeID, pa int, b NodeID, pb int) *Link {

@@ -79,7 +79,7 @@ func InstallFault(e *chaos.Engine, fault string, a, b topology.NodeID) error {
 	routeLinks := func() []*topology.Link {
 		links := chaos.RouteTrunks(e.C.Net, a, b)
 		if len(links) == 0 {
-			links = chaos.TrunkLinks(e.C.Net)
+			links = e.C.Net.TrunkLinks()
 		}
 		return links
 	}

@@ -218,10 +218,12 @@ func WithTelemetryServer(addr string) Option {
 }
 
 // WithEngine selects the execution engine: EngineSequential (the
-// default — one kernel, full observability) or EngineSharded (hosts
-// partitioned into shard cells under the conservative parallel engine;
-// outputs are byte-identical for every worker count). Combine with
-// WithShardPlan and WithWorkers to shape a sharded run.
+// default one-cell plan — one kernel over the wormhole fabric, full API)
+// or EngineSharded (hosts partitioned into cells under the conservative
+// parallel engine; outputs are byte-identical for every worker count).
+// The frame-level API (StartFlows, Deliveries, ScheduleLinkFlaps,
+// MergedObserver, ...) runs on either. Combine with WithShardPlan and
+// WithWorkers to shape a sharded run.
 func WithEngine(k EngineKind) Option {
 	return func(c *Config) { c.Engine = k }
 }
@@ -238,10 +240,10 @@ func WithShardPlan(p ShardPlan) Option {
 	}
 }
 
-// WithWorkers sets how many OS threads drive the shard kernels under
+// WithWorkers sets how many OS threads drive the cell kernels under
 // EngineSharded. Any value — including the default 0 (= GOMAXPROCS) —
 // produces byte-identical results; the setting only changes wall-clock
-// time. Ignored by the sequential engine.
+// time. The one-cell plan runs its kernel directly and ignores it.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }

@@ -161,9 +161,10 @@ type (
 	// ShardPlan partitions hosts into shards for EngineSharded; see
 	// WithShardPlan.
 	ShardPlan = core.ShardPlan
-	// Flow is one directed traffic stream of a sharded workload.
+	// Flow is one directed traffic stream of a frame-level workload
+	// (Cluster.StartFlows, on any engine).
 	Flow = core.Flow
-	// Delivery is one accepted data frame in a sharded run's merged
+	// Delivery is one accepted data frame in a StartFlows run's merged
 	// delivery order.
 	Delivery = core.Delivery
 )
