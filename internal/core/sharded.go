@@ -310,17 +310,12 @@ func (c *Cluster) StartFlows(flows []Flow, msgs, bytes int, gap time.Duration) {
 		sc.k.Spawn(fmt.Sprintf("flow-%d-%d", f.Src, f.Dst), func(p *sim.Proc) {
 			p.Sleep(stagger)
 			for m := 1; m <= msgs; m++ {
-				frame := &proto.Frame{
-					Type: proto.FrameData,
-					Dst:  f.Dst,
-					Data: &proto.DataPayload{
-						MsgID:  uint64(m),
-						MsgLen: bytes,
-						Data:   make([]byte, bytes),
-						Notify: true,
-					},
-				}
-				n.Send(p, frame)
+				n.Send(p, proto.NewData(f.Dst, proto.DataPayload{
+					MsgID:  uint64(m),
+					MsgLen: bytes,
+					Data:   make([]byte, bytes),
+					Notify: true,
+				}))
 				p.Sleep(gap)
 			}
 		})

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -39,17 +38,18 @@ func DefaultConfig() Config {
 }
 
 // chanKey identifies a directed channel: one direction of a full-duplex
-// link. dir 0 flows A→B, dir 1 flows B→A.
-type chanKey struct {
-	link int
-	dir  int
-}
+// link, numbered 2·linkID + dir (dir 0 flows A→B, dir 1 flows B→A). It
+// indexes the wormhole fabric's channel slice.
+type chanKey int32
+
+func (k chanKey) link() int { return int(k) >> 1 }
+func (k chanKey) dir() int  { return int(k) & 1 }
 
 // channelState is the arbiter for one directed channel: at most one worm
 // streams on it; others wait FIFO.
 type channelState struct {
 	holder  *worm
-	waiters []*worm
+	waiters sim.Queue[*worm]
 	busy    time.Duration
 	grabbed sim.Time
 }
@@ -58,9 +58,12 @@ type channelState struct {
 type Fabric struct {
 	wire
 
-	chans   map[chanKey]*channelState
-	worms   map[*worm]struct{} // in-flight, for flush operations
-	wormSeq uint64             // injection-order serial for deterministic worm ordering
+	chans []*channelState // indexed by chanKey; nil until first used
+	// oldest and newest end the list of in-flight worms, linked in
+	// injection order; inFlight counts them.
+	oldest, newest *worm
+	inFlight       int
+	wormSeq        uint64 // injection-order serial, printed by InFlightDetail
 }
 
 // New returns a fabric over network nw driven by kernel k.
@@ -69,11 +72,7 @@ func New(k *sim.Kernel, nw *topology.Network, cfg Config) *Fabric {
 	if cfg.Watchdog <= 0 {
 		panic("fabric: Watchdog must be positive")
 	}
-	f := &Fabric{
-		wire:  w,
-		chans: make(map[chanKey]*channelState),
-		worms: make(map[*worm]struct{}),
-	}
+	f := &Fabric{wire: w, chans: make([]*channelState, 2*len(nw.Links))}
 	f.BindMetrics(metrics.NewRegistry())
 	return f
 }
@@ -100,7 +99,7 @@ func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 		now := f.k.Now()
 		for i := 0; i < 2*nlinks; i++ {
 			var busy float64
-			if cs := f.chans[chanKey{i / 2, i % 2}]; cs != nil {
+			if cs := f.channel(chanKey(i)); cs != nil {
 				busy = float64(cs.busy)
 			}
 			var util float64
@@ -114,9 +113,22 @@ func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 }
 
 // InFlight returns the number of worms currently in the network.
-func (f *Fabric) InFlight() int { return len(f.worms) }
+func (f *Fabric) InFlight() int { return f.inFlight }
 
+// channel returns the arbiter of key, nil if no worm ever used it.
+func (f *Fabric) channel(key chanKey) *channelState {
+	if int(key) >= len(f.chans) {
+		return nil
+	}
+	return f.chans[key]
+}
+
+// chanState returns the arbiter of key, creating it on first use. The
+// slice grows for a link added after New.
 func (f *Fabric) chanState(key chanKey) *channelState {
+	if grow := int(key) + 1 - len(f.chans); grow > 0 {
+		f.chans = append(f.chans, make([]*channelState, grow)...)
+	}
 	cs := f.chans[key]
 	if cs == nil {
 		cs = &channelState{}
@@ -128,9 +140,37 @@ func (f *Fabric) chanState(key chanKey) *channelState {
 // keyFor returns the directed channel leaving `from` across link l.
 func keyFor(l *topology.Link, from topology.NodeID) chanKey {
 	if l.A.Node == from {
-		return chanKey{l.ID, 0}
+		return chanKey(2 * l.ID)
 	}
-	return chanKey{l.ID, 1}
+	return chanKey(2*l.ID + 1)
+}
+
+// track appends w to the in-flight list.
+func (f *Fabric) track(w *worm) {
+	w.older = f.newest
+	if f.newest != nil {
+		f.newest.newer = w
+	} else {
+		f.oldest = w
+	}
+	f.newest = w
+	f.inFlight++
+}
+
+// untrack unlinks w from the in-flight list.
+func (f *Fabric) untrack(w *worm) {
+	if w.older != nil {
+		w.older.newer = w.newer
+	} else {
+		f.oldest = w.newer
+	}
+	if w.newer != nil {
+		w.newer.older = w.older
+	} else {
+		f.newest = w.older
+	}
+	w.older, w.newer = nil, nil
+	f.inFlight--
 }
 
 // Inject launches a packet from host src. The packet's fate is reported via
@@ -144,7 +184,8 @@ func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
 	}
 	f.wormSeq++
 	w := &worm{f: f, pkt: pkt, curNode: src, seq: f.wormSeq}
-	f.worms[w] = struct{}{}
+	w.held = w.heldBuf[:0]
+	f.track(w)
 	e := l.Other(src)
 	w.request(keyFor(l, src), e.Node)
 }
@@ -169,34 +210,32 @@ func (f *Fabric) KillSwitch(id topology.NodeID) {
 	}
 	f.flushWhere(func(w *worm) bool {
 		for _, k := range w.held {
-			if links[k.link] {
+			if links[k.link()] {
 				return true
 			}
 		}
-		return w.waiting != nil && links[w.waitKey.link]
+		return w.waiting != nil && links[w.waitKey.link()]
 	})
 }
 
+// flushWhere kills the in-flight worms matching pred, in injection order.
+// The victims are collected first: a death can hand a channel to a waiter
+// whose grant kills it in turn.
 func (f *Fabric) flushWhere(pred func(*worm) bool) {
-	// The worm set is a map: kill victims in injection order, or the drop
-	// events (and the waiter promotions they cause) would reorder from run
-	// to run.
-	victims := f.wormsInOrder(pred)
-	for _, w := range victims {
+	for _, w := range f.wormsInOrder(pred) {
 		w.die(DropFlushed)
 	}
 }
 
-// wormsInOrder returns the in-flight worms matching pred, in injection
-// order.
+// wormsInOrder returns the in-flight worms matching pred (nil: all), in
+// injection order.
 func (f *Fabric) wormsInOrder(pred func(*worm) bool) []*worm {
 	var out []*worm
-	for w := range f.worms {
+	for w := f.oldest; w != nil; w = w.newer {
 		if pred == nil || pred(w) {
 			out = append(out, w)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
 
@@ -208,7 +247,7 @@ func (f *Fabric) InFlightDetail() []string {
 	for _, w := range f.wormsInOrder(nil) {
 		held := 0
 		for _, k := range w.held {
-			if cs := f.chans[k]; cs != nil && cs.holder == w {
+			if cs := f.channel(k); cs != nil && cs.holder == w {
 				held++
 			}
 		}
@@ -218,7 +257,7 @@ func (f *Fabric) InFlightDetail() []string {
 			if w.waiting.holder != nil {
 				h = fmt.Sprintf("held(src=%d dst=%d)", w.waiting.holder.pkt.Src, w.waiting.holder.pkt.Dst)
 			}
-			wait = fmt.Sprintf("link%d.%d[%s q=%d]", w.waitKey.link, w.waitKey.dir, h, len(w.waiting.waiters))
+			wait = fmt.Sprintf("link%d.%d[%s q=%d]", w.waitKey.link(), w.waitKey.dir(), h, w.waiting.waiters.Len())
 		}
 		out = append(out, fmt.Sprintf(
 			"worm#%d src=%d dst=%d size=%d routeIdx=%d/%d held=%d/%d wait=%s watchdog=%v dead=%v",
@@ -231,7 +270,7 @@ func (f *Fabric) InFlightDetail() []string {
 // ChannelBusyTime returns the accumulated busy time of the directed channel
 // leaving `from` over link l, for utilization reporting.
 func (f *Fabric) ChannelBusyTime(l *topology.Link, from topology.NodeID) time.Duration {
-	cs := f.chans[keyFor(l, from)]
+	cs := f.channel(keyFor(l, from))
 	if cs == nil {
 		return 0
 	}

@@ -10,6 +10,7 @@ import (
 	"sanft/internal/routing"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
+	"sanft/internal/trace"
 )
 
 // testNet builds a star network with an attached fabric and per-host
@@ -557,7 +558,7 @@ func TestLinkGaugesMatchPerLinkGaugeFuncs(t *testing.T) {
 	ref := metrics.NewRegistry()
 	for _, l := range nw.Links {
 		for dir := 0; dir < 2; dir++ {
-			key := chanKey{l.ID, dir}
+			key := chanKey(2*l.ID + dir)
 			ls := metrics.L("link", fmt.Sprint(l.ID), "dir", fmt.Sprint(dir))
 			ref.GaugeFunc("fabric.link.busy_ns", ls, func() float64 {
 				if cs := f.chans[key]; cs != nil {
@@ -590,5 +591,82 @@ func TestLinkGaugesMatchPerLinkGaugeFuncs(t *testing.T) {
 	nw.MoveHost(hosts[0], nw.Switches()[1], nw.Node(nw.Switches()[1]).FreePort())
 	if got, want := gauges(reg), gauges(ref); got != want {
 		t.Fatalf("after traffic:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// releaseRecorder keeps the wormhole fabric's channel releases in order.
+type releaseRecorder struct {
+	keys []chanKey
+	at   []sim.Time
+}
+
+func (r *releaseRecorder) Trace(e trace.Event) {
+	if e.Kind == trace.EvLinkRelease {
+		r.keys = append(r.keys, chanKey(2*(int(e.Link)-1)+int(e.Dir)))
+		r.at = append(r.at, e.At)
+	}
+}
+
+// TestTailReleasesInPathOrder sends one packet whose serialization
+// outlasts every hop of its path, so all of its tail releases are pending
+// at once. Each must free its own channel, in path order, one
+// serialization after that channel's grant: every channel but the last is
+// busy exactly one serialization (the last is freed at delivery, one
+// propagation delay later), and OnInjectDone fires at the first channel's
+// release.
+func TestTailReleasesInPathOrder(t *testing.T) {
+	const switches, size = 6, 4096
+	nw, rows := topology.Chain(switches, 2, 1)
+	a, b := rows[0][0], rows[switches-1][1]
+	k := sim.New(1)
+	f := New(k, nw, DefaultConfig())
+	rec := &releaseRecorder{}
+	f.SetTracer(rec)
+	f.AttachHost(b, func(*Packet) {})
+	pkt := mkPacket(nw, a, b, size)
+	injectDone := sim.Time(-1)
+	pkt.OnInjectDone = func() { injectDone = k.Now() }
+	f.Inject(a, pkt)
+	k.Run()
+
+	cfg := f.Config()
+	ser := f.SerializationTime(size)
+	hop := cfg.PropDelay + cfg.RouteDelay
+	if time.Duration(switches)*hop >= ser {
+		t.Fatalf("serialization %v does not outlast %d hops of %v", ser, switches, hop)
+	}
+	// The path's channels, in order, with the link each leaves from.
+	type channel struct {
+		l    *topology.Link
+		from topology.NodeID
+	}
+	from := a
+	l := nw.Node(a).Ports[0]
+	path := []channel{{l, from}}
+	for _, port := range pkt.Route {
+		from = l.Other(from).Node
+		l = nw.Node(from).Ports[port]
+		path = append(path, channel{l, from})
+	}
+	if len(rec.keys) != len(path) {
+		t.Fatalf("%d releases, want one per channel (%d)", len(rec.keys), len(path))
+	}
+	last := len(path) - 1
+	for i, c := range path {
+		grant := sim.Time(0).Add(time.Duration(i) * hop)
+		wantAt, wantBusy := grant.Add(ser), ser
+		if i == last {
+			wantAt, wantBusy = grant.Add(cfg.PropDelay+ser), cfg.PropDelay+ser
+		}
+		if rec.keys[i] != keyFor(c.l, c.from) || rec.at[i] != wantAt {
+			t.Fatalf("release %d freed channel %d at %v, want channel %d at %v",
+				i, rec.keys[i], rec.at[i], keyFor(c.l, c.from), wantAt)
+		}
+		if busy := f.ChannelBusyTime(c.l, c.from); busy != wantBusy {
+			t.Fatalf("channel %d of the path was busy %v, want %v", i, busy, wantBusy)
+		}
+	}
+	if injectDone != rec.at[0] {
+		t.Fatalf("OnInjectDone fired at %v, want the first channel's release at %v", injectDone, rec.at[0])
 	}
 }

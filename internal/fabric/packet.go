@@ -100,6 +100,10 @@ type Packet struct {
 	// OnDropped fires if the fabric discards the packet. May be nil.
 	OnDropped func(reason DropReason)
 
+	// term is the terminal host a Pipe resolved at inject, read by its
+	// local-arrival event.
+	term topology.NodeID
+
 	// blk points back to this packet's pooled storage when it came from
 	// ClonePooled; nil for ordinary packets. See Release.
 	blk *packetBlock

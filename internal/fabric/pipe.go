@@ -38,6 +38,10 @@ type Pipe struct {
 	wire
 
 	egress func(dst topology.NodeID, at sim.Time, pkt *Packet)
+
+	// The send-DMA completion and the local arrival of every packet, bound
+	// once; the packet is the event argument.
+	sent, landed sim.Handler
 }
 
 // NewPipe returns a pipe-mode fabric over the (shard-local) network nw
@@ -46,6 +50,15 @@ type Pipe struct {
 // the packet counters.
 func NewPipe(k *sim.Kernel, nw *topology.Network, cfg Config) *Pipe {
 	p := &Pipe{wire: newWire(k, nw, cfg)}
+	p.sent = sim.HandlerFunc(func(arg any) {
+		if pkt := arg.(*Packet); pkt.OnInjectDone != nil {
+			pkt.OnInjectDone()
+		}
+	})
+	p.landed = sim.HandlerFunc(func(arg any) {
+		pkt := arg.(*Packet)
+		p.arrive(pkt.term, pkt)
+	})
 	p.BindMetrics(metrics.NewRegistry())
 	return p
 }
@@ -105,15 +118,11 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	}
 
 	ser := p.SerializationTime(pkt.Size)
-	p.k.After(ser, func() {
-		if pkt.OnInjectDone != nil {
-			pkt.OnInjectDone()
-		}
-	})
+	p.k.AtHandler(p.k.Now().Add(ser), p.sent, pkt)
 	at := p.k.Now().Add(lat + ser)
 	if fn := p.deliver[cur]; fn != nil {
-		dst := cur
-		p.k.At(at, func() { p.arrive(dst, pkt) })
+		pkt.term = cur
+		p.k.AtHandler(at, p.landed, pkt)
 		return
 	}
 	if p.egress == nil {

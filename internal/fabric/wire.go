@@ -32,6 +32,10 @@ type wire struct {
 
 	reg *metrics.Registry
 	mx  *metrics.Scope
+	// dropped holds the fabric.pkts_dropped{reason=…} counter of each
+	// reason, resolved on its first drop: a drop then allocates nothing,
+	// and a reason that never fires never appears in an export.
+	dropped [len(dropNames)]*metrics.Counter
 }
 
 func newWire(k *sim.Kernel, nw *topology.Network, cfg Config) wire {
@@ -47,6 +51,7 @@ func newWire(k *sim.Kernel, nw *topology.Network, cfg Config) wire {
 func (w *wire) BindMetrics(reg *metrics.Registry) {
 	w.reg = reg
 	w.mx = reg.Scope(nil)
+	w.dropped = [len(dropNames)]*metrics.Counter{}
 }
 
 // Metrics returns the registry the fabric currently records into.
@@ -161,7 +166,12 @@ func (w *wire) dropAtInject(pkt *Packet, reason DropReason) {
 }
 
 func (w *wire) drop(pkt *Packet, reason DropReason) {
-	w.reg.Counter("fabric.pkts_dropped", metrics.L("reason", reason.String())).Inc()
+	c := w.dropped[reason]
+	if c == nil {
+		c = w.reg.Counter("fabric.pkts_dropped", metrics.L("reason", reason.String()))
+		w.dropped[reason] = c
+	}
+	c.Inc()
 	w.emitPkt(trace.EvFabDrop, pkt, -1, 0, reason.String())
 	if pkt.OnDropped != nil {
 		pkt.OnDropped(reason)

@@ -11,20 +11,41 @@ import (
 // each link before streaming onto it, and holds a channel until the next
 // one is acquired (and one serialization time has passed), so blocking
 // propagates backward exactly as in real wormhole switching.
+//
+// A worm is the sim.Handler of its own events, told apart by a wormEvent
+// argument, so a hop schedules nothing that allocates. Two invariants let
+// the events carry no other state:
+//
+//   - Exactly one head event (advance or deliver) is pending at a time:
+//     the next one is scheduled only by a grant, and a grant happens only
+//     after the previous head event fired. Its target node is w.head.
+//   - Tail releases fire in path order. The release of held[i] is
+//     scheduled when held[i+1] is granted, at max(grant_i + serialization,
+//     grant_{i+1}); grants never go back in time, so neither do release
+//     times, and equal times fire in scheduling order. The next release
+//     therefore always frees held[w.released].
 type worm struct {
 	f   *Fabric
 	pkt *Packet
-	// seq is the worm's injection-order serial number. The worm set is a
-	// map, so every operation that visits several worms (flushes on a
-	// kill, in-flight diagnostics) orders them by seq to keep runs with
-	// the same seed byte-identical.
+	// seq is the worm's injection-order serial number, printed by
+	// InFlightDetail.
 	seq uint64
+	// older and newer link the fabric's in-flight list, which is in
+	// injection order, so flushes and diagnostics visit worms in the same
+	// order on every run with the same seed.
+	older, newer *worm
 
 	curNode  topology.NodeID // node whose output we last left / are leaving
 	routeIdx int             // next route byte to consume
+	head     topology.NodeID // target of the pending head event
 
-	held   []chanKey  // channels currently or recently held, in path order
-	grants []sim.Time // grant time per held channel
+	// held lists the channels acquired so far, in path order; heldBuf
+	// backs it so that a short path never grows it. released counts the
+	// tail releases that have fired.
+	held      []chanKey
+	heldBuf   [16]chanKey
+	released  int
+	lastGrant sim.Time // grant time of the newest held channel
 
 	waiting  *channelState // non-nil while parked in a waiter queue
 	waitKey  chanKey
@@ -36,17 +57,46 @@ type worm struct {
 	injectionDone bool // OnInjectDone already fired
 }
 
+// wormEvent is the argument of a worm's own events: a small constant, so
+// boxing it allocates nothing.
+type wormEvent uint8
+
+const (
+	wormAdvance  wormEvent = iota // the head reaches switch w.head
+	wormDeliver                   // the tail reaches host w.head
+	wormRelease                   // the tail clears held[w.released]
+	wormWatchdog                  // the blocked-path timer expired
+)
+
+// Fire runs one of the worm's events.
+func (w *worm) Fire(arg any) {
+	switch arg.(wormEvent) {
+	case wormAdvance:
+		w.advance(w.head)
+	case wormDeliver:
+		w.deliverTo(w.head)
+	case wormRelease:
+		key := w.held[w.released]
+		w.released++
+		w.f.release(key, w)
+	case wormWatchdog:
+		w.f.mx.Add("fabric.watchdog_resets", 1)
+		w.f.emitPkt(trace.EvWatchdog, w.pkt, w.waitKey.link(), w.waitKey.dir(), "")
+		w.die(DropWatchdog)
+	}
+}
+
 // usesLink reports whether the worm holds or awaits a channel of link id.
 func (w *worm) usesLink(id int) bool {
 	for _, k := range w.held {
-		if k.link == id {
+		if k.link() == id {
 			// Only counts if we still actually hold it.
-			if cs := w.f.chans[k]; cs != nil && cs.holder == w {
+			if cs := w.f.channel(k); cs != nil && cs.holder == w {
 				return true
 			}
 		}
 	}
-	return w.waiting != nil && w.waitKey.link == id
+	return w.waiting != nil && w.waitKey.link() == id
 }
 
 // request asks for the directed channel key leading to node next. If the
@@ -56,21 +106,18 @@ func (w *worm) request(key chanKey, next topology.NodeID) {
 	if w.dead {
 		return
 	}
-	cs := w.f.chanState(key)
-	if cs.holder == nil && len(cs.waiters) == 0 {
+	f := w.f
+	cs := f.chanState(key)
+	if cs.holder == nil && cs.waiters.Len() == 0 {
 		w.granted(key, next)
 		return
 	}
-	cs.waiters = append(cs.waiters, w)
+	cs.waiters.Push(w)
 	w.waiting, w.waitKey, w.waitNext = cs, key, next
-	w.parkedAt = w.f.k.Now()
-	w.f.emitPkt(trace.EvLinkBlock, w.pkt, key.link, key.dir, "")
+	w.parkedAt = f.k.Now()
+	f.emitPkt(trace.EvLinkBlock, w.pkt, key.link(), key.dir(), "")
 	if !w.watchdog.Pending() {
-		w.watchdog = w.f.k.After(w.f.cfg.Watchdog, func() {
-			w.f.mx.Add("fabric.watchdog_resets", 1)
-			w.f.emitPkt(trace.EvWatchdog, w.pkt, w.waitKey.link, w.waitKey.dir, "")
-			w.die(DropWatchdog)
-		})
+		w.watchdog = f.k.AtHandler(f.k.Now().Add(f.cfg.Watchdog), w, wormWatchdog)
 	}
 }
 
@@ -96,40 +143,38 @@ func (w *worm) granted(key chanKey, next topology.NodeID) {
 	cs := f.chanState(key)
 	cs.holder = w
 	cs.grabbed = now
-	f.emitPkt(trace.EvLinkAcquire, w.pkt, key.link, key.dir, "")
+	f.emitPkt(trace.EvLinkAcquire, w.pkt, key.link(), key.dir(), "")
 	w.noteUnparked()
 	w.waiting = nil
 	w.watchdog.Cancel()
 	w.held = append(w.held, key)
-	w.grants = append(w.grants, now)
 
 	// The previous channel is released when the tail clears it: one
 	// serialization after its grant, but never before the next channel
 	// was acquired (a blocked head stalls the tail).
-	if n := len(w.held); n >= 2 {
-		prev := w.held[n-2]
-		relAt := w.grants[n-2].Add(f.SerializationTime(w.pkt.Size))
+	if len(w.held) >= 2 {
+		relAt := w.lastGrant.Add(f.SerializationTime(w.pkt.Size))
 		if relAt.Before(now) {
 			relAt = now
 		}
-		f.k.At(relAt, func() { f.release(prev, w) })
+		f.k.AtHandler(relAt, w, wormRelease)
 	}
+	w.lastGrant = now
 
-	nextNode := f.nw.Node(next)
-	if nextNode.Kind == topology.Host {
+	w.head = next
+	if f.nw.Node(next).Kind == topology.Host {
 		// Final hop. A route with leftover bytes is malformed: the host
 		// NIC discards it.
 		if w.routeIdx != len(w.pkt.Route) {
 			w.die(DropBadRoute)
 			return
 		}
-		deliverAt := now.Add(f.cfg.PropDelay + f.SerializationTime(w.pkt.Size))
-		f.k.At(deliverAt, func() { w.deliverTo(next) })
+		f.k.AtHandler(now.Add(f.cfg.PropDelay+f.SerializationTime(w.pkt.Size)), w, wormDeliver)
 		return
 	}
 	// Head reaches the switch after propagation, takes a routing decision,
 	// then requests the next channel.
-	f.k.After(f.cfg.PropDelay+f.cfg.RouteDelay, func() { w.advance(next) })
+	f.k.AtHandler(now.Add(f.cfg.PropDelay+f.cfg.RouteDelay), w, wormAdvance)
 }
 
 // advance consumes the next route byte at switch sw and requests the
@@ -194,14 +239,13 @@ func (w *worm) die(reason DropReason) {
 func (w *worm) finish() {
 	f := w.f
 	w.dead = true
-	delete(f.worms, w)
+	f.untrack(w)
 	w.watchdog.Cancel()
 	if w.waiting != nil {
 		w.noteUnparked()
-		ws := w.waiting.waiters
-		for i, cand := range ws {
+		for i, cand := range w.waiting.waiters.Items() {
 			if cand == w {
-				w.waiting.waiters = append(ws[:i], ws[i+1:]...)
+				w.waiting.waiters.RemoveAt(i)
 				break
 			}
 		}
@@ -228,27 +272,21 @@ func (w *worm) fireInjectDone() {
 // release frees channel key if worm w still holds it, accounts busy time,
 // and grants the channel to the next FIFO waiter.
 func (f *Fabric) release(key chanKey, w *worm) {
-	cs := f.chans[key]
+	cs := f.channel(key)
 	if cs == nil || cs.holder != w {
 		return // already released (e.g. death raced a scheduled release)
 	}
 	cs.busy += f.k.Now().Sub(cs.grabbed)
 	cs.holder = nil
-	f.emitPkt(trace.EvLinkRelease, w.pkt, key.link, key.dir, "")
+	f.emitPkt(trace.EvLinkRelease, w.pkt, key.link(), key.dir(), "")
 	// First-channel release means the tail has left the source NIC.
 	if len(w.held) > 0 && w.held[0] == key {
 		w.fireInjectDone()
 	}
-	if len(cs.waiters) > 0 {
-		next := cs.waiters[0]
-		cs.waiters = cs.waiters[1:]
-		// Re-resolve the far node for the waiter (stored at request time).
-		next.granted(key, next.waitNextFor(key))
+	if cs.waiters.Len() > 0 {
+		// The waiter queues for exactly one channel at a time, so the far
+		// node it stored at request time is this channel's.
+		next := cs.waiters.Pop()
+		next.granted(key, next.waitNext)
 	}
-}
-
-// waitNextFor returns the node the worm was heading to when it queued for
-// key. (The worm queues for exactly one channel at a time.)
-func (w *worm) waitNextFor(key chanKey) topology.NodeID {
-	return w.waitNext
 }

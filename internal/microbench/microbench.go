@@ -3,6 +3,12 @@
 // bandwidth test, and a unidirectional bandwidth test in which the sender
 // never waits for the receiver — measuring how fast data can be put onto
 // the network.
+//
+// Each benchmark sends every message from one zero buffer, as a VMMC
+// micro-benchmark sends one registered buffer repeatedly. Sharing it is
+// safe because no layer writes a send buffer: VMMC frames, and the
+// go-back-N clones of them, point into it until they are acknowledged,
+// and the receiver copies the bytes into its export.
 package microbench
 
 import (
@@ -28,6 +34,7 @@ func Latency(c *core.Cluster, size, iters int) LatencyResult {
 	a, b := c.EndpointAt(0), c.EndpointAt(1)
 	expB := b.Export(fmt.Sprintf("lat-b-%d", size), maxInt(size, 1))
 	expA := a.Export(fmt.Sprintf("lat-a-%d", size), maxInt(size, 1))
+	buf := make([]byte, size)
 
 	var agg stats.BreakdownAvg
 	var sum time.Duration
@@ -40,7 +47,7 @@ func Latency(c *core.Cluster, size, iters int) LatencyResult {
 			panic(err)
 		}
 		for i := 0; i < iters; i++ {
-			imp.Send(p, 0, make([]byte, size), true)
+			imp.Send(p, 0, buf, true)
 			expA.WaitNotification(p)
 		}
 		done = true
@@ -58,7 +65,7 @@ func Latency(c *core.Cluster, size, iters int) LatencyResult {
 				sum += n.Latency
 				count++
 			}
-			imp.Send(p, 0, make([]byte, size), true)
+			imp.Send(p, 0, buf, true)
 		}
 	})
 	c.RunFor(time.Duration(iters+10) * 10 * time.Millisecond)
@@ -89,6 +96,7 @@ func PingPong(c *core.Cluster, size, iters int) BandwidthResult {
 	name := fmt.Sprintf("pp-%d", size)
 	expB := b.Export(name+"-b", size)
 	expA := a.Export(name+"-a", size)
+	buf := make([]byte, size)
 
 	var start, end sim.Time
 	count := 0
@@ -99,7 +107,7 @@ func PingPong(c *core.Cluster, size, iters int) BandwidthResult {
 		}
 		start = p.Now()
 		for i := 0; i < iters; i++ {
-			imp.Send(p, 0, make([]byte, size), true)
+			imp.Send(p, 0, buf, true)
 			expA.WaitNotification(p)
 			count++
 			end = p.Now()
@@ -113,7 +121,7 @@ func PingPong(c *core.Cluster, size, iters int) BandwidthResult {
 		}
 		for i := 0; i < iters; i++ {
 			expB.WaitNotification(p)
-			imp.Send(p, 0, make([]byte, size), true)
+			imp.Send(p, 0, buf, true)
 		}
 	})
 	// Generous bound: even at 1 MB/s the largest runs fit.
@@ -134,6 +142,7 @@ func Unidirectional(c *core.Cluster, size, iters int) BandwidthResult {
 	a, b := c.EndpointAt(0), c.EndpointAt(1)
 	name := fmt.Sprintf("uni-%d", size)
 	expB := b.Export(name, size)
+	buf := make([]byte, size)
 
 	var first, last sim.Time
 	count := 0
@@ -143,7 +152,7 @@ func Unidirectional(c *core.Cluster, size, iters int) BandwidthResult {
 			panic(err)
 		}
 		for i := 0; i < iters; i++ {
-			imp.Send(p, 0, make([]byte, size), true)
+			imp.Send(p, 0, buf, true)
 		}
 	})
 	c.K.Spawn("uni-recv", func(p *sim.Proc) {

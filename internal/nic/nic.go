@@ -108,8 +108,11 @@ type NIC struct {
 	freeBuffers int
 	bufGate     sim.Gate
 
-	txQueue []txItem
+	// txQueue holds the frames waiting for the send DMA. The NIC has one
+	// packet on the DMA at a time (txBusy); txCur is that packet's item.
+	txQueue sim.Queue[txItem]
 	txBusy  bool
+	txCur   txItem
 
 	snd        *retrans.Sender
 	rcv        *retrans.Receiver
@@ -130,6 +133,16 @@ type NIC struct {
 	scanFn         func() // n.timerScan
 	adaptiveFireFn func() // n.adaptiveTimerFire
 	adaptiveScanFn func() // n.adaptiveTimerScan
+
+	// Per-packet callbacks, bound once in New so the data path schedules
+	// no closure; the frame or packet is the event argument.
+	injectDone  func()      // n.onInjectDone: every packet's OnInjectDone
+	dmaSent     sim.Handler // host DMA into SRAM done: firmwareSend
+	fwSent      sim.Handler // firmware send processing done: queueData
+	received    sim.Handler // receive firmware done: receive
+	depositDone sim.Handler // data in host memory: notifyHost
+	notified    sim.Handler // notification posted: deliverUp
+	ackReady    sim.Handler // ack firmware done: transmitAck
 
 	// mx is the NIC's host-labeled scope: every firmware event is one
 	// add to a constant nic.* name, read back through Counters.
@@ -186,6 +199,7 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		reg = metrics.NewRegistry()
 	}
 	n.mx = reg.Scope(metrics.HostLabels(int(node)))
+	n.bindHandlers()
 	if opts.FT {
 		n.snd = retrans.NewSender(opts.Retrans)
 		n.rcv = retrans.NewReceiver(opts.Retrans)
@@ -194,6 +208,17 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 	n.registerGauges()
 	fab.AttachHost(node, n.onWire)
 	return n
+}
+
+// bindHandlers binds the per-packet callbacks once.
+func (n *NIC) bindHandlers() {
+	n.injectDone = n.onInjectDone
+	n.dmaSent = sim.HandlerFunc(func(a any) { n.firmwareSend(a.(*proto.Frame)) })
+	n.fwSent = sim.HandlerFunc(func(a any) { n.queueData(a.(*proto.Frame)) })
+	n.received = sim.HandlerFunc(func(a any) { n.receive(a.(*fabric.Packet)) })
+	n.depositDone = sim.HandlerFunc(func(a any) { n.notifyHost(a.(*proto.Frame)) })
+	n.notified = sim.HandlerFunc(func(a any) { n.deliverUp(a.(*proto.Frame)) })
+	n.ackReady = sim.HandlerFunc(func(a any) { n.transmitAck(a.(*proto.Frame)) })
 }
 
 // registerGauges publishes the NIC's instantaneous state as derived
@@ -207,7 +232,7 @@ func (n *NIC) registerGauges() {
 	n.mx.GaugeFunc("nic.sram.in_use", func() float64 {
 		return float64(n.opts.Retrans.QueueSize - n.freeBuffers)
 	})
-	n.mx.GaugeFunc("nic.tx.queue_depth", func() float64 { return float64(len(n.txQueue)) })
+	n.mx.GaugeFunc("nic.tx.queue_depth", func() float64 { return float64(n.txQueue.Len()) })
 	if n.snd != nil {
 		n.mx.GaugeFunc("retrans.queue_depth", func() float64 { return float64(n.snd.TotalUnacked()) })
 	}
@@ -457,9 +482,7 @@ func (n *NIC) Send(p *sim.Proc, frame *proto.Frame) {
 	// the data into NIC SRAM and then hands it to the firmware.
 	p.Sleep(n.cost.HostDescPost)
 	frame.Stamps.HostDone = n.k.Now()
-	n.pci.SubmitBytes(size, n.cost.PCIRate, n.cost.PCISetup, func() {
-		n.firmwareSend(frame)
-	})
+	n.pci.SubmitHandler(n.pci.TransferTime(size, n.cost.PCIRate, n.cost.PCISetup), n.dmaSent, frame)
 }
 
 // firmwareSend is the firmware's per-packet send processing.
@@ -468,19 +491,23 @@ func (n *NIC) firmwareSend(frame *proto.Frame) {
 	if n.ft {
 		c += n.cost.FTSendOverhead
 	}
-	n.cpu.Submit(c, func() {
-		var entry *retrans.Entry
-		if n.ft {
-			entry = n.snd.Prepare(frame.Dst, n.k.Now(), n.freeBuffers, frame, frame.WireSize())
-			frame.Gen = entry.Gen
-			frame.Seq = entry.Seq
-			frame.AckReq = n.snd.AckRequestFor(entry, n.freeBuffers)
-			n.attachPiggyback(frame)
-			entry.InFlight++
-		}
-		n.emit(trace.EvSend, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
-		n.enqueueTX(txItem{frame: frame, entry: entry}, false)
-	})
+	n.cpu.SubmitHandler(c, n.fwSent, frame)
+}
+
+// queueData finishes the firmware's send processing of a data frame: it
+// sequences the frame under FT and queues it for transmission.
+func (n *NIC) queueData(frame *proto.Frame) {
+	var entry *retrans.Entry
+	if n.ft {
+		entry = n.snd.Prepare(frame.Dst, n.k.Now(), n.freeBuffers, frame, frame.WireSize())
+		frame.Gen = entry.Gen
+		frame.Seq = entry.Seq
+		frame.AckReq = n.snd.AckRequestFor(entry, n.freeBuffers)
+		n.attachPiggyback(frame)
+		entry.InFlight++
+	}
+	n.emit(trace.EvSend, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
+	n.enqueueTX(txItem{frame: frame, entry: entry})
 }
 
 // attachPiggyback adds the current cumulative ack for frame.Dst to an
@@ -522,7 +549,7 @@ func (n *NIC) SendControl(frame *proto.Frame, route routing.Route) {
 	}
 	frame.Probe = cloneProbe(frame.Probe)
 	frame.ControlRoute = route
-	n.enqueueTX(txItem{frame: frame}, false)
+	n.enqueueTX(txItem{frame: frame})
 }
 
 func cloneProbe(p *proto.ProbePayload) *proto.ProbePayload {
@@ -534,14 +561,10 @@ func cloneProbe(p *proto.ProbePayload) *proto.ProbePayload {
 	return &c
 }
 
-// enqueueTX appends (or, for retransmissions, prepends) a packet to the
-// transmit queue and starts the transmitter if idle.
-func (n *NIC) enqueueTX(it txItem, front bool) {
-	if front {
-		n.txQueue = append([]txItem{it}, n.txQueue...)
-	} else {
-		n.txQueue = append(n.txQueue, it)
-	}
+// enqueueTX appends a packet to the transmit queue and starts the
+// transmitter if idle.
+func (n *NIC) enqueueTX(it txItem) {
+	n.txQueue.Push(it)
 	n.kickTX()
 }
 
@@ -549,9 +572,8 @@ func (n *NIC) enqueueTX(it txItem, front bool) {
 // network-send DMA: one packet streams at a time, and the next starts when
 // the previous packet's tail has left the SRAM (OnInjectDone).
 func (n *NIC) kickTX() {
-	for !n.txBusy && len(n.txQueue) > 0 {
-		it := n.txQueue[0]
-		n.txQueue = n.txQueue[1:]
+	for !n.txBusy && n.txQueue.Len() > 0 {
+		it := n.txQueue.Pop()
 		frame := it.frame
 
 		// Send-side error injection (§5.1.3): the packet goes to the
@@ -592,31 +614,21 @@ func (n *NIC) kickTX() {
 		if n.ft && it.entry != nil {
 			n.snd.OnTransmitted(it.entry, n.k.Now())
 		}
-		isData := frame.Type == proto.FrameData
-		entry := it.entry
 		// The packet carries the route itself: the wire only reads it,
 		// and no installed route is ever written in place (SetRoute
 		// replaces the slice, table routes are capacity-capped).
 		pkt := &fabric.Packet{
-			Route:   route,
-			Dst:     frame.Dst,
-			Size:    frame.WireSize(),
-			Payload: frame,
-			Gen:     frame.Gen,
-			Seq:     frame.Seq,
-			Msg:     msgOf(frame),
-			OnInjectDone: func() {
-				n.txBusy = false
-				if entry != nil {
-					entry.InFlight--
-				}
-				if !n.ft && isData {
-					n.releaseBuffer()
-				}
-				n.kickTX()
-			},
+			Route:        route,
+			Dst:          frame.Dst,
+			Size:         frame.WireSize(),
+			Payload:      frame,
+			Gen:          frame.Gen,
+			Seq:          frame.Seq,
+			Msg:          msgOf(frame),
+			OnInjectDone: n.injectDone,
 		}
 		n.txBusy = true
+		n.txCur = it
 		n.mx.Add("nic.pkts-sent", 1)
 		if frame.Type == proto.FrameData {
 			n.emit(trace.EvInject, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
@@ -624,6 +636,22 @@ func (n *NIC) kickTX() {
 		n.fab.Inject(n.node, pkt)
 		return
 	}
+}
+
+// onInjectDone runs when the packet on the send DMA (txCur) has left the
+// SRAM: the wire fires it exactly once per packet, and the next packet
+// starts only after it.
+func (n *NIC) onInjectDone() {
+	it := n.txCur
+	n.txCur = txItem{}
+	n.txBusy = false
+	if it.entry != nil {
+		it.entry.InFlight--
+	}
+	if !n.ft && it.frame.Type == proto.FrameData {
+		n.releaseBuffer()
+	}
+	n.kickTX()
 }
 
 // releaseBuffer returns one send buffer to the pool and wakes a blocked
@@ -785,7 +813,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 			items = append(items, txItem{frame: &f, entry: e})
 		}
 		// Prepend preserving batch order.
-		n.txQueue = append(items, n.txQueue...)
+		n.txQueue.PushFront(items...)
 		n.kickTX()
 	})
 }
@@ -820,12 +848,16 @@ func (n *NIC) onWire(pkt *fabric.Packet) {
 	default:
 		cost = n.cost.ProbeCost
 	}
-	n.cpu.Submit(cost, func() {
-		n.processFrame(frame, pkt)
-		// The packet shell is dead once receive firmware returns; recycle
-		// pooled (shard-boundary) storage. No-op for ordinary packets.
-		pkt.Release()
-	})
+	n.cpu.SubmitHandler(cost, n.received, pkt)
+}
+
+// receive is the receive firmware's processing of pkt, run once its cost
+// is paid.
+func (n *NIC) receive(pkt *fabric.Packet) {
+	n.processFrame(pkt.Payload.(*proto.Frame), pkt)
+	// The packet shell is dead once receive firmware returns; recycle
+	// pooled (shard-boundary) storage. No-op for ordinary packets.
+	pkt.Release()
 }
 
 func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
@@ -918,27 +950,37 @@ func (n *NIC) processData(frame *proto.Frame) {
 	n.emit(trace.EvAccept, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 	// Deposit into host memory through the PCI engine, then notify.
 	size := len(frame.Data.Data)
+	if !rr {
+		n.pci.SubmitHandler(n.pci.TransferTime(size, n.cost.PCIRate, n.cost.PCISetup), n.depositDone, frame)
+		return
+	}
 	n.pci.SubmitBytes(size, n.cost.PCIRate, n.cost.PCISetup, func() {
-		if rr {
-			// The data is now in host memory: advance the ack horizon
-			// and perform the deferred acknowledgment actions.
-			n.deposited[frame.Src] = depositMark{gen: frame.Gen, seq: frame.Seq, valid: true}
-			if verdict.AckNow {
-				n.sendAck(frame.Src)
-			} else if verdict.ArmDelayed {
-				n.armDelayedAck(frame.Src)
-			}
+		// The data is now in host memory: advance the ack horizon and
+		// perform the deferred acknowledgment actions.
+		n.deposited[frame.Src] = depositMark{gen: frame.Gen, seq: frame.Seq, valid: true}
+		if verdict.AckNow {
+			n.sendAck(frame.Src)
+		} else if verdict.ArmDelayed {
+			n.armDelayedAck(frame.Src)
 		}
-		n.k.After(n.cost.HostNotify, func() {
-			frame.Stamps.HostRecvDone = n.k.Now()
-			if n.opts.OnDeliver != nil {
-				n.opts.OnDeliver(frame)
-			}
-			// Host consumption is the end of a received data frame's life;
-			// recycle pooled storage (no-op on a sender's original).
-			frame.Release()
-		})
+		n.notifyHost(frame)
 	})
+}
+
+// notifyHost posts the host notification for a deposited data frame.
+func (n *NIC) notifyHost(frame *proto.Frame) {
+	n.k.AtHandler(n.k.Now().Add(n.cost.HostNotify), n.notified, frame)
+}
+
+// deliverUp hands a deposited data frame to the host.
+func (n *NIC) deliverUp(frame *proto.Frame) {
+	frame.Stamps.HostRecvDone = n.k.Now()
+	if n.opts.OnDeliver != nil {
+		n.opts.OnDeliver(frame)
+	}
+	// Host consumption is the end of a received data frame's life;
+	// recycle pooled storage (no-op on a sender's original).
+	frame.Release()
 }
 
 // ackValue returns the cumulative ack to advertise to `to`: the NIC-accept
@@ -960,18 +1002,21 @@ func (n *NIC) sendAck(to topology.NodeID) {
 	}
 	n.cancelDelayedAck(to)
 	n.rcv.AckEmitted(to)
-	n.cpu.Submit(n.cost.AckSendCost, func() {
-		n.mx.Add("nic.acks-sent", 1)
-		n.emit(trace.EvAckTx, to, gen, seq, 0)
-		ack := &proto.Frame{
-			Type:   proto.FrameAck,
-			Dst:    to,
-			HasAck: true,
-			AckGen: gen,
-			AckSeq: seq,
-		}
-		n.SendControl(ack, nil)
-	})
+	ack := &proto.Frame{
+		Type:   proto.FrameAck,
+		Dst:    to,
+		HasAck: true,
+		AckGen: gen,
+		AckSeq: seq,
+	}
+	n.cpu.SubmitHandler(n.cost.AckSendCost, n.ackReady, ack)
+}
+
+// transmitAck queues an explicit ack once its firmware cost is paid.
+func (n *NIC) transmitAck(ack *proto.Frame) {
+	n.mx.Add("nic.acks-sent", 1)
+	n.emit(trace.EvAckTx, ack.Dst, ack.AckGen, ack.AckSeq, 0)
+	n.SendControl(ack, nil)
 }
 
 // armDelayedAck starts the piggyback-or-explicit delayed ack timer for src
@@ -1040,7 +1085,7 @@ func (n *NIC) ResetPath(dst topology.NodeID, route routing.Route) {
 		f.Retransmitted = true
 		e.Payload = &f
 		e.InFlight++
-		n.enqueueTX(txItem{frame: &f, entry: e}, false)
+		n.enqueueTX(txItem{frame: &f, entry: e})
 	}
 	n.mx.Add("nic.path-resets", 1)
 	n.emit(trace.EvGenReset, dst, n.snd.Generation(dst), 0, 0)

@@ -194,6 +194,22 @@ type Frame struct {
 	blk *frameBlock
 }
 
+// dataBlock is a data frame and its payload allocated together.
+type dataBlock struct {
+	f Frame
+	d DataPayload
+}
+
+// NewData returns a data frame to dst carrying d, allocated with its
+// payload as one block (one allocation where a Frame literal with a
+// DataPayload pointer costs two). The block is not pooled: Release is a
+// no-op on the frame, like on any ordinary frame.
+func NewData(dst topology.NodeID, d DataPayload) *Frame {
+	b := &dataBlock{d: d}
+	b.f = Frame{Type: FrameData, Dst: dst, Data: &b.d}
+	return &b.f
+}
+
 // Clone returns a deep copy of the frame: payload bytes, probe fields,
 // and control route are all fresh. The parallel engine clones frames at
 // shard boundaries — wire transit is a serialization point, so receiver

@@ -91,7 +91,7 @@ func TestResourceBacklogBoundedMemory(t *testing.T) {
 			submitted++
 			r.Submit(service, done)
 		}
-		if c := cap(r.queue); c > maxCap {
+		if c := cap(r.queue.items); c > maxCap {
 			maxCap = c
 		}
 	}
@@ -108,6 +108,184 @@ func TestResourceBacklogBoundedMemory(t *testing.T) {
 	}
 	if maxCap > 4*backlog {
 		t.Fatalf("queue capacity grew to %d with a backlog of %d", maxCap, backlog)
+	}
+}
+
+// TestProcSleepAllocs pins a Proc's timed wake-up: the Proc is the
+// handler of its own event, so once warm a Sleep handoff allocates
+// nothing. (Before bound handlers, each Sleep allocated its wake-up
+// closure: 1 alloc per handoff.)
+func TestProcSleepAllocs(t *testing.T) {
+	k := New(1)
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	defer k.Stop()
+	for i := 0; i < 64; i++ {
+		k.Step()
+	}
+	avg := testing.AllocsPerRun(10000, func() { k.Step() })
+	if avg != 0 {
+		t.Fatalf("Sleep handoff allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestGateSignalAllocs pins the Gate handoff: two Procs pass control back
+// and forth through a pair of gates, so every step is one Signal wake-up.
+// The waiter queues pop in place and the wake-up event stores the Proc,
+// so the handoff allocates nothing. (Before: 2 allocs per handoff, the
+// wake-up closure and the waiter slice regrowing after each pop.)
+func TestGateSignalAllocs(t *testing.T) {
+	k := New(1)
+	var ga, gb Gate
+	turn := 0
+	k.Spawn("a", func(p *Proc) {
+		for {
+			turn = 1
+			gb.Signal()
+			for turn == 1 {
+				ga.Wait(p)
+			}
+		}
+	})
+	k.Spawn("b", func(p *Proc) {
+		for {
+			for turn == 0 {
+				gb.Wait(p)
+			}
+			turn = 0
+			ga.Signal()
+		}
+	})
+	defer k.Stop()
+	for i := 0; i < 64; i++ {
+		k.Step()
+	}
+	avg := testing.AllocsPerRun(10000, func() { k.Step() })
+	if avg != 0 {
+		t.Fatalf("Gate.Signal handoff allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestGateBroadcastAllocs: waking four parked Procs with one Broadcast,
+// and letting each park again, allocates nothing once warm. (Before: 7
+// allocs per broadcast, a closure per woken Proc plus the emptied waiter
+// slice regrowing three times.)
+func TestGateBroadcastAllocs(t *testing.T) {
+	k := New(1)
+	var g Gate
+	woken := 0
+	for i := 0; i < 4; i++ {
+		k.Spawn("waiter", func(p *Proc) {
+			for {
+				g.Wait(p)
+				woken++
+			}
+		})
+	}
+	defer k.Stop()
+	k.Run()
+	for i := 0; i < 16; i++ {
+		g.Broadcast()
+		k.Run()
+	}
+	avg := testing.AllocsPerRun(2000, func() {
+		g.Broadcast()
+		k.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("Broadcast to 4 procs allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+	if want := 4 * (16 + 2001); woken != want {
+		t.Fatalf("woken %d times, want %d", woken, want)
+	}
+}
+
+// TestGateBacklogBoundedMemory keeps eight Procs queued on one gate for
+// 100000 signals, each woken Proc queueing again at the back: wake-ups
+// stay FIFO (round robin) and the waiter queue reclaims its consumed
+// prefix, so its capacity stays bounded.
+func TestGateBacklogBoundedMemory(t *testing.T) {
+	const (
+		total   = 100000
+		backlog = 8
+	)
+	k := New(1)
+	var g Gate
+	var order []int
+	for i := 0; i < backlog; i++ {
+		i := i
+		k.Spawn("waiter", func(p *Proc) {
+			for {
+				g.Wait(p)
+				order = append(order, i)
+			}
+		})
+	}
+	maxCap := 0
+	k.Spawn("signaler", func(p *Proc) {
+		for n := 0; n < total; n++ {
+			if got := g.Waiting(); got != backlog {
+				t.Errorf("signal %d: %d waiting, want %d", n, got, backlog)
+				return
+			}
+			g.Signal()
+			p.Yield() // the woken Proc runs and queues again
+			if c := cap(g.waiters.items); c > maxCap {
+				maxCap = c
+			}
+		}
+	})
+	defer k.Stop()
+	k.Run()
+	if len(order) != total {
+		t.Fatalf("%d wake-ups, want %d", len(order), total)
+	}
+	for n, i := range order {
+		if i != n%backlog {
+			t.Fatalf("wake-up %d went to waiter %d, want %d (FIFO)", n, i, n%backlog)
+		}
+	}
+	if maxCap > 4*backlog {
+		t.Fatalf("waiter queue capacity grew to %d with a backlog of %d", maxCap, backlog)
+	}
+}
+
+// TestMailboxBacklogBoundedMemory keeps eight messages queued in a
+// mailbox for 100000 Get/Put cycles: messages stay FIFO and the queue's
+// capacity stays bounded.
+func TestMailboxBacklogBoundedMemory(t *testing.T) {
+	const (
+		total   = 100000
+		backlog = 8
+	)
+	k := New(1)
+	var m Mailbox
+	for i := 0; i < backlog; i++ {
+		m.Put(i)
+	}
+	maxCap := 0
+	k.Spawn("cycler", func(p *Proc) {
+		for n := 0; n < total; n++ {
+			v := m.Get(p).(int)
+			if v != n {
+				t.Errorf("get %d returned message %d (not FIFO)", n, v)
+				return
+			}
+			m.Put(n + backlog)
+			if c := cap(m.queue.items); c > maxCap {
+				maxCap = c
+			}
+		}
+	})
+	k.Run()
+	if m.Len() != backlog {
+		t.Fatalf("mailbox holds %d messages, want %d", m.Len(), backlog)
+	}
+	if maxCap > 4*backlog {
+		t.Fatalf("mailbox capacity grew to %d with a backlog of %d", maxCap, backlog)
 	}
 }
 

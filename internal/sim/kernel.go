@@ -6,6 +6,33 @@ import (
 	"time"
 )
 
+// Handler is the one callback representation of the kernel and of
+// Resource: an event fires h.Fire(arg). A component that schedules the
+// same kind of event for every packet binds its handler once and passes
+// the packet (or frame, or a small constant) as arg, so scheduling
+// allocates nothing; a per-event closure would allocate every time.
+// Never hide a pointer in an integer arg (the collector would not see
+// it), and never box a struct or a scalar above 255 into arg on a hot
+// path: that allocates too.
+type Handler interface {
+	Fire(arg any)
+}
+
+// HandlerFunc adapts a function to Handler. Bind it once, when its owner
+// is built, and reuse it for every event.
+type HandlerFunc func(arg any)
+
+// Fire calls f(arg).
+func (f HandlerFunc) Fire(arg any) { f(arg) }
+
+// thunk stores a plain func() as a Handler. A func value is
+// pointer-shaped, so the conversion allocates nothing: At, After,
+// Immediately and Resource.Submit allocate no more than the caller's
+// closure.
+type thunk func()
+
+func (f thunk) Fire(any) { f() }
+
 // event is one scheduled callback, stored flat in the kernel's arena and
 // addressed by its arena index. Events with equal times execute in
 // scheduling order (seq breaks ties), which keeps runs deterministic.
@@ -18,13 +45,14 @@ type event struct {
 	seq uint64
 	gen uint32
 	pos int32 // index in the kernel's heap, -1 when not queued
-	fn  func()
+	h   Handler
+	arg any
 }
 
 // Timer is a value handle to a scheduled event that can be cancelled.
 // The zero Timer is valid and permanently non-pending. Timers are small
 // and copyable; scheduling an event allocates nothing beyond the
-// caller's closure.
+// caller's closure, and nothing at all through AtHandler.
 type Timer struct {
 	k   *Kernel
 	id  int32
@@ -188,18 +216,18 @@ func (k *Kernel) heapRemove(i int) {
 	k.siftUp(i)
 }
 
-// release returns an arena slot to the free list, dropping the closure
-// reference and invalidating outstanding Timer handles.
+// release returns an arena slot to the free list, dropping the handler
+// and argument references and invalidating outstanding Timer handles.
 func (k *Kernel) release(id int32) {
 	e := &k.arena[id]
-	e.fn = nil
+	e.h, e.arg = nil, nil
 	e.gen++
 	e.pos = -1
 	k.free = append(k.free, id)
 }
 
 // schedule inserts a new event and returns its handle.
-func (k *Kernel) schedule(t Time, fn func()) Timer {
+func (k *Kernel) schedule(t Time, h Handler, arg any) Timer {
 	k.seq++
 	var id int32
 	if n := len(k.free); n > 0 {
@@ -212,7 +240,7 @@ func (k *Kernel) schedule(t Time, fn func()) Timer {
 	e := &k.arena[id]
 	e.at = t
 	e.seq = k.seq
-	e.fn = fn
+	e.h, e.arg = h, arg
 	e.pos = int32(len(k.heap))
 	k.heap = append(k.heap, id)
 	k.siftUp(int(e.pos))
@@ -221,11 +249,16 @@ func (k *Kernel) schedule(t Time, fn func()) Timer {
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in simulation logic and panics.
-func (k *Kernel) At(t Time, fn func()) Timer {
+func (k *Kernel) At(t Time, fn func()) Timer { return k.AtHandler(t, thunk(fn), nil) }
+
+// AtHandler schedules h.Fire(arg) at absolute time t, like At. It is the
+// allocation-free entry point for per-packet events: h is bound once by
+// its owner, and arg carries the packet, frame or small constant.
+func (k *Kernel) AtHandler(t Time, h Handler, arg any) Timer {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	return k.schedule(t, fn)
+	return k.schedule(t, h, arg)
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -233,12 +266,12 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.schedule(k.now.Add(d), fn)
+	return k.schedule(k.now.Add(d), thunk(fn), nil)
 }
 
 // Immediately schedules fn to run at the current time, after all events
 // already scheduled for this instant.
-func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, fn) }
+func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, thunk(fn), nil) }
 
 // Step executes the next pending event. It reports false when no events
 // remain or the kernel has been stopped.
@@ -249,11 +282,11 @@ func (k *Kernel) Step() bool {
 	id := k.heap[0]
 	e := &k.arena[id]
 	k.now = e.at
-	fn := e.fn
+	h, arg := e.h, e.arg
 	k.heapRemove(0)
 	k.release(id)
 	k.executed++
-	fn()
+	h.Fire(arg)
 	return true
 }
 

@@ -89,6 +89,13 @@ func (p *Proc) park() {
 	}
 }
 
+// procWake is a Proc seen as the Handler of its own wake-ups (Sleep,
+// Gate.Signal, Gate.Broadcast): the event stores the Proc itself, so a
+// wake-up allocates nothing, and Proc's own API stays free of Fire.
+type procWake Proc
+
+func (w *procWake) Fire(any) { (*Proc)(w).dispatch() }
+
 // kill marks the proc for termination and runs it one final time so the
 // goroutine unwinds. Called by Kernel.Stop for parked procs.
 func (p *Proc) kill() {
@@ -101,7 +108,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
-	p.k.After(d, func() { p.dispatch() })
+	p.k.AtHandler(p.k.Now().Add(d), (*procWake)(p), nil)
 	p.park()
 }
 
@@ -112,12 +119,12 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Gate is a wait queue for Procs: a condition-variable analogue in virtual
 // time. The zero value is ready to use.
 type Gate struct {
-	waiters []*Proc
+	waiters Queue[*Proc]
 }
 
 // Wait parks the calling process until Signal or Broadcast wakes it.
 func (g *Gate) Wait(p *Proc) {
-	g.waiters = append(g.waiters, p)
+	g.waiters.Push(p)
 	p.park()
 }
 
@@ -125,14 +132,14 @@ func (g *Gate) Wait(p *Proc) {
 // It reports true if the process was woken by Signal/Broadcast and false on
 // timeout.
 func (g *Gate) WaitTimeout(p *Proc, d time.Duration) bool {
-	g.waiters = append(g.waiters, p)
+	g.waiters.Push(p)
 	timedOut := false
 	timer := p.k.After(d, func() {
 		// Wake p only if it is still queued; if a Signal raced with the
 		// timeout at this same instant, p has already been dispatched.
-		for i, w := range g.waiters {
+		for i, w := range g.waiters.Items() {
 			if w == p {
-				g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
+				g.waiters.RemoveAt(i)
 				timedOut = true
 				p.dispatch()
 				return
@@ -147,69 +154,62 @@ func (g *Gate) WaitTimeout(p *Proc, d time.Duration) bool {
 // Signal wakes the longest-waiting process, if any. The wakeup is scheduled
 // as an immediate event, so it is safe to call from any simulation context.
 func (g *Gate) Signal() {
-	if len(g.waiters) == 0 {
+	if g.waiters.Len() == 0 {
 		return
 	}
-	p := g.waiters[0]
-	g.waiters = g.waiters[1:]
-	p.k.Immediately(func() { p.dispatch() })
+	p := g.waiters.Pop()
+	p.k.AtHandler(p.k.Now(), (*procWake)(p), nil)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
 func (g *Gate) Broadcast() {
-	ws := g.waiters
-	g.waiters = nil
-	for _, p := range ws {
-		w := p
-		w.k.Immediately(func() { w.dispatch() })
+	for g.waiters.Len() > 0 {
+		p := g.waiters.Pop()
+		p.k.AtHandler(p.k.Now(), (*procWake)(p), nil)
 	}
 }
 
 // Waiting returns the number of processes parked on the gate.
-func (g *Gate) Waiting() int { return len(g.waiters) }
+func (g *Gate) Waiting() int { return g.waiters.Len() }
 
 // Mailbox is an unbounded FIFO message queue with blocking receive, for
 // communication between Procs (and from event context into Procs).
 type Mailbox struct {
-	queue []any
+	queue Queue[any]
 	gate  Gate
 }
 
 // Put appends v to the mailbox and wakes one waiting receiver. Safe to call
 // from event context.
 func (m *Mailbox) Put(v any) {
-	m.queue = append(m.queue, v)
+	m.queue.Push(v)
 	m.gate.Signal()
 }
 
 // Get blocks the calling process until a message is available and returns
 // the oldest one.
 func (m *Mailbox) Get(p *Proc) any {
-	for len(m.queue) == 0 {
+	for m.queue.Len() == 0 {
 		m.gate.Wait(p)
 	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v
+	return m.queue.Pop()
 }
 
 // GetTimeout is like Get but gives up after d. The second result reports
 // whether a message was received.
 func (m *Mailbox) GetTimeout(p *Proc, d time.Duration) (any, bool) {
 	deadline := p.Now().Add(d)
-	for len(m.queue) == 0 {
+	for m.queue.Len() == 0 {
 		remain := deadline.Sub(p.Now())
 		if remain <= 0 {
 			return nil, false
 		}
-		if !m.gate.WaitTimeout(p, remain) && len(m.queue) == 0 {
+		if !m.gate.WaitTimeout(p, remain) && m.queue.Len() == 0 {
 			return nil, false
 		}
 	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v, true
+	return m.queue.Pop(), true
 }
 
 // Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
+func (m *Mailbox) Len() int { return m.queue.Len() }

@@ -13,19 +13,15 @@ import (
 //
 // Resource accumulates busy time, so utilization can be reported after a
 // run. In steady state submitting and completing work allocates nothing:
-// waiting items sit in a head-indexed slice that is compacted in place,
-// and completions are scheduled through one callback bound at
-// construction.
+// waiting items sit in a Queue, completions are scheduled through one
+// callback bound at construction, and SubmitHandler takes a bound
+// handler instead of a closure.
 type Resource struct {
 	k    *Kernel
 	name string
 
-	busy bool
-	// queue[head:] are the waiting items. The consumed prefix is
-	// reclaimed once it reaches half the slice, so a resource that never
-	// drains still keeps bounded memory.
-	queue     []resWork
-	head      int
+	busy      bool
+	queue     Queue[resWork]
 	cur       resWork // the item in service
 	finish    func()  // r.complete, bound once
 	busyNS    time.Duration
@@ -33,9 +29,12 @@ type Resource struct {
 	lastStart Time
 }
 
+// resWork is one item: its service time and the h.Fire(arg) completion
+// (h nil for none).
 type resWork struct {
 	service time.Duration
-	done    func()
+	h       Handler
+	arg     any
 }
 
 // NewResource returns an idle resource attached to kernel k.
@@ -51,12 +50,23 @@ func (r *Resource) Name() string { return r.name }
 // Submit enqueues a work item requiring the given service time. done runs
 // (in event context) when the item completes. done may be nil.
 func (r *Resource) Submit(service time.Duration, done func()) {
+	var h Handler
+	if done != nil {
+		h = thunk(done)
+	}
+	r.SubmitHandler(service, h, nil)
+}
+
+// SubmitHandler is Submit with a bound handler: h.Fire(arg) runs when the
+// item completes (h may be nil). It is the allocation-free entry point
+// for per-packet firmware and DMA work.
+func (r *Resource) SubmitHandler(service time.Duration, h Handler, arg any) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: resource %s: negative service time %v", r.name, service))
 	}
-	w := resWork{service: service, done: done}
+	w := resWork{service: service, h: h, arg: arg}
 	if r.busy {
-		r.queue = append(r.queue, w)
+		r.queue.Push(w)
 		return
 	}
 	r.start(w)
@@ -65,11 +75,17 @@ func (r *Resource) Submit(service time.Duration, done func()) {
 // SubmitBytes enqueues a transfer of n bytes at rate bytes/sec plus a fixed
 // setup time; a convenience for modeling DMA engines and buses.
 func (r *Resource) SubmitBytes(n int, rate float64, setup time.Duration, done func()) {
+	r.Submit(r.TransferTime(n, rate, setup), done)
+}
+
+// TransferTime is the service time SubmitBytes charges for n bytes at rate
+// bytes/sec plus a fixed setup time, for callers that submit the transfer
+// through SubmitHandler.
+func (r *Resource) TransferTime(n int, rate float64, setup time.Duration) time.Duration {
 	if rate <= 0 {
 		panic(fmt.Sprintf("sim: resource %s: non-positive rate %v", r.name, rate))
 	}
-	xfer := time.Duration(float64(n) / rate * 1e9)
-	r.Submit(setup+xfer, done)
+	return setup + time.Duration(float64(n)/rate*1e9)
 }
 
 func (r *Resource) start(w resWork) {
@@ -87,21 +103,14 @@ func (r *Resource) complete() {
 	r.cur = resWork{}
 	r.busyNS += w.service
 	r.served++
-	if w.done != nil {
-		w.done()
+	if w.h != nil {
+		w.h.Fire(w.arg)
 	}
-	if r.head == len(r.queue) {
+	if r.queue.Len() == 0 {
 		r.busy = false
 		return
 	}
-	next := r.queue[r.head]
-	r.head++
-	if 2*r.head >= len(r.queue) {
-		n := copy(r.queue, r.queue[r.head:])
-		clear(r.queue[n:])
-		r.queue, r.head = r.queue[:n], 0
-	}
-	r.start(next)
+	r.start(r.queue.Pop())
 }
 
 // Busy reports whether the resource is currently serving an item.
@@ -109,7 +118,7 @@ func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of items waiting (not including the one in
 // service).
-func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
+func (r *Resource) QueueLen() int { return r.queue.Len() }
 
 // Served returns the number of completed work items.
 func (r *Resource) Served() uint64 { return r.served }

@@ -199,20 +199,15 @@ func (imp *Import) Send(p *sim.Proc, offset int, data []byte, notify bool) uint6
 		if chunkLen > mtu {
 			chunkLen = mtu
 		}
-		chunk := data[sent : sent+chunkLen]
-		frame := &proto.Frame{
-			Type: proto.FrameData,
-			Dst:  imp.Remote,
-			Data: &proto.DataPayload{
-				BufID:     imp.BufID,
-				MsgID:     msgID,
-				MsgLen:    len(data),
-				BufOffset: offset + sent,
-				MsgOffset: sent,
-				Data:      chunk,
-				Notify:    notify,
-			},
-		}
+		frame := proto.NewData(imp.Remote, proto.DataPayload{
+			BufID:     imp.BufID,
+			MsgID:     msgID,
+			MsgLen:    len(data),
+			BufOffset: offset + sent,
+			MsgOffset: sent,
+			Data:      data[sent : sent+chunkLen],
+			Notify:    notify,
+		})
 		frame.Stamps.HostStart = start
 		ep.n.Send(p, frame)
 		sent += chunkLen
@@ -247,10 +242,6 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 		cw = &completionWindow{sparse: make(map[uint64]bool)}
 		ep.completed[f.Src] = cw
 	}
-	if debugVMMC {
-		fmt.Printf("[vmmcdbg node=%d] chunk src=%d msg=%d buf=%d len=%d msgoff=%d upTo=%d\n",
-			ep.node, f.Src, d.MsgID, d.BufID, len(d.Data), d.MsgOffset, cw.upTo)
-	}
 	if cw.done(d.MsgID) {
 		// Redelivered chunk of an already-completed message (possible
 		// across a generation reset): the write above is idempotent;
@@ -261,6 +252,12 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 	key := msgKey{f.Src, d.MsgID}
 	pm := ep.partial[key]
 	if pm == nil {
+		if len(d.Data) >= d.MsgLen {
+			// A chunk that carries the whole message (every message of
+			// at most one MTU) completes it without a partial record.
+			ep.complete(e, cw, f, f.Stamps)
+			return
+		}
 		pm = &partialMsg{}
 		ep.partial[key] = pm
 	}
@@ -271,16 +268,23 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 	if pm.received < d.MsgLen {
 		return
 	}
-	// Message complete.
 	delete(ep.partial, key)
+	first := pm.first
+	if d.MsgLen == 0 || first.HostStart == 0 {
+		first = f.Stamps
+	}
+	ep.complete(e, cw, f, first)
+}
+
+// complete records the message of f's chunk as complete and, if it asked
+// for one, posts its notification. first holds the stamps of the message's
+// first chunk.
+func (ep *Endpoint) complete(e *Export, cw *completionWindow, f *proto.Frame, first proto.Stamps) {
+	d := f.Data
 	cw.mark(d.MsgID)
 	ep.n.EmitMsgEvent(trace.EvMsgComplete, f.Src, d.MsgID)
 	if !d.Notify {
 		return
-	}
-	first := pm.first
-	if d.MsgLen == 0 || first.HostStart == 0 {
-		first = f.Stamps
 	}
 	e.Notify.Put(Notification{
 		Src:     f.Src,
@@ -298,9 +302,6 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 		},
 	})
 }
-
-// debugVMMC enables tracing of chunk arrivals (tests only).
-var debugVMMC = false
 
 // completionWindow tracks which message IDs from one source have
 // completed: everything ≤ upTo, plus a sparse set above it that is folded
@@ -340,6 +341,3 @@ func (e *Export) WaitNotificationTimeout(p *sim.Proc, d time.Duration) (Notifica
 	}
 	return v.(Notification), true
 }
-
-// SetDebug toggles chunk tracing.
-func SetDebug(v bool) { debugVMMC = v }

@@ -298,3 +298,88 @@ func TestCompletionWindowFoldsDense(t *testing.T) {
 		t.Fatalf("after fold: upTo=%d sparse=%d", cw.upTo, len(cw.sparse))
 	}
 }
+
+// TestRepeatedSendBufferUnderDrops sends one non-zero buffer again and
+// again under injected drops, as the micro-benchmarks send one zero
+// buffer. Data frames, and their go-back-N clones, point into the buffer
+// until they are acknowledged, so sharing it is safe only because no layer
+// writes a send buffer: every deposit must carry the buffer's bytes, and
+// the buffer must be unchanged afterwards.
+func TestRepeatedSendBufferUnderDrops(t *testing.T) {
+	r := newRig(t, 2, true, 0.1)
+	a, b := r.hosts[0], r.hosts[1]
+	ep := r.eps[b]
+	exp := ep.Export("inbox", 16*1024)
+	buf := make([]byte, 10000) // three chunks
+	for i := range buf {
+		buf[i] = byte(7*i + 1)
+	}
+	orig := append([]byte(nil), buf...)
+	deposits := 0
+	ep.NIC().SetOnDeliver(func(f *proto.Frame) {
+		d := f.Data
+		if !bytes.Equal(d.Data, orig[d.MsgOffset:d.MsgOffset+len(d.Data)]) {
+			t.Errorf("deposit of message %d at offset %d differs from the send buffer", d.MsgID, d.MsgOffset)
+		}
+		deposits++
+		ep.onDeliver(f)
+	})
+	const n = 30
+	r.k.Spawn("sender", func(p *sim.Proc) {
+		imp, _ := r.eps[a].Import(b, "inbox")
+		for i := 0; i < n; i++ {
+			imp.Send(p, 0, buf, true)
+		}
+	})
+	completed := 0
+	r.k.Spawn("receiver", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			note := exp.WaitNotification(p)
+			if !bytes.Equal(exp.Mem[note.Offset:note.Offset+note.Len], orig) {
+				t.Errorf("message %d landed with other bytes than the send buffer's", note.MsgID)
+			}
+			completed++
+		}
+	})
+	r.runFor(2 * time.Second)
+	if completed != n || deposits < 3*n {
+		t.Fatalf("completed %d of %d messages with %d deposits, want all and at least %d", completed, n, deposits, 3*n)
+	}
+	if got := r.eps[a].NIC().Counters().Get("pkts-retransmitted"); got == 0 {
+		t.Fatal("no retransmissions: the drops never exercised the go-back-N clones")
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Fatal("the send buffer was written")
+	}
+}
+
+// TestSingleChunkDeliverAllocs: a message of one chunk completes without
+// a partial-message record, so depositing it and marking it complete
+// allocates nothing when it asks for no notification. (Before: 1 alloc
+// per message, the partial record.)
+func TestSingleChunkDeliverAllocs(t *testing.T) {
+	r := newRig(t, 2, true, 0)
+	a, b := r.hosts[0], r.hosts[1]
+	ep := r.eps[b]
+	exp := ep.Export("inbox", 64)
+	f := proto.NewData(b, proto.DataPayload{BufID: exp.ID, MsgLen: 4, Data: []byte{1, 2, 3, 4}})
+	f.Src = a
+	id := uint64(0)
+	deliver := func() {
+		id++
+		f.Data.MsgID = id
+		f.Data.BufOffset = int(id % 16)
+		ep.onDeliver(f)
+	}
+	for i := 0; i < 64; i++ {
+		deliver()
+	}
+	avg := testing.AllocsPerRun(10000, deliver)
+	if avg != 0 {
+		t.Fatalf("a single-chunk deposit allocates %.2f allocs/op, want 0", avg)
+	}
+	if ep.DupNotifications != 0 || ep.RejectedDeposits != 0 || len(ep.partial) != 0 || !ep.completed[a].done(id) {
+		t.Fatalf("dups %d, rejected %d, partial %d, done(%d)=%v; want 0, 0, 0, true",
+			ep.DupNotifications, ep.RejectedDeposits, len(ep.partial), id, ep.completed[a].done(id))
+	}
+}
