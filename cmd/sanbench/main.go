@@ -11,60 +11,70 @@
 //	sanbench -fig 8            # queue sweep under errors (Fig. 8)
 //	sanbench -fig all          # everything
 //	sanbench -ablations        # piggyback + feedback-policy ablations
+//	sanbench -extensions -json # extension experiments as report JSON
 //	sanbench -full             # paper-scale traffic (slow)
-//	sanbench -parallel         # parallel-engine scaling curve -> BENCH_parallel.json
-//	sanbench -compare old.json new.json   # flag speedup regressions between two reports
+//
+// A flag the selected mode does not read (say -json with -fig) is an
+// error: exit status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"sanft"
-	"sanft/internal/benchcmp"
 	"sanft/internal/report"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8 or all")
-	full := flag.Bool("full", false, "paper-scale traffic (≥10 drops even at 1e-4; slow)")
-	ablations := flag.Bool("ablations", false, "run the protocol ablations instead of figures")
-	extensions := flag.Bool("extensions", false, "run the extension experiments (route quality, burst errors, state scaling, VI reliability levels)")
-	parallel := flag.Bool("parallel", false, "measure parallel engine + campaign pool scaling at 1/2/4/8 workers")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output path for the -parallel scaling report")
-	short := flag.Bool("short", false, "trim the -parallel workload for CI smoke runs (workers 1/2, fewer cases)")
-	date := flag.String("date", "", "run date stamped into the -parallel report (default: now, RFC 3339 UTC)")
-	asJSON := flag.Bool("json", false, "emit extension reports as JSON (with -extensions)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	compare := flag.Bool("compare", false, "compare two scaling reports: sanbench -compare old.json new.json")
-	tolerance := flag.Float64("tolerance", benchcmp.DefaultTolerance, "relative speedup drop treated as a regression by -compare")
-	warn := flag.Bool("warn", false, "with -compare: report regressions but exit 0 (CI warn-only mode)")
-	httpAddr := flag.String("http", "", "with -parallel: serve live telemetry (Prometheus /metrics, /debug/pprof, /progress) on this address")
-	profileOut := flag.String("profile-out", "", "with -parallel: write the full engine profiles (JSON) to this path")
-	profilePerfetto := flag.String("profile-perfetto", "", "with -parallel: record one extra untimed profiled run and write its wall-clock Perfetto trace here")
-	flag.Parse()
+var (
+	fig        = flag.String("fig", "all", "figure to regenerate: 3,4,5,6,7,8 or all")
+	full       = flag.Bool("full", false, "paper-scale traffic (≥10 drops even at 1e-4; slow)")
+	ablations  = flag.Bool("ablations", false, "run the protocol ablations instead of figures")
+	extensions = flag.Bool("extensions", false, "run the extension experiments (route quality, burst errors, state scaling, VI reliability levels)")
+	asJSON     = flag.Bool("json", false, "emit extension reports as JSON (with -extensions)")
+	seed       = flag.Int64("seed", 1, "simulation seed")
+)
 
-	if *compare {
-		runCompare(flag.Args(), *tolerance, *warn)
-		return
+// modeFlags lists, per mode, every flag that mode reads.
+var modeFlags = map[string][]string{
+	"fig":        {"fig", "full", "seed"},
+	"ablations":  {"ablations", "full", "seed"},
+	"extensions": {"extensions", "full", "seed", "json"},
+}
+
+// mode names the run the parsed flags select: -ablations wins over
+// -extensions, and figures are the default.
+func mode() string {
+	switch {
+	case *ablations:
+		return "ablations"
+	case *extensions:
+		return "extensions"
 	}
+	return "fig"
+}
 
-	if *parallel {
-		when := *date
-		if when == "" {
-			when = time.Now().UTC().Format(time.RFC3339)
+// strayFlags returns the flags set in fs that mode does not read.
+func strayFlags(fs *flag.FlagSet, mode string) []string {
+	var out []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(modeFlags[mode], f.Name) {
+			out = append(out, "-"+f.Name)
 		}
-		runParallelBench(*seed, parallelOpts{
-			out:         *parallelOut,
-			date:        when,
-			short:       *short,
-			httpAddr:    *httpAddr,
-			profileOut:  *profileOut,
-			perfettoOut: *profilePerfetto,
-		})
-		return
+	})
+	return out
+}
+
+func main() {
+	flag.Parse()
+	m := mode()
+	if stray := strayFlags(flag.CommandLine, m); len(stray) > 0 {
+		fmt.Fprintf(os.Stderr, "sanbench: %s not read in -%s mode\n", strings.Join(stray, ", "), m)
+		os.Exit(2)
 	}
 
 	opt := sanft.Options{Seed: *seed}
@@ -116,41 +126,6 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("(regenerated in %v wall time)\n", time.Since(start).Round(time.Millisecond))
-}
-
-// runCompare is the -compare entrypoint: load two scaling reports, print
-// the per-configuration speedup deltas, and exit 1 on any regression
-// beyond the tolerance (unless -warn).
-func runCompare(args []string, tol float64, warn bool) {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: sanbench -compare [-tolerance 0.10] [-warn] old.json new.json")
-		os.Exit(2)
-	}
-	old, err := benchcmp.Load(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sanbench: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := benchcmp.Load(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sanbench: %v\n", err)
-		os.Exit(2)
-	}
-	ds := benchcmp.Compare(old, cur, tol)
-	fmt.Printf("old: %s (%s)\nnew: %s (%s)\n", args[0], old.Date, args[1], cur.Date)
-	if cur.Interrupted {
-		fmt.Println("note: new report is partial (run was interrupted)")
-	}
-	fmt.Print(benchcmp.Table(ds, tol).String())
-	if benchcmp.AnyRegression(ds) {
-		if warn {
-			fmt.Println("PERF WARNING: speedup regression beyond tolerance (warn-only mode)")
-			return
-		}
-		fmt.Println("PERF REGRESSION: speedup dropped beyond tolerance")
-		os.Exit(1)
-	}
-	fmt.Println("no speedup regressions")
 }
 
 func runAblations(opt sanft.Options) {

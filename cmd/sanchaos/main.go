@@ -29,7 +29,7 @@
 // torus:HP,D1,D2,...). flapstorm and gray run on the sharded parallel
 // engine — -workers then sets the engine's OS-thread count, and results
 // are byte-identical for any value. stalemap needs the on-demand mapper
-// and therefore runs the sequential stale-map campaign (-topo is ignored).
+// and therefore runs the sequential stale-map campaign, without -topo.
 //
 // -liveness runs every selected campaign twice — once under the paper's
 // fixed-timer baseline and once with per-path liveness sessions plus
@@ -43,7 +43,8 @@
 // simulation; reports are gathered by grid index and printed in campaign,
 // then seed, order — identical output for any worker count.
 //
-// Exit status is nonzero if any campaign violates an invariant.
+// Exit status is nonzero if any campaign violates an invariant, and 2 for
+// a flag the selected mode does not read (say -events under flapstorm).
 package main
 
 import (
@@ -53,6 +54,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -65,29 +68,75 @@ import (
 	"sanft/internal/trace"
 )
 
-func main() {
-	campaign := flag.String("campaign", "all", "campaign name, or \"all\"")
-	seed := flag.Int64("seed", 1, "campaign seed (drives fault schedule and traffic)")
-	reps := flag.Int("reps", 1, "replicas per campaign: seeds seed..seed+reps-1")
-	workers := flag.Int("workers", 1, "campaign pool workers (0 = GOMAXPROCS)")
-	liveness := flag.Bool("liveness", false,
+var (
+	campaign = flag.String("campaign", "all", "campaign name, or \"all\"")
+	seed     = flag.Int64("seed", 1, "campaign seed (drives fault schedule and traffic)")
+	reps     = flag.Int("reps", 1, "replicas per campaign: seeds seed..seed+reps-1")
+	workers  = flag.Int("workers", 1, "campaign pool workers (0 = GOMAXPROCS)")
+	liveness = flag.Bool("liveness", false,
 		"run each campaign under both the baseline and the liveness/adaptive variant")
-	events := flag.Bool("events", false, "print the full event log per campaign")
-	asJSON := flag.Bool("json", false, "emit one JSON object per campaign instead of text")
-	list := flag.Bool("list", false, "list available campaigns and exit")
-	topo := flag.String("topo", "fattree:8",
+	events = flag.Bool("events", false, "print the full event log per campaign")
+	asJSON = flag.Bool("json", false, "emit one JSON object per campaign instead of text")
+	list   = flag.Bool("list", false, "list available campaigns and exit")
+	topo   = flag.String("topo", "fattree:8",
 		"scale-run topology spec: fattree:K | dragonfly:A,P,H | torus:HP,D1,D2,...")
-	scenario := flag.String("scenario", "",
+	scenario = flag.String("scenario", "",
 		"scale scenario: flapstorm | gray (sharded, on -topo) | stalemap (sequential campaign)")
-	flows := flag.Int("flows", 0, "scale-run flow count (0 = one per host)")
-	httpAddr := flag.String("http", "",
+	flows    = flag.Int("flows", 0, "scale-run flow count (0 = one per host)")
+	httpAddr = flag.String("http", "",
 		"serve live telemetry on this address during the grid: Prometheus /metrics (cumulative across finished runs), /progress, /debug/pprof")
-	httpHold := flag.Duration("http-hold", 0,
+	httpHold = flag.Duration("http-hold", 0,
 		"with -http: keep the telemetry server up this long after the grid finishes (final scrape window)")
+)
+
+// modeFlags lists, per mode, every flag that mode reads.
+var modeFlags = map[string][]string{
+	"list":     {"list"},
+	"campaign": {"campaign", "seed", "reps", "workers", "liveness", "events", "json", "http", "http-hold"},
+	"scale":    {"scenario", "topo", "seed", "reps", "workers", "flows", "json"},
+	"stalemap": {"scenario", "seed", "reps", "events", "json"},
+}
+
+// mode names the run the parsed flags select: -list, a sharded scale
+// scenario on -topo, the sequential stale-map campaign, or the campaign
+// grid (the default).
+func mode() string {
+	switch {
+	case *list:
+		return "list"
+	case *scenario == "stalemap":
+		return "stalemap"
+	case *scenario != "":
+		return "scale"
+	}
+	return "campaign"
+}
+
+// strayFlags returns the flags set in fs that mode does not read. The
+// campaign grid reads -http-hold only alongside -http.
+func strayFlags(fs *flag.FlagSet, mode string) []string {
+	var out []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(modeFlags[mode], f.Name) {
+			out = append(out, "-"+f.Name)
+		}
+	})
+	if mode == "campaign" && *httpAddr == "" && *httpHold != 0 {
+		out = append(out, "-http-hold")
+	}
+	return out
+}
+
+func main() {
 	flag.Parse()
+	m := mode()
+	if stray := strayFlags(flag.CommandLine, m); len(stray) > 0 {
+		fmt.Fprintf(os.Stderr, "sanchaos: %s not read in %s mode\n", strings.Join(stray, ", "), m)
+		os.Exit(2)
+	}
 
 	all := chaos.Campaigns()
-	if *list {
+	if m == "list" {
 		for _, c := range all {
 			fmt.Printf("%-16s %s\n", c.Name, c.About)
 		}
@@ -99,7 +148,7 @@ func main() {
 	if *reps < 1 {
 		*reps = 1
 	}
-	if *scenario != "" {
+	if m != "campaign" {
 		os.Exit(runScale(*scenario, *topo, *seed, *reps, *workers, *flows, *events, *asJSON))
 	}
 

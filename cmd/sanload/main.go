@@ -9,7 +9,8 @@
 // through the parsim pool: the same seed produces byte-identical tables
 // for any -workers value, and each replica's run is audited by the
 // chaos invariant oracle (complete delivery, exactly-once notification,
-// no leaked buffers, bounded remapping).
+// no leaked buffers, bounded remapping) once it has stopped admitting
+// operations at -dur and drained.
 //
 // Usage:
 //

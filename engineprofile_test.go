@@ -2,6 +2,7 @@ package sanft
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"runtime"
@@ -95,6 +96,82 @@ func TestEngineProfileAccountingInvariant(t *testing.T) {
 	if w0 := &p.Workers[0]; w0.AwakeNS != p.Engine.RunWallNS {
 		t.Errorf("coordinator awake %dns vs run wall %dns", w0.AwakeNS, p.Engine.RunWallNS)
 	}
+}
+
+// TestEngineProfileSpans drives Cluster.ProfileSpans end to end on the
+// gate scenario: the capped per-worker span logs render a Perfetto trace
+// that parses, names the track of every span, holds no worker above the
+// cap and reports the spans the cap turned away, while the simulation's
+// observable output stays byte-identical to an unprofiled run.
+func TestEngineProfileSpans(t *testing.T) {
+	const spanCap = 64
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+
+	run := func(profiled bool) (*Cluster, []byte) {
+		f := NewFig2()
+		opts := append(gateOptions(f, 7), WithEngine(EngineSharded), WithWorkers(2))
+		if profiled {
+			opts = append(opts, WithEngineProfiling())
+		}
+		s := New(opts...)
+		s.ProfileSpans(spanCap) // a no-op without profiling
+		gateFlaps(s)
+		s.StartFlows(gateFlows(f), 8, 512, 200*time.Microsecond)
+		s.RunFor(40 * time.Millisecond)
+		dump := s.DumpObservables()
+		s.Stop()
+		return s, dump
+	}
+	_, base := run(false)
+	s, dump := run(true)
+	if !bytes.Equal(dump, base) {
+		t.Fatal("span-profiled dump diverged from the unprofiled run")
+	}
+
+	p := s.EngineProfile()
+	if p.SpansDropped == 0 {
+		t.Fatalf("%d spans recorded and none dropped: the cap of %d per worker never bit", len(p.Spans), spanCap)
+	}
+	var buf bytes.Buffer
+	if err := p.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Tid  int    `json:"tid"`
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("Perfetto trace is not JSON: %v", err)
+	}
+	named := map[int]bool{}
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "M" && e.Name == "thread_name" {
+			named[e.Tid] = true
+		}
+	}
+	perWorker := map[int]int{}
+	for _, e := range trace.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		if !named[e.Tid] {
+			t.Fatalf("span %q on tid %d has no thread_name record", e.Name, e.Tid)
+		}
+		perWorker[e.Tid]++
+	}
+	if len(perWorker) == 0 {
+		t.Fatal("trace holds no spans")
+	}
+	for w, n := range perWorker {
+		if n > spanCap {
+			t.Errorf("worker %d holds %d spans, cap %d", w, n, spanCap)
+		}
+	}
+	t.Logf("%d spans over %d workers, %d dropped", len(p.Spans), len(perWorker), p.SpansDropped)
 }
 
 // TestEngineProfileSequential: the sequential engine has no epoch loop to

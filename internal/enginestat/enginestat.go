@@ -191,13 +191,15 @@ func hitRate(gets, misses uint64) float64 {
 // Profile is the collected, serializable result of a profiled run:
 // engine totals, per-worker wall-clock accounts, per-shard kernel
 // counters, pool traffic, and (when span recording was enabled) the
-// wall-clock spans for the Perfetto export.
+// wall-clock spans for the Perfetto export. SpansDropped counts the spans
+// the per-worker caps turned away, so a truncated trace says so.
 type Profile struct {
-	Engine  EngineStat   `json:"engine"`
-	Workers []WorkerStat `json:"workers,omitempty"`
-	Kernels []KernelStat `json:"kernels,omitempty"`
-	Pools   PoolStat     `json:"pools"`
-	Spans   []Span       `json:"-"`
+	Engine       EngineStat   `json:"engine"`
+	Workers      []WorkerStat `json:"workers,omitempty"`
+	Kernels      []KernelStat `json:"kernels,omitempty"`
+	Pools        PoolStat     `json:"pools"`
+	Spans        []Span       `json:"-"`
+	SpansDropped uint64       `json:"spans_dropped,omitempty"`
 }
 
 // AddFrom folds src into p. Every field is a commutative sum (workers and
@@ -228,6 +230,7 @@ func (p *Profile) AddFrom(src *Profile) {
 	}
 	p.Pools.add(&src.Pools)
 	p.Spans = append(p.Spans, src.Spans...)
+	p.SpansDropped += src.SpansDropped
 }
 
 // MergeWorkers flattens per-worker stats into one total, the order-free
@@ -250,8 +253,9 @@ func (p *Profile) TotalEvents() uint64 {
 	return t
 }
 
-// Summary is the compact derived view of a Profile — the row-sized
-// explanation embedded next to each BENCH_parallel.json measurement.
+// Summary is the compact derived view of a Profile: ratios and peaks
+// small enough to report beside one measurement (the benchmark reads its
+// busy and stall fractions).
 type Summary struct {
 	Epochs          uint64  `json:"epochs"`
 	BarrierEpochs   uint64  `json:"barrier_epochs"`

@@ -69,6 +69,9 @@ func TestAddFromCommutative(t *testing.T) {
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("AddFrom not commutative:\na+b:\n%s\nb+a:\n%s", ja, jb)
 	}
+	if a1.SpansDropped != 3 || !bytes.Contains(ja, []byte(`"spans_dropped": 3`)) {
+		t.Fatalf("merged SpansDropped = %d, want 3 and rendered", a1.SpansDropped)
+	}
 	var ta, tb bytes.Buffer
 	if err := a1.WriteChromeTrace(&ta); err != nil {
 		t.Fatal(err)
@@ -97,6 +100,7 @@ func otherProfile() *Profile {
 	}
 	p.Pools = PoolStat{FrameGets: 100, FrameMisses: 2, PacketGets: 90, PacketMisses: 1}
 	p.Spans = []Span{{Worker: 1, Kind: SpanShard, Shard: 3, StartNS: 90, EndNS: 110}}
+	p.SpansDropped = 3
 	return p
 }
 

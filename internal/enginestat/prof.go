@@ -53,15 +53,6 @@ func (p *EngineProf) EnableSpans(capPerWorker int) {
 	}
 }
 
-// SpansDropped sums spans dropped over the per-worker caps.
-func (p *EngineProf) SpansDropped() uint64 {
-	var n uint64
-	for _, lg := range p.logs {
-		n += lg.Dropped()
-	}
-	return n
-}
-
 // Snapshot copies the recorded stats into a standalone Profile. Only
 // valid while the engine is quiescent (between Run calls).
 func (p *EngineProf) Snapshot() *Profile {
@@ -70,6 +61,7 @@ func (p *EngineProf) Snapshot() *Profile {
 	for _, lg := range p.logs {
 		if lg != nil {
 			out.Spans = append(out.Spans, lg.spans...)
+			out.SpansDropped += lg.Dropped()
 		}
 	}
 	return out

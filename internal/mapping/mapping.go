@@ -92,15 +92,6 @@ type Stats struct {
 // Total returns the total probe message count.
 func (s Stats) Total() int { return s.HostProbes + s.SwitchProbes }
 
-func (s Stats) add(o Stats) Stats {
-	s.HostProbes += o.HostProbes
-	s.SwitchProbes += o.SwitchProbes
-	s.Elapsed += o.Elapsed
-	s.SwitchesFound += o.SwitchesFound
-	s.HostsFound += o.HostsFound
-	return s
-}
-
 // portContent describes what a probed switch port leads to.
 type portContent struct {
 	kind portKind
@@ -174,9 +165,7 @@ type Mapper struct {
 	nextProbeID uint64
 	pending     map[uint64]*sim.Mailbox
 
-	runs   int
-	totals Stats
-	mx     *metrics.Scope
+	mx *metrics.Scope
 }
 
 // New attaches a mapper to a NIC (it takes over the NIC's probe upcall).
@@ -194,15 +183,6 @@ func New(k *sim.Kernel, n *nic.NIC, cfg Config) *Mapper {
 
 // NIC returns the NIC the mapper drives.
 func (m *Mapper) NIC() *nic.NIC { return m.n }
-
-// Runs returns how many mapping runs (on-demand or full) this mapper has
-// executed.
-func (m *Mapper) Runs() int { return m.runs }
-
-// Totals returns per-run statistics accumulated across every mapping run —
-// the probe-count and mapping-time cost of all recovery activity so far,
-// for degradation reports.
-func (m *Mapper) Totals() Stats { return m.totals }
 
 func (m *Mapper) onProbe(f *proto.Frame) {
 	if f.Probe == nil {
@@ -291,8 +271,6 @@ func (m *Mapper) run(p *sim.Proc, target topology.NodeID) (mp *Map, st Stats) {
 	start := p.Now()
 	defer func() {
 		st.Elapsed = p.Now().Sub(start)
-		m.runs++
-		m.totals = m.totals.add(st)
 		m.mx.Add("mapping.runs", 1)
 		m.mx.Observe("mapping.run_ns", st.Elapsed)
 	}()

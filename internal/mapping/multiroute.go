@@ -126,9 +126,7 @@ func (m *Mapper) MapToK(p *sim.Proc, target topology.NodeID, k int) ([]Candidate
 // (plus, on silence, one probe timeout) against a full mapping run — the
 // cheap path of storm recovery.
 func (m *Mapper) ProbeRoute(p *sim.Proc, dst topology.NodeID, cand Candidate) bool {
-	var st Stats
-	host, ok := m.probeHost(p, &st, cand.Fwd, cand.Rev)
-	m.totals = m.totals.add(st)
+	host, ok := m.probeHost(p, &Stats{}, cand.Fwd, cand.Rev)
 	return ok && host == dst
 }
 

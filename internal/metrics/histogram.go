@@ -237,7 +237,3 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	s.P999NS = int64(s.Quantile(0.999))
 	s.P9999NS = int64(s.Quantile(0.9999))
 }
-
-// BucketUpperBound exposes the decode side of the bucket mapping for
-// exporters and tests: the largest nanosecond value in bucket idx.
-func BucketUpperBound(idx int) int64 { return bucketUpper(idx) }

@@ -142,10 +142,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Epoch returns the activity epoch: it changes iff an observation was
-// recorded since the last change.
-func (r *Registry) Epoch() uint64 { return r.epoch }
-
 // Counter returns (creating if needed) the counter name{labels}.
 func (r *Registry) Counter(name string, ls Labels) *Counter {
 	id := ident(name, ls)

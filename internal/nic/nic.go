@@ -288,12 +288,6 @@ func (n *NIC) EmitMsgEvent(kind trace.Kind, peer topology.NodeID, msg uint64) {
 // Tracer returns the tracer wired into this NIC (nil if none).
 func (n *NIC) Tracer() trace.Tracer { return n.opts.Tracer }
 
-// InRemap reports whether the NIC is holding stale-path/no-route upcalls
-// for dst because a remap is (believed to be) in progress. At quiesce this
-// should be false for every destination with pending traffic — true there
-// means the recovery path wedged.
-func (n *NIC) InRemap(dst topology.NodeID) bool { return n.inRemap[dst] }
-
 // PendingDelayedAcks returns the number of armed delayed-ack timers — a
 // quiesce invariant: after traffic drains, every requested ack must have
 // been emitted (piggybacked or explicit) and no timer left armed.
@@ -364,9 +358,6 @@ func (n *NIC) PCI() *sim.Resource { return n.pci }
 
 // ProtoSender exposes retransmission-protocol sender state (nil without FT).
 func (n *NIC) ProtoSender() *retrans.Sender { return n.snd }
-
-// ProtoReceiver exposes protocol receiver state (nil without FT).
-func (n *NIC) ProtoReceiver() *retrans.Receiver { return n.rcv }
 
 // FreeBuffers returns the number of free send buffers.
 func (n *NIC) FreeBuffers() int { return n.freeBuffers }

@@ -18,7 +18,6 @@ import (
 // near the root.
 type UpDown struct {
 	nw    *topology.Network
-	root  topology.NodeID
 	level map[topology.NodeID]int
 }
 
@@ -40,7 +39,7 @@ func NewUpDown(nw *topology.Network, root topology.NodeID) (*UpDown, error) {
 	if root == topology.None {
 		return nil, fmt.Errorf("routing: empty network")
 	}
-	ud := &UpDown{nw: nw, root: root, level: make(map[topology.NodeID]int)}
+	ud := &UpDown{nw: nw, level: make(map[topology.NodeID]int)}
 	// BFS levels over usable links.
 	ud.level[root] = 0
 	queue := []topology.NodeID{root}
@@ -65,9 +64,6 @@ func NewUpDown(nw *topology.Network, root topology.NodeID) (*UpDown, error) {
 	}
 	return ud, nil
 }
-
-// Root returns the spanning-tree root.
-func (ud *UpDown) Root() topology.NodeID { return ud.root }
 
 // Level returns the BFS level of a node (distance from root), or -1 if the
 // node is unreachable from the root.

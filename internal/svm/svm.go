@@ -152,9 +152,6 @@ func New(c *core.Cluster, hosts []topology.NodeID, cfg Config) *System {
 	return s
 }
 
-// NumPages returns the page count of the shared space.
-func (s *System) NumPages() int { return s.numPages }
-
 // Size returns the usable shared space in bytes.
 func (s *System) Size() int { return s.numPages * PageSize }
 

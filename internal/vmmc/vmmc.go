@@ -332,12 +332,3 @@ func (c *completionWindow) mark(id uint64) {
 func (e *Export) WaitNotification(p *sim.Proc) Notification {
 	return e.Notify.Get(p).(Notification)
 }
-
-// WaitNotificationTimeout is WaitNotification with a timeout.
-func (e *Export) WaitNotificationTimeout(p *sim.Proc, d time.Duration) (Notification, bool) {
-	v, ok := e.Notify.GetTimeout(p, d)
-	if !ok {
-		return Notification{}, false
-	}
-	return v.(Notification), true
-}

@@ -96,6 +96,9 @@ type Driver struct {
 	issued, completed, errors, spurious uint64
 	payloadBytes                        uint64
 	swept                               bool
+	// halted stops admission: a generator that wakes after the grid
+	// sets it returns without issuing, and the cluster drains.
+	halted bool
 }
 
 // Attach builds the workload over the engine's cluster. clientHosts and
@@ -462,10 +465,14 @@ func (d *Driver) spawnSweeper() {
 // stamps its slot and sends the request. scheduled < 0 means "stamp at
 // admission" (closed loop); open loop passes the virtual arrival time,
 // so admission queueing counts toward latency (no coordinated omission).
-func (d *Driver) issueOp(p *sim.Proc, cl *clientState, scheduled sim.Time) {
+// It reports false, admitting nothing, once the driver is halted.
+func (d *Driver) issueOp(p *sim.Proc, cl *clientState, scheduled sim.Time) bool {
 	seq := cl.nextSeq + 1
 	for cl.outstanding >= d.maxOut || cl.ops[int(seq)%slotsPerClient].active {
 		cl.gate.Wait(p)
+	}
+	if d.halted {
+		return false
 	}
 	cl.nextSeq = seq
 	if scheduled < 0 {
@@ -503,6 +510,7 @@ func (d *Driver) issueOp(p *sim.Proc, cl *clientState, scheduled sim.Time) {
 	d.win(d.windowIdx(scheduled)).Issued++
 	d.send(p, cl.reqImp, cl.host, d.serverHosts[cl.primary], d.reqOff(opID),
 		encodeMsg(opID, kind, 0, reqLen))
+	return true
 }
 
 // Result assembles the SLO outcome after the cluster has stopped.

@@ -49,7 +49,9 @@ func (d *Driver) runOpen(p *sim.Proc, cl *clientState) {
 		if now := p.Now(); next.After(now) {
 			p.Sleep(next.Sub(now))
 		}
-		d.issueOp(p, cl, next)
+		if !d.issueOp(p, cl, next) {
+			return
+		}
 	}
 }
 
@@ -62,6 +64,8 @@ func (d *Driver) runClosed(p *sim.Proc, cl *clientState) {
 		if k > 0 && d.Spec.Think > 0 {
 			p.Sleep(time.Duration(cl.rng.ExpFloat64() * float64(d.Spec.Think)))
 		}
-		d.issueOp(p, cl, -1)
+		if !d.issueOp(p, cl, -1) {
+			return
+		}
 	}
 }

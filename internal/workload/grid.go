@@ -214,6 +214,12 @@ func RunGrid(o GridOpts) (GridResult, error) {
 // runReplica builds one cluster, attaches the workload, runs the fault
 // schedule, and audits the run. Each replica owns a fresh topology
 // build — faults mutate the network, so replicas cannot share one.
+//
+// The SLO outcome is judged at dur. Admission then stops, and the run
+// continues for one operation deadline, by which every admitted
+// operation has completed or expired, plus a second for the NICs to
+// retransmit and acknowledge what the expired ones left in flight. Only
+// then is the quiesce state audited.
 func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replicaOut {
 	b, err := topology.ParseSpec(cell.topo)
 	if err != nil {
@@ -247,9 +253,11 @@ func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replic
 	}
 
 	c.RunFor(dur)
+	out := replicaOut{res: d.Result(cell.topo, cell.fault, dur)}
+	d.halted = true
+	c.RunFor(2 * d.Spec.Timeout)
 	c.Stop()
 
-	out := replicaOut{res: d.Result(cell.topo, cell.fault, dur)}
 	// The grid's faults all heal (flaps end, the drop ramp returns to
 	// zero), so the full contract applies: complete delivery, no
 	// duplicates, bounded remapping.

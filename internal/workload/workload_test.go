@@ -178,6 +178,44 @@ func TestGridSmoke(t *testing.T) {
 	}
 }
 
+// A run cut short of its operation budget still audits clean: the grid
+// stops admitting at Dur and drains before CheckInvariants reads the
+// quiesce state.
+func TestGridDrainsBeforeAudit(t *testing.T) {
+	var specs []Spec
+	for _, proto := range []Proto{ProtoRPC, ProtoKV, ProtoStream} {
+		for _, mode := range []Mode{ModeOpen, ModeClosed} {
+			specs = append(specs, Spec{Proto: proto, Mode: mode, Clients: 8, Ops: 400,
+				Rate: 20000, Think: 2 * time.Millisecond})
+		}
+	}
+	const dur = 10 * time.Millisecond
+	g, err := RunGrid(GridOpts{
+		Topos: []string{"fattree:4"},
+		Specs: specs,
+		Seed:  1,
+		Dur:   dur,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range g.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	cut := 0
+	for _, res := range g.Results {
+		if res.ElapsedNS != int64(dur) {
+			t.Errorf("%s judged over %v, want %v", res.Scenario, time.Duration(res.ElapsedNS), dur)
+		}
+		if res.Issued < 400 {
+			cut++
+		}
+	}
+	if cut == 0 {
+		t.Fatal("every cell issued its whole budget by Dur: the gate never stops admission")
+	}
+}
+
 // Bad grid inputs fail fast with errors, not worker panics.
 func TestGridValidation(t *testing.T) {
 	if _, err := RunGrid(GridOpts{Topos: []string{"nosuch:1"},

@@ -129,12 +129,12 @@ type (
 	TraceRecovery = trace.RecoveryTimeline
 
 	// EngineProfile is the engine self-profiler's collected result
-	// (enable with WithEngineProfiling, read with Cluster.EngineProfile);
-	// EngineProfileSummary its compact derived view; TelemetryServer the
-	// live HTTP endpoint started by WithTelemetryServer.
-	EngineProfile        = enginestat.Profile
-	EngineProfileSummary = enginestat.Summary
-	TelemetryServer      = enginestat.Server
+	// (enable with WithEngineProfiling, record wall-clock spans with
+	// Cluster.ProfileSpans, read with Cluster.EngineProfile);
+	// TelemetryServer the live HTTP endpoint started by
+	// WithTelemetryServer.
+	EngineProfile   = enginestat.Profile
+	TelemetryServer = enginestat.Server
 )
 
 // NewTraceRing returns a ring-buffer tracer holding up to n events; wire
