@@ -87,6 +87,7 @@ func kernelStat(shard int, k *sim.Kernel) enginestat.KernelStat {
 		Executed:       ks.Executed,
 		Pending:        ks.Pending,
 		ArenaHighWater: ks.ArenaHighWater,
+		Switches:       ks.Switches,
 	}
 }
 

@@ -152,7 +152,8 @@ func (e *EngineStat) add(src *EngineStat) {
 	e.ActiveShardSum += src.ActiveShardSum
 }
 
-// KernelStat is one shard kernel's event-machinery account.
+// KernelStat is one shard kernel's event-machinery account. Switches
+// counts the handoffs of its event loop between goroutines (sim.Proc).
 type KernelStat struct {
 	Shard          int    `json:"shard"`
 	Scheduled      uint64 `json:"scheduled"`
@@ -160,6 +161,7 @@ type KernelStat struct {
 	Executed       uint64 `json:"executed"`
 	Pending        int    `json:"pending"`
 	ArenaHighWater int    `json:"arena_high_water"`
+	Switches       uint64 `json:"switches"`
 }
 
 // PoolStat is the frame/packet pool traffic observed during a profiled
@@ -227,6 +229,7 @@ func (p *Profile) AddFrom(src *Profile) {
 		if s.ArenaHighWater > k.ArenaHighWater {
 			k.ArenaHighWater = s.ArenaHighWater
 		}
+		k.Switches += s.Switches
 	}
 	p.Pools.add(&src.Pools)
 	p.Spans = append(p.Spans, src.Spans...)
@@ -350,8 +353,8 @@ func (p *Profile) WriteText(w io.Writer) error {
 		b.WriteString("kernels:\n")
 		for i := range p.Kernels {
 			k := &p.Kernels[i]
-			fmt.Fprintf(&b, "  shard %-4d scheduled=%d cancelled=%d executed=%d pending=%d arena_high_water=%d\n",
-				k.Shard, k.Scheduled, k.Cancelled, k.Executed, k.Pending, k.ArenaHighWater)
+			fmt.Fprintf(&b, "  shard %-4d scheduled=%d cancelled=%d executed=%d pending=%d arena_high_water=%d switches=%d\n",
+				k.Shard, k.Scheduled, k.Cancelled, k.Executed, k.Pending, k.ArenaHighWater, k.Switches)
 		}
 	}
 	fmt.Fprintf(&b, "pools: frame gets=%d misses=%d hit=%.4g  packet gets=%d misses=%d hit=%.4g\n",

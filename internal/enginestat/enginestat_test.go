@@ -30,8 +30,8 @@ func fixedProfile() *Profile {
 			Wakes: 3, Parks: 3, Events: 5000},
 	}
 	p.Kernels = []KernelStat{
-		{Shard: 0, Scheduled: 5000, Cancelled: 120, Executed: 4800, Pending: 80, ArenaHighWater: 64},
-		{Shard: 1, Scheduled: 4000, Cancelled: 90, Executed: 3900, Pending: 10, ArenaHighWater: 32},
+		{Shard: 0, Scheduled: 5000, Cancelled: 120, Executed: 4800, Pending: 80, ArenaHighWater: 64, Switches: 700},
+		{Shard: 1, Scheduled: 4000, Cancelled: 90, Executed: 3900, Pending: 10, ArenaHighWater: 32, Switches: 40},
 	}
 	p.Pools = PoolStat{FrameGets: 10000, FrameMisses: 120, PacketGets: 8000, PacketMisses: 50}
 	p.Spans = []Span{
@@ -72,6 +72,9 @@ func TestAddFromCommutative(t *testing.T) {
 	if a1.SpansDropped != 3 || !bytes.Contains(ja, []byte(`"spans_dropped": 3`)) {
 		t.Fatalf("merged SpansDropped = %d, want 3 and rendered", a1.SpansDropped)
 	}
+	if got := a1.Kernels[0].Switches; got != 706 || !bytes.Contains(ja, []byte(`"switches": 706`)) {
+		t.Fatalf("merged shard-0 Switches = %d, want 700+6 and rendered", got)
+	}
 	var ta, tb bytes.Buffer
 	if err := a1.WriteChromeTrace(&ta); err != nil {
 		t.Fatal(err)
@@ -96,7 +99,7 @@ func otherProfile() *Profile {
 			AwakeNS: 950_000, Claims: 9, Events: 400},
 	}
 	p.Kernels = []KernelStat{
-		{Shard: 0, Scheduled: 500, Cancelled: 10, Executed: 480, Pending: 10, ArenaHighWater: 128},
+		{Shard: 0, Scheduled: 500, Cancelled: 10, Executed: 480, Pending: 10, ArenaHighWater: 128, Switches: 6},
 	}
 	p.Pools = PoolStat{FrameGets: 100, FrameMisses: 2, PacketGets: 90, PacketMisses: 1}
 	p.Spans = []Span{{Worker: 1, Kind: SpanShard, Shard: 3, StartNS: 90, EndNS: 110}}

@@ -163,7 +163,7 @@ type Mapper struct {
 	cfg Config
 
 	nextProbeID uint64
-	pending     map[uint64]*sim.Mailbox
+	pending     map[uint64]*sim.Mailbox[*proto.Frame]
 
 	mx *metrics.Scope
 }
@@ -174,7 +174,7 @@ type Mapper struct {
 func New(k *sim.Kernel, n *nic.NIC, cfg Config) *Mapper {
 	m := &Mapper{
 		k: k, n: n, cfg: cfg.Defaults(),
-		pending: make(map[uint64]*sim.Mailbox),
+		pending: make(map[uint64]*sim.Mailbox[*proto.Frame]),
 		mx:      n.MetricsScope(),
 	}
 	n.SetOnProbe(m.onProbe)
@@ -198,7 +198,7 @@ func (m *Mapper) onProbe(f *proto.Frame) {
 func (m *Mapper) sendProbeAndWait(p *sim.Proc, typ proto.FrameType, route, ret routing.Route) (*proto.Frame, bool) {
 	m.nextProbeID++
 	id := m.nextProbeID
-	mb := &sim.Mailbox{}
+	mb := &sim.Mailbox[*proto.Frame]{}
 	m.pending[id] = mb
 	defer delete(m.pending, id)
 	f := &proto.Frame{
@@ -211,11 +211,7 @@ func (m *Mapper) sendProbeAndWait(p *sim.Proc, typ proto.FrameType, route, ret r
 		},
 	}
 	m.n.SendControl(f, route)
-	v, ok := mb.GetTimeout(p, m.cfg.ProbeTimeout)
-	if !ok {
-		return nil, false
-	}
-	return v.(*proto.Frame), true
+	return mb.GetTimeout(p, m.cfg.ProbeTimeout)
 }
 
 // probeHost checks whether a host answers at the end of `route`; ret is the

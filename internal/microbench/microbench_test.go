@@ -129,3 +129,45 @@ func TestTinyQueueLimitsBandwidth(t *testing.T) {
 		t.Fatalf("q=2 (%.1f MB/s) should clearly underperform q=8 (%.1f MB/s)", q2.MBps, q8.MBps)
 	}
 }
+
+// TestPingPongSwitches: in a ping-pong each side runs the event loop
+// while it waits, so a round trip costs at most two goroutine switches
+// (one to each side's wake-up) plus the run's start and end, at any
+// message size. Before the loop followed the waiting Proc, every wake-up
+// was a two-switch round trip through a kernel goroutine: 8 per round
+// trip at 4 B and 4 KB, 68 at 64 KB.
+func TestPingPongSwitches(t *testing.T) {
+	const iters, slack = 50, 8
+	for _, size := range []int{4, 4096, 65536} {
+		c := cluster(true, 32, time.Millisecond, 0)
+		res := PingPong(c, size, iters)
+		if res.Messages != iters {
+			t.Fatalf("size %d: %d round trips, want %d", size, res.Messages, iters)
+		}
+		got := c.K.Stats().Switches
+		t.Logf("size %d: %.2f switches per round trip", size, float64(got)/iters)
+		if got > 2*iters+slack {
+			t.Fatalf("size %d: %d round trips cost %d switches, want at most %d",
+				size, iters, got, 2*iters+slack)
+		}
+	}
+}
+
+// TestUnidirectionalSwitches: a streaming sender and its receiver cost at
+// most two goroutine switches per message plus the run's start and end.
+func TestUnidirectionalSwitches(t *testing.T) {
+	const iters, slack = 200, 8
+	for _, size := range []int{4, 65536} {
+		c := cluster(true, 32, time.Millisecond, 0)
+		res := Unidirectional(c, size, iters)
+		if res.Messages != iters {
+			t.Fatalf("size %d: %d messages, want %d", size, res.Messages, iters)
+		}
+		got := c.K.Stats().Switches
+		t.Logf("size %d: %.2f switches per message", size, float64(got)/iters)
+		if got > 2*iters+slack {
+			t.Fatalf("size %d: %d messages cost %d switches, want at most %d",
+				size, iters, got, 2*iters+slack)
+		}
+	}
+}

@@ -246,7 +246,7 @@ func TestPiggybackAcksOnTwoWayTraffic(t *testing.T) {
 	const rounds = 30
 	// Ping-pong: piggybacking should carry almost all acks.
 	done := 0
-	var mbA, mbB sim.Mailbox
+	var mbA, mbB sim.Mailbox[*proto.Frame]
 	r.nics[a].opts.OnDeliver = func(f *proto.Frame) { mbA.Put(f) }
 	r.nics[b].opts.OnDeliver = func(f *proto.Frame) { mbB.Put(f) }
 	r.k.Spawn("a", func(p *sim.Proc) {

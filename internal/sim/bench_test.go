@@ -34,7 +34,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHandoff measures the coroutine context-switch cost.
+// BenchmarkProcHandoff measures a Proc's sleep and wake-up.
 func BenchmarkProcHandoff(b *testing.B) {
 	k := New(1)
 	k.Spawn("p", func(p *Proc) {
@@ -42,6 +42,36 @@ func BenchmarkProcHandoff(b *testing.B) {
 			p.Sleep(time.Microsecond)
 		}
 	})
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkGateHandoff measures one handoff between two Procs that pass
+// control back and forth through a pair of gates.
+func BenchmarkGateHandoff(b *testing.B) {
+	k := New(1)
+	var ga, gb Gate
+	turn := 0
+	k.Spawn("a", func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			turn = 1
+			gb.Signal()
+			for turn == 1 {
+				ga.Wait(p)
+			}
+		}
+	})
+	k.Spawn("b", func(p *Proc) {
+		for {
+			for turn == 0 {
+				gb.Wait(p)
+			}
+			turn = 0
+			ga.Signal()
+		}
+	})
+	defer k.Stop()
+	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -86,8 +87,10 @@ func (t Timer) Pending() bool {
 }
 
 // Kernel is a discrete-event simulation engine. It is not safe for
-// concurrent use: all simulation code runs on a single logical thread
-// (the caller of Run, plus Procs which execute one at a time by handoff).
+// concurrent use: all simulation code runs on a single logical thread.
+// The event loop of a Run, RunUntil or RunBefore call runs on whichever
+// goroutine holds it, the caller's or that of the Proc that parked last,
+// and the others wait on a channel until the loop is handed to them.
 //
 // The event queue is an index-based binary heap over a flat struct arena:
 // no per-event heap allocation, no interface boxing, and cancellation
@@ -103,17 +106,22 @@ type Kernel struct {
 	free  []int32 // recycled arena slots
 	heap  []int32 // binary heap of event ids, ordered by (at, seq)
 
-	procs     map[*Proc]struct{} // live procs, for shutdown
-	executed  uint64             // events executed, for diagnostics
-	cancelled uint64             // events cancelled before firing
+	bound   Time          // the current run executes events at or before bound
+	running bool          // a Run, RunUntil or RunBefore call is active
+	cur     *Proc         // the Proc whose goroutine holds the loop, nil for the caller's
+	woken   *Proc         // the Proc the event just fired dispatched
+	home    chan struct{} // hands the loop back to the caller
+	failure any           // a panic raised on a Proc's goroutine, for the caller
+
+	procs     procList // live procs in spawn order, for shutdown
+	executed  uint64   // events executed, for diagnostics
+	cancelled uint64   // events cancelled before firing
+	switches  uint64   // handoffs of the loop between goroutines
 }
 
 // New returns a kernel with its clock at zero and an RNG seeded with seed.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		procs: make(map[*Proc]struct{}),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time.
@@ -133,13 +141,16 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 // the engine profiler. Scheduled counts every schedule call (it equals
 // Cancelled + Executed + Pending once the run has quiesced);
 // ArenaHighWater is the peak number of distinct event slots ever live at
-// once, i.e. the arena's memory footprint in records.
+// once, i.e. the arena's memory footprint in records; Switches counts
+// every handoff of the loop from one goroutine to another (a Proc's
+// start, a wake-up of another Proc, a return to the caller).
 type KernelStats struct {
 	Scheduled      uint64
 	Cancelled      uint64
 	Executed       uint64
 	Pending        int
 	ArenaHighWater int
+	Switches       uint64
 }
 
 // Stats returns the kernel's counter snapshot. Always available — the
@@ -152,6 +163,7 @@ func (k *Kernel) Stats() KernelStats {
 		Executed:       k.executed,
 		Pending:        len(k.heap),
 		ArenaHighWater: len(k.arena),
+		Switches:       k.switches,
 	}
 }
 
@@ -273,12 +285,8 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 // already scheduled for this instant.
 func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, thunk(fn), nil) }
 
-// Step executes the next pending event. It reports false when no events
-// remain or the kernel has been stopped.
-func (k *Kernel) Step() bool {
-	if k.stopped || len(k.heap) == 0 {
-		return false
-	}
+// fire pops and executes the earliest event.
+func (k *Kernel) fire() {
 	id := k.heap[0]
 	e := &k.arena[id]
 	k.now = e.at
@@ -287,23 +295,39 @@ func (k *Kernel) Step() bool {
 	k.release(id)
 	k.executed++
 	h.Fire(arg)
+}
+
+// Step executes the next pending event. It reports false when no events
+// remain or the kernel has been stopped. A Proc the event wakes runs until
+// it parks again before Step returns: a round trip of two goroutine
+// switches, because outside a run a parked Proc has no window to run the
+// loop in.
+func (k *Kernel) Step() bool {
+	if k.running {
+		panic("sim: Step called inside a run")
+	}
+	if k.stopped || len(k.heap) == 0 {
+		return false
+	}
+	k.fire()
+	if q := k.woken; q != nil {
+		k.woken = nil
+		k.await(q)
+	}
 	return true
 }
 
 // Run executes events until none remain (or Stop is called). It returns the
 // final simulated time.
 func (k *Kernel) Run() Time {
-	for k.Step() {
-	}
+	k.run(math.MaxInt64)
 	return k.now
 }
 
 // RunUntil executes events with time ≤ t, then sets the clock to t.
 // Events scheduled exactly at t do execute.
 func (k *Kernel) RunUntil(t Time) {
-	for !k.stopped && len(k.heap) > 0 && k.arena[k.heap[0]].at <= t {
-		k.Step()
-	}
+	k.run(t)
 	if !k.stopped && k.now < t {
 		k.now = t
 	}
@@ -317,13 +341,95 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now.Add(d)) }
 // next window. This is the epoch primitive of the conservative parallel
 // engine (internal/parsim): each shard kernel runs its window [now, t),
 // parks at t, and waits for the barrier to deliver cross-shard arrivals,
-// all of which carry times ≥ t.
+// all of which carry times ≥ t. Successive windows may be run from
+// different goroutines.
 func (k *Kernel) RunBefore(t Time) {
-	for !k.stopped && len(k.heap) > 0 && k.arena[k.heap[0]].at < t {
-		k.Step()
-	}
+	k.run(t - 1)
 	if !k.stopped && k.now < t {
 		k.now = t
+	}
+}
+
+// run executes events at or before bound. The caller's goroutine runs the
+// loop until an event wakes a Proc, then hands the loop to it and waits
+// until the window ends: from then on each parked Proc runs the loop
+// itself (see Proc). A panic raised on a Proc's goroutine is re-raised
+// here, with the same value.
+func (k *Kernel) run(bound Time) {
+	if k.running {
+		panic("sim: Run, RunUntil or RunBefore called inside a run")
+	}
+	k.bound, k.running = bound, true
+	defer func() { k.running = false }()
+	if q := k.loop(); q != nil {
+		k.await(q)
+	}
+}
+
+// loop executes events on the calling goroutine until one wakes a Proc,
+// which it returns, or the window ends (nil). Outside a run it executes
+// nothing.
+func (k *Kernel) loop() *Proc {
+	for k.running && !k.stopped && k.failure == nil && len(k.heap) > 0 && k.arena[k.heap[0]].at <= k.bound {
+		k.fire()
+		if q := k.woken; q != nil {
+			k.woken = nil
+			return q
+		}
+	}
+	return nil
+}
+
+// procLoop is loop on a Proc's goroutine: a panic raised by an event ends
+// the window, and is kept for the caller to re-raise.
+func (k *Kernel) procLoop() (q *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failure, k.woken, q = r, nil, nil
+		}
+	}()
+	return k.loop()
+}
+
+// handTo gives the loop to q's goroutine, starting it on q's first
+// dispatch. The calling goroutine must then wait for the loop to come back
+// (or exit).
+func (k *Kernel) handTo(q *Proc) {
+	k.cur = q
+	k.switches++
+	if !q.started {
+		q.started = true
+		go q.main()
+		return
+	}
+	q.resume <- struct{}{}
+}
+
+// goHome gives the loop back to the caller's goroutine.
+func (k *Kernel) goHome() {
+	k.cur = nil
+	k.switches++
+	k.home <- struct{}{}
+}
+
+// await hands the loop from the caller's goroutine to q and waits until it
+// comes home.
+func (k *Kernel) await(q *Proc) {
+	k.handTo(q)
+	<-k.home
+	k.settle()
+}
+
+// settle runs on the caller's goroutine while it holds the loop: it
+// unwinds the Procs of a stopped kernel and re-raises a panic a Proc's
+// goroutine kept.
+func (k *Kernel) settle() {
+	if k.stopped {
+		k.reap()
+	}
+	if r := k.failure; r != nil {
+		k.failure = nil
+		panic(r)
 	}
 }
 
@@ -341,17 +447,62 @@ func (k *Kernel) NextEvent() (Time, bool) {
 func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Stop halts the simulation: no further events execute, and every parked
-// Proc is terminated (its goroutine unwinds via panic recovered by the
-// kernel). Call Stop when abandoning a kernel that has live Procs, so their
-// goroutines do not leak.
+// Proc is terminated, in spawn order (the loop is handed to it, and its
+// goroutine unwinds via a panic its exit recovers; deferred code in its
+// body runs). Called from the caller's goroutine, Stop unwinds them before
+// it returns; called from simulation code on a Proc's goroutine, the run
+// call or Step does so once the loop comes back to it. Call Stop when
+// abandoning a kernel that has live Procs, so their goroutines do not
+// leak.
 func (k *Kernel) Stop() {
 	if k.stopped {
 		return
 	}
 	k.stopped = true
-	for p := range k.procs {
-		if p.parked {
-			p.kill()
-		}
+	if k.cur == nil {
+		k.settle()
 	}
+}
+
+// reap unwinds every live Proc of a stopped kernel, in spawn order, from
+// the caller's goroutine; a Proc whose goroutine never started just ends.
+func (k *Kernel) reap() {
+	for p := k.procs.head; p != nil; {
+		next := p.next
+		if p.started {
+			k.handTo(p)
+			<-k.home
+		} else {
+			p.done, p.fn = true, nil
+			k.procs.remove(p)
+		}
+		p = next
+	}
+}
+
+// procList is an intrusive doubly linked list of Procs in spawn order.
+type procList struct{ head, tail *Proc }
+
+func (l *procList) push(p *Proc) {
+	p.prev = l.tail
+	if l.tail != nil {
+		l.tail.next = p
+	} else {
+		l.head = p
+	}
+	l.tail = p
+}
+
+func (l *procList) remove(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		l.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		l.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
 }

@@ -232,11 +232,11 @@ func TestGateSignalTimeoutRace(t *testing.T) {
 
 func TestMailbox(t *testing.T) {
 	k := New(1)
-	var mb Mailbox
+	var mb Mailbox[int]
 	var got []int
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, mb.Get(p).(int))
+			got = append(got, mb.Get(p))
 		}
 	})
 	k.Spawn("producer", func(p *Proc) {
@@ -253,7 +253,7 @@ func TestMailbox(t *testing.T) {
 
 func TestMailboxGetTimeout(t *testing.T) {
 	k := New(1)
-	var mb Mailbox
+	var mb Mailbox[string]
 	var ok1, ok2 bool
 	k.Spawn("consumer", func(p *Proc) {
 		_, ok1 = mb.GetTimeout(p, 5*Microsecond)

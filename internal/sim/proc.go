@@ -6,21 +6,29 @@ import (
 )
 
 // procKilled is the panic payload used to unwind a Proc goroutine when the
-// kernel shuts down. It is recovered by the spawn wrapper.
+// kernel shuts down. It is recovered by the Proc's exit.
 type procKilled struct{}
 
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // with the event loop so that exactly one piece of simulation code runs at a
 // time. A Proc advances virtual time only by calling Sleep, or by blocking
 // on a Gate/Mailbox until another event wakes it.
+//
+// A parked Proc does not yield to a kernel goroutine: under Run, RunUntil
+// or RunBefore it runs the event loop itself until an event wakes it
+// (it returns without a goroutine switch), an event wakes another Proc
+// (one switch to that Proc's goroutine), or the window ends (one switch
+// back to the caller). Under a bare Step it hands back to the caller.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	parked bool
-	done   bool
-	killed bool
+	k        *Kernel
+	name     string
+	fn       func(p *Proc)
+	resume   chan struct{} // receives the loop when an event wakes this Proc or Stop unwinds it
+	started  bool
+	done     bool
+	timedOut bool // the last WaitTimeout ended by its timeout
+
+	prev, next *Proc // the kernel's spawn-ordered list of live Procs
 }
 
 // Kernel returns the kernel this process runs on.
@@ -35,72 +43,113 @@ func (p *Proc) Now() Time { return p.k.Now() }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// Spawn starts a simulated process running fn. The process begins executing
-// at the current simulated time (via an immediate event). fn runs in its own
-// goroutine but is strictly serialized with all other simulation code.
+// Spawn starts a simulated process running fn. The process begins
+// executing at the current simulated time (via an immediate event), on a
+// goroutine of its own that is started when that event runs; fn is
+// strictly serialized with all other simulation code. On a stopped kernel
+// Spawn returns a Proc that is already Done and starts nothing.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+	p := &Proc{k: k, name: name}
+	if k.stopped {
+		p.done = true
+		return p
 	}
-	k.procs[p] = struct{}{}
-	k.Immediately(func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r) // real bug: propagate
-					}
-				}
-				p.done = true
-				delete(k.procs, p)
-				p.yield <- struct{}{}
-			}()
-			<-p.resume
-			fn(p)
-		}()
-		p.dispatch()
-	})
+	p.fn = fn
+	p.resume = make(chan struct{})
+	if k.home == nil {
+		k.home = make(chan struct{})
+	}
+	k.procs.push(p)
+	k.AtHandler(k.now, (*procWake)(p), nil)
 	return p
 }
 
-// dispatch transfers control from the kernel to the proc goroutine and
-// waits until it parks or finishes. Must be called from kernel context.
+// main is the body of a Proc's goroutine.
+func (p *Proc) main() {
+	defer p.exit()
+	p.fn(p)
+}
+
+// exit retires a Proc whose body returned or unwound, then passes the
+// loop on: to the next Proc an event wakes, or back to the caller. A
+// panic other than procKilled is kept for the caller to re-raise.
+func (p *Proc) exit() {
+	k := p.k
+	if r := recover(); r != nil {
+		if _, ok := r.(procKilled); !ok {
+			k.failure = r
+		}
+	}
+	p.done = true
+	p.fn = nil
+	k.procs.remove(p)
+	if q := k.procLoop(); q != nil {
+		k.handTo(q)
+		return
+	}
+	k.goHome()
+}
+
+// dispatch wakes the proc. It must be the last action of the event that
+// calls it (procWake, procTimeout): the loop that fired the event then
+// runs the proc, on this goroutine or by handing over to the proc's.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
-	p.parked = false
-	p.resume <- struct{}{}
-	<-p.yield
+	if p.k.woken != nil {
+		panic(fmt.Sprintf("sim: one event woke both %s and %s", p.k.woken.name, p.name))
+	}
+	p.k.woken = p
 }
 
-// park transfers control from the proc goroutine back to the kernel and
-// blocks until some event dispatches the proc again. Must be called from
-// the proc's own goroutine.
+// park suspends the proc until an event dispatches it again. Must be
+// called from the proc's own goroutine. On a stopped kernel it unwinds
+// the proc at once.
 func (p *Proc) park() {
-	p.parked = true
-	p.yield <- struct{}{}
+	k := p.k
+	if k.stopped {
+		panic(procKilled{})
+	}
+	switch q := k.procLoop(); {
+	case q == p:
+		return // woken by its own event: no goroutine switch
+	case q != nil:
+		k.handTo(q)
+	default:
+		k.goHome()
+	}
 	<-p.resume
-	if p.killed {
+	if k.stopped {
 		panic(procKilled{})
 	}
 }
 
-// procWake is a Proc seen as the Handler of its own wake-ups (Sleep,
-// Gate.Signal, Gate.Broadcast): the event stores the Proc itself, so a
-// wake-up allocates nothing, and Proc's own API stays free of Fire.
+// procWake is a Proc seen as the Handler of its own start and wake-ups
+// (Spawn, Sleep, Gate.Signal, Gate.Broadcast): the event stores the Proc
+// itself, so a wake-up allocates nothing, and Proc's own API stays free
+// of Fire.
 type procWake Proc
 
 func (w *procWake) Fire(any) { (*Proc)(w).dispatch() }
 
-// kill marks the proc for termination and runs it one final time so the
-// goroutine unwinds. Called by Kernel.Stop for parked procs.
-func (p *Proc) kill() {
-	p.killed = true
-	p.dispatch()
+// procTimeout is a Proc seen as the Handler of its WaitTimeout deadline;
+// the event's argument is the Gate it waits on.
+type procTimeout Proc
+
+// Fire wakes the proc only if it is still queued on the gate; if a Signal
+// raced with the timeout at this same instant, it has already been
+// dispatched.
+func (t *procTimeout) Fire(arg any) {
+	p, g := (*Proc)(t), arg.(*Gate)
+	for i, w := range g.waiters.Items() {
+		if w == p {
+			g.waiters.RemoveAt(i)
+			p.timedOut = true
+			p.dispatch()
+			return
+		}
+	}
 }
 
 // Sleep suspends the process for duration d of simulated time.
@@ -133,22 +182,11 @@ func (g *Gate) Wait(p *Proc) {
 // timeout.
 func (g *Gate) WaitTimeout(p *Proc, d time.Duration) bool {
 	g.waiters.Push(p)
-	timedOut := false
-	timer := p.k.After(d, func() {
-		// Wake p only if it is still queued; if a Signal raced with the
-		// timeout at this same instant, p has already been dispatched.
-		for i, w := range g.waiters.Items() {
-			if w == p {
-				g.waiters.RemoveAt(i)
-				timedOut = true
-				p.dispatch()
-				return
-			}
-		}
-	})
+	p.timedOut = false
+	timer := p.k.AtHandler(p.k.Now().Add(d), (*procTimeout)(p), g)
 	p.park()
 	timer.Cancel()
-	return !timedOut
+	return !p.timedOut
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is scheduled
@@ -172,23 +210,24 @@ func (g *Gate) Broadcast() {
 // Waiting returns the number of processes parked on the gate.
 func (g *Gate) Waiting() int { return g.waiters.Len() }
 
-// Mailbox is an unbounded FIFO message queue with blocking receive, for
-// communication between Procs (and from event context into Procs).
-type Mailbox struct {
-	queue Queue[any]
+// Mailbox is an unbounded FIFO queue of T with blocking receive, for
+// communication between Procs (and from event context into Procs). The
+// zero value is ready to use.
+type Mailbox[T any] struct {
+	queue Queue[T]
 	gate  Gate
 }
 
 // Put appends v to the mailbox and wakes one waiting receiver. Safe to call
 // from event context.
-func (m *Mailbox) Put(v any) {
+func (m *Mailbox[T]) Put(v T) {
 	m.queue.Push(v)
 	m.gate.Signal()
 }
 
 // Get blocks the calling process until a message is available and returns
 // the oldest one.
-func (m *Mailbox) Get(p *Proc) any {
+func (m *Mailbox[T]) Get(p *Proc) T {
 	for m.queue.Len() == 0 {
 		m.gate.Wait(p)
 	}
@@ -197,19 +236,20 @@ func (m *Mailbox) Get(p *Proc) any {
 
 // GetTimeout is like Get but gives up after d. The second result reports
 // whether a message was received.
-func (m *Mailbox) GetTimeout(p *Proc, d time.Duration) (any, bool) {
+func (m *Mailbox[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
 	deadline := p.Now().Add(d)
+	var zero T
 	for m.queue.Len() == 0 {
 		remain := deadline.Sub(p.Now())
 		if remain <= 0 {
-			return nil, false
+			return zero, false
 		}
 		if !m.gate.WaitTimeout(p, remain) && m.queue.Len() == 0 {
-			return nil, false
+			return zero, false
 		}
 	}
 	return m.queue.Pop(), true
 }
 
 // Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return m.queue.Len() }
+func (m *Mailbox[T]) Len() int { return m.queue.Len() }

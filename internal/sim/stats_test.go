@@ -51,4 +51,22 @@ func TestKernelStats(t *testing.T) {
 	if s.Pending != 0 || s.Executed != 9 {
 		t.Fatalf("after drain: %+v", s)
 	}
+	if s.Switches != 0 {
+		t.Fatalf("Switches = %d without a Proc, want 0", s.Switches)
+	}
+
+	// A Proc's start and finish are one switch each; a wake-up of its own
+	// while it holds the loop is none, and a bare Step that wakes it is two.
+	k.Spawn("p", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		p.Sleep(time.Microsecond)
+	})
+	k.Step()
+	if s = k.Stats(); s.Switches != 2 {
+		t.Fatalf("Switches = %d after a bare Step, want 2", s.Switches)
+	}
+	k.Run()
+	if s = k.Stats(); s.Switches != 4 {
+		t.Fatalf("Switches = %d after the run, want 4", s.Switches)
+	}
 }

@@ -4,9 +4,10 @@
 // events in (time, insertion-order) order. On top of the raw event loop it
 // offers three higher-level facilities used throughout the simulator:
 //
-//   - Proc: coroutine-style simulated processes (goroutines that run one at
-//     a time, handing control back to the kernel when they sleep or block),
-//     used for host-level application processes.
+//   - Proc: simulated processes (goroutines that run one at a time; one
+//     that sleeps or blocks runs the event loop itself until an event
+//     wakes it or another Proc), used for host-level application
+//     processes.
 //   - Resource: a FIFO server with a service time per request, used to model
 //     serialized hardware units (the NIC firmware processor, DMA engines).
 //   - Gate / Mailbox: blocking synchronization and message passing between

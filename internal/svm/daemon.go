@@ -160,8 +160,7 @@ func (d *daemon) sendPage(p *sim.Proc, wid, pg int) {
 // ctlLoop services control requests from remote workers.
 func (d *daemon) ctlLoop(p *sim.Proc) {
 	for {
-		v := d.ctlExp.Notify.Get(p)
-		note := v.(vmmc.Notification)
+		note := d.ctlExp.Notify.Get(p)
 		wid := note.Offset / ctlSlot
 		slot := d.ctlExp.Mem[wid*ctlSlot : (wid+1)*ctlSlot]
 		op := slot[0]
@@ -198,8 +197,7 @@ func (d *daemon) ctlLoop(p *sim.Proc) {
 // diffLoop services diff-flush messages from remote workers.
 func (d *daemon) diffLoop(p *sim.Proc) {
 	for {
-		v := d.diffExp.Notify.Get(p)
-		note := v.(vmmc.Notification)
+		note := d.diffExp.Notify.Get(p)
 		wid := note.Offset / diffSlot
 		slot := d.diffExp.Mem[wid*diffSlot : (wid+1)*diffSlot]
 		d.applyDiff(slot)

@@ -57,7 +57,7 @@ type Export struct {
 	allowed map[topology.NodeID]bool
 	// Notify receives a Notification per completed message that asked
 	// for one.
-	Notify sim.Mailbox
+	Notify sim.Mailbox[Notification]
 }
 
 // Import is a sender-side handle to a remote exported buffer.
@@ -330,5 +330,5 @@ func (c *completionWindow) mark(id uint64) {
 // WaitNotification blocks the calling process until a notification arrives
 // on the export.
 func (e *Export) WaitNotification(p *sim.Proc) Notification {
-	return e.Notify.Get(p).(Notification)
+	return e.Notify.Get(p)
 }
