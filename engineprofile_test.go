@@ -3,8 +3,6 @@ package sanft
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"net/http"
 	"runtime"
 	"strings"
 	"testing"
@@ -199,97 +197,5 @@ func TestEngineProfileSequential(t *testing.T) {
 	}
 	if !strings.Contains(text.String(), "kernels:") {
 		t.Fatalf("text report missing kernels:\n%s", text.String())
-	}
-}
-
-// TestTelemetryServerLive drives a cluster with the telemetry server
-// attached and scrapes it over real HTTP while the simulation owns the
-// registry: /metrics serves Prometheus text, /profile the engine profile,
-// /debug/pprof responds, and the published end state survives Stop.
-func TestTelemetryServerLive(t *testing.T) {
-	f := NewFig2()
-	s := New(
-		WithTopology(f.Net, nil),
-		WithSeed(7),
-		WithRetrans(RetransConfig{QueueSize: 16, Interval: time.Millisecond}),
-		WithFaultTolerance(),
-		WithEngine(EngineSharded),
-		WithWorkers(2),
-		WithEngineProfiling(),
-		WithTelemetryServer("127.0.0.1:0"),
-	)
-	srv := s.Telemetry()
-	if srv == nil {
-		t.Fatal("Telemetry() nil with WithTelemetryServer set")
-	}
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	// The constructor publishes immediately, so a scrape before any run is
-	// already a valid exposition.
-	if code, _ := get("/metrics"); code != 200 {
-		t.Fatalf("/metrics before run: %d", code)
-	}
-
-	s.StartFlows(gateFlows(f), 8, 512, 200*time.Microsecond)
-	s.RunFor(10 * time.Millisecond)
-
-	// Between RunFor calls the cluster republishes; the scrape must carry
-	// real simulator metrics with exposition headers.
-	code, body := get("/metrics")
-	if code != 200 || !strings.Contains(body, "# TYPE") || !strings.Contains(body, "nic_") {
-		t.Fatalf("/metrics mid-campaign: %d\n%s", code, body)
-	}
-	if code, body := get("/profile"); code != 200 || !strings.Contains(body, "\"epochs\"") {
-		t.Fatalf("/profile: %d %s", code, body)
-	}
-	if code, _ := get("/debug/pprof/cmdline"); code != 200 {
-		t.Fatalf("/debug/pprof/cmdline: %d", code)
-	}
-
-	s.RunFor(30 * time.Millisecond)
-	s.Stop()
-
-	// The server outlives Stop so a final scrape sees the end state.
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "# TYPE") {
-		t.Fatalf("/metrics after Stop: %d\n%s", code, body)
-	}
-}
-
-// TestTelemetryServerSequential: on the sequential engine the publish
-// point is the observer's sample hook, so /metrics updates with sampling.
-func TestTelemetryServerSequential(t *testing.T) {
-	s := New(
-		WithStar(2),
-		WithFaultTolerance(),
-		WithSampling(time.Millisecond),
-		WithEngineProfiling(),
-		WithTelemetryServer("127.0.0.1:0"),
-	)
-	srv := s.Telemetry()
-	defer srv.Close()
-	Latency(s, 64, 8)
-	s.Stop()
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "# TYPE") {
-		t.Fatalf("/metrics: %d\n%s", resp.StatusCode, body)
 	}
 }

@@ -64,7 +64,9 @@ func (r Result) String() string {
 }
 
 // runOn builds an SVM system on the cluster, runs body on P workers, and
-// collects the result. bound caps virtual time.
+// collects the result. The cluster runs in 1ms slices until the workers
+// finish, so it stops within 1ms of the last one instead of idling
+// through its retransmission timer ticks; bound caps virtual time.
 func runOn(c *core.Cluster, name string, heapBytes, procsPerNode, numLocks int, bound time.Duration, body func(w *svm.Worker)) (Result, *svm.Run, error) {
 	s := svm.New(c, c.Hosts, svm.Config{
 		HeapBytes:    heapBytes,
@@ -73,7 +75,9 @@ func runOn(c *core.Cluster, name string, heapBytes, procsPerNode, numLocks int, 
 	})
 	s.Start()
 	run := s.SpawnWorkers(body)
-	c.RunFor(bound)
+	for end := c.Now().Add(bound); !run.Done() && c.Now() < end; {
+		c.RunFor(min(time.Millisecond, end.Sub(c.Now())))
+	}
 	c.Stop()
 	if !run.Done() {
 		return Result{}, run, fmt.Errorf("apps: %s did not finish within %v of virtual time", name, bound)

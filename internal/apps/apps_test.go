@@ -259,3 +259,26 @@ func TestSplitCoversAll(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStopsWhenWorkersFinish: each application stops the cluster
+// within 1ms of its last worker finishing, instead of idling on to its
+// virtual-time bound.
+func TestRunStopsWhenWorkersFinish(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(c *core.Cluster) (Result, error)
+	}{
+		{"fft", func(c *core.Cluster) (Result, error) { return RunFFT(c, FFTParams{LogN: 6, Iters: 1}) }},
+		{"radix", func(c *core.Cluster) (Result, error) { return RunRadix(c, RadixParams{Keys: 1 << 12, Iters: 1}) }},
+		{"water", func(c *core.Cluster) (Result, error) { return RunWater(c, WaterParams{Molecules: 64, Steps: 1}) }},
+	} {
+		c := paperCluster(0, 32, time.Millisecond)
+		res, err := tc.run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if over := time.Duration(c.Now()) - res.Elapsed; over < 0 || over > time.Millisecond {
+			t.Errorf("%s: cluster clock %v, %v past the %v run; want within 1ms", tc.name, c.Now(), over, res.Elapsed)
+		}
+	}
+}

@@ -125,51 +125,19 @@ func (r *Report) String() string {
 type Campaign struct {
 	Name  string
 	About string
-	// run builds and executes the campaign under the caller's hooks.
-	run func(seed int64, h runHooks) *Report
-}
-
-// runHooks carries the caller-supplied extension points into a campaign
-// run: pre fires on the freshly built cluster before any traffic or
-// faults (the instrumentation hook), and traffic replaces the built-in
-// synthetic workload (the injection hook).
-type runHooks struct {
-	pre     func(*core.Cluster)
-	traffic TrafficInjector
-}
-
-// cluster invokes the instrumentation hook, if any.
-func (h runHooks) cluster(c *core.Cluster) {
-	if h.pre != nil {
-		h.pre(c)
-	}
-}
-
-// engine builds the campaign's engine with the traffic injector wired in,
-// so every StartTraffic call inside the campaign sees it.
-func (h runHooks) engine(c *core.Cluster, seed int64) *Engine {
-	e := NewEngine(c, seed)
-	e.inject = h.traffic
-	return e
+	// run builds and executes the campaign, calling pre on the freshly
+	// built cluster before any traffic or faults.
+	run func(seed int64, pre func(*core.Cluster)) *Report
 }
 
 // Run executes the campaign with the given seed.
-func (c Campaign) Run(seed int64) *Report { return c.run(seed, runHooks{}) }
+func (c Campaign) Run(seed int64) *Report { return c.run(seed, func(*core.Cluster) {}) }
 
 // RunInstrumented executes the campaign, invoking pre on the freshly built
 // cluster before traffic starts. cmd/sanstat uses it to start periodic
 // metric sampling and capture the cluster's Observer.
 func (c Campaign) RunInstrumented(seed int64, pre func(*core.Cluster)) *Report {
-	return c.run(seed, runHooks{pre: pre})
-}
-
-// RunWithTraffic executes the campaign with an injected traffic source in
-// place of the built-in synthetic workload: same topology, fault
-// schedule, invariant oracle, and report — only the traffic differs. pre
-// may be nil; inj receives the campaign's default workload so it can
-// reuse the pair set the fault schedule targets.
-func (c Campaign) RunWithTraffic(seed int64, pre func(*core.Cluster), inj TrafficInjector) *Report {
-	return c.run(seed, runHooks{pre: pre, traffic: inj})
+	return c.run(seed, pre)
 }
 
 // finish stops the cluster, audits invariants, and assembles the report.
@@ -251,13 +219,13 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "link-flap",
 			About: "random trunk flaps on a redundant chain; strict delivery",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				c, hosts := chainCluster(seed, v)
-				h.cluster(c)
-				e := h.engine(c, seed)
+				pre(c)
+				e := NewEngine(c, seed)
 				// Pace the traffic across the whole flap window (~60ms); the
 				// 3ms gap keeps the stall floor below remap-length stalls.
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 3 * time.Millisecond})
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 3 * time.Millisecond}.Start(e)
 				e.Install(LinkFlap{Start: time.Millisecond, Cycles: 10})
 				return finish("link-flap", v, seed, e, r,
 					CheckOpts{MaxRemapAttempts: v.maxAttempts(60)}, 20*time.Second)
@@ -266,7 +234,7 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "switch-storm",
 			About: "correlated double switch outage on the Figure-2 tree; loss allowed",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				f := topology.NewFig2()
 				hosts := append([]topology.NodeID{f.Mapper}, f.Targets[:3]...)
 				cfg := core.Config{
@@ -281,11 +249,11 @@ func CampaignsWith(v Variant) []Campaign {
 				}
 				v.apply(&cfg)
 				c := core.New(cfg)
-				h.cluster(c)
-				e := h.engine(c, seed)
+				pre(c)
+				e := NewEngine(c, seed)
 				// Traffic outlasts both outages (~700ms of storm), so
 				// surviving flows show their recovery stalls.
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 40 * time.Millisecond})
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 40 * time.Millisecond}.Start(e)
 				e.Install(SwitchOutage{
 					Switches: []topology.NodeID{f.Switches[1], f.Switches[2]},
 					Start:    2 * time.Millisecond,
@@ -299,14 +267,14 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "partition-heal",
 			About: "sever and heal the full cut between two halves of the chain",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				c, hosts := chainCluster(seed, v)
-				h.cluster(c)
+				pre(c)
 				sws := c.Net.Switches()
-				e := h.engine(c, seed)
+				e := NewEngine(c, seed)
 				// Demand persists through the 300ms cut, so cross-partition
 				// sources keep triggering remaps until quarantine.
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 30, Gap: 20 * time.Millisecond})
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 30, Gap: 20 * time.Millisecond}.Start(e)
 				e.Install(Partition{
 					A:     sws[:2],
 					B:     sws[2:],
@@ -328,7 +296,7 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "drop-ramp",
 			About: "send-side error rate ramped to 30% and back; strict delivery",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				nw, hosts := topology.Star(6)
 				cfg := core.Config{
 					Net: nw, Hosts: hosts, FT: true,
@@ -341,10 +309,10 @@ func CampaignsWith(v Variant) []Campaign {
 				}
 				v.apply(&cfg)
 				c := core.New(cfg)
-				h.cluster(c)
-				e := h.engine(c, seed)
+				pre(c)
+				e := NewEngine(c, seed)
 				// Traffic spans the whole ramp (~100ms).
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 12, Gap: 10 * time.Millisecond})
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 12, Gap: 10 * time.Millisecond}.Start(e)
 				e.Install(DropRamp{
 					Rates: []float64{0.02, 0.1, 0.3, 0},
 					Start: time.Millisecond,
@@ -356,11 +324,11 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "composite",
 			About: "trunk flapping while the error rate ramps; strict delivery",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				c, hosts := chainCluster(seed, v)
-				h.cluster(c)
-				e := h.engine(c, seed)
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 3 * time.Millisecond})
+				pre(c)
+				e := NewEngine(c, seed)
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 3 * time.Millisecond}.Start(e)
 				e.Install(Composite{Parts: []Scenario{
 					LinkFlap{Start: time.Millisecond, Cycles: 8},
 					DropRamp{Rates: []float64{0.05, 0}, Start: time.Millisecond, Step: 30 * time.Millisecond},
@@ -372,7 +340,7 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "flap-storm",
 			About: "correlated seeded flap burst across a fat-tree's trunk classes; strict delivery",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				// A real Clos fabric, mapped on demand: the hostless
 				// aggregation/core tiers exercise the echo-identity dedup
 				// path no paper-scale topology reaches.
@@ -399,9 +367,9 @@ func CampaignsWith(v Variant) []Campaign {
 				}
 				v.apply(&cfg)
 				c := core.New(cfg)
-				h.cluster(c)
-				e := h.engine(c, seed)
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 15, Gap: 4 * time.Millisecond})
+				pre(c)
+				e := NewEngine(c, seed)
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 15, Gap: 4 * time.Millisecond}.Start(e)
 				e.Install(FlapStorm{Start: time.Millisecond, Events: 24, Window: 30 * time.Millisecond})
 				return finish("flap-storm", v, seed, e, r,
 					CheckOpts{MaxRemapAttempts: v.maxAttempts(200)}, 30*time.Second)
@@ -410,15 +378,15 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "stale-map",
 			About: "blind host routes on a pre-failure map through a kill, then converges on resume",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				c, hosts := chainCluster(seed, v)
-				h.cluster(c)
-				e := h.engine(c, seed)
+				pre(c)
+				e := NewEngine(c, seed)
 				blind := hosts[0]
 				far := hosts[4]
 				const blindFor = 150 * time.Millisecond
-				r := e.StartTraffic(Workload{Pairs: []Pair{{blind, far}, {far, blind}}, Msgs: 30,
-					Gap: 5 * time.Millisecond})
+				r := Workload{Pairs: []Pair{{blind, far}, {far, blind}}, Msgs: 30,
+					Gap: 5 * time.Millisecond}.Start(e)
 				// Kill a trunk the blind host's installed route crosses (the
 				// redundant spare survives, so remap has somewhere to go);
 				// the blind window opens just before the kill.
@@ -453,11 +421,11 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "gray-links",
 			About: "a lossy-but-up trunk at 30% drop on the live route; strict delivery",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				c, hosts := chainCluster(seed, v)
-				h.cluster(c)
-				e := h.engine(c, seed)
-				r := e.StartTraffic(Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 3 * time.Millisecond})
+				pre(c)
+				e := NewEngine(c, seed)
+				r := Workload{Pairs: AllPairs(hosts), Msgs: 20, Gap: 3 * time.Millisecond}.Start(e)
 				// Gray out a trunk the installed routes actually cross, for
 				// most of the traffic window; retransmission must absorb the
 				// loss and strict delivery must still hold.
@@ -479,10 +447,10 @@ func CampaignsWith(v Variant) []Campaign {
 		{
 			Name:  "link-kill",
 			About: "one trunk dies permanently; the stall isolates detection+remap (MTTR)",
-			run: func(seed int64, h runHooks) *Report {
+			run: func(seed int64, pre func(*core.Cluster)) *Report {
 				c, hosts := chainCluster(seed, v)
-				h.cluster(c)
-				e := h.engine(c, seed)
+				pre(c)
+				e := NewEngine(c, seed)
 				// One host per switch keeps the post-kill retransmission
 				// storm light enough that mapping probes survive — the
 				// stall then isolates detection+remap, not congestion.
@@ -491,7 +459,7 @@ func CampaignsWith(v Variant) []Campaign {
 				// detection time (~3ms) and the fixed permanent-failure
 				// threshold (8ms). Traffic outlasts detection plus remap.
 				sparse := []topology.NodeID{hosts[0], hosts[2], hosts[4]}
-				r := e.StartTraffic(Workload{Pairs: AllPairs(sparse), Msgs: 25, Gap: time.Millisecond})
+				r := Workload{Pairs: AllPairs(sparse), Msgs: 25, Gap: time.Millisecond}.Start(e)
 				// Kill a trunk the installed end-to-end route actually uses
 				// (not the redundant spare), so every seed's kill stalls
 				// traffic and forces a detection+remap cycle.

@@ -46,11 +46,6 @@ type Engine struct {
 	rng    *rand.Rand
 	events []string
 
-	// inject, when non-nil, replaces the built-in synthetic workload for
-	// StartTraffic calls — the hook sanload uses to drive campaigns with
-	// production-shaped traffic (see Campaign.RunWithTraffic).
-	inject TrafficInjector
-
 	mttr    *metrics.Histogram
 	faultsC *metrics.Counter
 	fr      *trace.FlightRecorder

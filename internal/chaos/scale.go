@@ -27,79 +27,45 @@ type ScaleOpts struct {
 	// "dragonfly:4,2,2", "torus:2,4,4"). Default "fattree:8".
 	Topo string
 	// Scenario selects the fault pattern: "flapstorm" (a seeded
-	// FlapStormSchedule over every trunk), "gray" (probabilistic loss on
-	// every GrayEveryth trunk), or "" / "none" for a fault-free run.
+	// FlapStormSchedule over every trunk), "gray" (25% loss on every 8th
+	// trunk), or "" / "none" for a fault-free run.
 	Scenario string
 	Seed     int64
 	// Workers is the OS-thread count (0 = GOMAXPROCS). Never changes
 	// results, only wall-clock time.
 	Workers int
-	// HostsPerShard sets the shard granularity; 0 groups the hosts into
-	// about 16 shards.
-	HostsPerShard int
-
 	// Flows caps the flow matrix (host i sends to the host half the
 	// fabric away, so every flow crosses the core). 0 = one flow per
 	// host.
 	Flows int
-	Msgs  int // per-flow messages; default 4
-	Bytes int // payload size; default 256
-	// Gap is the send pacing; default 8ms, so the default matrix keeps
-	// frames in flight across the whole 30ms fault window instead of
+}
+
+// The fixed shape of every scale campaign.
+const (
+	scaleShards = 16 // the hosts group into about this many shards
+
+	// Each flow sends scaleMsgs messages of scaleBytes, scaleGap apart, so
+	// frames stay in flight across the whole fault window instead of
 	// finishing before the first fault lands.
-	Gap time.Duration
+	scaleMsgs  = 4
+	scaleBytes = 256
+	scaleGap   = 8 * time.Millisecond
+	// scaleRunFor is the simulated duration: the storm is over and healed
+	// by 40ms, leaving the retransmission tail room to drain.
+	scaleRunFor = 80 * time.Millisecond
 
-	// RunFor is the simulated duration; default 80ms (the storm is over
-	// and healed by 40ms, leaving the retransmission tail room to drain).
-	RunFor time.Duration
+	// Flap storm (see FlapStormSchedule): scaleEvents flaps over a
+	// scaleWindow, each down for scaleMinDown to scaleMaxDown.
+	scaleEvents  = 96
+	scaleWindow  = 30 * time.Millisecond
+	scaleMinDown = time.Millisecond
+	scaleMaxDown = 4 * time.Millisecond
 
-	// Flap-storm shape (see FlapStormSchedule). Defaults: 96 events over
-	// a 30ms window, down times 1–4ms.
-	Events           int
-	Window           time.Duration
-	MinDown, MaxDown time.Duration
-
-	// Gray-failure shape: every GrayEveryth trunk (default 8) drops each
-	// crossing packet with probability GrayRate (default 0.25).
-	GrayRate  float64
-	GrayEvery int
-}
-
-func (o *ScaleOpts) defaults() {
-	if o.Topo == "" {
-		o.Topo = "fattree:8"
-	}
-	if o.Msgs == 0 {
-		o.Msgs = 4
-	}
-	if o.Bytes == 0 {
-		o.Bytes = 256
-	}
-	if o.Gap == 0 {
-		o.Gap = 8 * time.Millisecond
-	}
-	if o.RunFor == 0 {
-		o.RunFor = 80 * time.Millisecond
-	}
-	if o.Events == 0 {
-		o.Events = 96
-	}
-	if o.Window == 0 {
-		o.Window = 30 * time.Millisecond
-	}
-	if o.MinDown == 0 {
-		o.MinDown = time.Millisecond
-	}
-	if o.MaxDown == 0 {
-		o.MaxDown = 4 * time.Millisecond
-	}
-	if o.GrayRate == 0 {
-		o.GrayRate = 0.25
-	}
-	if o.GrayEvery == 0 {
-		o.GrayEvery = 8
-	}
-}
+	// Gray failure: every scaleGrayEvery-th trunk drops each crossing
+	// packet with probability scaleGrayRate.
+	scaleGrayEvery = 8
+	scaleGrayRate  = 0.25
+)
 
 // ScaleReport is the outcome of one scale campaign.
 type ScaleReport struct {
@@ -185,16 +151,14 @@ func ScaleFlows(hosts []topology.NodeID, n int) []core.Flow {
 // delivery. Returns an error only for an unusable spec or scenario name;
 // audit failures land in the report's Violations.
 func RunScale(o ScaleOpts) (*ScaleReport, error) {
-	o.defaults()
+	if o.Topo == "" {
+		o.Topo = "fattree:8"
+	}
 	built, err := topology.ParseSpec(o.Topo)
 	if err != nil {
 		return nil, err
 	}
 	hosts := built.Hosts
-	hps := o.HostsPerShard
-	if hps == 0 {
-		hps = (len(hosts) + 15) / 16
-	}
 	cfg := core.Config{
 		Net: built.Net, Hosts: hosts, FT: true,
 		Retrans: retrans.Config{
@@ -204,10 +168,10 @@ func RunScale(o ScaleOpts) (*ScaleReport, error) {
 			// verdict would have no recovery path, so the threshold sits
 			// past the end of the run and retransmission alone rides out
 			// every (healing) fault.
-			PermFailThreshold: 4 * o.RunFor,
+			PermFailThreshold: 4 * scaleRunFor,
 		},
 		Engine:  core.EngineSharded,
-		Plan:    core.ShardPlan{HostsPerShard: hps},
+		Plan:    core.ShardPlan{HostsPerShard: (len(hosts) + scaleShards - 1) / scaleShards},
 		Workers: o.Workers,
 		Seed:    o.Seed,
 	}
@@ -231,7 +195,7 @@ func RunScale(o ScaleOpts) (*ScaleReport, error) {
 		for i, l := range trunks {
 			ids[i] = l.ID
 		}
-		sched := FlapStormSchedule(ids, o.Seed, o.Events, o.Window, o.MinDown, o.MaxDown)
+		sched := FlapStormSchedule(ids, o.Seed, scaleEvents, scaleWindow, scaleMinDown, scaleMaxDown)
 		// Shift the storm past startup so the first frames route cleanly.
 		for i := range sched {
 			sched[i].At += 2 * time.Millisecond
@@ -239,8 +203,8 @@ func RunScale(o ScaleOpts) (*ScaleReport, error) {
 		c.ScheduleLinkFlaps(sched)
 		rep.Faults = len(sched)
 	case "gray":
-		for i := 0; i < len(trunks); i += o.GrayEvery {
-			c.SetLinkLoss(trunks[i].ID, o.GrayRate)
+		for i := 0; i < len(trunks); i += scaleGrayEvery {
+			c.SetLinkLoss(trunks[i].ID, scaleGrayRate)
 			rep.Faults++
 		}
 	case "", "none":
@@ -249,8 +213,8 @@ func RunScale(o ScaleOpts) (*ScaleReport, error) {
 	}
 
 	flows := ScaleFlows(hosts, o.Flows)
-	c.StartFlows(flows, o.Msgs, o.Bytes, o.Gap)
-	c.RunFor(o.RunFor)
+	c.StartFlows(flows, scaleMsgs, scaleBytes, scaleGap)
+	c.RunFor(scaleRunFor)
 	c.Stop()
 
 	// Exactly-once audit: every (flow, msg) appears in the merged delivery
@@ -264,10 +228,10 @@ func RunScale(o ScaleOpts) (*ScaleReport, error) {
 	for _, d := range c.Deliveries() {
 		seen[key{d.Src, d.Dst, d.Msg}]++
 	}
-	rep.Expected = len(flows) * o.Msgs
+	rep.Expected = len(flows) * scaleMsgs
 	missing, duped := 0, 0
 	for _, fl := range flows {
-		for m := 1; m <= o.Msgs; m++ {
+		for m := 1; m <= scaleMsgs; m++ {
 			switch n := seen[key{fl.Src, fl.Dst, uint64(m)}]; {
 			case n == 0:
 				missing++

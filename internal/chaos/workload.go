@@ -42,33 +42,6 @@ type Workload struct {
 	OnNotify func(Pair, uint64)
 }
 
-// TrafficSource abstracts what a campaign drives through the fault
-// schedule: anything that can start traffic against an engine's cluster
-// and return the observation state the invariant oracle audits. The
-// built-in synthetic Workload is one source; internal/workload's
-// production-shaped generators are another.
-type TrafficSource interface {
-	Start(e *Engine) *Run
-}
-
-// TrafficInjector builds a replacement traffic source for a campaign's
-// default workload. The default is passed in so injectors can reuse its
-// shape — most importantly Pairs, which encodes the hosts the campaign's
-// fault schedule targets.
-type TrafficInjector func(e *Engine, dflt Workload) *Run
-
-// StartTraffic starts the campaign's traffic: the injected source when
-// one is installed (Campaign.RunWithTraffic), else the built-in default.
-// Campaigns route every workload start through here so an injected
-// workload inherits the full campaign — topology, fault schedule,
-// invariant oracle, and report — without forking it.
-func (e *Engine) StartTraffic(dflt Workload) *Run {
-	if e.inject != nil {
-		return e.inject(e, dflt)
-	}
-	return dflt.Start(e)
-}
-
 // Run is a started workload's observation state. Receivers record every
 // notification; CheckInvariants consumes the counts afterwards.
 type Run struct {

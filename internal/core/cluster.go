@@ -140,14 +140,6 @@ type Config struct {
 	// back), so profiled dumps stay byte-identical to unprofiled ones.
 	Profile bool
 
-	// Telemetry, when non-empty, starts a live telemetry HTTP server on
-	// this address (host:port; port 0 picks one — see Telemetry().Addr()):
-	// Prometheus /metrics, /debug/pprof, expvar, engine /profile.
-	// Metrics snapshots publish on every observer sample and at
-	// RunFor/Stop boundaries. The server outlives Stop so a final scrape
-	// can read the end state; the owner closes it via Telemetry().Close().
-	Telemetry string
-
 	// Engine selects the execution engine; a non-zero Plan implies
 	// EngineSharded.
 	Engine EngineKind
@@ -200,15 +192,10 @@ type Cluster struct {
 	mappers map[topology.NodeID]*mapping.Mapper
 	remaps  map[topology.NodeID]*remapManager
 
-	// remapRunning counts mapping runs in flight cluster-wide, for
-	// RemapPolicy.MaxConcurrent pacing.
-	remapRunning int
-
 	// Engine-profiling state (nil/zero when Config.Profile is off).
-	prof      *enginestat.EngineProf // parallel engine's recording area
-	profiled  bool
-	poolBase  enginestat.PoolStat // pool counters at construction time
-	telemetry *enginestat.Server
+	prof     *enginestat.EngineProf // parallel engine's recording area
+	profiled bool
+	poolBase enginestat.PoolStat // pool counters at construction time
 
 	// Remaps counts completed on-demand remap operations.
 	Remaps int
@@ -226,7 +213,7 @@ type Cluster struct {
 // have them. It then adds what only the one-cell plan has (VMMC
 // endpoints, mappers and their remap managers, the metrics sampler) or
 // what a plan of several cells needs (the lookahead, the parallel engine
-// and the cell boundary), and finally turns on profiling and telemetry.
+// and the cell boundary), and finally turns on profiling.
 func New(cfg Config) *Cluster {
 	cfg.resolve()
 	groups := cfg.cellGroups()
@@ -254,9 +241,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Profile {
 		c.enableProfiling()
-	}
-	if cfg.Telemetry != "" {
-		c.startTelemetry(cfg.Telemetry)
 	}
 	return c
 }
@@ -514,9 +498,9 @@ func (c *Cluster) EndpointAt(i int) *vmmc.Endpoint { return c.Endpoint(c.Hosts[i
 // NICAt returns the i-th host's NIC.
 func (c *Cluster) NICAt(i int) *nic.NIC { return c.NIC(c.Hosts[i]) }
 
-// RunFor advances the whole simulation by d, then stops the kernel(s)
-// (terminating any still-parked processes). Use for bounded experiments.
-// The one-cell plan runs its kernel directly, so events at the boundary
+// RunFor advances the whole simulation by d. Call it again to go on;
+// Stop ends the run and terminates any still-parked processes. The
+// one-cell plan runs its kernel directly, so events at the boundary
 // instant execute; the parallel engine stops before them.
 func (c *Cluster) RunFor(d time.Duration) {
 	if c.eng != nil {
@@ -524,7 +508,6 @@ func (c *Cluster) RunFor(d time.Duration) {
 	} else {
 		c.K.RunFor(d)
 	}
-	c.publishTelemetry()
 }
 
 // Stop terminates the simulation and all its processes. On a plan of
@@ -537,9 +520,6 @@ func (c *Cluster) Stop() {
 	if c.eng != nil {
 		c.eng.Shutdown()
 	}
-	// Final publish so a live scrape can read the end state; the server
-	// itself stays up until its owner closes it.
-	c.publishTelemetry()
 }
 
 // StopSoon schedules a stop at the current instant; safe to call from

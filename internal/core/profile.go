@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
-
 	"sanft/internal/enginestat"
 	"sanft/internal/fabric"
 	"sanft/internal/proto"
@@ -12,9 +9,8 @@ import (
 
 // Engine self-observability wiring: Config.Profile turns on the
 // wall-clock profiler (parsim worker accounting + kernel counters + pool
-// traffic), Config.Telemetry starts the live HTTP endpoint. Both are
-// pure observers — neither feeds anything back into simulation state, so
-// enabling them never changes results.
+// traffic). It is a pure observer — it feeds nothing back into
+// simulation state, so enabling it never changes results.
 
 // enableProfiling arms every collection point. Pool counters are
 // process-wide (the sync.Pools are shared), so the cluster remembers a
@@ -88,45 +84,5 @@ func kernelStat(shard int, k *sim.Kernel) enginestat.KernelStat {
 		Pending:        ks.Pending,
 		ArenaHighWater: ks.ArenaHighWater,
 		Switches:       ks.Switches,
-	}
-}
-
-// Telemetry returns the cluster's live telemetry server, nil when off.
-func (c *Cluster) Telemetry() *enginestat.Server { return c.telemetry }
-
-// startTelemetry launches the HTTP endpoint and wires the publish points:
-// immediately (so the endpoint is never empty), on every observer sample
-// (one-cell plan — the sampler runs on the simulation thread), and at
-// RunFor/Stop boundaries on any plan.
-func (c *Cluster) startTelemetry(addr string) {
-	srv, err := enginestat.NewServer(addr)
-	if err != nil {
-		panic(fmt.Sprintf("core: telemetry listen on %s: %v", addr, err))
-	}
-	c.telemetry = srv
-	if c.eng == nil {
-		c.cells[0].obs.OnSample(func(sim.Time) { c.publishTelemetry() })
-	}
-	c.publishTelemetry()
-}
-
-// publishTelemetry renders the current metrics and engine profile and
-// swaps them into the server. Must run on the simulation thread while
-// the engine is quiescent — the HTTP handlers only ever see the published
-// copies, never the live registry.
-func (c *Cluster) publishTelemetry() {
-	if c.telemetry == nil {
-		return
-	}
-	obs := c.cells[0].obs
-	if c.eng != nil {
-		obs = c.MergedObserver()
-	}
-	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf); err == nil {
-		c.telemetry.PublishMetrics(buf.Bytes())
-	}
-	if p := c.EngineProfile(); p != nil {
-		c.telemetry.PublishProfile(p)
 	}
 }

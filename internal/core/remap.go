@@ -40,21 +40,6 @@ type RemapPolicy struct {
 	// further failure up to QuarantineMax. Defaults 250ms / 2s.
 	Quarantine    time.Duration
 	QuarantineMax time.Duration
-
-	// AltRoutes, when > 0, asks each successful mapping run for this many
-	// extra fabric-disjoint candidate routes and caches them. The next
-	// failure signal for that destination first validates a cached
-	// alternate with a single host probe and installs it on success —
-	// incremental per-destination remap — falling back to a full mapping
-	// run only when every alternate is dead too. 0 disables (every failure
-	// costs a full run, the paper's behavior).
-	AltRoutes int
-	// MaxConcurrent, when > 0, caps the number of mapping runs in flight
-	// across the whole cluster. Excess triggers defer to their backoff
-	// release time instead of starting, so a correlated failure storm
-	// (1k+ destinations at once) drains as a paced queue rather than a
-	// probe flood. 0 = unbounded.
-	MaxConcurrent int
 }
 
 // Defaults fills zero fields.
@@ -109,9 +94,6 @@ type remapState struct {
 	notBefore   sim.Time
 	quarantined bool
 	seq         int // attempt counter, for proc names
-	// cands caches the fabric-disjoint alternates (beyond the installed
-	// primary) from the last successful run, under RemapPolicy.AltRoutes.
-	cands []mapping.Candidate
 }
 
 // remapManager serializes and paces remap activity for one host. All
@@ -218,75 +200,28 @@ func (rm *remapManager) trigger(dst topology.NodeID) {
 }
 
 func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
-	if rm.pol.MaxConcurrent > 0 && rm.c.remapRunning >= rm.pol.MaxConcurrent {
-		// The cluster-wide run budget is exhausted: defer to the backoff
-		// release time, exactly like a too-early retry. Storm-safe — 1k
-		// simultaneous failures become a paced queue, not a probe flood.
-		now := rm.c.K.Now()
-		st.notBefore = now.Add(rm.jitter(st.backoff))
-		if st.armed {
-			rm.c.RemapStats.Coalesced++
-			rm.mx.Add("remap.coalesced", 1)
-			return
-		}
-		st.armed = true
-		rm.c.RemapStats.Deferred++
-		rm.mx.Add("remap.deferred", 1)
-		rm.n.EmitEvent(trace.EvRemapDefer, dst)
-		rm.c.K.At(st.notBefore, func() {
-			st.armed = false
-			rm.trigger(dst)
-		})
-		return
-	}
 	st.running = true
 	st.seq++
-	rm.c.remapRunning++
 	rm.c.RemapStats.Attempts++
 	rm.mx.Add("remap.attempts", 1)
 	n := rm.n
 	n.EmitEvent(trace.EvRemapStart, dst)
-	succeed := func(elapsed time.Duration) {
-		rm.c.Remaps++
-		rm.mx.Add("remap.successes", 1)
-		rm.mx.Observe("remap.latency_ns", elapsed)
-		n.EmitEvent(trace.EvRemapDone, dst)
-		st.failures = 0
-		st.backoff = rm.pol.Backoff
-		st.release = rm.pol.Quarantine
-		st.quarantined = false
-		st.notBefore = 0
-		// A pending request is dropped: the route is fresh, and the
-		// NIC re-raises the upcall if the path is still broken.
-		st.pending = false
-	}
 	rm.c.K.Spawn(fmt.Sprintf("remap-%d-%d.%d", rm.h, dst, st.seq), func(p *sim.Proc) {
-		// Fast path: validate a cached disjoint alternate with one host
-		// probe before paying for a full mapping run.
-		if rm.pol.AltRoutes > 0 && len(st.cands) > 0 {
-			cands := st.cands
-			st.cands = nil
-			start := p.Now()
-			for _, cand := range cands {
-				rm.mx.Add("remap.alt_probes", 1)
-				if rm.m.ProbeRoute(p, dst, cand) {
-					rm.m.InstallCandidate(dst, cand)
-					st.running = false
-					rm.c.remapRunning--
-					rm.mx.Add("remap.alt_hits", 1)
-					succeed(p.Now().Sub(start))
-					return
-				}
-			}
-		}
-		cands, mst, ok := rm.m.RemapK(p, dst, rm.pol.AltRoutes+1)
+		mst, ok := rm.m.Remap(p, dst)
 		st.running = false
-		rm.c.remapRunning--
 		if ok {
-			if len(cands) > 1 {
-				st.cands = cands[1:]
-			}
-			succeed(mst.Elapsed)
+			rm.c.Remaps++
+			rm.mx.Add("remap.successes", 1)
+			rm.mx.Observe("remap.latency_ns", mst.Elapsed)
+			n.EmitEvent(trace.EvRemapDone, dst)
+			st.failures = 0
+			st.backoff = rm.pol.Backoff
+			st.release = rm.pol.Quarantine
+			st.quarantined = false
+			st.notBefore = 0
+			// A pending request is dropped: the route is fresh, and the
+			// NIC re-raises the upcall if the path is still broken.
+			st.pending = false
 			return
 		}
 		rm.c.Unreachables++

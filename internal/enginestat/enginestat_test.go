@@ -244,9 +244,6 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "no metrics published yet") {
 		t.Fatalf("/metrics before publish: %d %q", code, body)
 	}
-	if code, _ := get("/profile"); code != 404 {
-		t.Fatalf("/profile before publish: %d, want 404", code)
-	}
 	if code, _ := get("/progress"); code != 404 {
 		t.Fatalf("/progress before SetProgress: %d, want 404", code)
 	}
@@ -256,23 +253,10 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics: %d %q", code, body)
 	}
 
-	srv.PublishProfile(fixedProfile())
-	code, body := get("/profile")
-	if code != 200 {
-		t.Fatalf("/profile: %d", code)
-	}
-	var p Profile
-	if err := json.Unmarshal([]byte(body), &p); err != nil {
-		t.Fatalf("/profile not JSON: %v", err)
-	}
-	if p.Engine.Epochs != 100 {
-		t.Fatalf("/profile Epochs = %d, want 100", p.Engine.Epochs)
-	}
-
 	srv.SetProgress(func() ProgressSnapshot {
 		return ProgressSnapshot{Done: 3, Total: 10, ElapsedMS: 1.5}
 	})
-	code, body = get("/progress")
+	code, body := get("/progress")
 	if code != 200 {
 		t.Fatalf("/progress: %d", code)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"sanft/internal/report"
 )
 
 // SpanKind classifies a recorded wall-clock interval.
@@ -73,8 +75,8 @@ func (l *SpanLog) Dropped() uint64 {
 }
 
 // WriteChromeTrace writes the profile's wall-clock spans as Chrome
-// trace-event JSON, the same idiom as internal/trace's exporter but on
-// the *wall-clock* timeline: one process group ("engine wall-clock"),
+// trace-event JSON through the same writer as internal/trace's exporter,
+// but on the *wall-clock* timeline: one process group ("engine wall-clock"),
 // one track (tid) per worker, duration ("X") events for every recorded
 // span. Timestamps are nanoseconds since the earliest span, rendered as
 // microseconds with nanosecond precision, so the output is byte-stable
@@ -109,53 +111,23 @@ func (p *Profile) WriteChromeTrace(w io.Writer) error {
 	}
 	sort.Ints(tids)
 
-	ts := func(ns int64) string { return fmt.Sprintf("%d.%03d", ns/1000, ns%1000) }
-	bw := &errWriter{w: w}
-	bw.printf("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	meta := func(tid int, key, name string) {
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
-		bw.printf("{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", tid, key, name)
-	}
-	meta(0, "process_name", "engine wall-clock")
+	ct := report.NewChromeTrace(w)
+	ct.Meta(1, 0, "process_name", "engine wall-clock")
 	for _, tid := range tids {
 		name := fmt.Sprintf("worker%d", tid)
 		if tid == 0 {
 			name = "worker0 (coordinator)"
 		}
-		meta(tid, "thread_name", name)
+		ct.Meta(1, tid, "thread_name", name)
 	}
 	for i := range spans {
 		s := &spans[i]
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
 		name := s.Kind.String()
 		if s.Shard >= 0 {
 			name = fmt.Sprintf("%s %d", name, s.Shard)
 		}
-		dur := s.EndNS - s.StartNS
-		bw.printf("{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%d.%03d,\"name\":%q,\"args\":{\"kind\":%q,\"shard\":%d}}",
-			s.Worker, ts(s.StartNS-base), dur/1000, dur%1000, name, s.Kind.String(), s.Shard)
+		ct.Record("{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%q,\"args\":{\"kind\":%q,\"shard\":%d}}",
+			s.Worker, report.Micros(s.StartNS-base), report.Micros(s.EndNS-s.StartNS), name, s.Kind.String(), s.Shard)
 	}
-	bw.printf("\n]}\n")
-	return bw.err
-}
-
-// errWriter folds write errors so export loops stay uncluttered (same
-// idiom as internal/trace).
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	return ct.Close()
 }

@@ -17,24 +17,21 @@ import (
 // own introspection handlers.
 //
 //	/metrics       Prometheus text format (latest published snapshot)
-//	/profile       latest published engine Profile (JSON)
 //	/progress      campaign progress (jobs done/total, wall-clock, ETA)
 //	/debug/pprof/  Go CPU/heap/goroutine profiles
 //	/debug/vars    expvar
 //
-// The simulator's registries and profiles are single-logical-thread
-// values, so HTTP handlers never touch them: the owning thread renders a
-// snapshot at safe points (sample ticks, job boundaries, Run end) and
-// Publish* swaps it in atomically. Handlers only ever read the swapped
-// pointers, so the server is race-free by construction and a scrape can
-// never observe a half-updated registry.
+// The simulator's registries are single-logical-thread values, so HTTP
+// handlers never touch them: the owner renders a snapshot when a campaign
+// job finishes and PublishMetrics swaps it in atomically. Handlers only
+// ever read the swapped pointers, so the server is race-free by
+// construction and a scrape can never observe a half-updated registry.
 type Server struct {
 	ln   net.Listener
 	srv  *http.Server
 	once sync.Once
 
 	metrics  atomic.Pointer[[]byte]
-	profile  atomic.Pointer[Profile]
 	progress atomic.Pointer[func() ProgressSnapshot]
 }
 
@@ -59,7 +56,6 @@ func NewServer(addr string) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/profile", s.handleProfile)
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -86,10 +82,6 @@ func (s *Server) Close() error {
 // must not mutate b afterwards.
 func (s *Server) PublishMetrics(b []byte) { s.metrics.Store(&b) }
 
-// PublishProfile swaps in an engine Profile snapshot. The caller must not
-// mutate p afterwards.
-func (s *Server) PublishProfile(p *Profile) { s.profile.Store(p) }
-
 // SetProgress installs the campaign-progress source. fn must be safe to
 // call from HTTP handler goroutines (Pool.Progress snapshots are — they
 // read only atomics).
@@ -101,7 +93,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, "sanft telemetry\n\n/metrics\n/profile\n/progress\n/debug/pprof/\n/debug/vars\n")
+	fmt.Fprint(w, "sanft telemetry\n\n/metrics\n/progress\n/debug/pprof/\n/debug/vars\n")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -113,16 +105,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Nothing published yet: still a valid (empty) exposition, so scrapes
 	// before the first sample don't error.
 	fmt.Fprint(w, "# no metrics published yet\n")
-}
-
-func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	p := s.profile.Load()
-	if p == nil {
-		http.Error(w, "no profile published yet", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = p.WriteJSON(w)
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {

@@ -145,9 +145,6 @@ type Session struct {
 	haveRx    bool
 
 	downStreak int // consecutive transmissions while not Up (backoff)
-
-	// Transitions counts state changes (diagnostics).
-	Transitions int
 }
 
 // NewSession creates a session from self toward peer. The discriminator
@@ -311,7 +308,6 @@ func (s *Session) OnDetectTimeout() bool {
 	}
 	s.state = Down
 	s.downStreak = 0
-	s.Transitions++
 	return true
 }
 
@@ -321,7 +317,6 @@ func (s *Session) to(next State, r *RxResult) {
 	}
 	s.state = next
 	s.downStreak = 0
-	s.Transitions++
 	r.New = next
 	r.StateChanged = true
 }

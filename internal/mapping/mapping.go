@@ -461,6 +461,17 @@ func (m *Mapper) FullMap(p *sim.Proc) (*Map, Stats) {
 // failure mark dst unreachable and drop its pending packets. Returns the
 // stats and whether dst was reachable.
 func (m *Mapper) Remap(p *sim.Proc, dst topology.NodeID) (Stats, bool) {
-	_, st, ok := m.RemapK(p, dst, 1)
-	return st, ok
+	fwd, rev, st, ok := m.MapTo(p, dst)
+	if !ok {
+		m.n.MarkUnreachable(dst)
+		return st, false
+	}
+	upd := &proto.Frame{
+		Type:  proto.FrameRouteUpdate,
+		Dst:   dst,
+		Probe: &proto.ProbePayload{Mapper: m.n.Node(), ReturnRoute: rev},
+	}
+	m.n.SendControl(upd, fwd)
+	m.n.ResetPath(dst, fwd)
+	return st, true
 }

@@ -347,19 +347,6 @@ func TestPrometheusHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestObserverOnSample: the sample hook fires after each sample with the
-// sampled timestamp — the publish point live telemetry hangs off.
-func TestObserverOnSample(t *testing.T) {
-	o := NewObserver(Config{})
-	var got []sim.Time
-	o.OnSample(func(now sim.Time) { got = append(got, now) })
-	o.SampleNow(100)
-	o.SampleNow(200)
-	if len(got) != 2 || got[0] != 100 || got[1] != 200 {
-		t.Fatalf("OnSample calls = %v, want [100 200]", got)
-	}
-}
-
 // TestTailQuantilesPinned pins the p999/p9999 surfacing end to end: the
 // snapshot JSON (and hence JSONL exports) and the Summary digest line.
 // The distribution is chosen so every value lands in a unit-wide bucket

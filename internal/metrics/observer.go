@@ -45,12 +45,6 @@ type Observer struct {
 	timer     sim.Timer
 	lastEpoch uint64
 	sampled   bool // at least one sample taken (epoch baseline valid)
-
-	// onSample, when set, fires after every sample (periodic or explicit)
-	// on the simulation thread — the safe point where live telemetry
-	// renders and publishes a registry snapshot. Purely an observer: it
-	// must not mutate simulation state.
-	onSample func(now sim.Time)
 }
 
 // NewObserver returns an observer with a fresh registry.
@@ -92,15 +86,7 @@ func (o *Observer) SampleNow(now sim.Time) {
 	o.samples = append(o.samples, o.snapshot(now))
 	o.lastEpoch = o.reg.epoch
 	o.sampled = true
-	if o.onSample != nil {
-		o.onSample(now)
-	}
 }
-
-// OnSample installs fn to run after every sample taken on this observer.
-// The hook runs on the simulation thread and must treat the registry as
-// read-only.
-func (o *Observer) OnSample(fn func(now sim.Time)) { o.onSample = fn }
 
 // sampleIfActive appends a sample only if any observation was recorded
 // since the previous sample. Campaigns run tens of virtual seconds with

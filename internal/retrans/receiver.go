@@ -36,7 +36,6 @@ type Receiver struct {
 	srcs map[topology.NodeID]*srcState
 
 	// Counters.
-	Accepted   uint64
 	Duplicates uint64
 	OutOfOrder uint64
 	StaleGen   uint64
@@ -75,7 +74,6 @@ func (r *Receiver) OnData(src topology.NodeID, gen uint32, seq uint64, req proto
 	case seq == s.expected:
 		s.expected++
 		s.pendingAck = true
-		r.Accepted++
 		return Verdict{
 			Accept:     true,
 			AckNow:     req == proto.AckImmediate,

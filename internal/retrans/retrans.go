@@ -175,12 +175,6 @@ type Sender struct {
 	// periodic scans visit them deterministically without iterating the
 	// map or sorting on every timer fire.
 	order []*destState
-
-	// Counters.
-	Prepared      uint64
-	Acked         uint64
-	RetransBursts uint64
-	RetransPkts   uint64
 }
 
 // NewSender returns a Sender with the given configuration (zero fields
@@ -233,7 +227,6 @@ func (s *Sender) Prepare(dst topology.NodeID, now sim.Time, freeBuffers int, pay
 	}
 	d.nextSeq++
 	d.queue = append(d.queue, e)
-	s.Prepared++
 	return e
 }
 
@@ -308,7 +301,6 @@ func (s *Sender) OnAck(dst topology.NodeID, ackGen uint32, ackSeq uint64, now si
 	freed := d.queue[:i:i]
 	d.queue = d.queue[i:]
 	d.lastProgress = now
-	s.Acked += uint64(len(freed))
 	if s.cfg.Adaptive {
 		// Karn's algorithm: only never-retransmitted entries give an
 		// unambiguous RTT (the ack provably answers this transmission).
@@ -461,8 +453,6 @@ func (s *Sender) Tick(now sim.Time) []Batch {
 			batch = append(batch, e)
 		}
 		if len(batch) > 0 {
-			s.RetransBursts++
-			s.RetransPkts += uint64(len(batch))
 			if s.cfg.Adaptive && d.backoff < 16 {
 				// Karn backoff: each unanswered burst doubles the next
 				// timeout until a fresh sample arrives.

@@ -5,9 +5,8 @@ import (
 )
 
 // This file provides multi-path route computation for ECMP-style route
-// sets: greedy link-disjoint route enumeration (what the mapper hands out
-// as failover candidates) and an exact max-flow bound (what the structural
-// tests assert against).
+// sets: greedy link-disjoint route enumeration and an exact max-flow
+// bound, which the topology builders' structural tests assert against.
 
 // DisjointRoutes returns up to k routes from host a to host b whose
 // switch-to-switch links are pairwise disjoint (the two NIC links are

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"sanft/internal/report"
 	"sanft/internal/sim"
 )
 
@@ -25,12 +26,8 @@ const (
 // linkTid maps a directed channel to its stable track ID.
 func linkTid(link int32, dir uint8) int { return int(link-1)*2 + int(dir) }
 
-// chromeTS renders a simulated instant as microseconds with nanosecond
-// precision, without floating point (byte-stable across platforms).
-func chromeTS(t sim.Time) string {
-	ns := int64(t)
-	return fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
-}
+// chromeTS renders a simulated instant as trace-event microseconds.
+func chromeTS(t sim.Time) string { return report.Micros(int64(t)) }
 
 // WriteChromeTrace writes events as Chrome trace-event JSON.
 func WriteChromeTrace(w io.Writer, events []Event) error {
@@ -57,23 +54,14 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	sort.Ints(linkTids)
 
-	bw := &errWriter{w: w}
-	bw.printf("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	meta := func(pid, tid int, key, name string) {
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
-		bw.printf("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":%q,\"args\":{\"name\":%q}}", pid, tid, key, name)
-	}
-	meta(chromePidNICs, 0, "process_name", "nics")
-	meta(chromePidLinks, 0, "process_name", "fabric links")
+	ct := report.NewChromeTrace(w)
+	ct.Meta(chromePidNICs, 0, "process_name", "nics")
+	ct.Meta(chromePidLinks, 0, "process_name", "fabric links")
 	for _, id := range nicIDs {
-		meta(chromePidNICs, id, "thread_name", fmt.Sprintf("nic%d", id))
+		ct.Meta(chromePidNICs, id, "thread_name", fmt.Sprintf("nic%d", id))
 	}
 	for _, tid := range linkTids {
-		meta(chromePidLinks, tid, "thread_name",
+		ct.Meta(chromePidLinks, tid, "thread_name",
 			fmt.Sprintf("link%d.%d", links[tid]-1, dirs[tid]))
 	}
 
@@ -83,33 +71,21 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		tid int
 	}
 	open := map[blockKey]blockOpen{}
-	emit := func(e Event, pid, tid int) {
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
-		bw.printf("{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"name\":%q,\"args\":{\"peer\":%d,\"gen\":%d,\"seq\":%d,\"msg\":%d",
-			pid, tid, chromeTS(e.At), e.Kind.String(), e.Peer, e.Gen, e.Seq, e.Msg)
-		if e.Note != "" {
-			bw.printf(",\"note\":%q", e.Note)
-		}
-		bw.printf("}}")
-	}
 	closeBlock := func(k blockKey, o blockOpen, end sim.Time) {
-		if !first {
-			bw.printf(",\n")
-		}
-		first = false
-		dur := int64(end.Sub(o.at))
-		bw.printf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%d.%03d,\"name\":\"blocked\",\"args\":{\"gen\":%d,\"seq\":%d}}",
-			chromePidLinks, o.tid, chromeTS(o.at), dur/1000, dur%1000, k.gen, k.seq)
+		ct.Record("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":\"blocked\",\"args\":{\"gen\":%d,\"seq\":%d}}",
+			chromePidLinks, o.tid, chromeTS(o.at), report.Micros(int64(end.Sub(o.at))), k.gen, k.seq)
 	}
 	for _, e := range events {
 		pid, tid := chromePidNICs, int(e.Node)
 		if e.Link != 0 {
 			pid, tid = chromePidLinks, linkTid(e.Link, e.Dir)
 		}
-		emit(e, pid, tid)
+		var note string
+		if e.Note != "" {
+			note = fmt.Sprintf(",\"note\":%q", e.Note)
+		}
+		ct.Record("{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"name\":%q,\"args\":{\"peer\":%d,\"gen\":%d,\"seq\":%d,\"msg\":%d%s}}",
+			pid, tid, chromeTS(e.At), e.Kind.String(), e.Peer, e.Gen, e.Seq, e.Msg, note)
 		switch e.Kind {
 		case EvLinkBlock:
 			open[blockKey{e.Gen, e.Seq, e.Link, e.Dir}] = blockOpen{e.At, tid}
@@ -141,29 +117,16 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			}
 		}
 	}
-	bw.printf("\n]}\n")
-	return bw.err
+	return ct.Close()
 }
 
 // WriteTimeline writes events as the deterministic text timeline, one
 // line per event in emission order.
 func WriteTimeline(w io.Writer, events []Event) error {
-	bw := &errWriter{w: w}
 	for _, e := range events {
-		bw.printf("%s\n", e.String())
+		if _, err := fmt.Fprintf(w, "%s\n", e.String()); err != nil {
+			return err
+		}
 	}
-	return bw.err
-}
-
-// errWriter folds write errors so export loops stay uncluttered.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	return nil
 }

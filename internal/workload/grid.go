@@ -13,47 +13,6 @@ import (
 	"sanft/internal/topology"
 )
 
-// Inject adapts a workload spec into a chaos.TrafficInjector, so any
-// existing campaign — its topology, fault schedule, and invariant
-// oracle — can be driven by production-shaped traffic instead of the
-// synthetic default. The hosts come from the default workload's pairs
-// (in first-appearance order, so the choice is deterministic), split
-// into a server prefix and a client remainder. When out is non-nil it
-// receives the driver, for SLO extraction after the run.
-func Inject(spec Spec, out **Driver) chaos.TrafficInjector {
-	return func(e *chaos.Engine, dflt chaos.Workload) *chaos.Run {
-		hosts := pairHosts(dflt)
-		if len(hosts) < 2 {
-			hosts = e.C.Hosts
-		}
-		if len(hosts) < 2 {
-			panic("workload: Inject needs at least two hosts")
-		}
-		nSrv := serverSplit(spec, len(hosts))
-		d := Attach(e, spec, hosts[nSrv:], hosts[:nSrv])
-		if out != nil {
-			*out = d
-		}
-		return d.Run()
-	}
-}
-
-// pairHosts lists the distinct hosts a workload's pairs touch, in first
-// appearance order.
-func pairHosts(w chaos.Workload) []topology.NodeID {
-	seen := make(map[topology.NodeID]bool)
-	var out []topology.NodeID
-	for _, pr := range w.Pairs {
-		for _, h := range [2]topology.NodeID{pr.Src, pr.Dst} {
-			if !seen[h] {
-				seen[h] = true
-				out = append(out, h)
-			}
-		}
-	}
-	return out
-}
-
 // serverSplit picks how many of n hosts serve: about a third, at least
 // one, and at least two for KV (when possible) so puts actually
 // replicate.

@@ -207,16 +207,6 @@ func WithEngineProfiling() Option {
 	return func(c *Config) { c.Profile = true }
 }
 
-// WithTelemetryServer starts a live telemetry HTTP server on addr
-// (host:port; port 0 picks one — Cluster.Telemetry().Addr() reports it):
-// Prometheus /metrics (published on every observer sample and at
-// RunFor/Stop boundaries), the engine profile at /profile, /debug/pprof,
-// and expvar. The server outlives Stop so a final scrape sees the end
-// state; close it with Cluster.Telemetry().Close().
-func WithTelemetryServer(addr string) Option {
-	return func(c *Config) { c.Telemetry = addr }
-}
-
 // WithEngine selects the execution engine: EngineSequential (the
 // default one-cell plan — one kernel over the wormhole fabric, full API)
 // or EngineSharded (hosts partitioned into cells under the conservative

@@ -130,11 +130,8 @@ type (
 
 	// EngineProfile is the engine self-profiler's collected result
 	// (enable with WithEngineProfiling, record wall-clock spans with
-	// Cluster.ProfileSpans, read with Cluster.EngineProfile);
-	// TelemetryServer the live HTTP endpoint started by
-	// WithTelemetryServer.
-	EngineProfile   = enginestat.Profile
-	TelemetryServer = enginestat.Server
+	// Cluster.ProfileSpans, read with Cluster.EngineProfile).
+	EngineProfile = enginestat.Profile
 )
 
 // NewTraceRing returns a ring-buffer tracer holding up to n events; wire
