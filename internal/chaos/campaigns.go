@@ -25,6 +25,10 @@ type Variant struct {
 	// Adaptive switches the retransmission timeout from the fixed
 	// interval to the RTT-driven Jacobson/Karn estimator.
 	Adaptive bool
+
+	// eagerTimers runs every timer scan (core.Config.EagerTimers): the
+	// reference of the idle-skipping differential test.
+	eagerTimers bool
 }
 
 // Baseline is the paper's configuration: fixed retransmission interval,
@@ -42,6 +46,7 @@ func AdaptiveLiveness() Variant {
 func (v Variant) apply(cfg *core.Config) {
 	cfg.Liveness = v.Liveness
 	cfg.Retrans.Adaptive = v.Adaptive
+	cfg.EagerTimers = v.eagerTimers
 }
 
 // maxAttempts scales a campaign's remap-attempt bound: liveness detects

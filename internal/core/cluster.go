@@ -152,6 +152,15 @@ type Config struct {
 	// GOMAXPROCS) only changes wall-clock time. The one-cell plan runs
 	// its kernel directly and ignores it.
 	Workers int
+
+	// EagerTimers keeps the one-cell plan's fixed retransmission timers
+	// scanning through idle stretches instead of skipping idle scans
+	// (nic.Options.SkipIdleScans). Results are identical either way, only
+	// the kernel's event count differs: it is the reference the
+	// idle-skipping differential tests compare against. A plan of several
+	// cells always runs every scan, which keeps its event and epoch
+	// counts as they were pinned.
+	EagerTimers bool
 }
 
 // Cluster is a fully wired simulation instance: the hosts partitioned
@@ -281,19 +290,20 @@ func (cfg *Config) resolve() {
 // (cluster, host): different cluster seeds — and different NICs within
 // one cluster — get independent drop schedules at the same rate, and a
 // host's schedule never depends on the plan or its cell.
-func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace.Tracer, reg *metrics.Registry) *nic.NIC {
+func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace.Tracer, reg *metrics.Registry, skipIdle bool) *nic.NIC {
 	var dropper fault.Dropper
 	if cfg.ErrorRate > 0 {
 		dropper = fault.NewRateSeeded(cfg.ErrorRate, cfg.Seed*1000003+int64(h)*7919+12289)
 	}
 	return nic.New(k, w, h, nic.Options{
-		FT:       cfg.FT,
-		Retrans:  cfg.Retrans,
-		Cost:     cfg.Cost,
-		Dropper:  dropper,
-		Tracer:   tr,
-		Metrics:  reg,
-		Liveness: cfg.Liveness,
+		FT:            cfg.FT,
+		Retrans:       cfg.Retrans,
+		Cost:          cfg.Cost,
+		Dropper:       dropper,
+		Tracer:        tr,
+		Metrics:       reg,
+		Liveness:      cfg.Liveness,
+		SkipIdleScans: skipIdle,
 	})
 }
 
@@ -323,7 +333,7 @@ func (c *Cluster) newCell(i int, hosts []topology.NodeID, one bool) *cell {
 	cl.wire.BindMetrics(cl.obs.Registry())
 	cl.wire.SetTracer(cl.tracer)
 	for _, h := range hosts {
-		cl.nics[h] = cfg.newNIC(cl.k, cl.wire, h, cl.tracer, cl.obs.Registry())
+		cl.nics[h] = cfg.newNIC(cl.k, cl.wire, h, cl.tracer, cl.obs.Registry(), one && !cfg.EagerTimers)
 		c.byHost[h] = i
 	}
 	return cl

@@ -21,6 +21,9 @@ func (c *Cluster) enableProfiling() {
 	proto.SetPoolProfiling(true)
 	fabric.SetPoolProfiling(true)
 	c.poolBase = readPools()
+	for _, cl := range c.cells {
+		cl.k.CountKinds()
+	}
 	if c.eng != nil {
 		c.prof = c.eng.EnableProfiling()
 	}
@@ -76,6 +79,7 @@ func (c *Cluster) EngineProfile() *enginestat.Profile {
 
 func kernelStat(shard int, k *sim.Kernel) enginestat.KernelStat {
 	ks := k.Stats()
+	n := &ks.ByKind
 	return enginestat.KernelStat{
 		Shard:          shard,
 		Scheduled:      ks.Scheduled,
@@ -84,5 +88,13 @@ func kernelStat(shard int, k *sim.Kernel) enginestat.KernelStat {
 		Pending:        ks.Pending,
 		ArenaHighWater: ks.ArenaHighWater,
 		Switches:       ks.Switches,
+		ByKind: enginestat.EventKinds{
+			Tick:     n[sim.KindTick],
+			Resource: n[sim.KindResource],
+			Worm:     n[sim.KindWorm],
+			Wake:     n[sim.KindWake],
+			Pipe:     n[sim.KindPipe],
+			Other:    n[sim.KindOther],
+		},
 	}
 }

@@ -153,15 +153,39 @@ func (e *EngineStat) add(src *EngineStat) {
 }
 
 // KernelStat is one shard kernel's event-machinery account. Switches
-// counts the handoffs of its event loop between goroutines (sim.Proc).
+// counts the handoffs of its event loop between goroutines (sim.Proc);
+// ByKind splits the executed events by what they were.
 type KernelStat struct {
-	Shard          int    `json:"shard"`
-	Scheduled      uint64 `json:"scheduled"`
-	Cancelled      uint64 `json:"cancelled"`
-	Executed       uint64 `json:"executed"`
-	Pending        int    `json:"pending"`
-	ArenaHighWater int    `json:"arena_high_water"`
-	Switches       uint64 `json:"switches"`
+	Shard          int        `json:"shard"`
+	Scheduled      uint64     `json:"scheduled"`
+	Cancelled      uint64     `json:"cancelled"`
+	Executed       uint64     `json:"executed"`
+	Pending        int        `json:"pending"`
+	ArenaHighWater int        `json:"arena_high_water"`
+	Switches       uint64     `json:"switches"`
+	ByKind         EventKinds `json:"by_kind"`
+}
+
+// EventKinds counts executed events by kind (sim.EventKind): retransmission
+// timer ticks, resource (firmware, DMA) completions, worm steps through
+// the wormhole fabric, Proc wake-ups, Pipe send completions and arrivals,
+// and everything else.
+type EventKinds struct {
+	Tick     uint64 `json:"tick"`
+	Resource uint64 `json:"resource"`
+	Worm     uint64 `json:"worm"`
+	Wake     uint64 `json:"wake"`
+	Pipe     uint64 `json:"pipe"`
+	Other    uint64 `json:"other"`
+}
+
+func (e *EventKinds) add(src *EventKinds) {
+	e.Tick += src.Tick
+	e.Resource += src.Resource
+	e.Worm += src.Worm
+	e.Wake += src.Wake
+	e.Pipe += src.Pipe
+	e.Other += src.Other
 }
 
 // PoolStat is the frame/packet pool traffic observed during a profiled
@@ -230,6 +254,7 @@ func (p *Profile) AddFrom(src *Profile) {
 			k.ArenaHighWater = s.ArenaHighWater
 		}
 		k.Switches += s.Switches
+		k.ByKind.add(&s.ByKind)
 	}
 	p.Pools.add(&src.Pools)
 	p.Spans = append(p.Spans, src.Spans...)
@@ -355,6 +380,9 @@ func (p *Profile) WriteText(w io.Writer) error {
 			k := &p.Kernels[i]
 			fmt.Fprintf(&b, "  shard %-4d scheduled=%d cancelled=%d executed=%d pending=%d arena_high_water=%d switches=%d\n",
 				k.Shard, k.Scheduled, k.Cancelled, k.Executed, k.Pending, k.ArenaHighWater, k.Switches)
+			e := &k.ByKind
+			fmt.Fprintf(&b, "             by kind: tick=%d resource=%d worm=%d wake=%d pipe=%d other=%d\n",
+				e.Tick, e.Resource, e.Worm, e.Wake, e.Pipe, e.Other)
 		}
 	}
 	fmt.Fprintf(&b, "pools: frame gets=%d misses=%d hit=%.4g  packet gets=%d misses=%d hit=%.4g\n",

@@ -30,8 +30,10 @@ func fixedProfile() *Profile {
 			Wakes: 3, Parks: 3, Events: 5000},
 	}
 	p.Kernels = []KernelStat{
-		{Shard: 0, Scheduled: 5000, Cancelled: 120, Executed: 4800, Pending: 80, ArenaHighWater: 64, Switches: 700},
-		{Shard: 1, Scheduled: 4000, Cancelled: 90, Executed: 3900, Pending: 10, ArenaHighWater: 32, Switches: 40},
+		{Shard: 0, Scheduled: 5000, Cancelled: 120, Executed: 4800, Pending: 80, ArenaHighWater: 64, Switches: 700,
+			ByKind: EventKinds{Tick: 1000, Resource: 2000, Worm: 1500, Wake: 200, Other: 100}},
+		{Shard: 1, Scheduled: 4000, Cancelled: 90, Executed: 3900, Pending: 10, ArenaHighWater: 32, Switches: 40,
+			ByKind: EventKinds{Tick: 900, Resource: 1800, Wake: 100, Pipe: 1000, Other: 100}},
 	}
 	p.Pools = PoolStat{FrameGets: 10000, FrameMisses: 120, PacketGets: 8000, PacketMisses: 50}
 	p.Spans = []Span{
@@ -75,6 +77,14 @@ func TestAddFromCommutative(t *testing.T) {
 	if got := a1.Kernels[0].Switches; got != 706 || !bytes.Contains(ja, []byte(`"switches": 706`)) {
 		t.Fatalf("merged shard-0 Switches = %d, want 700+6 and rendered", got)
 	}
+	want := EventKinds{Tick: 1100, Resource: 2200, Worm: 1600, Wake: 240, Pipe: 30, Other: 110}
+	if got := a1.Kernels[0].ByKind; got != want || !bytes.Contains(ja, []byte(`"by_kind": {`)) ||
+		!bytes.Contains(ja, []byte(`"resource": 2200`)) {
+		t.Fatalf("merged shard-0 ByKind = %+v, want %+v and rendered", got, want)
+	}
+	if got := a1.Kernels[1].ByKind; got != fixedProfile().Kernels[1].ByKind {
+		t.Fatalf("shard-1 ByKind = %+v changed by a merge with no shard 1", got)
+	}
 	var ta, tb bytes.Buffer
 	if err := a1.WriteChromeTrace(&ta); err != nil {
 		t.Fatal(err)
@@ -99,7 +109,8 @@ func otherProfile() *Profile {
 			AwakeNS: 950_000, Claims: 9, Events: 400},
 	}
 	p.Kernels = []KernelStat{
-		{Shard: 0, Scheduled: 500, Cancelled: 10, Executed: 480, Pending: 10, ArenaHighWater: 128, Switches: 6},
+		{Shard: 0, Scheduled: 500, Cancelled: 10, Executed: 480, Pending: 10, ArenaHighWater: 128, Switches: 6,
+			ByKind: EventKinds{Tick: 100, Resource: 200, Worm: 100, Wake: 40, Pipe: 30, Other: 10}},
 	}
 	p.Pools = PoolStat{FrameGets: 100, FrameMisses: 2, PacketGets: 90, PacketMisses: 1}
 	p.Spans = []Span{{Worker: 1, Kind: SpanShard, Shard: 3, StartNS: 90, EndNS: 110}}
@@ -155,7 +166,8 @@ func TestRenderByteStable(t *testing.T) {
 		}
 	}
 	// The text report must surface the headline accounts.
-	for _, want := range []string{"engine: workers=2 shards=4", "epochs        100", "worker"} {
+	for _, want := range []string{"engine: workers=2 shards=4", "epochs        100", "worker",
+		"by kind: tick=1000 resource=2000 worm=1500 wake=200 pipe=0 other=100"} {
 		if !strings.Contains(x1, want) {
 			t.Fatalf("text report missing %q:\n%s", want, x1)
 		}

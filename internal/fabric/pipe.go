@@ -50,18 +50,33 @@ type Pipe struct {
 // the packet counters.
 func NewPipe(k *sim.Kernel, nw *topology.Network, cfg Config) *Pipe {
 	p := &Pipe{wire: newWire(k, nw, cfg)}
-	p.sent = sim.HandlerFunc(func(arg any) {
-		if pkt := arg.(*Packet); pkt.OnInjectDone != nil {
-			pkt.OnInjectDone()
-		}
-	})
-	p.landed = sim.HandlerFunc(func(arg any) {
-		pkt := arg.(*Packet)
-		p.arrive(pkt.term, pkt)
-	})
+	p.sent = (*pipeSent)(p)
+	p.landed = (*pipeLanded)(p)
 	p.BindMetrics(metrics.NewRegistry())
 	return p
 }
+
+// pipeSent and pipeLanded are a Pipe seen as the Handler of a packet's
+// send-DMA completion and of its local arrival; the packet is the event
+// argument.
+type (
+	pipeSent   Pipe
+	pipeLanded Pipe
+)
+
+func (*pipeSent) Fire(arg any) {
+	if pkt := arg.(*Packet); pkt.OnInjectDone != nil {
+		pkt.OnInjectDone()
+	}
+}
+
+func (p *pipeLanded) Fire(arg any) {
+	pkt := arg.(*Packet)
+	(*Pipe)(p).arrive(pkt.term, pkt)
+}
+
+func (*pipeSent) EventKind() sim.EventKind   { return sim.KindPipe }
+func (*pipeLanded) EventKind() sim.EventKind { return sim.KindPipe }
 
 // SetEgress installs the shard-boundary hook: packets terminating at a
 // host with no local AttachHost callback are handed to fn together with

@@ -68,6 +68,9 @@ const (
 	wormWatchdog                  // the blocked-path timer expired
 )
 
+// EventKind names the worm's events for the engine profiler.
+func (*worm) EventKind() sim.EventKind { return sim.KindWorm }
+
 // Fire runs one of the worm's events.
 func (w *worm) Fire(arg any) {
 	switch arg.(wormEvent) {

@@ -55,12 +55,12 @@ func (n *NIC) liveTx(dst topology.NodeID) {
 	if ls == nil {
 		return
 	}
-	n.cpu.Submit(n.cost.AckSendCost, func() {
+	n.fw(n.cost.AckSendCost, sim.HandlerFunc(func(any) {
 		p := ls.s.BuildTx(n.k.Now())
 		n.mx.Add("liveness.tx", 1)
 		n.SendControl(&proto.Frame{Type: proto.FrameLiveness, Dst: dst, Live: p}, nil)
 		n.k.After(ls.s.NextTxDelay(), func() { n.liveTx(dst) })
-	})
+	}), nil)
 }
 
 // onLiveness processes a received liveness control packet: session state

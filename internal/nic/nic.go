@@ -63,6 +63,13 @@ type Options struct {
 	// gives the NIC a private registry, so instrumentation never needs a
 	// nil check.
 	Metrics *metrics.Registry
+	// SkipIdleScans lets the fixed-interval timer stop at a tick that
+	// finds nothing unacknowledged and the firmware idle, and catch the
+	// scans it skips up by arithmetic (see catchUp): an idle NIC then
+	// costs no kernel events, and nothing else changes. Off, every scan
+	// runs. Ignored with Liveness, whose sessions put work on the firmware
+	// every interval anyway.
+	SkipIdleScans bool
 }
 
 // txItem is one frame queued for transmission.
@@ -128,11 +135,27 @@ type NIC struct {
 	dropper fault.Dropper
 	opts    Options
 
-	// Retransmission-timer callbacks, bound once in scheduleTimer so a
-	// timer fire allocates no method value or closure.
-	scanFn         func() // n.timerScan
-	adaptiveFireFn func() // n.adaptiveTimerFire
-	adaptiveScanFn func() // n.adaptiveTimerScan
+	// Retransmission timer. interval is the fixed timer's period; rank,
+	// the kernel's schedule count when the timer started, orders this
+	// NIC's timer events after those of NICs built before it, as their
+	// scheduling sequence would (see tickKey).
+	interval time.Duration
+	rank     uint64
+	skip     bool        // Options.SkipIdleScans, without liveness
+	scanned  sim.Handler // fixed-timer scan done: timerScan
+	adapted  sim.Handler // adaptive scan done: adaptiveTimerScan
+
+	// Idle-skipping state. While parked the tick chain is stopped (see
+	// catchUp): nextTick is the first skipped tick not yet known to have
+	// run, and scanOpen says the scan of the tick before it has not been
+	// folded into skipped and skipBusy, the scans caught up so far and
+	// their firmware time, which the nic.cpu gauges add to the firmware
+	// CPU's own totals.
+	parked   bool
+	nextTick sim.Time
+	scanOpen bool
+	skipped  uint64
+	skipBusy time.Duration
 
 	// Per-packet callbacks, bound once in New so the data path schedules
 	// no closure; the frame or packet is the event argument.
@@ -219,13 +242,21 @@ func (n *NIC) bindHandlers() {
 	n.depositDone = sim.HandlerFunc(func(a any) { n.notifyHost(a.(*proto.Frame)) })
 	n.notified = sim.HandlerFunc(func(a any) { n.deliverUp(a.(*proto.Frame)) })
 	n.ackReady = sim.HandlerFunc(func(a any) { n.transmitAck(a.(*proto.Frame)) })
+	n.scanned = sim.HandlerFunc(func(any) { n.timerScan() })
+	n.adapted = sim.HandlerFunc(func(any) { n.adaptiveTimerScan() })
 }
 
 // registerGauges publishes the NIC's instantaneous state as derived
 // gauges: DMA/firmware occupancy, SRAM pool, and protocol queue depth.
 func (n *NIC) registerGauges() {
-	n.mx.GaugeFunc("nic.cpu.busy_ns", func() float64 { return float64(n.cpu.BusyTime()) })
-	n.mx.GaugeFunc("nic.cpu.dispatches", func() float64 { return float64(n.cpu.Served()) })
+	n.mx.GaugeFunc("nic.cpu.busy_ns", func() float64 {
+		n.catchUp(false)
+		return float64(n.cpu.BusyTime() + n.skipBusy)
+	})
+	n.mx.GaugeFunc("nic.cpu.dispatches", func() float64 {
+		n.catchUp(false)
+		return float64(n.cpu.Served() + n.skipped)
+	})
 	n.mx.GaugeFunc("nic.pci.busy_ns", func() float64 { return float64(n.pci.BusyTime()) })
 	n.mx.GaugeFunc("nic.pci.dispatches", func() float64 { return float64(n.pci.Served()) })
 	n.mx.GaugeFunc("nic.sram.free_buffers", func() float64 { return float64(n.freeBuffers) })
@@ -350,12 +381,6 @@ func (c Counters) String() string {
 	return b.String()
 }
 
-// CPU returns the firmware processor resource (for utilization reporting).
-func (n *NIC) CPU() *sim.Resource { return n.cpu }
-
-// PCI returns the host-DMA engine resource.
-func (n *NIC) PCI() *sim.Resource { return n.pci }
-
 // ProtoSender exposes retransmission-protocol sender state (nil without FT).
 func (n *NIC) ProtoSender() *retrans.Sender { return n.snd }
 
@@ -374,6 +399,7 @@ func (n *NIC) FT() bool { return n.ft }
 // on. order lists the routed destinations in the order their liveness
 // sessions start, as one SetRoute per destination would start them.
 func (n *NIC) InstallRoutes(row []routing.Route, order []topology.NodeID) {
+	n.catchUp(true)
 	n.routes = row
 	n.nroutes = 0
 	for _, r := range row {
@@ -399,6 +425,7 @@ func (n *NIC) SetRoute(dst topology.NodeID, r routing.Route) {
 		n.routes = append(n.routes, make([]routing.Route, grow)...)
 	}
 	if n.routes[dst] == nil {
+		n.catchUp(true)
 		n.nroutes++
 	}
 	n.routes[dst] = r
@@ -419,6 +446,7 @@ func (n *NIC) Route(dst topology.NodeID) (routing.Route, bool) {
 // is detected).
 func (n *NIC) RemoveRoute(dst topology.NodeID) {
 	if _, ok := n.Route(dst); ok {
+		n.catchUp(true)
 		n.routes[dst] = nil
 		n.nroutes--
 	}
@@ -482,7 +510,7 @@ func (n *NIC) firmwareSend(frame *proto.Frame) {
 	if n.ft {
 		c += n.cost.FTSendOverhead
 	}
-	n.cpu.SubmitHandler(c, n.fwSent, frame)
+	n.fw(c, n.fwSent, frame)
 }
 
 // queueData finishes the firmware's send processing of a data frame: it
@@ -672,33 +700,152 @@ func (n *NIC) noRoute(dst topology.NodeID) {
 // Retransmission timer
 // ---------------------------------------------------------------------------
 
+// scheduleTimer starts the retransmission timer. Its first tick comes one
+// interval plus a per-NIC phase after boot.
 func (n *NIC) scheduleTimer() {
-	interval := n.snd.Config().Interval
+	cfg := n.snd.Config()
+	n.interval = cfg.Interval
+	n.rank = n.k.Stats().Scheduled
+	n.skip = n.opts.SkipIdleScans && n.opts.Liveness == nil
 	// Desynchronize timer phases across NICs (real NICs boot at
 	// arbitrary instants). Without this, symmetric workloads can
 	// retransmit in lockstep after a synchronized watchdog reset and
 	// re-deadlock forever — a livelock only possible because the
 	// simulation starts every NIC at t=0.
-	phase := time.Duration(int64(n.node)%16) * (interval / 16)
-	n.scanFn = n.timerScan
-	if n.snd.Config().Adaptive {
-		n.adaptiveFireFn = n.adaptiveTimerFire
-		n.adaptiveScanFn = n.adaptiveTimerScan
-		n.k.After(interval+phase, n.adaptiveFireFn)
+	phase := time.Duration(int64(n.node)%16) * (n.interval / 16)
+	first := n.k.Now().Add(n.interval + phase)
+	if cfg.Adaptive {
+		n.k.AtHandler(first, (*timerTick)(n), nil)
 		return
 	}
-	var tick func()
-	tick = func() {
-		n.timerFire()
-		n.k.After(interval, tick)
+	n.tickAt(first, n.k.Now())
+}
+
+// tickKey and scanKey are the sim.Kernel.AtAsOf keys of the fixed timer's
+// events: a tick is scheduled as of the tick before it (the first as of
+// boot), and the completion of a scan that starts at its tick as of that
+// tick. The keys order the events of one instant scheduled as of one
+// instant as scheduling sequence would: a NIC built earlier first, and a
+// NIC's scan completion before its tick. So each event runs at the same
+// place among all others whether the chain runs every scan or skips idle
+// ones, and wherever it was scheduled from.
+func (n *NIC) tickKey() uint64 { return n.rank<<1 | 1 }
+func (n *NIC) scanKey() uint64 { return n.rank << 1 }
+
+// timerTick is the NIC seen as the Handler of its timer ticks, so the
+// engine profiler counts them as sim.KindTick.
+type timerTick NIC
+
+func (t *timerTick) Fire(any) {
+	n := (*NIC)(t)
+	if n.opts.Retrans.Adaptive {
+		n.adaptiveTimerFire()
+		return
 	}
-	n.k.After(interval+phase, tick)
+	n.tick()
+}
+
+func (*timerTick) EventKind() sim.EventKind { return sim.KindTick }
+
+// tickAt schedules the fixed timer's next tick at t, as of asOf.
+func (n *NIC) tickAt(t, asOf sim.Time) {
+	n.k.AtAsOf(t, asOf, n.tickKey(), (*timerTick)(n), nil)
+}
+
+// tick is one period of the fixed timer: a scan, and the next tick. With
+// SkipIdleScans a tick that finds nothing unacknowledged and the firmware
+// idle stops the chain instead. Its scan, and every later one until
+// catchUp restarts the chain, would change nothing but the firmware's
+// busy time and dispatch count, which catchUp adds up.
+func (n *NIC) tick() {
+	now := n.k.Now()
+	if n.skip && !n.cpu.Busy() && n.snd.TotalUnacked() == 0 && n.scanCost() < n.interval {
+		n.parked, n.nextTick, n.scanOpen = true, now.Add(n.interval), true
+		return
+	}
+	n.timerFire()
+	n.tickAt(now.Add(n.interval), now)
 }
 
 // timerFire is the single periodic retransmission timer: one firmware scan
-// over the per-destination queues.
+// over the per-destination queues. A scan that starts at its tick
+// completes as of the tick (sim.Resource.StartAsOf); one queued behind
+// other firmware work starts, and completes, as ordinary work.
 func (n *NIC) timerFire() {
-	n.cpu.Submit(n.scanCost(), n.scanFn)
+	c := n.scanCost()
+	if n.cpu.Busy() {
+		n.fw(c, n.scanned, nil)
+		return
+	}
+	n.cpu.StartAsOf(n.k.Now(), c, n.scanKey(), n.scanned, nil)
+}
+
+// fw submits work to the firmware CPU. Every submission goes through it,
+// so a stopped tick chain catches up first: the scans it skipped may hold
+// the CPU. (The tick's own scan in timerFire starts directly only on an
+// idle CPU, from a running chain.)
+func (n *NIC) fw(service time.Duration, h sim.Handler, arg any) {
+	n.catchUp(true)
+	n.cpu.SubmitHandler(service, h, arg)
+}
+
+// catchUp folds the scans a stopped tick chain has skipped so far into
+// skipped and skipBusy. The skipped ticks fall on the phase grid, at
+// nextTick, nextTick+interval, ...; scanOpen says the scan of the tick
+// before nextTick is not folded yet. The routes cannot have changed since
+// the chain stopped (a route change restarts it), so neither has
+// scanCost, and as it is below the interval, every skipped scan but the
+// last has ended before the next tick.
+//
+// Whether a skipped tick or scan completion has happened yet is exact,
+// ties included: sim.Kernel.Ran places it where the eager chain's event
+// would run among the events of its instant. So work that arrives as a
+// skipped scan ends finds the CPU busy or free exactly as on the eager
+// chain.
+//
+// With resume the chain restarts, as the next submission or route change
+// requires: a scan still in service goes back into service for the rest
+// of its time (work submitted now queues behind it, as on the eager
+// chain), and the next tick is scheduled. Without it (a gauge read)
+// nothing is scheduled, and the chain stays stopped.
+func (n *NIC) catchUp(resume bool) {
+	if !n.parked {
+		return
+	}
+	c, I := n.scanCost(), n.interval
+	now := n.k.Now()
+	if now >= n.nextTick {
+		// Ticks in [nextTick, now) have run; one at now may have.
+		m := int64(now.Sub(n.nextTick)/I) + 1
+		if at := n.nextTick.Add(time.Duration(m-1) * I); at == now && !n.k.Ran(at, at.Add(-I), n.tickKey()) {
+			m--
+		}
+		if m > 0 {
+			// Each tick ends the previous scan, and opens its own.
+			folded := m - 1
+			if n.scanOpen {
+				folded++
+			}
+			n.skipped += uint64(folded)
+			n.skipBusy += time.Duration(folded) * c
+			n.nextTick = n.nextTick.Add(time.Duration(m) * I)
+			n.scanOpen = true
+		}
+	}
+	began := n.nextTick.Add(-I)
+	if n.scanOpen && n.k.Ran(began.Add(c), began, n.scanKey()) {
+		n.skipped++
+		n.skipBusy += c
+		n.scanOpen = false
+	}
+	if !resume {
+		return
+	}
+	n.parked = false
+	if n.scanOpen {
+		n.cpu.StartAsOf(began, c, n.scanKey(), n.scanned, nil)
+	}
+	n.tickAt(n.nextTick, began)
 }
 
 // scanCost is the firmware time of one timer scan: a fixed part plus one
@@ -732,7 +879,7 @@ func (n *NIC) timerScan() {
 // detected within half an RTO-floor of expiring rather than up to a full
 // period late.
 func (n *NIC) adaptiveTimerFire() {
-	n.cpu.Submit(n.scanCost(), n.adaptiveScanFn)
+	n.fw(n.scanCost(), n.adapted, nil)
 }
 
 // adaptiveTimerScan runs the scan in firmware context, then schedules the
@@ -753,7 +900,7 @@ func (n *NIC) adaptiveTimerScan() {
 	if delay < floor {
 		delay = floor
 	}
-	n.k.After(delay, n.adaptiveFireFn)
+	n.k.AtHandler(n.k.Now().Add(delay), (*timerTick)(n), nil)
 }
 
 // noteAcked records the acknowledgment latency of freed entries: how long
@@ -782,7 +929,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 	n.mx.Observe("retrans.detect_ns", b.Oldest)
 	n.mx.Observe("retrans.scan_wait_ns", b.Waited)
 	cost := time.Duration(len(b.Entries)) * n.cost.RetransPktCost
-	n.cpu.Submit(cost, func() {
+	n.fw(cost, sim.HandlerFunc(func(any) {
 		items := make([]txItem, 0, len(b.Entries))
 		for i, e := range b.Entries {
 			orig, ok := e.Payload.(*proto.Frame)
@@ -806,7 +953,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 		// Prepend preserving batch order.
 		n.txQueue.PushFront(items...)
 		n.kickTX()
-	})
+	}), nil)
 }
 
 func (n *NIC) attachPiggybackIfAny(frame *proto.Frame) {
@@ -839,7 +986,7 @@ func (n *NIC) onWire(pkt *fabric.Packet) {
 	default:
 		cost = n.cost.ProbeCost
 	}
-	n.cpu.SubmitHandler(cost, n.received, pkt)
+	n.fw(cost, n.received, pkt)
 }
 
 // receive is the receive firmware's processing of pkt, run once its cost
@@ -1000,7 +1147,7 @@ func (n *NIC) sendAck(to topology.NodeID) {
 		AckGen: gen,
 		AckSeq: seq,
 	}
-	n.cpu.SubmitHandler(n.cost.AckSendCost, n.ackReady, ack)
+	n.fw(n.cost.AckSendCost, n.ackReady, ack)
 }
 
 // transmitAck queues an explicit ack once its firmware cost is paid.

@@ -160,6 +160,13 @@ func RunSim(sc SimScenario) *SimResult {
 // faults are installed but before traffic starts — used by tests that need
 // extra instrumentation on the same deterministic run.
 func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
+	return runSim(sc, pre, false)
+}
+
+// runSim is RunSimWith; eager runs every retransmission-timer scan
+// (core.Config.EagerTimers), the reference of the idle-skipping
+// differential test.
+func runSim(sc SimScenario, pre func(*chaos.Engine), eager bool) *SimResult {
 	res := &SimResult{Scenario: sc}
 	nw, hosts := sc.Topo.Build()
 	if len(hosts) < 2 {
@@ -169,15 +176,16 @@ func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 	fr := trace.NewFlightRecorder(4096)
 	watch := &unreachWatch{inner: fr, pairs: make(map[pairKey]bool)}
 	c := core.New(core.Config{
-		Net:     nw,
-		Hosts:   hosts,
-		FT:      true,
-		Retrans: rc,
-		Mapper:  true,
-		Remap:   pol,
-		Fabric:  fcfg,
-		Tracer:  watch,
-		Seed:    sc.Seed,
+		Net:         nw,
+		Hosts:       hosts,
+		FT:          true,
+		Retrans:     rc,
+		Mapper:      true,
+		Remap:       pol,
+		Fabric:      fcfg,
+		Tracer:      watch,
+		Seed:        sc.Seed,
+		EagerTimers: eager,
 	})
 	res.Recorder = fr
 	e := chaos.NewEngine(c, sc.Seed)

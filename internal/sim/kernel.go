@@ -34,20 +34,68 @@ type thunk func()
 
 func (f thunk) Fire(any) { f() }
 
+// EventKind classifies an executed event for the profiler's by-kind counts
+// (KernelStats.ByKind).
+type EventKind uint8
+
+const (
+	// KindOther is every event no other kind claims.
+	KindOther EventKind = iota
+	// KindTick is a periodic timer tick (the NIC retransmission timer).
+	KindTick
+	// KindResource is the completion of a Resource work item.
+	KindResource
+	// KindWorm is a step of a worm through the wormhole fabric.
+	KindWorm
+	// KindWake is a Proc's start, wake-up or wait timeout.
+	KindWake
+	// KindPipe is a Pipe's send-DMA completion or local arrival.
+	KindPipe
+
+	// NumEventKinds is the number of kinds.
+	NumEventKinds
+)
+
+// Kinded is implemented by a Handler whose events are of one EventKind
+// other than those the kernel knows itself (Proc wake-ups and Resource
+// completions).
+type Kinded interface {
+	EventKind() EventKind
+}
+
+// kindOf classifies an event by its handler; called only while CountKinds
+// is on.
+func kindOf(h Handler) EventKind {
+	switch h := h.(type) {
+	case *procWake, *procTimeout:
+		return KindWake
+	case *resourceDone:
+		return KindResource
+	case Kinded:
+		return h.EventKind()
+	}
+	return KindOther
+}
+
 // event is one scheduled callback, stored flat in the kernel's arena and
-// addressed by its arena index. Events with equal times execute in
-// scheduling order (seq breaks ties), which keeps runs deterministic.
+// addressed by its arena index. Events execute in (at, sched, seq) order,
+// which keeps runs deterministic. An ordinary event's sched is the instant
+// it was scheduled at and its seq its scheduling sequence with the
+// laterBand bit set, so at one time events run in scheduling order. An
+// event scheduled through AtAsOf carries the instant and the key its
+// caller chose instead (see AtAsOf).
 //
 // The arena slot is recycled through a free list once the event fires or
 // is cancelled; gen is bumped on every recycle so stale Timer handles
 // can never cancel a later occupant of the same slot.
 type event struct {
-	at  Time
-	seq uint64
-	gen uint32
-	pos int32 // index in the kernel's heap, -1 when not queued
-	h   Handler
-	arg any
+	at    Time
+	sched Time
+	seq   uint64
+	gen   uint32
+	pos   int32 // index in the kernel's heap, -1 when not queued
+	h     Handler
+	arg   any
 }
 
 // Timer is a value handle to a scheduled event that can be cancelled.
@@ -104,7 +152,7 @@ type Kernel struct {
 
 	arena []event // flat event records, indexed by event id
 	free  []int32 // recycled arena slots
-	heap  []int32 // binary heap of event ids, ordered by (at, seq)
+	heap  []int32 // binary heap of event ids, ordered by (at, sched, seq)
 
 	bound   Time          // the current run executes events at or before bound
 	running bool          // a Run, RunUntil or RunBefore call is active
@@ -117,11 +165,25 @@ type Kernel struct {
 	executed  uint64   // events executed, for diagnostics
 	cancelled uint64   // events cancelled before firing
 	switches  uint64   // handoffs of the loop between goroutines
+
+	// ranSched and ranSeq order the last event run, or, after a RunUntil,
+	// come after every event at now (see Ran).
+	ranSched Time
+	ranSeq   uint64
+
+	// byKind counts executed events per EventKind while CountKinds is on;
+	// nil otherwise, so the off path costs fire one branch.
+	byKind *[NumEventKinds]uint64
 }
+
+// laterBand is set in the seq of every ordinary event, so that an AtAsOf
+// event (whose key stays below it) runs ahead of the ordinary events
+// scheduled at its instant.
+const laterBand = 1 << 63
 
 // New returns a kernel with its clock at zero and an RNG seeded with seed.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), ranSched: math.MinInt64}
 }
 
 // Now returns the current simulated time.
@@ -143,7 +205,9 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 // ArenaHighWater is the peak number of distinct event slots ever live at
 // once, i.e. the arena's memory footprint in records; Switches counts
 // every handoff of the loop from one goroutine to another (a Proc's
-// start, a wake-up of another Proc, a return to the caller).
+// start, a wake-up of another Proc, a return to the caller). ByKind
+// splits the events executed since CountKinds by EventKind (all zero
+// when it was never called).
 type KernelStats struct {
 	Scheduled      uint64
 	Cancelled      uint64
@@ -151,13 +215,14 @@ type KernelStats struct {
 	Pending        int
 	ArenaHighWater int
 	Switches       uint64
+	ByKind         [NumEventKinds]uint64
 }
 
 // Stats returns the kernel's counter snapshot. Always available — the
 // counters are plain increments on paths that already mutate kernel
 // state, cheap enough to keep unconditionally.
 func (k *Kernel) Stats() KernelStats {
-	return KernelStats{
+	s := KernelStats{
 		Scheduled:      k.seq,
 		Cancelled:      k.cancelled,
 		Executed:       k.executed,
@@ -165,13 +230,29 @@ func (k *Kernel) Stats() KernelStats {
 		ArenaHighWater: len(k.arena),
 		Switches:       k.switches,
 	}
+	if k.byKind != nil {
+		s.ByKind = *k.byKind
+	}
+	return s
 }
 
-// less orders heap entries by (time, scheduling sequence).
+// CountKinds starts counting executed events by EventKind (see
+// KernelStats.ByKind). The engine profiler turns it on; it never changes
+// what a run does.
+func (k *Kernel) CountKinds() {
+	if k.byKind == nil {
+		k.byKind = new([NumEventKinds]uint64)
+	}
+}
+
+// less orders heap entries by (time, scheduling instant, sequence).
 func (k *Kernel) less(a, b int32) bool {
 	ea, eb := &k.arena[a], &k.arena[b]
 	if ea.at != eb.at {
 		return ea.at < eb.at
+	}
+	if ea.sched != eb.sched {
+		return ea.sched < eb.sched
 	}
 	return ea.seq < eb.seq
 }
@@ -238,9 +319,15 @@ func (k *Kernel) release(id int32) {
 	k.free = append(k.free, id)
 }
 
-// schedule inserts a new event and returns its handle.
+// schedule inserts a new ordinary event and returns its handle.
 func (k *Kernel) schedule(t Time, h Handler, arg any) Timer {
 	k.seq++
+	return k.insert(t, k.now, k.seq|laterBand, h, arg)
+}
+
+// insert puts an event ordered by (t, sched, seq) into the arena and the
+// heap.
+func (k *Kernel) insert(t, sched Time, seq uint64, h Handler, arg any) Timer {
 	var id int32
 	if n := len(k.free); n > 0 {
 		id = k.free[n-1]
@@ -250,8 +337,7 @@ func (k *Kernel) schedule(t Time, h Handler, arg any) Timer {
 		id = int32(len(k.arena) - 1)
 	}
 	e := &k.arena[id]
-	e.at = t
-	e.seq = k.seq
+	e.at, e.sched, e.seq = t, sched, seq
 	e.h, e.arg = h, arg
 	e.pos = int32(len(k.heap))
 	k.heap = append(k.heap, id)
@@ -273,6 +359,37 @@ func (k *Kernel) AtHandler(t Time, h Handler, arg any) Timer {
 	return k.schedule(t, h, arg)
 }
 
+// AtAsOf schedules h.Fire(arg) at absolute time t, where an event
+// scheduled for t at instant asOf (at or before now) would run: after every
+// event at t scheduled before asOf, and ahead of every ordinary event at t
+// scheduled at asOf or later. AtAsOf events with equal t and asOf run in
+// ascending key order. So a component can stop a periodic chain and, at
+// any later point, schedule the events it would have scheduled exactly
+// where they would have run, with no record of what ran in between. Keys
+// must be below 1<<63; two events pending with equal (t, asOf, key) run in
+// no defined order, and an event that Ran says has already run panics.
+func (k *Kernel) AtAsOf(t, asOf Time, key uint64, h Handler, arg any) Timer {
+	if asOf > k.now || key >= laterBand || k.Ran(t, asOf, key) {
+		panic(fmt.Sprintf("sim: AtAsOf(%v, as of %v, key %#x) at now %v is in the past", t, asOf, key, k.now))
+	}
+	k.seq++
+	return k.insert(t, asOf, key, h, arg)
+}
+
+// Ran reports whether an event that AtAsOf(t, asOf, key) would schedule
+// has already run: it is ordered before the event running now (or, between
+// runs, the last event run), or at or before the instant a RunUntil
+// reached.
+func (k *Kernel) Ran(t, asOf Time, key uint64) bool {
+	switch {
+	case t != k.now:
+		return t < k.now
+	case asOf != k.ranSched:
+		return asOf < k.ranSched
+	}
+	return key < k.ranSeq
+}
+
 // After schedules fn to run d after the current time. Negative d panics.
 func (k *Kernel) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
@@ -289,11 +406,14 @@ func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, thunk(f
 func (k *Kernel) fire() {
 	id := k.heap[0]
 	e := &k.arena[id]
-	k.now = e.at
+	k.now, k.ranSched, k.ranSeq = e.at, e.sched, e.seq
 	h, arg := e.h, e.arg
 	k.heapRemove(0)
 	k.release(id)
 	k.executed++
+	if k.byKind != nil {
+		k.byKind[kindOf(h)]++
+	}
 	h.Fire(arg)
 }
 
@@ -328,8 +448,8 @@ func (k *Kernel) Run() Time {
 // Events scheduled exactly at t do execute.
 func (k *Kernel) RunUntil(t Time) {
 	k.run(t)
-	if !k.stopped && k.now < t {
-		k.now = t
+	if !k.stopped && k.now <= t {
+		k.now, k.ranSched, k.ranSeq = t, math.MaxInt64, math.MaxUint64
 	}
 }
 
@@ -346,7 +466,7 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now.Add(d)) }
 func (k *Kernel) RunBefore(t Time) {
 	k.run(t - 1)
 	if !k.stopped && k.now < t {
-		k.now = t
+		k.now, k.ranSched = t, math.MinInt64
 	}
 }
 

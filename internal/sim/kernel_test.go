@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -362,5 +363,109 @@ func TestTimePropertyAddSub(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAtAsOfOrdering: an AtAsOf event runs where an event scheduled for
+// its time at its asOf instant would run, ahead of the ordinary events
+// scheduled at that instant; AtAsOf events of one (time, asOf) run in key
+// order, whenever they were scheduled.
+func TestAtAsOfOrdering(t *testing.T) {
+	k := New(1)
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	asOf := func(s string) Handler { return HandlerFunc(func(any) { order = append(order, s) }) }
+	at := Time(10 * Microsecond)
+	k.At(at, note("ordinary@0"))
+	k.At(Time(2*Microsecond), note(""))
+	k.At(Time(2*Microsecond), func() { k.At(at, note("ordinary@2")) })
+	k.At(Time(5*Microsecond), func() {
+		k.At(at, note("ordinary@5"))
+		k.AtAsOf(at, Time(2*Microsecond), 7, asOf("asof@2/7"), nil)
+		k.AtAsOf(at, Time(2*Microsecond), 3, asOf("asof@2/3"), nil)
+		k.AtAsOf(at, Time(5*Microsecond), 0, asOf("asof@5/0"), nil)
+		k.AtAsOf(at, 0, 9, asOf("asof@0/9"), nil)
+	})
+	k.Run()
+	want := []string{"", "asof@0/9", "ordinary@0", "asof@2/3", "asof@2/7", "ordinary@2", "asof@5/0", "ordinary@5"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+}
+
+// TestRanTracksRunPosition pins Ran: inside an event it splits the events
+// of the instant at the running one; after RunUntil every event of the
+// instant has run, after RunBefore none, and after a Stop the events
+// behind the stopping one never run.
+func TestRanTracksRunPosition(t *testing.T) {
+	k := New(1)
+	T := Time(10 * Microsecond)
+	if k.Ran(0, 0, 0) {
+		t.Fatal("a fresh kernel has run something")
+	}
+	var got []bool
+	k.At(Time(Microsecond), func() {
+		k.At(T, func() { // ordered (T, 1µs, ordinary)
+			got = append(got,
+				k.Ran(T-1, T-1, 1<<62),         // an earlier instant
+				k.Ran(T, 0, 1<<62),             // scheduled before this event
+				k.Ran(T, Time(Microsecond), 5), // as of its instant, ahead of it
+				!k.Ran(T, Time(2*Microsecond), 0),
+				!k.Ran(T+1, 0, 0))
+		})
+	})
+	k.RunUntil(T - 1)
+	if !k.Ran(T-1, T-1, 0) || k.Ran(T, 0, 0) {
+		t.Fatal("after RunUntil(t): every event at t has run, none later")
+	}
+	k.RunUntil(T)
+	for i, ok := range got {
+		if !ok {
+			t.Fatalf("check %d inside the event failed: %v", i, got)
+		}
+	}
+	k.RunBefore(T + 5)
+	if k.Ran(T+5, 0, 0) || !k.Ran(T+4, T, 0) {
+		t.Fatal("after RunBefore(t): no event at t has run")
+	}
+	k.At(T+10, func() { k.Stop() })
+	k.AtAsOf(T+10, T+5, 1, HandlerFunc(func(any) {}), nil)
+	k.RunUntil(T + 20)
+	if k.Now() != T+10 || !k.Ran(T+10, T+5, 1) || k.Ran(T+10, T+6, 0) {
+		t.Fatalf("after a Stop at %v (now %v): only the events ahead of the stopping one ran", T+10, k.Now())
+	}
+}
+
+// TestAtAsOfRejectsThePast: an event Ran says has run, one as of a future
+// instant, or one with an out-of-range key, panics.
+func TestAtAsOfRejectsThePast(t *testing.T) {
+	h := HandlerFunc(func(any) {})
+	for _, tc := range []struct {
+		name       string
+		at, asOf   Time
+		key        uint64
+		wantsPanic bool
+	}{
+		{"future", 20, 5, 0, false},
+		{"this instant, behind the running event", 10, 10, 0, false},
+		{"this instant, ahead of the running event", 10, 2, 0, true},
+		{"as of a future instant", 20, 15, 0, true},
+		{"key out of range", 20, 5, 1 << 63, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New(1)
+			var got any
+			k.At(2, func() { k.At(10, func() {}) }) // runs at 10, ordered (10, 2, ...)
+			k.At(10, func() {})                     // ordered (10, 0, ...)
+			k.RunUntil(9)
+			k.At(10, func() {
+				defer func() { got = recover() }()
+				k.AtAsOf(tc.at, tc.asOf, tc.key, h, nil)
+			}) // ordered (10, 9, ...), runs last at 10
+			k.Run()
+			if (got != nil) != tc.wantsPanic {
+				t.Fatalf("panic = %v, want panic %v", got, tc.wantsPanic)
+			}
+		})
 	}
 }

@@ -13,21 +13,24 @@ import (
 //
 // Resource accumulates busy time, so utilization can be reported after a
 // run. In steady state submitting and completing work allocates nothing:
-// waiting items sit in a Queue, completions are scheduled through one
-// callback bound at construction, and SubmitHandler takes a bound
+// waiting items sit in a Queue, completions are scheduled with the
+// resource itself as their handler, and SubmitHandler takes a bound
 // handler instead of a closure.
 type Resource struct {
 	k    *Kernel
 	name string
 
-	busy      bool
-	queue     Queue[resWork]
-	cur       resWork // the item in service
-	finish    func()  // r.complete, bound once
-	busyNS    time.Duration
-	served    uint64
-	lastStart Time
+	busy   bool
+	queue  Queue[resWork]
+	cur    resWork // the item in service
+	busyNS time.Duration
+	served uint64
 }
+
+// resourceDone is a Resource seen as the Handler of its completions.
+type resourceDone Resource
+
+func (d *resourceDone) Fire(any) { (*Resource)(d).complete() }
 
 // resWork is one item: its service time and the h.Fire(arg) completion
 // (h nil for none).
@@ -39,9 +42,7 @@ type resWork struct {
 
 // NewResource returns an idle resource attached to kernel k.
 func NewResource(k *Kernel, name string) *Resource {
-	r := &Resource{k: k, name: name}
-	r.finish = r.complete
-	return r
+	return &Resource{k: k, name: name}
 }
 
 // Name returns the resource's diagnostic name.
@@ -91,8 +92,25 @@ func (r *Resource) TransferTime(n int, rate float64, setup time.Duration) time.D
 func (r *Resource) start(w resWork) {
 	r.busy = true
 	r.cur = w
-	r.lastStart = r.k.Now()
-	r.k.After(w.service, r.finish)
+	r.k.AtHandler(r.k.Now().Add(w.service), (*resourceDone)(r), nil)
+}
+
+// StartAsOf puts an item into service on an idle resource as if it had
+// been submitted at instant begin, at or before now: it completes at
+// begin+service, where Kernel.AtAsOf(begin+service, begin, key) puts the
+// completion. A periodic job that starts on an idle resource at its own
+// instant submits this way, so its completion runs where it would run
+// however late the job is put into service. It panics on a busy resource.
+func (r *Resource) StartAsOf(begin Time, service time.Duration, key uint64, h Handler, arg any) {
+	if r.busy {
+		panic(fmt.Sprintf("sim: resource %s: StartAsOf while busy", r.name))
+	}
+	if service < 0 {
+		panic(fmt.Sprintf("sim: resource %s: negative service time %v", r.name, service))
+	}
+	r.busy = true
+	r.cur = resWork{service: service, h: h, arg: arg}
+	r.k.AtAsOf(begin.Add(service), begin, key, (*resourceDone)(r), nil)
 }
 
 // complete finishes the item in service and starts the next waiting one.

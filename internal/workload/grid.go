@@ -170,6 +170,16 @@ func RunGrid(o GridOpts) (GridResult, error) {
 	return g, nil
 }
 
+// remapDrainBound bounds how long a replica keeps running after its
+// drain for the on-demand mapping runs still active to end. A run on
+// fattree:16 pays a 500 µs probe timeout per wrong port guess and can
+// stay active for about 100 simulated seconds; one still active at the
+// bound is reported as a remap-idle violation.
+const remapDrainBound = 200 * time.Second
+
+// remapDrainSlice is the step in which that wait checks for active runs.
+const remapDrainSlice = 10 * time.Millisecond
+
 // runReplica builds one cluster, attaches the workload, runs the fault
 // schedule, and audits the run. Each replica owns a fresh topology
 // build — faults mutate the network, so replicas cannot share one.
@@ -177,7 +187,8 @@ func RunGrid(o GridOpts) (GridResult, error) {
 // The SLO outcome is judged at dur. Admission then stops, and the run
 // continues for one operation deadline, by which every admitted
 // operation has completed or expired, plus a second for the NICs to
-// retransmit and acknowledge what the expired ones left in flight. Only
+// retransmit and acknowledge what the expired ones left in flight, and
+// then until no mapping run is active (at most remapDrainBound). Only
 // then is the quiesce state audited.
 func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replicaOut {
 	b, err := topology.ParseSpec(cell.topo)
@@ -215,6 +226,11 @@ func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replic
 	out := replicaOut{res: d.Result(cell.topo, cell.fault, dur)}
 	d.halted = true
 	c.RunFor(2 * d.Spec.Timeout)
+	for end := c.Now().Add(remapDrainBound); c.Now() < end; c.RunFor(remapDrainSlice) {
+		if running, _ := c.RemapInFlight(); running == 0 {
+			break
+		}
+	}
 	c.Stop()
 
 	// The grid's faults all heal (flaps end, the drop ramp returns to

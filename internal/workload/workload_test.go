@@ -7,6 +7,8 @@ import (
 	"sanft/internal/chaos"
 	"sanft/internal/core"
 	"sanft/internal/mapping"
+	"sanft/internal/parsim"
+	"sanft/internal/report"
 	"sanft/internal/retrans"
 	"sanft/internal/topology"
 )
@@ -213,6 +215,26 @@ func TestGridDrainsBeforeAudit(t *testing.T) {
 	}
 	if cut == 0 {
 		t.Fatal("every cell issued its whole budget by Dur: the gate never stops admission")
+	}
+}
+
+// A gray fault can leave an on-demand mapping run on fattree:16 active
+// for tens of simulated seconds, far past a short run's drain: the sanload
+// grid -topos fattree:16 -faults gray -dur 30ms -seed 4 used to audit its
+// rpc/open cell with a remap-idle violation. The replica now keeps running
+// until the run ends, and audits clean.
+func TestGridWaitsForMappingRuns(t *testing.T) {
+	spec := Spec{Proto: ProtoRPC, Mode: ModeOpen, Clients: 8, Ops: 400, Rate: 20000,
+		Think: 2 * time.Millisecond, Pipeline: 1, ValBytes: 256, Chunks: 4,
+		Timeout: 250 * time.Millisecond,
+		SLO:     report.SLO{Latency: time.Millisecond, Window: 50 * time.Millisecond}}
+	cell := gridCell{topo: "fattree:16", spec: spec, fault: "gray"}
+	out := runReplica(cell, parsim.ShardSeed(4, 0), 30*time.Millisecond, 9)
+	for _, v := range out.vios {
+		t.Errorf("violation: %s", v)
+	}
+	if out.res.ElapsedNS != int64(30*time.Millisecond) {
+		t.Fatalf("judged over %v, want 30ms", time.Duration(out.res.ElapsedNS))
 	}
 }
 
