@@ -26,9 +26,9 @@ type Variant struct {
 	// interval to the RTT-driven Jacobson/Karn estimator.
 	Adaptive bool
 
-	// eagerTimers runs every timer scan (core.Config.EagerTimers): the
-	// reference of the idle-skipping differential test.
-	eagerTimers bool
+	// eager runs every timer scan and every worm hop (core.Config.Eager):
+	// the reference of the idle-skipping and lazy-worm differential tests.
+	eager bool
 }
 
 // Baseline is the paper's configuration: fixed retransmission interval,
@@ -46,7 +46,7 @@ func AdaptiveLiveness() Variant {
 func (v Variant) apply(cfg *core.Config) {
 	cfg.Liveness = v.Liveness
 	cfg.Retrans.Adaptive = v.Adaptive
-	cfg.EagerTimers = v.eagerTimers
+	cfg.Eager = v.eager
 }
 
 // maxAttempts scales a campaign's remap-attempt bound: liveness detects

@@ -41,7 +41,7 @@ func runElision(camp Campaign, seed int64) elisionRun {
 // must show the same thing, byte for byte.
 func TestIdleElisionCampaigns(t *testing.T) {
 	eager := Baseline()
-	eager.eagerTimers = true
+	eager.eager = true
 	eagerCamps := CampaignsWith(eager)
 	for i, camp := range Campaigns() {
 		camp, ref := camp, eagerCamps[i]

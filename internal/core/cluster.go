@@ -153,14 +153,15 @@ type Config struct {
 	// its kernel directly and ignores it.
 	Workers int
 
-	// EagerTimers keeps the one-cell plan's fixed retransmission timers
-	// scanning through idle stretches instead of skipping idle scans
-	// (nic.Options.SkipIdleScans). Results are identical either way, only
-	// the kernel's event count differs: it is the reference the
-	// idle-skipping differential tests compare against. A plan of several
-	// cells always runs every scan, which keeps its event and epoch
-	// counts as they were pinned.
-	EagerTimers bool
+	// Eager runs the one-cell plan as the differential tests' reference:
+	// its fixed retransmission timers scan through idle stretches instead
+	// of skipping idle scans (nic.Options.SkipIdleScans), and its worms
+	// take every hop instead of going lazy on free paths
+	// (fabric.Fabric.SetLazyWorms). Results are identical either way, only
+	// the kernel's event count differs. A plan of several cells always
+	// runs every scan, which keeps its event and epoch counts as they were
+	// pinned, and has no worms.
+	Eager bool
 }
 
 // Cluster is a fully wired simulation instance: the hosts partitioned
@@ -321,6 +322,7 @@ func (c *Cluster) newCell(i int, hosts []topology.NodeID, one bool) *cell {
 		cl.k = sim.New(cfg.Seed)
 		cl.nw = cfg.Net
 		c.K, c.Fab = cl.k, fabric.New(cl.k, cl.nw, cfg.Fabric)
+		c.Fab.SetLazyWorms(!cfg.Eager)
 		cl.wire, cl.tracer = c.Fab, cfg.Tracer
 	} else {
 		cl.k = sim.New(parsim.ShardSeed(cfg.Seed, i))
@@ -333,7 +335,7 @@ func (c *Cluster) newCell(i int, hosts []topology.NodeID, one bool) *cell {
 	cl.wire.BindMetrics(cl.obs.Registry())
 	cl.wire.SetTracer(cl.tracer)
 	for _, h := range hosts {
-		cl.nics[h] = cfg.newNIC(cl.k, cl.wire, h, cl.tracer, cl.obs.Registry(), one && !cfg.EagerTimers)
+		cl.nics[h] = cfg.newNIC(cl.k, cl.wire, h, cl.tracer, cl.obs.Registry(), one && !cfg.Eager)
 		c.byHost[h] = i
 	}
 	return cl

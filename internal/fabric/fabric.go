@@ -64,6 +64,13 @@ type Fabric struct {
 	oldest, newest *worm
 	inFlight       int
 	wormSeq        uint64 // injection-order serial, printed by InFlightDetail
+
+	lazyOn bool  // worms may go lazy on free paths (SetLazyWorms)
+	firing *worm // the worm whose event is running, nil between worm events
+
+	// The worm metrics, resolved on first use like the wire's counters.
+	watchdogResets *metrics.Counter
+	blockNS        *metrics.Histogram
 }
 
 // New returns a fabric over network nw driven by kernel k.
@@ -84,6 +91,7 @@ func New(k *sim.Kernel, nw *topology.Network, cfg Config) *Fabric {
 // directed channel of every link present now.
 func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 	f.wire.BindMetrics(reg)
+	f.watchdogResets, f.blockNS = nil, nil
 	nlinks := len(f.nw.Links)
 	var ids []string // busy and utilization idents per channel, built on first export
 	reg.GaugeCollector("fabric.link", func(emit func(string, float64)) {
@@ -100,6 +108,7 @@ func (f *Fabric) BindMetrics(reg *metrics.Registry) {
 		for i := 0; i < 2*nlinks; i++ {
 			var busy float64
 			if cs := f.channel(chanKey(i)); cs != nil {
+				f.settle(cs)
 				busy = float64(cs.busy)
 			}
 			var util float64
@@ -194,28 +203,31 @@ func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
 // waiting on either of its channels.
 func (f *Fabric) KillLink(l *topology.Link) {
 	f.nw.KillLink(l)
-	f.flushWhere(func(w *worm) bool { return w.usesLink(l.ID) })
+	f.flushLinks(func(id int) bool { return id == l.ID })
 }
 
-// KillSwitch marks a switch permanently failed and flushes worms crossing
-// any of its links.
+// KillSwitch marks a switch permanently failed and flushes the worms
+// holding or waiting on a channel of any of its links. A worm whose tail
+// has already left the switch is past it, and carries on.
 func (f *Fabric) KillSwitch(id topology.NodeID) {
 	f.nw.KillSwitch(id)
-	n := f.nw.Node(id)
-	links := make(map[int]bool)
-	for _, l := range n.Ports {
-		if l != nil {
-			links[l.ID] = true
-		}
-	}
-	f.flushWhere(func(w *worm) bool {
-		for _, k := range w.held {
-			if links[k.link()] {
+	ports := f.nw.Node(id).Ports
+	f.flushLinks(func(link int) bool {
+		for _, l := range ports {
+			if l != nil && l.ID == link {
 				return true
 			}
 		}
-		return w.waiting != nil && links[w.waitKey.link()]
+		return false
 	})
+}
+
+// flushLinks kills the worms that hold or wait on a channel of a link hit
+// reports. Lazy worms whose path crosses such a link materialize first, so
+// the kill meets the eager state.
+func (f *Fabric) flushLinks(hit func(link int) bool) {
+	f.materializeWhere(func(w *worm) bool { return w.crosses(hit) })
+	f.flushWhere(func(w *worm) bool { return w.usesLinks(hit) })
 }
 
 // flushWhere kills the in-flight worms matching pred, in injection order.
@@ -241,8 +253,10 @@ func (f *Fabric) wormsInOrder(pred func(*worm) bool) []*worm {
 
 // InFlightDetail describes each in-flight worm — held channels, what it is
 // waiting on, and whether a watchdog is armed. Diagnostic aid for chaos
-// audits: at quiesce this should be empty.
+// audits: at quiesce this should be empty. Lazy worms materialize first,
+// so each line shows the eager state.
 func (f *Fabric) InFlightDetail() []string {
+	f.materializeWhere(nil)
 	var out []string
 	for _, w := range f.wormsInOrder(nil) {
 		held := 0
@@ -274,5 +288,6 @@ func (f *Fabric) ChannelBusyTime(l *topology.Link, from topology.NodeID) time.Du
 	if cs == nil {
 		return 0
 	}
+	f.settle(cs)
 	return cs.busy
 }

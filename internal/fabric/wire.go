@@ -31,7 +31,10 @@ type wire struct {
 	tracer trace.Tracer
 
 	reg *metrics.Registry
-	mx  *metrics.Scope
+	// injected, delivered and bytes hold the fabric.pkts_injected,
+	// fabric.pkts_delivered and fabric.bytes_delivered counters, resolved
+	// on first use (count) like the drop counters.
+	injected, delivered, bytes *metrics.Counter
 	// dropped holds the fabric.pkts_dropped{reason=…} counter of each
 	// reason, resolved on its first drop: a drop then allocates nothing,
 	// and a reason that never fires never appears in an export.
@@ -50,8 +53,18 @@ func newWire(k *sim.Kernel, nw *topology.Network, cfg Config) wire {
 // standalone fabrics keep the private registry their constructor installed.
 func (w *wire) BindMetrics(reg *metrics.Registry) {
 	w.reg = reg
-	w.mx = reg.Scope(nil)
+	w.injected, w.delivered, w.bytes = nil, nil, nil
 	w.dropped = [len(dropNames)]*metrics.Counter{}
+}
+
+// count adds n to the unlabelled counter name held in *c, resolving it on
+// first use: a count then allocates nothing, and a series that never
+// fires never appears in an export.
+func (w *wire) count(c **metrics.Counter, name string, n uint64) {
+	if *c == nil {
+		*c = w.reg.Counter(name, nil)
+	}
+	(*c).Add(n)
 }
 
 // Metrics returns the registry the fabric currently records into.
@@ -138,7 +151,7 @@ func (w *wire) emitPkt(kind trace.Kind, pkt *Packet, link, dir int, note string)
 func (w *wire) inject(src topology.NodeID, pkt *Packet) *topology.Link {
 	pkt.Src = src
 	pkt.Injected = w.k.Now()
-	w.mx.Add("fabric.pkts_injected", 1)
+	w.count(&w.injected, "fabric.pkts_injected", 1)
 	n := w.nw.Node(src)
 	if n.Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: inject from non-host %s", n.Name))
@@ -186,8 +199,8 @@ func (w *wire) arrive(dst topology.NodeID, pkt *Packet) {
 		return
 	}
 	pkt.Delivered = w.k.Now()
-	w.mx.Add("fabric.pkts_delivered", 1)
-	w.mx.Add("fabric.bytes_delivered", uint64(pkt.Size))
+	w.count(&w.delivered, "fabric.pkts_delivered", 1)
+	w.count(&w.bytes, "fabric.bytes_delivered", uint64(pkt.Size))
 	w.emitPkt(trace.EvDeliver, pkt, -1, 0, "")
 	if fn := w.deliver[dst]; fn != nil {
 		fn(pkt)

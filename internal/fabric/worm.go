@@ -24,11 +24,18 @@ import (
 //     grant_{i+1}); grants never go back in time, so neither do release
 //     times, and equal times fire in scheduling order. The next release
 //     therefore always frees held[w.released].
+//
+// A lazy worm (lazy.go) keeps both. Its one pending head event is its
+// delivery, and w.head is the destination host. Its only release event
+// is the injection channel's, held[0]; the channels it reserved past its
+// first switch are released by arithmetic, in path order, and
+// materializing it schedules exactly the releases the eager worm would
+// have pending, so the next release still frees held[w.released].
 type worm struct {
 	f   *Fabric
 	pkt *Packet
 	// seq is the worm's injection-order serial number, printed by
-	// InFlightDetail.
+	// InFlightDetail and part of its event keys.
 	seq uint64
 	// older and newer link the fabric's in-flight list, which is in
 	// injection order, so flushes and diagnostics visit worms in the same
@@ -55,6 +62,18 @@ type worm struct {
 	watchdog      sim.Timer
 	dead          bool
 	injectionDone bool // OnInjectDone already fired
+
+	// keyed: the worm's first switch granted it the next channel with the
+	// rest of its path free, so the events it schedules from its own later
+	// steps are AtFrom events (see at). lazy: its hops past that switch are
+	// not simulated; hops counts the channels it holds or reserved from
+	// there on, delivery is its pending delivery, and from1 and key2 place
+	// its first two steps (see lazy.go).
+	keyed, lazy bool
+	hops        int
+	delivery    sim.Timer
+	from1       sim.Origin
+	key2        uint64
 }
 
 // wormEvent is the argument of a worm's own events: a small constant, so
@@ -73,6 +92,7 @@ func (*worm) EventKind() sim.EventKind { return sim.KindWorm }
 
 // Fire runs one of the worm's events.
 func (w *worm) Fire(arg any) {
+	w.f.firing = w
 	switch arg.(wormEvent) {
 	case wormAdvance:
 		w.advance(w.head)
@@ -83,34 +103,72 @@ func (w *worm) Fire(arg any) {
 		w.released++
 		w.f.release(key, w)
 	case wormWatchdog:
-		w.f.mx.Add("fabric.watchdog_resets", 1)
+		w.f.count(&w.f.watchdogResets, "fabric.watchdog_resets", 1)
 		w.f.emitPkt(trace.EvWatchdog, w.pkt, w.waitKey.link(), w.waitKey.dir(), "")
 		w.die(DropWatchdog)
 	}
+	w.f.firing = nil
 }
 
-// usesLink reports whether the worm holds or awaits a channel of link id.
-func (w *worm) usesLink(id int) bool {
+// wormBand sets the keys of a worm's AtFrom events above the NIC timer's
+// AtAsOf keys.
+const wormBand = 1 << 62
+
+// key is the key of the worm's event ev among the events its step
+// schedules: its injection serial, and a release ahead of a head event, as
+// a grant schedules them.
+func (w *worm) key(ev wormEvent) uint64 {
+	k := wormBand | w.seq<<1
+	if ev != wormRelease {
+		k |= 1
+	}
+	return k
+}
+
+// at schedules the worm's event ev at t. A keyed worm's own step schedules
+// it with AtFrom from that step, with no ordinary sequence number, which
+// is where a lazy worm's materialized step lands too (lazy.go). Every
+// other scheduling, a grant inside another worm's event included, is
+// ordinary, on every chain alike.
+func (w *worm) at(t sim.Time, ev wormEvent) {
+	k := w.f.k
+	if w.keyed && w.f.firing == w {
+		k.AtFrom(t, k.Now(), k.Origin(), w.key(ev), w, ev)
+		return
+	}
+	k.AtHandler(t, w, ev)
+}
+
+// usesLinks reports whether the worm holds or awaits a channel of a link
+// hit reports: a channel it has released no longer counts.
+func (w *worm) usesLinks(hit func(link int) bool) bool {
 	for _, k := range w.held {
-		if k.link() == id {
-			// Only counts if we still actually hold it.
+		if hit(k.link()) {
 			if cs := w.f.channel(k); cs != nil && cs.holder == w {
 				return true
 			}
 		}
 	}
-	return w.waiting != nil && w.waitKey.link() == id
+	return w.waiting != nil && hit(w.waitKey.link())
 }
 
 // request asks for the directed channel key leading to node next. If the
 // channel is free it is granted immediately; otherwise the worm parks in
-// the FIFO queue and arms the blocked-path watchdog.
+// the FIFO queue and arms the blocked-path watchdog. A lazy worm that has
+// reserved the channel, and not released it yet, materializes first, so
+// the request meets the eager state.
 func (w *worm) request(key chanKey, next topology.NodeID) {
 	if w.dead {
 		return
 	}
 	f := w.f
 	cs := f.chanState(key)
+	if h := cs.holder; h != nil && h.lazy {
+		f.settle(cs)
+		if cs.holder == h {
+			h.materialize()
+		}
+	}
 	if cs.holder == nil && cs.waiters.Len() == 0 {
 		w.granted(key, next)
 		return
@@ -131,7 +189,11 @@ func (w *worm) noteUnparked() {
 	if w.waiting == nil {
 		return
 	}
-	w.f.mx.Observe("fabric.worm.block_ns", w.f.k.Now().Sub(w.parkedAt))
+	f := w.f
+	if f.blockNS == nil {
+		f.blockNS = f.reg.Histogram("fabric.worm.block_ns", nil)
+	}
+	f.blockNS.Observe(f.k.Now().Sub(w.parkedAt))
 }
 
 // granted is called (from request or from a release handing the channel
@@ -143,6 +205,7 @@ func (w *worm) granted(key chanKey, next topology.NodeID) {
 	}
 	f := w.f
 	now := f.k.Now()
+	handoff := w.waiting != nil
 	cs := f.chanState(key)
 	cs.holder = w
 	cs.grabbed = now
@@ -160,7 +223,7 @@ func (w *worm) granted(key chanKey, next topology.NodeID) {
 		if relAt.Before(now) {
 			relAt = now
 		}
-		f.k.AtHandler(relAt, w, wormRelease)
+		w.at(relAt, wormRelease)
 	}
 	w.lastGrant = now
 
@@ -172,12 +235,22 @@ func (w *worm) granted(key chanKey, next topology.NodeID) {
 			w.die(DropBadRoute)
 			return
 		}
-		f.k.AtHandler(now.Add(f.cfg.PropDelay+f.SerializationTime(w.pkt.Size)), w, wormDeliver)
+		w.at(now.Add(f.cfg.PropDelay+f.SerializationTime(w.pkt.Size)), wormDeliver)
 		return
 	}
 	// Head reaches the switch after propagation, takes a routing decision,
-	// then requests the next channel.
-	f.k.AtHandler(now.Add(f.cfg.PropDelay+f.cfg.RouteDelay), w, wormAdvance)
+	// then requests the next channel. When the first switch granted the
+	// second channel at once, the worm may be keyed, or go lazy; the
+	// advance that first switch schedules stays ordinary either way.
+	reach := now.Add(f.cfg.PropDelay + f.cfg.RouteDelay)
+	if len(w.held) == 2 && !handoff {
+		if f.plan(w) {
+			return
+		}
+		f.k.AtHandler(reach, w, wormAdvance)
+		return
+	}
+	w.at(reach, wormAdvance)
 }
 
 // advance consumes the next route byte at switch sw and requests the
@@ -222,17 +295,25 @@ func (w *worm) deliverTo(h topology.NodeID) {
 	if w.dead {
 		return
 	}
+	if w.lazy {
+		w.unreserve()
+	}
 	w.finish()
 	w.f.arrive(h, w.pkt)
 }
 
 // die aborts the worm (watchdog reset, dead route element, or flush): all
 // held channels are freed immediately and the packet is dropped silently.
+// A lazy worm (flushed for its injection channel) materializes first, so
+// it frees what the eager worm holds.
 func (w *worm) die(reason DropReason) {
 	if w.dead {
 		return
 	}
 	f := w.f
+	if w.lazy {
+		w.materialize()
+	}
 	w.finish()
 	f.drop(w.pkt, reason)
 }

@@ -163,9 +163,9 @@ func RunSimWith(sc SimScenario, pre func(*chaos.Engine)) *SimResult {
 	return runSim(sc, pre, false)
 }
 
-// runSim is RunSimWith; eager runs every retransmission-timer scan
-// (core.Config.EagerTimers), the reference of the idle-skipping
-// differential test.
+// runSim is RunSimWith; eager runs every retransmission-timer scan and
+// every worm hop (core.Config.Eager), the reference of the idle-skipping
+// and lazy-worm differential tests.
 func runSim(sc SimScenario, pre func(*chaos.Engine), eager bool) *SimResult {
 	res := &SimResult{Scenario: sc}
 	nw, hosts := sc.Topo.Build()
@@ -176,16 +176,16 @@ func runSim(sc SimScenario, pre func(*chaos.Engine), eager bool) *SimResult {
 	fr := trace.NewFlightRecorder(4096)
 	watch := &unreachWatch{inner: fr, pairs: make(map[pairKey]bool)}
 	c := core.New(core.Config{
-		Net:         nw,
-		Hosts:       hosts,
-		FT:          true,
-		Retrans:     rc,
-		Mapper:      true,
-		Remap:       pol,
-		Fabric:      fcfg,
-		Tracer:      watch,
-		Seed:        sc.Seed,
-		EagerTimers: eager,
+		Net:     nw,
+		Hosts:   hosts,
+		FT:      true,
+		Retrans: rc,
+		Mapper:  true,
+		Remap:   pol,
+		Fabric:  fcfg,
+		Tracer:  watch,
+		Seed:    sc.Seed,
+		Eager:   eager,
 	})
 	res.Recorder = fr
 	e := chaos.NewEngine(c, sc.Seed)

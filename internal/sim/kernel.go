@@ -78,12 +78,14 @@ func kindOf(h Handler) EventKind {
 }
 
 // event is one scheduled callback, stored flat in the kernel's arena and
-// addressed by its arena index. Events execute in (at, sched, seq) order,
-// which keeps runs deterministic. An ordinary event's sched is the instant
-// it was scheduled at and its seq its scheduling sequence with the
-// laterBand bit set, so at one time events run in scheduling order. An
-// event scheduled through AtAsOf carries the instant and the key its
-// caller chose instead (see AtAsOf).
+// addressed by its arena index. Events execute in (at, sched, from, seq)
+// order, which keeps runs deterministic. An ordinary event's sched is the
+// instant it was scheduled at, from the Origin of the event that scheduled
+// it, and seq its scheduling sequence with the laterBand bit set. The
+// events scheduled at one instant were scheduled by events that ran in
+// that order, so (from, seq) is scheduling order: at one time ordinary
+// events run in scheduling order. An event scheduled through AtAsOf or
+// AtFrom carries the instant, origin and key its caller chose instead.
 //
 // The arena slot is recycled through a free list once the event fires or
 // is cancelled; gen is bumped on every recycle so stale Timer handles
@@ -91,11 +93,32 @@ func kindOf(h Handler) EventKind {
 type event struct {
 	at    Time
 	sched Time
+	from  Origin
 	seq   uint64
 	gen   uint32
 	pos   int32 // index in the kernel's heap, -1 when not queued
 	h     Handler
 	arg   any
+}
+
+// Origin places an event among the others that ran at its instant: its
+// own scheduling instant and key (sequence or AtAsOf key). An event
+// scheduled by it carries it, so that events of one time and one
+// scheduling instant run in the order their schedulers ran.
+type Origin struct {
+	Sched Time
+	Key   uint64
+}
+
+// first is the origin of AtAsOf events: ahead of every event's, so they
+// run ahead of the ordinary events of their (time, asOf).
+var first = Origin{Sched: math.MinInt64}
+
+func (o Origin) before(p Origin) bool {
+	if o.Sched != p.Sched {
+		return o.Sched < p.Sched
+	}
+	return o.Key < p.Key
 }
 
 // Timer is a value handle to a scheduled event that can be cancelled.
@@ -152,7 +175,7 @@ type Kernel struct {
 
 	arena []event // flat event records, indexed by event id
 	free  []int32 // recycled arena slots
-	heap  []int32 // binary heap of event ids, ordered by (at, sched, seq)
+	heap  []int32 // binary heap of event ids, ordered by (at, sched, from, seq)
 
 	bound   Time          // the current run executes events at or before bound
 	running bool          // a Run, RunUntil or RunBefore call is active
@@ -166,10 +189,14 @@ type Kernel struct {
 	cancelled uint64   // events cancelled before firing
 	switches  uint64   // handoffs of the loop between goroutines
 
-	// ranSched and ranSeq order the last event run, or, after a RunUntil,
-	// come after every event at now (see Ran).
-	ranSched Time
-	ranSeq   uint64
+	// ran (the scheduling instant and key of the last event run, so also
+	// the origin of what it schedules) and ranFrom (its own origin) place
+	// the last event run, or, after a RunUntil, come after every event at
+	// now (see Ran).
+	ran, ranFrom Origin
+	// scheduled counts the events ever inserted (seq counts ordinary
+	// events and reserved keys only).
+	scheduled uint64
 
 	// byKind counts executed events per EventKind while CountKinds is on;
 	// nil otherwise, so the off path costs fire one branch.
@@ -183,7 +210,7 @@ const laterBand = 1 << 63
 
 // New returns a kernel with its clock at zero and an RNG seeded with seed.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed)), ranSched: math.MinInt64}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), ran: Origin{Sched: math.MinInt64}, ranFrom: first}
 }
 
 // Now returns the current simulated time.
@@ -223,7 +250,7 @@ type KernelStats struct {
 // state, cheap enough to keep unconditionally.
 func (k *Kernel) Stats() KernelStats {
 	s := KernelStats{
-		Scheduled:      k.seq,
+		Scheduled:      k.scheduled,
 		Cancelled:      k.cancelled,
 		Executed:       k.executed,
 		Pending:        len(k.heap),
@@ -245,14 +272,20 @@ func (k *Kernel) CountKinds() {
 	}
 }
 
-// less orders heap entries by (time, scheduling instant, sequence).
+// less orders heap entries by (time, scheduling instant, origin,
+// sequence). It is written to stay within the inliner's budget: the sift
+// loops call it for every comparison.
 func (k *Kernel) less(a, b int32) bool {
 	ea, eb := &k.arena[a], &k.arena[b]
-	if ea.at != eb.at {
+	switch {
+	case ea.at != eb.at:
 		return ea.at < eb.at
-	}
-	if ea.sched != eb.sched {
+	case ea.sched != eb.sched:
 		return ea.sched < eb.sched
+	case ea.from.Sched != eb.from.Sched:
+		return ea.from.Sched < eb.from.Sched
+	case ea.from.Key != eb.from.Key:
+		return ea.from.Key < eb.from.Key
 	}
 	return ea.seq < eb.seq
 }
@@ -322,12 +355,13 @@ func (k *Kernel) release(id int32) {
 // schedule inserts a new ordinary event and returns its handle.
 func (k *Kernel) schedule(t Time, h Handler, arg any) Timer {
 	k.seq++
-	return k.insert(t, k.now, k.seq|laterBand, h, arg)
+	return k.insert(t, k.now, k.ran, k.seq|laterBand, h, arg)
 }
 
-// insert puts an event ordered by (t, sched, seq) into the arena and the
-// heap.
-func (k *Kernel) insert(t, sched Time, seq uint64, h Handler, arg any) Timer {
+// insert puts an event ordered by (t, sched, from, seq) into the arena and
+// the heap.
+func (k *Kernel) insert(t, sched Time, from Origin, seq uint64, h Handler, arg any) Timer {
+	k.scheduled++
 	var id int32
 	if n := len(k.free); n > 0 {
 		id = k.free[n-1]
@@ -337,7 +371,7 @@ func (k *Kernel) insert(t, sched Time, seq uint64, h Handler, arg any) Timer {
 		id = int32(len(k.arena) - 1)
 	}
 	e := &k.arena[id]
-	e.at, e.sched, e.seq = t, sched, seq
+	e.at, e.sched, e.from, e.seq = t, sched, from, seq
 	e.h, e.arg = h, arg
 	e.pos = int32(len(k.heap))
 	k.heap = append(k.heap, id)
@@ -360,34 +394,74 @@ func (k *Kernel) AtHandler(t Time, h Handler, arg any) Timer {
 }
 
 // AtAsOf schedules h.Fire(arg) at absolute time t, where an event
-// scheduled for t at instant asOf (at or before now) would run: after every
-// event at t scheduled before asOf, and ahead of every ordinary event at t
+// scheduled for t at instant asOf (at most t) would run: after every event
+// at t scheduled before asOf, and ahead of every ordinary event at t
 // scheduled at asOf or later. AtAsOf events with equal t and asOf run in
 // ascending key order. So a component can stop a periodic chain and, at
 // any later point, schedule the events it would have scheduled exactly
-// where they would have run, with no record of what ran in between. Keys
-// must be below 1<<63; two events pending with equal (t, asOf, key) run in
-// no defined order, and an event that Ran says has already run panics.
+// where they would have run, with no record of what ran in between. An
+// asOf after now schedules, ahead of time, the event a chain would only
+// reach at asOf: it still runs after the ordinary events at t scheduled
+// before asOf, those scheduled later included. Keys must be below 1<<63;
+// two events pending with equal (t, asOf, key) run in no defined order,
+// and an event that Ran says has already run panics, as does an asOf
+// after t.
 func (k *Kernel) AtAsOf(t, asOf Time, key uint64, h Handler, arg any) Timer {
-	if asOf > k.now || key >= laterBand || k.Ran(t, asOf, key) {
-		panic(fmt.Sprintf("sim: AtAsOf(%v, as of %v, key %#x) at now %v is in the past", t, asOf, key, k.now))
+	if key >= laterBand {
+		panic(fmt.Sprintf("sim: AtAsOf key %#x out of range", key))
 	}
+	return k.AtFrom(t, asOf, first, key, h, arg)
+}
+
+// AtFrom schedules h.Fire(arg) at absolute time t where an event scheduled
+// for t at instant asOf (at most t) by the event of origin from, with key,
+// would run: among the events of (t, asOf), after those whose schedulers
+// ran before that event and ahead of those whose schedulers ran after it;
+// among the events it scheduled, in key order, where an ordinary event's
+// key is its scheduling sequence with bit 63 set (NextKey reserves one).
+// So a chain of events that schedule one another can be skipped and
+// resumed later, each event placed where it would have run among all
+// others of its instant, ordinary ones included. Two events pending at
+// equal (t, asOf, from, key) run in no defined order; an event that
+// RanFrom says has already run panics, as does an asOf after t.
+func (k *Kernel) AtFrom(t, asOf Time, from Origin, key uint64, h Handler, arg any) Timer {
+	if asOf > t || k.RanFrom(t, asOf, from, key) {
+		panic(fmt.Sprintf("sim: AtFrom(%v, as of %v, from %v, key %#x) at now %v is in the past", t, asOf, from, key, k.now))
+	}
+	return k.insert(t, asOf, from, key, h, arg)
+}
+
+// Origin returns the origin of the running event (between runs, one that
+// orders the events scheduled now where the run left them): what an event
+// it schedules carries.
+func (k *Kernel) Origin() Origin { return k.ran }
+
+// NextKey reserves and returns the key the next ordinary event would get,
+// as if one were scheduled now. AtFrom with that key, the origin of the
+// running event and asOf now places an event where an ordinary event
+// scheduled here would run, whenever it is actually scheduled.
+func (k *Kernel) NextKey() uint64 {
 	k.seq++
-	return k.insert(t, asOf, key, h, arg)
+	return k.seq | laterBand
 }
 
 // Ran reports whether an event that AtAsOf(t, asOf, key) would schedule
 // has already run: it is ordered before the event running now (or, between
 // runs, the last event run), or at or before the instant a RunUntil
 // reached.
-func (k *Kernel) Ran(t, asOf Time, key uint64) bool {
+func (k *Kernel) Ran(t, asOf Time, key uint64) bool { return k.RanFrom(t, asOf, first, key) }
+
+// RanFrom is Ran for an event AtFrom(t, asOf, from, key) would schedule.
+func (k *Kernel) RanFrom(t, asOf Time, from Origin, key uint64) bool {
 	switch {
 	case t != k.now:
 		return t < k.now
-	case asOf != k.ranSched:
-		return asOf < k.ranSched
+	case asOf != k.ran.Sched:
+		return asOf < k.ran.Sched
+	case from != k.ranFrom:
+		return from.before(k.ranFrom)
 	}
-	return key < k.ranSeq
+	return key < k.ran.Key
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -406,7 +480,7 @@ func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, thunk(f
 func (k *Kernel) fire() {
 	id := k.heap[0]
 	e := &k.arena[id]
-	k.now, k.ranSched, k.ranSeq = e.at, e.sched, e.seq
+	k.now, k.ran, k.ranFrom = e.at, Origin{e.sched, e.seq}, e.from
 	h, arg := e.h, e.arg
 	k.heapRemove(0)
 	k.release(id)
@@ -449,7 +523,8 @@ func (k *Kernel) Run() Time {
 func (k *Kernel) RunUntil(t Time) {
 	k.run(t)
 	if !k.stopped && k.now <= t {
-		k.now, k.ranSched, k.ranSeq = t, math.MaxInt64, math.MaxUint64
+		last := Origin{math.MaxInt64, math.MaxUint64}
+		k.now, k.ran, k.ranFrom = t, last, last
 	}
 }
 
@@ -466,7 +541,7 @@ func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now.Add(d)) }
 func (k *Kernel) RunBefore(t Time) {
 	k.run(t - 1)
 	if !k.stopped && k.now < t {
-		k.now, k.ranSched = t, math.MinInt64
+		k.now, k.ran.Sched, k.ranFrom = t, math.MinInt64, first
 	}
 }
 

@@ -393,6 +393,76 @@ func TestAtAsOfOrdering(t *testing.T) {
 	}
 }
 
+// TestAtAsOfFutureInstant: an event scheduled ahead of time, as of an
+// instant after now, runs where one scheduled at that instant would: after
+// the ordinary events for its time scheduled before that instant (even
+// those scheduled after it was), ahead of those scheduled at or after it,
+// and by key among AtAsOf events of the same instant.
+func TestAtAsOfFutureInstant(t *testing.T) {
+	k := New(1)
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	asOf := func(s string) Handler { return HandlerFunc(func(any) { order = append(order, s) }) }
+	at, as := Time(10*Microsecond), Time(5*Microsecond)
+	k.At(at, note("ordinary@0"))
+	k.At(Time(Microsecond), func() {
+		if !k.Ran(Time(Microsecond), 0, 0) || k.Ran(at, as, 4) {
+			t.Error("Ran misplaces an event as of a future instant")
+		}
+		k.AtAsOf(at, as, 4, asOf("asof@5/4"), nil)
+	})
+	k.At(Time(2*Microsecond), func() { k.At(at, note("ordinary@2")) })
+	k.At(as, func() {
+		k.At(at, note("ordinary@5"))
+		k.AtAsOf(at, as, 1, asOf("asof@5/1"), nil)
+	})
+	k.At(Time(7*Microsecond), func() { k.At(at, note("ordinary@7")) })
+	k.Run()
+	want := []string{"ordinary@0", "ordinary@2", "asof@5/1", "asof@5/4", "ordinary@5", "ordinary@7"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+}
+
+// TestAtFromOrdersByOrigin: events of one time and scheduling instant run
+// in the order their schedulers ran, and an event placed with AtFrom from
+// a scheduler's origin, with the key NextKey reserved there, runs where
+// the ordinary event it stands for would have, however late it is
+// scheduled. An event scheduled ahead of time from that stand-in's own
+// origin (as a skipped chain would) runs among the stand-in's siblings'
+// children the same way.
+func TestAtFromOrdersByOrigin(t *testing.T) {
+	k := New(1)
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	named := func(s string) Handler { return HandlerFunc(func(any) { order = append(order, s) }) }
+	at5, at10, at12 := Time(5*Microsecond), Time(10*Microsecond), Time(12*Microsecond)
+	// y1, x and y2 run at 5µs in that order; y1 and y2 schedule for 10µs,
+	// x only reserves the place of what it would schedule.
+	var xFrom Origin
+	var xKey uint64
+	k.At(at5, func() {
+		k.At(at10, func() { order = append(order, "y1"); k.At(at12, note("y1 child")) })
+	})
+	k.At(at5, func() {
+		xFrom, xKey = k.Origin(), k.NextKey()
+		k.At(at10, func() { order = append(order, "x2"); k.At(at12, note("x2 child")) })
+	})
+	k.At(at5, func() {
+		k.At(at10, func() { order = append(order, "y2"); k.At(at12, note("y2 child")) })
+	})
+	k.At(Time(7*Microsecond), func() {
+		k.AtFrom(at10, at5, xFrom, xKey, named("x"), nil)
+		// x's own child, placed ahead of time, as of x's instant.
+		k.AtFrom(at12, at10, Origin{Sched: at5, Key: xKey}, 1, named("x child"), nil)
+	})
+	k.Run()
+	want := []string{"y1", "x", "x2", "y2", "y1 child", "x child", "x2 child", "y2 child"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+}
+
 // TestRanTracksRunPosition pins Ran: inside an event it splits the events
 // of the instant at the running one; after RunUntil every event of the
 // instant has run, after RunBefore none, and after a Stop the events
@@ -436,8 +506,10 @@ func TestRanTracksRunPosition(t *testing.T) {
 	}
 }
 
-// TestAtAsOfRejectsThePast: an event Ran says has run, one as of a future
-// instant, or one with an out-of-range key, panics.
+// TestAtAsOfRejectsThePast: an event Ran says has run, one in the past,
+// one as of an instant after its own time, or one with an out-of-range
+// key, panics. An asOf after now but not after the event's time is
+// accepted.
 func TestAtAsOfRejectsThePast(t *testing.T) {
 	h := HandlerFunc(func(any) {})
 	for _, tc := range []struct {
@@ -449,7 +521,10 @@ func TestAtAsOfRejectsThePast(t *testing.T) {
 		{"future", 20, 5, 0, false},
 		{"this instant, behind the running event", 10, 10, 0, false},
 		{"this instant, ahead of the running event", 10, 2, 0, true},
-		{"as of a future instant", 20, 15, 0, true},
+		{"in the past", 5, 5, 0, true},
+		{"as of a future instant", 20, 15, 0, false},
+		{"as of its own future instant", 20, 20, 0, false},
+		{"as of an instant after its time", 20, 25, 0, true},
 		{"key out of range", 20, 5, 1 << 63, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -87,6 +87,10 @@ type GridOpts struct {
 	Hosts int
 
 	Pool parsim.Pool
+
+	// eager builds every replica as the differential tests' reference
+	// (core.Config.Eager): every timer scan and every worm hop runs.
+	eager bool
 }
 
 // GridResult is a finished grid: one merged SLOResult per cell, in
@@ -155,7 +159,7 @@ func RunGrid(o GridOpts) (GridResult, error) {
 	jobs := len(cells) * o.Reps
 	outs := parsim.Map(o.Pool, jobs, func(i int) replicaOut {
 		cell := cells[i/o.Reps]
-		return runReplica(cell, parsim.ShardSeed(o.Seed, i), o.Dur, o.Hosts)
+		return runReplica(cell, parsim.ShardSeed(o.Seed, i), o.Dur, o.Hosts, o.eager)
 	})
 
 	g := GridResult{Results: make([]report.SLOResult, len(cells))}
@@ -190,7 +194,7 @@ const remapDrainSlice = 10 * time.Millisecond
 // retransmit and acknowledge what the expired ones left in flight, and
 // then until no mapping run is active (at most remapDrainBound). Only
 // then is the quiesce state audited.
-func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replicaOut {
+func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int, eager bool) replicaOut {
 	b, err := topology.ParseSpec(cell.topo)
 	if err != nil {
 		panic(fmt.Sprintf("workload: topo %q validated then failed: %v", cell.topo, err))
@@ -210,6 +214,7 @@ func runReplica(cell gridCell, seed int64, dur time.Duration, nHosts int) replic
 		// would burn probe timeouts on ports that cannot exist.
 		MapperCfg: mapping.Config{MaxRadix: maxSwitchRadix(b.Net)},
 		Seed:      seed,
+		Eager:     eager,
 	})
 	e := chaos.NewEngine(c, seed)
 

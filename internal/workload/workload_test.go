@@ -229,7 +229,7 @@ func TestGridWaitsForMappingRuns(t *testing.T) {
 		Timeout: 250 * time.Millisecond,
 		SLO:     report.SLO{Latency: time.Millisecond, Window: 50 * time.Millisecond}}
 	cell := gridCell{topo: "fattree:16", spec: spec, fault: "gray"}
-	out := runReplica(cell, parsim.ShardSeed(4, 0), 30*time.Millisecond, 9)
+	out := runReplica(cell, parsim.ShardSeed(4, 0), 30*time.Millisecond, 9, false)
 	for _, v := range out.vios {
 		t.Errorf("violation: %s", v)
 	}
