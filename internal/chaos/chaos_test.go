@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -84,6 +85,39 @@ func TestCutLinks(t *testing.T) {
 	}
 	if n := len(nw.TrunkLinks()); n != 4 {
 		t.Fatalf("trunk count = %d, want 4", n)
+	}
+}
+
+// TestDedupViolationsInIDOrder: duplicate notifications of the built-in
+// workload are reported in ascending message ID, the same on every call,
+// not in the order of the per-message count map.
+func TestDedupViolationsInIDOrder(t *testing.T) {
+	c, hosts := chainCluster(3, Baseline())
+	e := NewEngine(c, 3)
+	pr := Pair{hosts[0], hosts[5]}
+	r := Workload{Pairs: []Pair{pr}, Msgs: 8}.Start(e)
+	c.RunFor(2 * time.Second)
+	c.Stop()
+	for _, id := range []uint64{7, 2, 5, 3} {
+		if r.Counts[pr][id] != 1 {
+			t.Fatalf("message %d notified %d times before the test doubled it, want 1", id, r.Counts[pr][id])
+		}
+		r.Counts[pr][id] = 2
+	}
+	var want []string
+	for _, id := range []uint64{2, 3, 5, 7} {
+		want = append(want, fmt.Sprintf("pair %d->%d message %d notified 2 times", pr.Src, pr.Dst, id))
+	}
+	for call := 0; call < 20; call++ {
+		var got []string
+		for _, v := range CheckInvariants(e, r, CheckOpts{}) {
+			if v.Invariant == "dedup" {
+				got = append(got, v.Detail)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("call %d reported %q, want %q", call, got, want)
+		}
 	}
 }
 

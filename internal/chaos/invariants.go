@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -102,11 +103,18 @@ func CheckInvariants(e *Engine, r *Run, o CheckOpts) []Violation {
 			}
 		}
 		for _, pr := range r.W.Pairs {
+			var dups []uint64
 			for id, c := range r.Counts[pr] {
 				if c > 1 {
-					bad("dedup", "pair %d->%d message %d notified %d times",
-						pr.Src, pr.Dst, id, c)
+					dups = append(dups, id)
 				}
+			}
+			// Ascending message ID, so a violating run reports
+			// deterministically.
+			slices.Sort(dups)
+			for _, id := range dups {
+				bad("dedup", "pair %d->%d message %d notified %d times",
+					pr.Src, pr.Dst, id, r.Counts[pr][id])
 			}
 		}
 	}

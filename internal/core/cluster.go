@@ -220,7 +220,9 @@ type Cluster struct {
 // (see cellGroups), builds the route table once, builds every cell and
 // hands each NIC its row of the table — all routes between host pairs
 // are pre-installed (shortest paths), as a freshly mapped system would
-// have them. It then adds what only the one-cell plan has (VMMC
+// have them. The hosts of one switch share a row, possibly across
+// cells: every NIC only reads it, and copies it on its own cell's
+// goroutine when it first changes a route. It then adds what only the one-cell plan has (VMMC
 // endpoints, mappers and their remap managers, the metrics sampler) or
 // what a plan of several cells needs (the lookahead, the parallel engine
 // and the cell boundary), and finally turns on profiling.

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"sanft/internal/fabric"
@@ -392,12 +391,63 @@ func (c *Cluster) TraceEvents() []trace.Event {
 // workload: per-cell logs (each in local time order) merged by (time,
 // cell index, log position).
 func (c *Cluster) Deliveries() []Delivery {
-	// Reuse the stable-sort merge rule via concatenation in cell order.
-	var out []Delivery
-	for _, cl := range c.cells {
-		out = append(out, cl.deliveries...)
+	logs := make([][]Delivery, len(c.cells))
+	for i, cl := range c.cells {
+		logs[i] = cl.deliveries
 	}
-	stableSortDeliveries(out)
+	return mergeDeliveries(logs)
+}
+
+// mergeDeliveries merges logs, each in time order (a cell appends at its
+// kernel's Now), into one slice ordered by (time, log index, position):
+// exactly a stable sort by time of their concatenation. A heap of the
+// logs' unmerged tails, keyed on (head time, log index), picks each
+// next record.
+func mergeDeliveries(logs [][]Delivery) []Delivery {
+	type tail struct {
+		ds  []Delivery
+		log int
+	}
+	total := 0
+	var h []tail
+	for i, ds := range logs {
+		total += len(ds)
+		if len(ds) > 0 {
+			h = append(h, tail{ds, i})
+		}
+	}
+	less := func(i, j int) bool {
+		a, b := h[i].ds[0].At, h[j].ds[0].At
+		return a < b || a == b && h[i].log < h[j].log
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(h) && less(l, m) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(h) && less(r, m) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]Delivery, 0, total)
+	for len(h) > 0 {
+		out = append(out, h[0].ds[0])
+		if h[0].ds = h[0].ds[1:]; len(h[0].ds) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 	return out
 }
 
@@ -436,10 +486,4 @@ func (s *Cluster) DumpObservables() []byte {
 	}
 	b.WriteByte('\n')
 	return b.Bytes()
-}
-
-// stableSortDeliveries orders by time, keeping concatenation (cell,
-// position) order for ties.
-func stableSortDeliveries(ds []Delivery) {
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].At < ds[j].At })
 }

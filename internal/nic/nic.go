@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -108,8 +109,12 @@ type NIC struct {
 
 	// routes is the routing table, indexed by destination node ID (nil:
 	// no route). A cluster build adopts one routing.Table row here in
-	// place; nroutes counts the installed destinations.
+	// place, read-only (shared): the hosts of one switch share that row,
+	// so while shared the NIC's own entry — the switch's route back to
+	// this host — is masked, and the first write copies the row. nroutes
+	// counts the destinations Route reports.
 	routes  []routing.Route
+	shared  bool
 	nroutes int
 
 	freeBuffers int
@@ -395,15 +400,17 @@ func (n *NIC) FT() bool { return n.ft }
 
 // InstallRoutes adopts row as the NIC's whole routing table: row[d] is
 // the route to destination d, nil for none. The NIC takes the slice
-// itself — no per-destination insert, no copy — and owns it from then
-// on. order lists the routed destinations in the order their liveness
-// sessions start, as one SetRoute per destination would start them.
+// itself — no per-destination insert, no copy — and never writes it: the
+// row may be shared with other NICs, so the NIC ignores its own entry
+// and copies the row at its first SetRoute or RemoveRoute. order lists
+// the routed destinations in the order their liveness sessions start, as
+// one SetRoute per destination would start them.
 func (n *NIC) InstallRoutes(row []routing.Route, order []topology.NodeID) {
 	n.catchUp(true)
-	n.routes = row
+	n.routes, n.shared = row, true
 	n.nroutes = 0
-	for _, r := range row {
-		if r != nil {
+	for d := range row {
+		if _, ok := n.Route(topology.NodeID(d)); ok {
 			n.nroutes++
 		}
 	}
@@ -415,12 +422,25 @@ func (n *NIC) InstallRoutes(row []routing.Route, order []topology.NodeID) {
 	}
 }
 
+// own gives the NIC a private copy of an adopted row, with its own entry
+// cleared, before the NIC first writes its routing table.
+func (n *NIC) own() {
+	if !n.shared {
+		return
+	}
+	n.routes, n.shared = slices.Clone(n.routes), false
+	if int(n.node) < len(n.routes) {
+		n.routes[n.node] = nil
+	}
+}
+
 // SetRoute installs (or replaces) the source route used for frames to dst.
 // A nil route installs an empty one: present, with no switch hops.
 func (n *NIC) SetRoute(dst topology.NodeID, r routing.Route) {
 	if r == nil {
 		r = routing.Route{}
 	}
+	n.own()
 	if grow := int(dst) + 1 - len(n.routes); grow > 0 {
 		n.routes = append(n.routes, make([]routing.Route, grow)...)
 	}
@@ -435,7 +455,7 @@ func (n *NIC) SetRoute(dst topology.NodeID, r routing.Route) {
 
 // Route returns the installed route to dst.
 func (n *NIC) Route(dst topology.NodeID) (routing.Route, bool) {
-	if uint(dst) >= uint(len(n.routes)) {
+	if uint(dst) >= uint(len(n.routes)) || (n.shared && dst == n.node) {
 		return nil, false
 	}
 	r := n.routes[dst]
@@ -447,6 +467,7 @@ func (n *NIC) Route(dst topology.NodeID) (routing.Route, bool) {
 func (n *NIC) RemoveRoute(dst topology.NodeID) {
 	if _, ok := n.Route(dst); ok {
 		n.catchUp(true)
+		n.own()
 		n.routes[dst] = nil
 		n.nroutes--
 	}
@@ -456,8 +477,8 @@ func (n *NIC) RemoveRoute(dst topology.NodeID) {
 // ascending ID order.
 func (n *NIC) Destinations() []topology.NodeID {
 	out := make([]topology.NodeID, 0, n.nroutes)
-	for d, r := range n.routes {
-		if r != nil {
+	for d := range n.routes {
+		if _, ok := n.Route(topology.NodeID(d)); ok {
 			out = append(out, topology.NodeID(d))
 		}
 	}

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,12 +10,20 @@ import (
 	"sanft/internal/topology"
 )
 
+// sameRoute reports whether a and b are one route: the same slice
+// header, not merely equal ports.
+func sameRoute(a, b routing.Route) bool {
+	return len(a) == len(b) && (a == nil) == (b == nil) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // TestRouteTableMatchesMapReference drives a NIC's routing table through
 // install, SetRoute, RemoveRoute, ResetPath and MarkUnreachable alongside
 // a reference map[NodeID]Route with the old map semantics (a nil route is
-// a present, empty one). After every step Route, Destinations and the
-// timer-scan cost must agree with the reference, and no route the NIC
-// ever held may have had its ports rewritten.
+// a present, empty one). Installing a row ignores the NIC's own entry,
+// which in a star's shared row is the switch's route back to the NIC.
+// After every step Route, Destinations and the timer-scan cost must
+// agree with the reference, no route the NIC ever held may have had its
+// ports rewritten, and no row the NIC adopted may have been written.
 func TestRouteTableMatchesMapReference(t *testing.T) {
 	r := newRig(t, 6, func(int) Options { return ftOpts(8, time.Millisecond) })
 	defer r.k.Stop()
@@ -33,12 +42,22 @@ func TestRouteTableMatchesMapReference(t *testing.T) {
 		seen = append(seen, held{rt, append([]int(nil), rt...)})
 	}
 
-	n.InstallRoutes(row, r.hosts)
-	for d, rt := range row {
-		if rt != nil {
-			ref[topology.NodeID(d)] = rt
-			remember(rt)
+	type adopted struct{ row, was []routing.Route }
+	var rows []adopted
+	install := func(row []routing.Route) {
+		n.InstallRoutes(row, r.hosts)
+		rows = append(rows, adopted{row, slices.Clone(row)})
+		clear(ref)
+		for d, rt := range row {
+			if rt != nil && topology.NodeID(d) != self {
+				ref[topology.NodeID(d)] = rt
+				remember(rt)
+			}
 		}
+	}
+	install(row)
+	if row[self] == nil {
+		t.Fatal("the star's row holds no entry for the NIC's own host: it is not the switch's shared row")
 	}
 	beyond := topology.NodeID(len(row) + 3)
 	check := func(step string) {
@@ -71,6 +90,13 @@ func TestRouteTableMatchesMapReference(t *testing.T) {
 		for _, h := range seen {
 			if !h.r.Equal(h.want) {
 				t.Fatalf("%s: a held route was rewritten in place: %v, built as %v", step, h.r, h.want)
+			}
+		}
+		for _, a := range rows {
+			for d := range a.row {
+				if !sameRoute(a.row[d], a.was[d]) {
+					t.Fatalf("%s: an adopted row was written: entry %d is %v, was %v", step, d, a.row[d], a.was[d])
+				}
 			}
 		}
 	}
@@ -106,8 +132,8 @@ func TestRouteTableMatchesMapReference(t *testing.T) {
 
 	peer := r.hosts[2]
 	set("nil route", peer, nil, false)
-	if row[peer] == nil || len(row[peer]) != 0 {
-		t.Fatalf("the adopted row holds %v for %d, want the installed empty route: the NIC copied its row", row[peer], peer)
+	if n.shared || &n.routes[0] == &row[0] {
+		t.Fatal("the NIC wrote a route without copying its adopted row first")
 	}
 	set("zero-hop route", r.hosts[3], routing.Route{}, false)
 	set("own ID", self, routing.Route{0}, false)
@@ -135,15 +161,7 @@ func TestRouteTableMatchesMapReference(t *testing.T) {
 		case 2, 3:
 			remove("random remove", d, op == 3)
 		case 4:
-			fresh := routing.NewTable(nw, r.hosts).Row(self)
-			n.InstallRoutes(fresh, r.hosts)
-			clear(ref)
-			for d, rt := range fresh {
-				if rt != nil {
-					ref[topology.NodeID(d)] = rt
-					remember(rt)
-				}
-			}
+			install(routing.NewTable(nw, r.hosts).Row(self))
 			check("random install")
 		}
 	}

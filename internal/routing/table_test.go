@@ -52,9 +52,10 @@ func sample(hosts []topology.NodeID, n int) []topology.NodeID {
 }
 
 // checkTable compares a table built over members against per-pair
-// Shortest, which is independent map-based code: every pair on a small
-// fabric, 32 sources by 128 destinations on fattree:16. Pairs outside
-// members and pairs to self must have no route.
+// Shortest, which is independent map-based code: every pair of distinct
+// hosts on a small fabric, 32 sources by 128 destinations on fattree:16.
+// Pairs into hosts outside members must have no route. A source's own
+// entry is not one of its routes, so it is left to checkSharing.
 func checkTable(t *testing.T, name string, nw *topology.Network, members []topology.NodeID) {
 	t.Helper()
 	tab := NewTable(nw, members)
@@ -66,12 +67,15 @@ func checkTable(t *testing.T, name string, nw *topology.Network, members []topol
 	for _, a := range sample(members, 32) {
 		row := tab.Row(a)
 		for _, b := range dsts {
+			if a == b {
+				continue
+			}
 			var got Route
 			if int(b) < len(row) {
 				got = row[b]
 			}
 			want, err := Shortest(nw, a, b)
-			if a == b || !in[b] || err != nil {
+			if !in[b] || err != nil {
 				if got != nil {
 					t.Fatalf("%s: %d->%d has route %v, want none", name, a, b, got)
 				}
@@ -81,6 +85,39 @@ func checkTable(t *testing.T, name string, nw *topology.Network, members []topol
 				t.Fatalf("%s: %d->%d table route %v, Shortest %v", name, a, b, got, want)
 			}
 		}
+	}
+	checkSharing(t, name, nw, tab, members)
+}
+
+// checkSharing checks which members share a row: those whose one link
+// leads over a usable link to a switch hold that switch's row, whose
+// entry for each of them is the switch's one-hop route back to it; any
+// other member holds a row of its own.
+func checkSharing(t *testing.T, name string, nw *topology.Network, tab *Table, members []topology.NodeID) {
+	t.Helper()
+	rowOf := map[topology.NodeID]*Route{} // switch (or lone host) -> its row
+	keyOf := map[*Route]topology.NodeID{} // row -> its switch (or lone host)
+	for _, a := range members {
+		row := tab.Row(a)
+		key := a
+		if sw, _ := nw.Neighbor(a, 0); sw != topology.None && nw.Node(sw).Kind == topology.Switch {
+			key = sw
+			if r := row[a]; len(r) != 1 {
+				t.Fatalf("%s: shared row of switch %d holds %v for member %d, want one hop", name, sw, r, a)
+			} else if back, _ := nw.Neighbor(sw, r[0]); back != a {
+				t.Fatalf("%s: switch %d port %d leads to %d, not back to member %d", name, sw, r[0], back, a)
+			}
+		} else if row[a] != nil {
+			t.Fatalf("%s: host %d has its own row, with route %v to itself", name, a, row[a])
+		}
+		id := &row[0]
+		if prev, ok := rowOf[key]; ok && prev != id {
+			t.Fatalf("%s: host %d holds another row than the other hosts of %d", name, a, key)
+		}
+		if prev, ok := keyOf[id]; ok && prev != key {
+			t.Fatalf("%s: host %d (of %d) shares its row with the hosts of %d", name, a, key, prev)
+		}
+		rowOf[key], keyOf[id] = id, key
 	}
 }
 
@@ -160,9 +197,11 @@ func TestTableRoutesAreCapped(t *testing.T) {
 }
 
 // TestTableBuildAllocs pins the table's allocation shape on fattree:8: a
-// fixed setup (the table, its row index, the reused search state) plus
-// exactly two allocations per source — its row and its one port block.
-// The map-based search it replaced made thousands per source.
+// fixed setup (the table, its row index, the per-switch row index and
+// the reused search state) plus exactly two allocations per row — the
+// row and its one port block. The hosts of one edge switch share a row,
+// so 2, 16 and 128 hosts make 1, 4 and 32 rows. The map-based search
+// the table replaced made thousands per source.
 func TestTableBuildAllocs(t *testing.T) {
 	b, err := topology.ParseSpec("fattree:8")
 	if err != nil {
@@ -173,12 +212,40 @@ func TestTableBuildAllocs(t *testing.T) {
 	// allocations are counted.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const setup, perSource = 4, 2
-	for _, n := range []int{2, 16, len(b.Hosts)} {
-		hosts := b.Hosts[:n]
+	const setup, perRow = 5, 2
+	for _, c := range []struct{ hosts, rows int }{{2, 1}, {16, 4}, {len(b.Hosts), 32}} {
+		hosts := b.Hosts[:c.hosts]
 		got := testing.AllocsPerRun(10, func() { NewTable(b.Net, hosts) })
-		if want := float64(setup + perSource*n); got != want {
-			t.Errorf("NewTable over %d hosts: %v allocs, want %v (%d + %d per source)", n, got, want, setup, perSource)
+		if want := float64(setup + perRow*c.rows); got != want {
+			t.Errorf("NewTable over %d hosts: %v allocs, want %v (%d + %d per row, %d rows)", c.hosts, got, want, setup, perRow, c.rows)
 		}
+	}
+}
+
+// TestTableFatTree16Allocs pins what the table keeps live on fattree:16:
+// its 1,024 hosts, 8 behind each of 128 edge switches, hold 128 distinct
+// rows in at most 12 MB. One row per host held about 75 MB.
+func TestTableFatTree16Allocs(t *testing.T) {
+	b, err := topology.ParseSpec("fattree:16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab := NewTable(b.Net, b.Hosts)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	rows := map[*Route]bool{}
+	for _, h := range b.Hosts {
+		rows[&tab.Row(h)[0]] = true
+	}
+	if len(rows) != 128 {
+		t.Errorf("NewTable over %d hosts built %d distinct rows, want 128 (one per edge switch)", len(b.Hosts), len(rows))
+	}
+	const limit = 12 << 20
+	if live > limit {
+		t.Errorf("the table keeps %.1f MB live, want at most %d MB", float64(live)/(1<<20), limit>>20)
 	}
 }
