@@ -145,12 +145,27 @@ func (c Campaign) RunInstrumented(seed int64, pre func(*core.Cluster)) *Report {
 	return c.run(seed, pre)
 }
 
-// finish stops the cluster, audits invariants, and assembles the report.
-// An invariant violation freezes a flight-recorder snapshot (when one is
-// attached) and embeds the recorder's dump in the report, so a failing
-// campaign ships its own post-mortem.
+// drainStep and drainBound pace the wait in finish for worms still in
+// flight when a campaign's span ends. Liveness sessions transmit forever,
+// so the span's end is never a quiesce for them: a control packet
+// injected a microsecond before it would fail the worms audit. The bound
+// is far above a healthy packet's flight time and far below the fabric's
+// 62.5 ms watchdog, so a worm that is really stuck is still reported.
+const (
+	drainStep  = time.Microsecond
+	drainBound = 100 * time.Microsecond
+)
+
+// finish runs the campaign's span, waits out worms still in flight (for
+// at most drainBound), stops the cluster, audits invariants, and
+// assembles the report. An invariant violation freezes a flight-recorder
+// snapshot (when one is attached) and embeds the recorder's dump in the
+// report, so a failing campaign ships its own post-mortem.
 func finish(name string, v Variant, seed int64, e *Engine, r *Run, opts CheckOpts, dur time.Duration) *Report {
 	e.C.RunFor(dur)
+	for waited := time.Duration(0); waited < drainBound && e.C.Fab.InFlight() != 0; waited += drainStep {
+		e.C.RunFor(drainStep)
+	}
 	e.C.Stop()
 	e.Record("campaign %s complete", name)
 	violations := CheckInvariants(e, r, opts)

@@ -90,7 +90,7 @@ func TestCutLinks(t *testing.T) {
 
 // TestDedupViolationsInIDOrder: duplicate notifications of the built-in
 // workload are reported in ascending message ID, the same on every call,
-// not in the order of the per-message count map.
+// not in the order they were recorded.
 func TestDedupViolationsInIDOrder(t *testing.T) {
 	c, hosts := chainCluster(3, Baseline())
 	e := NewEngine(c, 3)
@@ -99,10 +99,10 @@ func TestDedupViolationsInIDOrder(t *testing.T) {
 	c.RunFor(2 * time.Second)
 	c.Stop()
 	for _, id := range []uint64{7, 2, 5, 3} {
-		if r.Counts[pr][id] != 1 {
-			t.Fatalf("message %d notified %d times before the test doubled it, want 1", id, r.Counts[pr][id])
+		if r.Count(pr, id) != 1 {
+			t.Fatalf("message %d notified %d times before the test doubled it, want 1", id, r.Count(pr, id))
 		}
-		r.Counts[pr][id] = 2
+		r.logs[pr].noteDelivered(id)
 	}
 	var want []string
 	for _, id := range []uint64{2, 3, 5, 7} {

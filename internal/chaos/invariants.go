@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -63,32 +62,30 @@ func CheckInvariants(e *Engine, r *Run, o CheckOpts) []Violation {
 		out = append(out, Violation{inv, fmt.Sprintf(format, args...)})
 	}
 
-	if r != nil && r.Sent != nil {
+	if r != nil && r.external {
 		// External traffic source: the expectation is the send-side
 		// accounting, not a fixed pair × msg grid. Pairs iterate in sorted
 		// order so a violating run reports deterministically.
-		for _, pr := range sortedPairs(r.Sent) {
-			if !o.AllowLoss {
-				missing := 0
-				for id := range r.Sent[pr] {
-					if r.Counts[pr][id] == 0 {
-						missing++
-					}
+		pairs := sortedPairs(r.logs)
+		for _, pr := range pairs {
+			l := r.logs[pr]
+			if o.AllowLoss || l.sent == 0 {
+				continue
+			}
+			missing := 0
+			l.each(func(_ uint64, m msgRec) {
+				if m.sent && m.notes == 0 {
+					missing++
 				}
-				if missing > 0 {
-					bad("delivery", "pair %d->%d delivered %d of %d messages",
-						pr.Src, pr.Dst, len(r.Sent[pr])-missing, len(r.Sent[pr]))
-				}
+			})
+			if missing > 0 {
+				bad("delivery", "pair %d->%d delivered %d of %d messages",
+					pr.Src, pr.Dst, l.sent-missing, l.sent)
 			}
 		}
-		for _, pr := range sortedPairs(r.Counts) {
-			dups := 0
-			for _, c := range r.Counts[pr] {
-				if c > 1 {
-					dups += c - 1
-				}
-			}
-			if dups > 0 {
+		for _, pr := range pairs {
+			l := r.logs[pr]
+			if dups := l.notes - l.delivered; dups > 0 {
 				bad("dedup", "pair %d->%d saw %d duplicate notifications",
 					pr.Src, pr.Dst, dups)
 			}
@@ -96,26 +93,25 @@ func CheckInvariants(e *Engine, r *Run, o CheckOpts) []Violation {
 	} else if r != nil {
 		if !o.AllowLoss {
 			for _, pr := range r.W.Pairs {
-				if got := len(r.Counts[pr]); got != r.W.Msgs {
+				if got := r.DeliveredOn(pr); got != r.W.Msgs {
 					bad("delivery", "pair %d->%d delivered %d of %d messages",
 						pr.Src, pr.Dst, got, r.W.Msgs)
 				}
 			}
 		}
 		for _, pr := range r.W.Pairs {
-			var dups []uint64
-			for id, c := range r.Counts[pr] {
-				if c > 1 {
-					dups = append(dups, id)
-				}
+			l := r.logs[pr]
+			if l == nil || l.notes == l.delivered {
+				continue
 			}
 			// Ascending message ID, so a violating run reports
 			// deterministically.
-			slices.Sort(dups)
-			for _, id := range dups {
-				bad("dedup", "pair %d->%d message %d notified %d times",
-					pr.Src, pr.Dst, id, r.Counts[pr][id])
-			}
+			l.each(func(id uint64, m msgRec) {
+				if m.notes > 1 {
+					bad("dedup", "pair %d->%d message %d notified %d times",
+						pr.Src, pr.Dst, id, m.notes)
+				}
+			})
 		}
 	}
 

@@ -37,26 +37,23 @@ type Workload struct {
 
 	// OnNotify, if set, observes every notification as it arrives (in
 	// event context), in delivery order per pair. External checkers — the
-	// proptest ordering oracle, for one — need the sequence, which Counts
-	// alone cannot reconstruct.
+	// proptest ordering oracle, for one — need the sequence, which the
+	// per-message counts alone cannot reconstruct.
 	OnNotify func(Pair, uint64)
 }
 
-// Run is a started workload's observation state. Receivers record every
-// notification; CheckInvariants consumes the counts afterwards.
+// Run is a started workload's observation state: one delivery log per
+// directed pair, in which receivers record every notification and, for
+// external traffic sources, senders every injected message.
+// CheckInvariants consumes the logs afterwards.
 type Run struct {
 	W Workload
-	// Counts maps each pair to notification counts per message ID — the
-	// raw material for the delivery and dedup invariants.
-	Counts map[Pair]map[uint64]int
 
-	// Sent, when non-nil, is the per-pair set of injected message IDs —
-	// the expectation side of the delivery invariant for external traffic
-	// sources, which (unlike the built-in workload) do not send a fixed
-	// Msgs per pair. Populate through NoteSent.
-	Sent map[Pair]map[uint64]bool
-
-	lastDelivery map[Pair]sim.Time
+	logs map[Pair]*pairLog
+	// external says the expectation side of the delivery invariant is
+	// the send-side accounting of NoteSent: external traffic sources,
+	// unlike the built-in workload, do not send a fixed Msgs per pair.
+	external bool
 }
 
 // NewExternalRun returns an empty Run with send-side accounting enabled,
@@ -65,39 +62,39 @@ type Run struct {
 // and CheckInvariants audits the external traffic exactly as it does the
 // built-in workload's.
 func (e *Engine) NewExternalRun() *Run {
-	return &Run{
-		Counts:       make(map[Pair]map[uint64]int),
-		Sent:         make(map[Pair]map[uint64]bool),
-		lastDelivery: make(map[Pair]sim.Time),
+	return &Run{logs: make(map[Pair]*pairLog), external: true}
+}
+
+// log returns pr's delivery log, creating it on first use.
+func (r *Run) log(pr Pair) *pairLog {
+	l := r.logs[pr]
+	if l == nil {
+		l = &pairLog{}
+		r.logs[pr] = l
 	}
+	return l
 }
 
 // NoteSent records one injected message (the ID returned by Import.Send)
 // on the directed pair.
-func (r *Run) NoteSent(pr Pair, id uint64) {
-	m := r.Sent[pr]
-	if m == nil {
-		m = make(map[uint64]bool)
-		r.Sent[pr] = m
-	}
-	m[id] = true
-}
+func (r *Run) NoteSent(pr Pair, id uint64) { r.log(pr).noteSent(id) }
 
 // NoteDelivered records one completion notification on the directed pair
 // and feeds the engine's delivery-stall (MTTR) histogram, mirroring what
 // the built-in workload's receivers do.
 func (e *Engine) NoteDelivered(r *Run, pr Pair, id uint64) {
-	m := r.Counts[pr]
-	if m == nil {
-		m = make(map[uint64]int)
-		r.Counts[pr] = m
+	l := r.log(pr)
+	l.noteDelivered(id)
+	e.noteGap(l, e.C.Now())
+}
+
+// noteGap feeds the gap since the pair's previous notification into the
+// delivery-stall histogram and stamps now as the pair's last delivery.
+func (e *Engine) noteGap(l *pairLog, now sim.Time) {
+	if l.delivering {
+		e.observeGap(now.Sub(l.last))
 	}
-	m[id]++
-	now := e.C.Now()
-	if last, ok := r.lastDelivery[pr]; ok {
-		e.observeGap(now.Sub(last))
-	}
-	r.lastDelivery[pr] = now
+	l.last, l.delivering = now, true
 }
 
 // Start exports a buffer per pair, spawns the receive and send processes,
@@ -118,27 +115,20 @@ func (w Workload) Start(e *Engine) *Run {
 	if e.StallFloor < 2*w.Gap {
 		e.StallFloor = 2 * w.Gap
 	}
-	r := &Run{
-		W:            w,
-		Counts:       make(map[Pair]map[uint64]int),
-		lastDelivery: make(map[Pair]sim.Time),
-	}
+	r := &Run{W: w, logs: make(map[Pair]*pairLog, len(w.Pairs))}
 	for i, pr := range w.Pairs {
 		pr := pr
 		name := fmt.Sprintf("chaos-%d", pr.Src)
 		exp := e.C.Endpoint(pr.Dst).Export(name, w.Bytes*4)
-		r.Counts[pr] = make(map[uint64]int)
+		l := r.log(pr)
 		e.C.K.Spawn(fmt.Sprintf("chaos-recv-%d-%d", pr.Src, pr.Dst), func(p *sim.Proc) {
 			for {
 				n := exp.WaitNotification(p)
-				r.Counts[pr][n.MsgID]++
+				l.noteDelivered(n.MsgID)
 				if w.OnNotify != nil {
 					w.OnNotify(pr, n.MsgID)
 				}
-				if last, ok := r.lastDelivery[pr]; ok {
-					e.observeGap(p.Now().Sub(last))
-				}
-				r.lastDelivery[pr] = p.Now()
+				e.noteGap(l, p.Now())
 			}
 		})
 		stagger := time.Duration(i%7) * 37 * time.Microsecond
@@ -160,10 +150,10 @@ func (w Workload) Start(e *Engine) *Run {
 // Expected returns the number of messages the workload injects in total:
 // the send-side accounting when enabled, else the fixed pair × msg grid.
 func (r *Run) Expected() int {
-	if r.Sent != nil {
+	if r.external {
 		n := 0
-		for _, ids := range r.Sent {
-			n += len(ids)
+		for _, l := range r.logs {
+			n += l.sent
 		}
 		return n
 	}
@@ -172,8 +162,14 @@ func (r *Run) Expected() int {
 
 // NumPairs returns the number of directed pairs the run drove traffic on.
 func (r *Run) NumPairs() int {
-	if r.Sent != nil {
-		return len(r.Sent)
+	if r.external {
+		n := 0
+		for _, l := range r.logs {
+			if l.sent > 0 {
+				n++
+			}
+		}
+		return n
 	}
 	return len(r.W.Pairs)
 }
@@ -182,8 +178,8 @@ func (r *Run) NumPairs() int {
 // least one notification.
 func (r *Run) Delivered() int {
 	n := 0
-	for _, ids := range r.Counts {
-		n += len(ids)
+	for _, l := range r.logs {
+		n += l.delivered
 	}
 	return n
 }
@@ -193,12 +189,25 @@ func (r *Run) Delivered() int {
 // broke.
 func (r *Run) Duplicates() int {
 	n := 0
-	for _, ids := range r.Counts {
-		for _, c := range ids {
-			if c > 1 {
-				n += c - 1
-			}
-		}
+	for _, l := range r.logs {
+		n += l.notes - l.delivered
 	}
 	return n
+}
+
+// DeliveredOn returns the number of distinct messages on pr that produced
+// at least one notification.
+func (r *Run) DeliveredOn(pr Pair) int {
+	if l := r.logs[pr]; l != nil {
+		return l.delivered
+	}
+	return 0
+}
+
+// Count returns the number of notifications message id raised on pr.
+func (r *Run) Count(pr Pair, id uint64) int {
+	if l := r.logs[pr]; l != nil {
+		return int(l.at(id).notes)
+	}
+	return 0
 }

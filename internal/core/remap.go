@@ -108,6 +108,13 @@ type remapManager struct {
 	rng *rand.Rand
 	dst map[topology.NodeID]*remapState
 	mx  *metrics.Scope
+	// mh holds the manager's metric handles, each resolved through mx the
+	// first time its event fires (metrics.Scope.AddTo).
+	mh struct {
+		held, coalesced, deferred, attempts, successes, failures,
+		quarantines *metrics.Counter
+		latencyNS *metrics.Histogram
+	}
 
 	// suspended freezes recovery: triggers are held (not dropped) and
 	// replayed in destination order on resume. Stale-map scenarios use
@@ -169,26 +176,26 @@ func (rm *remapManager) quarantinedNow(dst topology.NodeID) bool {
 func (rm *remapManager) trigger(dst topology.NodeID) {
 	if rm.suspended {
 		rm.held[dst] = true
-		rm.mx.Add("remap.held", 1)
+		rm.mx.AddTo(&rm.mh.held, "remap.held", 1)
 		return
 	}
 	st := rm.state(dst)
 	if st.running {
 		st.pending = true
 		rm.c.RemapStats.Coalesced++
-		rm.mx.Add("remap.coalesced", 1)
+		rm.mx.AddTo(&rm.mh.coalesced, "remap.coalesced", 1)
 		return
 	}
 	now := rm.c.K.Now()
 	if now.Before(st.notBefore) {
 		if st.armed {
 			rm.c.RemapStats.Coalesced++
-			rm.mx.Add("remap.coalesced", 1)
+			rm.mx.AddTo(&rm.mh.coalesced, "remap.coalesced", 1)
 			return
 		}
 		st.armed = true
 		rm.c.RemapStats.Deferred++
-		rm.mx.Add("remap.deferred", 1)
+		rm.mx.AddTo(&rm.mh.deferred, "remap.deferred", 1)
 		rm.n.EmitEvent(trace.EvRemapDefer, dst)
 		rm.c.K.At(st.notBefore, func() {
 			st.armed = false
@@ -203,7 +210,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 	st.running = true
 	st.seq++
 	rm.c.RemapStats.Attempts++
-	rm.mx.Add("remap.attempts", 1)
+	rm.mx.AddTo(&rm.mh.attempts, "remap.attempts", 1)
 	n := rm.n
 	n.EmitEvent(trace.EvRemapStart, dst)
 	rm.c.K.Spawn(fmt.Sprintf("remap-%d-%d.%d", rm.h, dst, st.seq), func(p *sim.Proc) {
@@ -211,8 +218,8 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 		st.running = false
 		if ok {
 			rm.c.Remaps++
-			rm.mx.Add("remap.successes", 1)
-			rm.mx.Observe("remap.latency_ns", mst.Elapsed)
+			rm.mx.AddTo(&rm.mh.successes, "remap.successes", 1)
+			rm.mx.ObserveTo(&rm.mh.latencyNS, "remap.latency_ns", mst.Elapsed)
 			n.EmitEvent(trace.EvRemapDone, dst)
 			st.failures = 0
 			st.backoff = rm.pol.Backoff
@@ -225,14 +232,14 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 			return
 		}
 		rm.c.Unreachables++
-		rm.mx.Add("remap.failures", 1)
+		rm.mx.AddTo(&rm.mh.failures, "remap.failures", 1)
 		st.failures++
 		now := p.Now()
 		if rm.pol.QuarantineAfter > 0 && st.failures >= rm.pol.QuarantineAfter {
 			if !st.quarantined {
 				st.quarantined = true
 				rm.c.RemapStats.Quarantines++
-				rm.mx.Add("remap.quarantines", 1)
+				rm.mx.AddTo(&rm.mh.quarantines, "remap.quarantines", 1)
 				n.EmitEvent(trace.EvQuarantine, dst)
 				if rm.c.cfg.OnUnreachable != nil {
 					rm.c.cfg.OnUnreachable(rm.h, dst)

@@ -166,6 +166,12 @@ type Mapper struct {
 	pending     map[uint64]*sim.Mailbox[*proto.Frame]
 
 	mx *metrics.Scope
+	// mh holds the mapper's metric handles, each resolved through mx the
+	// first time its event fires (metrics.Scope.AddTo).
+	mh struct {
+		hostProbes, switchProbes, runs *metrics.Counter
+		runNS                          *metrics.Histogram
+	}
 }
 
 // New attaches a mapper to a NIC (it takes over the NIC's probe upcall).
@@ -218,7 +224,7 @@ func (m *Mapper) sendProbeAndWait(p *sim.Proc, typ proto.FrameType, route, ret r
 // return route for the reply.
 func (m *Mapper) probeHost(p *sim.Proc, st *Stats, route, ret routing.Route) (topology.NodeID, bool) {
 	st.HostProbes++
-	m.mx.Add("mapping.host_probes", 1)
+	m.mx.AddTo(&m.mh.hostProbes, "mapping.host_probes", 1)
 	f, ok := m.sendProbeAndWait(p, proto.FrameHostProbe, route, ret)
 	if !ok || f.Type != proto.FrameHostProbeReply {
 		return topology.None, false
@@ -229,7 +235,7 @@ func (m *Mapper) probeHost(p *sim.Proc, st *Stats, route, ret routing.Route) (to
 // probeEcho checks whether an echo probe sent along `route` comes back.
 func (m *Mapper) probeEcho(p *sim.Proc, st *Stats, route routing.Route) bool {
 	st.SwitchProbes++
-	m.mx.Add("mapping.switch_probes", 1)
+	m.mx.AddTo(&m.mh.switchProbes, "mapping.switch_probes", 1)
 	f, ok := m.sendProbeAndWait(p, proto.FrameEchoProbe, route, nil)
 	return ok && f.Type == proto.FrameEchoProbe
 }
@@ -267,8 +273,8 @@ func (m *Mapper) run(p *sim.Proc, target topology.NodeID) (mp *Map, st Stats) {
 	start := p.Now()
 	defer func() {
 		st.Elapsed = p.Now().Sub(start)
-		m.mx.Add("mapping.runs", 1)
-		m.mx.Observe("mapping.run_ns", st.Elapsed)
+		m.mx.AddTo(&m.mh.runs, "mapping.runs", 1)
+		m.mx.ObserveTo(&m.mh.runNS, "mapping.run_ns", st.Elapsed)
 	}()
 
 	mp = &Map{Hosts: make(map[topology.NodeID]hostLoc)}

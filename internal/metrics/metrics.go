@@ -287,8 +287,27 @@ func (s *Scope) Histogram(name string) *Histogram {
 	return h
 }
 
-// Observe records one duration in the scope-labeled histogram name.
-func (s *Scope) Observe(name string, d time.Duration) { s.Histogram(name).Observe(d) }
+// AddTo increases the scope-labeled counter name by n through the typed
+// handle *c, resolving the handle on first use. A hot path keeps one
+// handle per metric and pays the name lookup once, at the first event —
+// not when the producer is built, which would add a zero series that
+// never fired to every export.
+func (s *Scope) AddTo(c **Counter, name string, n uint64) {
+	if *c == nil {
+		*c = s.Counter(name)
+	}
+	(*c).Add(n)
+}
+
+// ObserveTo records one duration in the scope-labeled histogram name
+// through the typed handle *h, resolving the handle on first use like
+// AddTo.
+func (s *Scope) ObserveTo(h **Histogram, name string, d time.Duration) {
+	if *h == nil {
+		*h = s.Histogram(name)
+	}
+	(*h).Observe(d)
+}
 
 // Gauge returns the scope-labeled gauge.
 func (s *Scope) Gauge(name string) *Gauge { return s.r.Gauge(name, s.labels) }

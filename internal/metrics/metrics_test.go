@@ -140,17 +140,42 @@ func TestScopeLookupDoesNotCreate(t *testing.T) {
 	}
 }
 
-// TestScopeRecordAllocs pins the per-event recording path: once a name
-// has been recorded, Scope.Add and Scope.Observe allocate nothing.
+// TestScopeRecordAllocs pins the per-event recording paths: once a name
+// has been recorded, Scope.Add, and Scope.AddTo and Scope.ObserveTo
+// through their resolved handles, allocate nothing.
 func TestScopeRecordAllocs(t *testing.T) {
 	s := NewRegistry().Scope(HostLabels(3))
+	var c *Counter
+	var h *Histogram
 	s.Add("nic.pkts-sent", 1)
-	s.Observe("retrans.ack_latency_ns", time.Microsecond)
+	s.AddTo(&c, "nic.acks-sent", 1)
+	s.ObserveTo(&h, "retrans.ack_latency_ns", time.Microsecond)
 	if avg := testing.AllocsPerRun(1000, func() { s.Add("nic.pkts-sent", 1) }); avg != 0 {
 		t.Fatalf("Scope.Add allocates %.2f allocs/op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1000, func() { s.Observe("retrans.ack_latency_ns", time.Microsecond) }); avg != 0 {
-		t.Fatalf("Scope.Observe allocates %.2f allocs/op, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, func() { s.AddTo(&c, "nic.acks-sent", 1) }); avg != 0 {
+		t.Fatalf("Scope.AddTo allocates %.2f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.ObserveTo(&h, "retrans.ack_latency_ns", time.Microsecond) }); avg != 0 {
+		t.Fatalf("Scope.ObserveTo allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestScopeHandlesResolveToScopeMetrics: a typed handle resolves to the
+// scope's own counter or histogram at its first write, so writes through
+// it land in the series Counters and every export read.
+func TestScopeHandlesResolveToScopeMetrics(t *testing.T) {
+	s := NewRegistry().Scope(L("host", "3"))
+	var c *Counter
+	var h *Histogram
+	s.AddTo(&c, "nic.pkts-sent", 2)
+	s.AddTo(&c, "nic.pkts-sent", 3)
+	s.ObserveTo(&h, "retrans.ack_latency_ns", time.Microsecond)
+	if got, ok := s.Lookup("nic.pkts-sent"); !ok || got != c || got.Value() != 5 {
+		t.Fatalf("Lookup = %p (%v), want the handle %p with value 5", got, ok, c)
+	}
+	if h != s.Histogram("retrans.ack_latency_ns") || h.Count() != 1 {
+		t.Fatalf("histogram handle %p (count %d) is not the scope's", h, h.Count())
 	}
 }
 

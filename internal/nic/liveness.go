@@ -57,7 +57,7 @@ func (n *NIC) liveTx(dst topology.NodeID) {
 	}
 	n.fw(n.cost.AckSendCost, sim.HandlerFunc(func(any) {
 		p := ls.s.BuildTx(n.k.Now())
-		n.mx.Add("liveness.tx", 1)
+		n.mx.AddTo(&n.m.liveTx, "liveness.tx", 1)
 		n.SendControl(&proto.Frame{Type: proto.FrameLiveness, Dst: dst, Live: p}, nil)
 		n.k.After(ls.s.NextTxDelay(), func() { n.liveTx(dst) })
 	}), nil)
@@ -81,10 +81,10 @@ func (n *NIC) onLiveness(frame *proto.Frame) {
 		return
 	}
 	now := n.k.Now()
-	n.mx.Add("liveness.rx", 1)
+	n.mx.AddTo(&n.m.liveRx, "liveness.rx", 1)
 	r := ls.s.OnRx(frame.Live, now)
 	if r.HasRTT {
-		n.mx.Observe("liveness.rtt_ns", r.RTT)
+		n.mx.ObserveTo(&n.m.liveRTT, "liveness.rtt_ns", r.RTT)
 		if n.snd != nil {
 			n.snd.ObserveRTT(src, r.RTT)
 		}
@@ -96,11 +96,11 @@ func (n *NIC) onLiveness(frame *proto.Frame) {
 	if r.StateChanged {
 		switch r.New {
 		case liveness.Up:
-			n.mx.Add("liveness.session_up", 1)
+			n.mx.AddTo(&n.m.sessionUp, "liveness.session_up", 1)
 			n.emit(trace.EvLiveUp, src, 0, 0, 0)
 		case liveness.Down:
 			// Peer advertised Down (its detector fired or it restarted).
-			n.mx.Add("liveness.session_down", 1)
+			n.mx.AddTo(&n.m.sessionDown, "liveness.session_down", 1)
 			n.emit(trace.EvLiveDown, src, 0, 0, 0)
 			n.sessionDown(src)
 		}
@@ -116,8 +116,8 @@ func (n *NIC) liveDetect(dst topology.NodeID) {
 		return
 	}
 	lat := ls.s.SilenceFor(n.k.Now())
-	n.mx.Add("liveness.session_down", 1)
-	n.mx.Observe("liveness.detect_ns", lat)
+	n.mx.AddTo(&n.m.sessionDown, "liveness.session_down", 1)
+	n.mx.ObserveTo(&n.m.liveDetectNS, "liveness.detect_ns", lat)
 	n.emit(trace.EvLiveDown, dst, 0, uint64(lat), 0)
 	n.sessionDown(dst)
 }

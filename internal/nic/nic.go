@@ -173,8 +173,27 @@ type NIC struct {
 	ackReady    sim.Handler // ack firmware done: transmitAck
 
 	// mx is the NIC's host-labeled scope: every firmware event is one
-	// add to a constant nic.* name, read back through Counters.
+	// add to a constant nic.* name, read back through Counters; m holds
+	// the typed handles the adds go through.
 	mx *metrics.Scope
+	m  nicMetrics
+}
+
+// nicMetrics holds the NIC's metric handles, each resolved through the
+// NIC's scope the first time its event fires (metrics.Scope.AddTo), so a
+// metric that never fires stays out of every export.
+type nicMetrics struct {
+	// Firmware events, read back through Counters.
+	sendBufferStall, acksPiggybacked, controlNoRoute, errInjectedDrops,
+	txNoRoute, pktsSent, retransmitBursts, pktsRetransmitted, crcDrops,
+	routeUpdates, acksReceived, rxDropped, rxDupDrops, rxOooDrops,
+	pktsAccepted, acksSent, probesAnswered, pathResets,
+	pktsDroppedUnreachable *metrics.Counter
+	// Retransmission timing.
+	ackLatencyNS, detectNS, scanWaitNS *metrics.Histogram
+	// Liveness sessions.
+	liveTx, liveRx, sessionUp, sessionDown *metrics.Counter
+	liveRTT, liveDetectNS                  *metrics.Histogram
 }
 
 // emit records a trace event if a tracer is wired.
@@ -505,7 +524,7 @@ func (n *NIC) Send(p *sim.Proc, frame *proto.Frame) {
 	// Reserve a send buffer; block while the pool is exhausted. This is
 	// where a small NIC send queue throttles the sender.
 	for n.freeBuffers == 0 {
-		n.mx.Add("nic.send-buffer-stall", 1)
+		n.mx.AddTo(&n.m.sendBufferStall, "nic.send-buffer-stall", 1)
 		n.bufGate.Wait(p)
 	}
 	n.freeBuffers--
@@ -569,7 +588,7 @@ func (n *NIC) attachPiggyback(frame *proto.Frame) {
 	frame.AckSeq = seq
 	n.rcv.AckEmitted(frame.Dst)
 	n.cancelDelayedAck(frame.Dst)
-	n.mx.Add("nic.acks-piggybacked", 1)
+	n.mx.AddTo(&n.m.acksPiggybacked, "nic.acks-piggybacked", 1)
 }
 
 // SendControl queues a control frame (ack or probe) for transmission. If
@@ -582,7 +601,7 @@ func (n *NIC) SendControl(frame *proto.Frame, route routing.Route) {
 	if route == nil {
 		r, ok := n.Route(frame.Dst)
 		if !ok {
-			n.mx.Add("nic.control-no-route", 1)
+			n.mx.AddTo(&n.m.controlNoRoute, "nic.control-no-route", 1)
 			return
 		}
 		route = r
@@ -620,7 +639,7 @@ func (n *NIC) kickTX() {
 		// retransmission queue as if transmitted, but never touches the
 		// wire.
 		if frame.Type == proto.FrameData && n.dropper.ShouldDrop() {
-			n.mx.Add("nic.err-injected-drops", 1)
+			n.mx.AddTo(&n.m.errInjectedDrops, "nic.err-injected-drops", 1)
 			n.emit(trace.EvErrDrop, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 			if n.ft && it.entry != nil {
 				n.snd.OnTransmitted(it.entry, n.k.Now())
@@ -635,7 +654,7 @@ func (n *NIC) kickTX() {
 		if route == nil {
 			r, ok := n.Route(frame.Dst)
 			if !ok {
-				n.mx.Add("nic.tx-no-route", 1)
+				n.mx.AddTo(&n.m.txNoRoute, "nic.tx-no-route", 1)
 				if n.ft && it.entry != nil {
 					// Keep the entry queued; the timer will retry once a
 					// route exists. Mark transmitted so the timer owns it.
@@ -669,7 +688,7 @@ func (n *NIC) kickTX() {
 		}
 		n.txBusy = true
 		n.txCur = it
-		n.mx.Add("nic.pkts-sent", 1)
+		n.mx.AddTo(&n.m.pktsSent, "nic.pkts-sent", 1)
 		if frame.Type == proto.FrameData {
 			n.emit(trace.EvInject, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 		}
@@ -931,9 +950,8 @@ func (n *NIC) noteAcked(freed []*retrans.Entry) {
 		return
 	}
 	now := n.k.Now()
-	h := n.mx.Histogram("retrans.ack_latency_ns")
 	for _, e := range freed {
-		h.Observe(now.Sub(e.LastSent))
+		n.mx.ObserveTo(&n.m.ackLatencyNS, "retrans.ack_latency_ns", now.Sub(e.LastSent))
 	}
 }
 
@@ -942,13 +960,13 @@ func (n *NIC) noteAcked(freed []*retrans.Entry) {
 // The final frame requests an immediate ack so the sender resynchronizes
 // in one round trip.
 func (n *NIC) retransmitBatch(b retrans.Batch) {
-	n.mx.Add("nic.retransmit-bursts", 1)
+	n.mx.AddTo(&n.m.retransmitBursts, "nic.retransmit-bursts", 1)
 	// detect_ns is the honest timeout-detection latency: the timeout in
 	// force plus the scan-quantization wait; scan_wait_ns isolates that
 	// second component (up to a full period for the fixed free-running
 	// timer, at most RTOMin/2 + scan cost for the adaptive one).
-	n.mx.Observe("retrans.detect_ns", b.Oldest)
-	n.mx.Observe("retrans.scan_wait_ns", b.Waited)
+	n.mx.ObserveTo(&n.m.detectNS, "retrans.detect_ns", b.Oldest)
+	n.mx.ObserveTo(&n.m.scanWaitNS, "retrans.scan_wait_ns", b.Waited)
 	cost := time.Duration(len(b.Entries)) * n.cost.RetransPktCost
 	n.fw(cost, sim.HandlerFunc(func(any) {
 		items := make([]txItem, 0, len(b.Entries))
@@ -966,7 +984,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 				f.AckReq = proto.AckImmediate
 			}
 			n.attachPiggybackIfAny(&f)
-			n.mx.Add("nic.pkts-retransmitted", 1)
+			n.mx.AddTo(&n.m.pktsRetransmitted, "nic.pkts-retransmitted", 1)
 			n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(&f))
 			e.InFlight++
 			items = append(items, txItem{frame: &f, entry: e})
@@ -1023,7 +1041,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	// The CRC check covers every frame type; corrupted packets are
 	// dropped after the check cost is paid.
 	if pkt.Corrupted {
-		n.mx.Add("nic.crc-drops", 1)
+		n.mx.AddTo(&n.m.crcDrops, "nic.crc-drops", 1)
 		n.emit(trace.EvCrcDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 		frame.Release()
 		return
@@ -1049,7 +1067,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	case proto.FrameRouteUpdate:
 		if frame.Probe != nil {
 			n.SetRoute(frame.Src, frame.Probe.ReturnRoute)
-			n.mx.Add("nic.route-updates", 1)
+			n.mx.AddTo(&n.m.routeUpdates, "nic.route-updates", 1)
 		}
 	case proto.FrameLiveness:
 		n.onLiveness(frame)
@@ -1061,7 +1079,7 @@ func (n *NIC) processAck(from topology.NodeID, gen uint32, seq uint64) {
 	if !n.ft {
 		return
 	}
-	n.mx.Add("nic.acks-received", 1)
+	n.mx.AddTo(&n.m.acksReceived, "nic.acks-received", 1)
 	n.emit(trace.EvAckRx, from, gen, seq, 0)
 	freed := n.snd.OnAck(from, gen, seq, n.k.Now())
 	n.noteAcked(freed)
@@ -1092,12 +1110,12 @@ func (n *NIC) processData(frame *proto.Frame) {
 			n.sendAck(frame.Src)
 		}
 		if !verdict.Accept {
-			n.mx.Add("nic.rx-dropped", 1)
+			n.mx.AddTo(&n.m.rxDropped, "nic.rx-dropped", 1)
 			if n.rcv.Expected(frame.Src) > frame.Seq {
-				n.mx.Add("nic.rx-dup-drops", 1)
+				n.mx.AddTo(&n.m.rxDupDrops, "nic.rx-dup-drops", 1)
 				n.emit(trace.EvDupDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			} else {
-				n.mx.Add("nic.rx-ooo-drops", 1)
+				n.mx.AddTo(&n.m.rxOooDrops, "nic.rx-ooo-drops", 1)
 				n.emit(trace.EvOooDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			}
 			frame.Release()
@@ -1105,7 +1123,7 @@ func (n *NIC) processData(frame *proto.Frame) {
 		}
 	}
 	frame.Stamps.NICRecvDone = n.k.Now()
-	n.mx.Add("nic.pkts-accepted", 1)
+	n.mx.AddTo(&n.m.pktsAccepted, "nic.pkts-accepted", 1)
 	n.emit(trace.EvAccept, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 	// Deposit into host memory through the PCI engine, then notify.
 	size := len(frame.Data.Data)
@@ -1173,7 +1191,7 @@ func (n *NIC) sendAck(to topology.NodeID) {
 
 // transmitAck queues an explicit ack once its firmware cost is paid.
 func (n *NIC) transmitAck(ack *proto.Frame) {
-	n.mx.Add("nic.acks-sent", 1)
+	n.mx.AddTo(&n.m.acksSent, "nic.acks-sent", 1)
 	n.emit(trace.EvAckTx, ack.Dst, ack.AckGen, ack.AckSeq, 0)
 	n.SendControl(ack, nil)
 }
@@ -1206,7 +1224,7 @@ func (n *NIC) answerHostProbe(frame *proto.Frame) {
 	if frame.Probe == nil {
 		return
 	}
-	n.mx.Add("nic.probes-answered", 1)
+	n.mx.AddTo(&n.m.probesAnswered, "nic.probes-answered", 1)
 	reply := &proto.Frame{
 		Type: proto.FrameHostProbeReply,
 		Dst:  frame.Probe.Mapper,
@@ -1246,7 +1264,7 @@ func (n *NIC) ResetPath(dst topology.NodeID, route routing.Route) {
 		e.InFlight++
 		n.enqueueTX(txItem{frame: &f, entry: e})
 	}
-	n.mx.Add("nic.path-resets", 1)
+	n.mx.AddTo(&n.m.pathResets, "nic.path-resets", 1)
 	n.emit(trace.EvGenReset, dst, n.snd.Generation(dst), 0, 0)
 }
 
@@ -1258,7 +1276,7 @@ func (n *NIC) MarkUnreachable(dst topology.NodeID) {
 	if n.ft {
 		dropped := n.snd.MarkUnreachable(dst)
 		n.releaseBuffers(len(dropped))
-		n.mx.Add("nic.pkts-dropped-unreachable", uint64(len(dropped)))
+		n.mx.AddTo(&n.m.pktsDroppedUnreachable, "nic.pkts-dropped-unreachable", uint64(len(dropped)))
 		n.emit(trace.EvUnreachable, dst, 0, uint64(len(dropped)), 0)
 	}
 }

@@ -264,7 +264,7 @@ func runSim(sc SimScenario, pre func(*chaos.Engine), eager bool) *SimResult {
 			res.UnreachablePairs++
 			continue
 		}
-		if got := len(run.Counts[pr]); got != sc.Msgs {
+		if got := run.DeliveredOn(pr); got != sc.Msgs {
 			res.Violations = append(res.Violations, fmt.Sprintf(
 				"delivery: pair %d->%d delivered %d of %d with no unreachable verdict",
 				pr.Src, pr.Dst, got, sc.Msgs))

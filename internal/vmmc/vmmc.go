@@ -66,6 +66,9 @@ type Import struct {
 	Remote topology.NodeID
 	BufID  int
 	Size   int
+	// next is the endpoint's message counter for Remote, shared by every
+	// import of a buffer on that node.
+	next *uint64
 }
 
 // Directory is the name service mapping (node, buffer name) to exports —
@@ -96,12 +99,12 @@ type Endpoint struct {
 	dir  *Directory
 	node topology.NodeID
 
-	exports   map[int]*Export
-	byName    map[string]*Export
-	nextBufID int
+	exports []*Export // by BufID, which numbers exports densely from 0
+	byName  map[string]*Export
 	// nextMsgID numbers messages per destination node, so receivers see
-	// (eventually) dense ID sequences per source.
-	nextMsgID map[topology.NodeID]uint64
+	// (eventually) dense ID sequences per source. Import hands each
+	// handle its destination's counter, so Send does no lookup.
+	nextMsgID map[topology.NodeID]*uint64
 
 	partial   map[msgKey]*partialMsg
 	completed map[topology.NodeID]*completionWindow
@@ -119,9 +122,8 @@ func NewEndpoint(k *sim.Kernel, n *nic.NIC, dir *Directory) *Endpoint {
 		n:         n,
 		dir:       dir,
 		node:      n.Node(),
-		exports:   make(map[int]*Export),
 		byName:    make(map[string]*Export),
-		nextMsgID: make(map[topology.NodeID]uint64),
+		nextMsgID: make(map[topology.NodeID]*uint64),
 		partial:   make(map[msgKey]*partialMsg),
 		completed: make(map[topology.NodeID]*completionWindow),
 	}
@@ -142,15 +144,14 @@ func (ep *Endpoint) Export(name string, size int, allowed ...topology.NodeID) *E
 	if _, dup := ep.byName[name]; dup {
 		panic(fmt.Sprintf("vmmc: duplicate export %q", name))
 	}
-	e := &Export{ID: ep.nextBufID, Name: name, Mem: make([]byte, size)}
-	ep.nextBufID++
+	e := &Export{ID: len(ep.exports), Name: name, Mem: make([]byte, size)}
 	if len(allowed) > 0 {
 		e.allowed = make(map[topology.NodeID]bool, len(allowed))
 		for _, a := range allowed {
 			e.allowed[a] = true
 		}
 	}
-	ep.exports[e.ID] = e
+	ep.exports = append(ep.exports, e)
 	ep.byName[name] = e
 	return e
 }
@@ -171,7 +172,12 @@ func (ep *Endpoint) Import(remote topology.NodeID, name string) (*Import, error)
 	if e.allowed != nil && !e.allowed[ep.node] {
 		return nil, fmt.Errorf("vmmc: node %d may not import %q from node %d", ep.node, name, remote)
 	}
-	return &Import{ep: ep, Remote: remote, BufID: e.ID, Size: len(e.Mem)}, nil
+	next := ep.nextMsgID[remote]
+	if next == nil {
+		next = new(uint64)
+		ep.nextMsgID[remote] = next
+	}
+	return &Import{ep: ep, Remote: remote, BufID: e.ID, Size: len(e.Mem), next: next}, nil
 }
 
 // Send deposits data into the imported remote buffer at the given offset,
@@ -184,8 +190,8 @@ func (imp *Import) Send(p *sim.Proc, offset int, data []byte, notify bool) uint6
 	if offset < 0 || offset+len(data) > imp.Size {
 		panic(fmt.Sprintf("vmmc: deposit [%d,%d) outside buffer of %d bytes", offset, offset+len(data), imp.Size))
 	}
-	ep.nextMsgID[imp.Remote]++
-	msgID := ep.nextMsgID[imp.Remote]
+	*imp.next++
+	msgID := *imp.next
 	ep.n.EmitMsgEvent(trace.EvHostSend, imp.Remote, msgID)
 	mtu := ep.n.Cost().MTU
 	start := p.Now()
@@ -222,11 +228,11 @@ func (imp *Import) Send(p *sim.Proc, offset int, data []byte, notify bool) uint6
 // into the exported buffer and track message completion.
 func (ep *Endpoint) onDeliver(f *proto.Frame) {
 	d := f.Data
-	e, ok := ep.exports[d.BufID]
-	if !ok {
+	if d.BufID < 0 || d.BufID >= len(ep.exports) {
 		ep.RejectedDeposits++
 		return
 	}
+	e := ep.exports[d.BufID]
 	if e.allowed != nil && !e.allowed[f.Src] {
 		ep.RejectedDeposits++
 		return
@@ -239,7 +245,7 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 
 	cw := ep.completed[f.Src]
 	if cw == nil {
-		cw = &completionWindow{sparse: make(map[uint64]bool)}
+		cw = &completionWindow{}
 		ep.completed[f.Src] = cw
 	}
 	if cw.done(d.MsgID) {
@@ -307,18 +313,28 @@ func (ep *Endpoint) complete(e *Export, cw *completionWindow, f *proto.Frame, fi
 // completed: everything ≤ upTo, plus a sparse set above it that is folded
 // down as gaps fill. With reliable transport every ID eventually
 // completes, so the sparse set stays bounded by the in-flight window.
+// In-order completion — the common case — only advances upTo: the sparse
+// set is made at the first out-of-order completion and read only while
+// it holds something.
 type completionWindow struct {
 	upTo   uint64
 	sparse map[uint64]bool
 }
 
 func (c *completionWindow) done(id uint64) bool {
-	return id <= c.upTo || c.sparse[id]
+	return id <= c.upTo || len(c.sparse) > 0 && c.sparse[id]
 }
 
 func (c *completionWindow) mark(id uint64) {
 	if id <= c.upTo {
 		return
+	}
+	if id == c.upTo+1 && len(c.sparse) == 0 {
+		c.upTo = id
+		return
+	}
+	if c.sparse == nil {
+		c.sparse = make(map[uint64]bool)
 	}
 	c.sparse[id] = true
 	for c.sparse[c.upTo+1] {

@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -381,5 +382,84 @@ func TestSingleChunkDeliverAllocs(t *testing.T) {
 	if ep.DupNotifications != 0 || ep.RejectedDeposits != 0 || len(ep.partial) != 0 || !ep.completed[a].done(id) {
 		t.Fatalf("dups %d, rejected %d, partial %d, done(%d)=%v; want 0, 0, 0, true",
 			ep.DupNotifications, ep.RejectedDeposits, len(ep.partial), id, ep.completed[a].done(id))
+	}
+}
+
+// refWindow is the completion window as it was before its in-order fast
+// path: every mark goes through an eagerly made sparse map.
+type refWindow struct {
+	upTo   uint64
+	sparse map[uint64]bool
+}
+
+func (c *refWindow) done(id uint64) bool { return id <= c.upTo || c.sparse[id] }
+
+func (c *refWindow) mark(id uint64) {
+	if id <= c.upTo {
+		return
+	}
+	c.sparse[id] = true
+	for c.sparse[c.upTo+1] {
+		delete(c.sparse, c.upTo+1)
+		c.upTo++
+	}
+}
+
+// TestCompletionWindowDenseMatchesMapReference marks random completion
+// orders — in-order runs, gaps filled late, duplicates, IDs far ahead —
+// and requires done, the folded horizon and the sparse set to agree,
+// after every mark, with the map-only reference: the window's in-order
+// fast path and its lazily made sparse set must be invisible.
+func TestCompletionWindowDenseMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cw := &completionWindow{}
+		ref := &refWindow{sparse: map[uint64]bool{}}
+		next := uint64(1)
+		for step := 0; step < 200; step++ {
+			var id uint64
+			switch k := rng.Intn(10); {
+			case k < 5: // in order
+				id = next
+				next++
+			case k < 7: // a duplicate or an old ID
+				id = 1 + uint64(rng.Int63n(int64(next)))
+			case k < 9: // a gap, filled later
+				id = next + 1 + uint64(rng.Intn(8))
+			default: // far ahead
+				id = next + 100 + uint64(rng.Intn(1000))
+			}
+			cw.mark(id)
+			ref.mark(id)
+			if cw.upTo != ref.upTo || len(cw.sparse) != len(ref.sparse) {
+				t.Fatalf("seed %d step %d: after marking %d, upTo %d with %d sparse, want %d with %d",
+					seed, step, id, cw.upTo, len(cw.sparse), ref.upTo, len(ref.sparse))
+			}
+			for q := uint64(0); q <= next+1200; q += 1 + uint64(rng.Intn(8)) {
+				if cw.done(q) != ref.done(q) {
+					t.Fatalf("seed %d step %d: done(%d) = %v, want %v", seed, step, q, cw.done(q), ref.done(q))
+				}
+			}
+		}
+	}
+}
+
+// TestCompletionWindowInOrderAllocs: completing messages in order only
+// advances the horizon — no sparse set is made and nothing allocates.
+func TestCompletionWindowInOrderAllocs(t *testing.T) {
+	cw := &completionWindow{}
+	id := uint64(0)
+	avg := testing.AllocsPerRun(10000, func() {
+		id++
+		if cw.done(id) {
+			t.Fatalf("message %d done before it completed", id)
+		}
+		cw.mark(id)
+	})
+	if avg != 0 {
+		t.Fatalf("in-order completion allocates %.2f allocs/op, want 0", avg)
+	}
+	if cw.sparse != nil || cw.upTo != id {
+		t.Fatalf("after %d in-order completions: upTo %d, sparse made %v", id, cw.upTo, cw.sparse != nil)
 	}
 }
