@@ -13,9 +13,10 @@ import (
 // simulation state, so enabling it never changes results.
 
 // enableProfiling arms every collection point. Pool counters are
-// process-wide (the sync.Pools are shared), so the cluster remembers a
-// construction-time baseline and EngineProfile reports deltas; profiled
-// clusters running concurrently in one process see combined pool traffic.
+// process-wide (the packet and frame free lists are shared), so the
+// cluster remembers a construction-time baseline and EngineProfile reports
+// deltas; profiled clusters running concurrently in one process see
+// combined pool traffic.
 func (c *Cluster) enableProfiling() {
 	c.profiled = true
 	proto.SetPoolProfiling(true)

@@ -192,11 +192,17 @@ func msgID(f *proto.Frame) uint64 {
 // cross-shard traffic allocates nothing. Callbacks are stripped by
 // ClonePooled: OnInjectDone already fired on the source shard, and the
 // wire gives no cross-host drop feedback (which is why the
-// retransmission protocol exists).
+// retransmission protocol exists). An explicit ack's original frame has
+// no other reader once cloned, so it goes back to the pool here; the
+// original packet goes back after its send DMA (fabric.Pipe), and a data
+// frame stays with the sender's retransmission queue.
 func clonePacket(pkt *fabric.Packet) *fabric.Packet {
 	cp := pkt.ClonePooled()
 	if f, ok := pkt.Payload.(*proto.Frame); ok {
 		cp.Payload = f.ClonePooled()
+		if f.Type == proto.FrameAck {
+			f.Release()
+		}
 	}
 	return cp
 }

@@ -68,6 +68,9 @@ type Fabric struct {
 	lazyOn bool  // worms may go lazy on free paths (SetLazyWorms)
 	firing *worm // the worm whose event is running, nil between worm events
 
+	// free holds delivered worms for Inject to reuse (see worm.Fire).
+	free []*worm
+
 	// The worm metrics, resolved on first use like the wire's counters.
 	watchdogResets *metrics.Counter
 	blockNS        *metrics.Histogram
@@ -192,7 +195,15 @@ func (f *Fabric) Inject(src topology.NodeID, pkt *Packet) {
 		return
 	}
 	f.wormSeq++
-	w := &worm{f: f, pkt: pkt, curNode: src, seq: f.wormSeq}
+	var w *worm
+	if n := len(f.free); n > 0 {
+		w = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+	} else {
+		w = &worm{f: f}
+	}
+	w.pkt, w.curNode, w.seq = pkt, src, f.wormSeq
 	w.held = w.heldBuf[:0]
 	f.track(w)
 	e := l.Other(src)

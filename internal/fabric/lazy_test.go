@@ -71,7 +71,7 @@ func TestLazyWormEventBound(t *testing.T) {
 }
 
 // TestWormFreePathAllocs: a lazy packet allocates no more than an eager
-// one does: its worm.
+// one does, which is nothing once the fabric's free list holds a worm.
 func TestWormFreePathAllocs(t *testing.T) {
 	k, f, a, b, route := lineFabric(t, 8, true)
 	delivered := 0
@@ -253,8 +253,9 @@ func (l eventLog) Trace(e trace.Event) {
 // tracer; channel busy times and link gauges sampled, and InFlightDetail
 // taken, at random instants. Every observable is appended to the
 // returned log. All randomness is drawn before the run, so the script is
-// the same whatever the fabric does.
-func lazyScenario(seed int64, lazy bool) (log []string, events uint64) {
+// the same whatever the fabric does. Every delivery also checks that the
+// worm is idle, as going back to the free list requires.
+func lazyScenario(t testing.TB, seed int64, lazy bool) (log []string, events uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	var nw *topology.Network
 	var hosts []topology.NodeID
@@ -284,7 +285,12 @@ func lazyScenario(seed int64, lazy bool) (log []string, events uint64) {
 		log = append(log, fmt.Sprintf("%v ", k.Now())+fmt.Sprintf(format, args...))
 	}
 	for _, h := range hosts {
-		f.AttachHost(h, func(p *Packet) { note("deliver %d->%d size %d", p.Src, p.Dst, p.Size) })
+		f.AttachHost(h, func(p *Packet) {
+			if err := idleAtDelivery(f, f.firing); err != nil {
+				t.Fatalf("seed %d, lazy %v: %v", seed, lazy, err)
+			}
+			note("deliver %d->%d size %d", p.Src, p.Dst, p.Size)
+		})
 	}
 	grid := func(span int) sim.Time { return sim.Time(50 * rng.Intn(span)) }
 	// at runs fn at t, from an event scheduled now or, late, from one
@@ -376,8 +382,8 @@ func lazyScenario(seed int64, lazy bool) (log []string, events uint64) {
 func TestLazyWormDifferential(t *testing.T) {
 	var lazyEvents, eagerEvents uint64
 	for seed := int64(1); seed <= 600; seed++ {
-		a, ea := lazyScenario(seed, false)
-		b, eb := lazyScenario(seed, true)
+		a, ea := lazyScenario(t, seed, false)
+		b, eb := lazyScenario(t, seed, true)
 		eagerEvents += ea
 		lazyEvents += eb
 		for i := 0; i < len(a) || i < len(b); i++ {

@@ -40,8 +40,9 @@ type Pipe struct {
 	egress func(dst topology.NodeID, at sim.Time, pkt *Packet)
 
 	// The send-DMA completion and the local arrival of every packet, bound
-	// once; the packet is the event argument.
-	sent, landed sim.Handler
+	// once; the packet is the event argument. sentAway is the send-DMA
+	// completion of a packet handed to the egress hook.
+	sent, sentAway, landed sim.Handler
 }
 
 // NewPipe returns a pipe-mode fabric over the (shard-local) network nw
@@ -51,17 +52,20 @@ type Pipe struct {
 func NewPipe(k *sim.Kernel, nw *topology.Network, cfg Config) *Pipe {
 	p := &Pipe{wire: newWire(k, nw, cfg)}
 	p.sent = (*pipeSent)(p)
+	p.sentAway = (*pipeSentAway)(p)
 	p.landed = (*pipeLanded)(p)
 	p.BindMetrics(metrics.NewRegistry())
 	return p
 }
 
 // pipeSent and pipeLanded are a Pipe seen as the Handler of a packet's
-// send-DMA completion and of its local arrival; the packet is the event
-// argument.
+// send-DMA completion and of its local arrival, pipeSentAway as that of
+// the send-DMA completion of a packet handed to the egress hook; the
+// packet is the event argument.
 type (
-	pipeSent   Pipe
-	pipeLanded Pipe
+	pipeSent     Pipe
+	pipeSentAway Pipe
+	pipeLanded   Pipe
 )
 
 func (*pipeSent) Fire(arg any) {
@@ -70,19 +74,31 @@ func (*pipeSent) Fire(arg any) {
 	}
 }
 
+// Fire completes the send DMA of a packet the egress hook has copied
+// (or let go), which is its last use.
+func (*pipeSentAway) Fire(arg any) {
+	pkt := arg.(*Packet)
+	if pkt.OnInjectDone != nil {
+		pkt.OnInjectDone()
+	}
+	pkt.Release()
+}
+
 func (p *pipeLanded) Fire(arg any) {
 	pkt := arg.(*Packet)
 	(*Pipe)(p).arrive(pkt.term, pkt)
 }
 
-func (*pipeSent) EventKind() sim.EventKind   { return sim.KindPipe }
-func (*pipeLanded) EventKind() sim.EventKind { return sim.KindPipe }
+func (*pipeSent) EventKind() sim.EventKind     { return sim.KindPipe }
+func (*pipeSentAway) EventKind() sim.EventKind { return sim.KindPipe }
+func (*pipeLanded) EventKind() sim.EventKind   { return sim.KindPipe }
 
 // SetEgress installs the shard-boundary hook: packets terminating at a
 // host with no local AttachHost callback are handed to fn together with
 // their arrival time (strictly later than now by at least the cross-shard
 // lookahead). The engine forwards them to the owning shard's pipe via
-// Arrive.
+// Arrive. fn must copy what it keeps: the pipe releases the packet after
+// its send DMA.
 func (p *Pipe) SetEgress(fn func(dst topology.NodeID, at sim.Time, pkt *Packet)) {
 	p.egress = fn
 }
@@ -133,9 +149,14 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	}
 
 	ser := p.SerializationTime(pkt.Size)
-	p.k.AtHandler(p.k.Now().Add(ser), p.sent, pkt)
+	local := p.deliver[cur] != nil
+	sent := p.sent
+	if !local && p.egress != nil {
+		sent = p.sentAway
+	}
+	p.k.AtHandler(p.k.Now().Add(ser), sent, pkt)
 	at := p.k.Now().Add(lat + ser)
-	if fn := p.deliver[cur]; fn != nil {
+	if local {
 		pkt.term = cur
 		p.k.AtHandler(at, p.landed, pkt)
 		return

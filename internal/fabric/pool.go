@@ -1,47 +1,73 @@
 package fabric
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"sanft/internal/sim"
 )
 
 // poolProf gathers packet-pool traffic for the engine profiler, mirroring
 // internal/proto's frame-pool counters: off by default, one atomic load
-// per pooled clone when on, process-wide totals (consumers report deltas
+// per pooled packet when on, process-wide totals (consumers report deltas
 // from a construction-time baseline).
 var poolProf struct {
 	enabled atomic.Bool
-	gets    atomic.Uint64 // pooled clones served
+	gets    atomic.Uint64 // pooled packets served (NewPacket and clones)
 	news    atomic.Uint64 // pool refills (fresh allocations)
 }
 
 // SetPoolProfiling toggles packet-pool traffic counting.
 func SetPoolProfiling(on bool) { poolProf.enabled.Store(on) }
 
-// PoolStats returns the cumulative pooled-clone count and the number of
-// those served by a fresh allocation (pool miss).
+// PoolStats returns the cumulative count of pooled packets served and the
+// number of those served by a fresh allocation (pool miss).
 func PoolStats() (gets, misses uint64) {
 	return poolProf.gets.Load(), poolProf.news.Load()
 }
 
 // packetBlock is one unit of pooled packet storage: the packet plus a
-// reusable route buffer, so cloning a packet across a shard boundary
-// allocates nothing in steady state. The payload is not part of the
-// block — protocol layers pool their frames separately (the fabric
-// never looks inside Payload) and the two lifetimes differ: the packet
-// dies when receive firmware finishes, the frame when the host has
+// reusable route buffer, so sending a packet, or cloning one across a
+// shard boundary, allocates nothing in steady state. The payload is not
+// part of the block — protocol layers pool their frames separately (the
+// fabric never looks inside Payload) and the two lifetimes differ: the
+// packet dies when receive firmware finishes, the frame when the host has
 // consumed it.
 type packetBlock struct {
 	pkt      Packet
 	routeBuf []int
 }
 
-var packetPool = sync.Pool{New: func() any {
-	if poolProf.enabled.Load() {
-		poolProf.news.Add(1)
+// packetPool holds the released blocks, shared by every wire and cell.
+var packetPool sim.FreeList[packetBlock]
+
+// getBlock takes a block from the pool, or allocates one.
+func getBlock() *packetBlock {
+	prof := poolProf.enabled.Load()
+	if prof {
+		poolProf.gets.Add(1)
 	}
-	return new(packetBlock)
-}}
+	b := packetPool.Get()
+	if b == nil {
+		if prof {
+			poolProf.news.Add(1)
+		}
+		b = new(packetBlock)
+	}
+	return b
+}
+
+// NewPacket returns p in pooled storage: the sending NIC builds every
+// packet it injects this way. Whoever holds the packet at its last use
+// releases it — the receiving NIC once its receive firmware is done, and
+// a Pipe after the send DMA of a packet it handed to its egress hook. A
+// packet the fabric drops is never released, because its drop callbacks
+// may still hold it; the garbage collector takes it.
+func NewPacket(p Packet) *Packet {
+	b := getBlock()
+	b.pkt = p
+	b.pkt.blk = b
+	return &b.pkt
+}
 
 // ClonePooled returns a copy of the packet shell from pooled storage:
 // route bytes are copied into the block's reusable buffer and callbacks
@@ -51,10 +77,7 @@ var packetPool = sync.Pool{New: func() any {
 // caller deep-copies it when the boundary demands. The caller owns the
 // copy until it calls Release.
 func (p *Packet) ClonePooled() *Packet {
-	if poolProf.enabled.Load() {
-		poolProf.gets.Add(1)
-	}
-	b := packetPool.Get().(*packetBlock)
+	b := getBlock()
 	cp := &b.pkt
 	*cp = *p
 	cp.blk = b
@@ -65,11 +88,13 @@ func (p *Packet) ClonePooled() *Packet {
 	return cp
 }
 
-// Release returns a ClonePooled packet's storage to the pool. Ordinary
-// packets (blk nil) and value copies of a pooled packet are no-ops, so
-// the receive path can release unconditionally: in sequential mode every
-// packet it sees is an original and nothing happens. The packet must not
-// be used after Release; its Payload is not released (see packetBlock).
+// Release returns a pooled packet's storage (NewPacket, ClonePooled) to
+// the pool, clearing every pointer in it: the payload, the route and the
+// callbacks. Every packet a NIC sends is pooled, in sequential runs too,
+// so the receive path's release recycles it; packets built as literals
+// (blk nil) and value copies of a pooled packet are no-ops. The packet
+// must not be used after Release; its Payload is not released (see
+// packetBlock).
 func (p *Packet) Release() {
 	b := p.blk
 	if b == nil || &b.pkt != p {

@@ -90,14 +90,23 @@ const (
 // EventKind names the worm's events for the engine profiler.
 func (*worm) EventKind() sim.EventKind { return sim.KindWorm }
 
-// Fire runs one of the worm's events.
+// Fire runs one of the worm's events. A worm whose delivery ran goes back
+// to the fabric's free list once the event is over: its releases were
+// all due before the delivery and have fired, its watchdog is cancelled,
+// and it holds, reserves and waits on nothing, so no event, channel or
+// list can reach it. It goes back only after firing is cleared, so a
+// worm injected from inside the delivery never is this one. A worm that
+// died is never reused: its death may leave its head event or releases
+// queued.
 func (w *worm) Fire(arg any) {
-	w.f.firing = w
+	f := w.f
+	f.firing = w
+	delivered := false
 	switch arg.(wormEvent) {
 	case wormAdvance:
 		w.advance(w.head)
 	case wormDeliver:
-		w.deliverTo(w.head)
+		delivered = w.deliverTo(w.head)
 	case wormRelease:
 		key := w.held[w.released]
 		w.released++
@@ -107,7 +116,11 @@ func (w *worm) Fire(arg any) {
 		w.f.emitPkt(trace.EvWatchdog, w.pkt, w.waitKey.link(), w.waitKey.dir(), "")
 		w.die(DropWatchdog)
 	}
-	w.f.firing = nil
+	f.firing = nil
+	if delivered {
+		*w = worm{f: f} // drops the packet and every timer handle
+		f.free = append(f.free, w)
+	}
 }
 
 // wormBand sets the keys of a worm's AtFrom events above the NIC timer's
@@ -291,15 +304,18 @@ func (w *worm) advance(sw topology.NodeID) {
 
 // deliverTo completes the worm at host h: frees remaining channels, applies
 // the transit hook, and hands the packet to the host's receive callback.
-func (w *worm) deliverTo(h topology.NodeID) {
+// It reports whether it did: a worm that died before its delivery event
+// ran has nothing to deliver.
+func (w *worm) deliverTo(h topology.NodeID) bool {
 	if w.dead {
-		return
+		return false
 	}
 	if w.lazy {
 		w.unreserve()
 	}
 	w.finish()
 	w.f.arrive(h, w.pkt)
+	return true
 }
 
 // die aborts the worm (watchdog reset, dead route element, or flush): all

@@ -44,9 +44,11 @@ func TestIdleTimerAllocs(t *testing.T) {
 }
 
 // loopWire is a Wire that records each injected packet and completes its
-// send DMA one microsecond later; it delivers nothing.
+// send DMA hold later (one microsecond if hold is 0); it delivers
+// nothing.
 type loopWire struct {
 	k        *sim.Kernel
+	hold     time.Duration
 	onInject func(*fabric.Packet)
 }
 
@@ -54,7 +56,11 @@ func (w *loopWire) AttachHost(topology.NodeID, func(*fabric.Packet)) {}
 
 func (w *loopWire) Inject(_ topology.NodeID, pkt *fabric.Packet) {
 	w.onInject(pkt)
-	w.k.After(time.Microsecond, pkt.OnInjectDone)
+	hold := w.hold
+	if hold == 0 {
+		hold = time.Microsecond
+	}
+	w.k.After(hold, pkt.OnInjectDone)
 }
 
 // TestTxQueueBacklogBoundedMemory keeps eight frames waiting for the

@@ -126,11 +126,14 @@ type NIC struct {
 	txBusy  bool
 	txCur   txItem
 
-	snd        *retrans.Sender
-	rcv        *retrans.Receiver
-	delayedAck map[topology.NodeID]sim.Timer
-	inRemap    map[topology.NodeID]bool
-	live       map[topology.NodeID]*liveSession
+	snd *retrans.Sender
+	rcv *retrans.Receiver
+	// delayed holds the delayed-ack record of each peer ever armed; the
+	// record is the argument of ackDue. A map, not a slice indexed by node
+	// ID: that would cost every NIC a pointer per node of the network.
+	delayed map[topology.NodeID]*delayedAck
+	inRemap map[topology.NodeID]bool
+	live    map[topology.NodeID]*liveSession
 	// deposited tracks, per source, the newest (gen, seq) whose data has
 	// completed its DMA into host memory — the acknowledgment horizon
 	// under reliable-reception semantics (deposits are FIFO through the
@@ -171,6 +174,7 @@ type NIC struct {
 	depositDone sim.Handler // data in host memory: notifyHost
 	notified    sim.Handler // notification posted: deliverUp
 	ackReady    sim.Handler // ack firmware done: transmitAck
+	ackDue      sim.Handler // delayed-ack timer expired: delayedAckDue
 
 	// mx is the NIC's host-labeled scope: every firmware event is one
 	// add to a constant nic.* name, read back through Counters; m holds
@@ -231,7 +235,7 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		cpu:         sim.NewResource(k, fmt.Sprintf("nic%d-cpu", node)),
 		pci:         sim.NewResource(k, fmt.Sprintf("nic%d-pci", node)),
 		freeBuffers: opts.Retrans.QueueSize,
-		delayedAck:  make(map[topology.NodeID]sim.Timer),
+		delayed:     make(map[topology.NodeID]*delayedAck),
 		inRemap:     make(map[topology.NodeID]bool),
 		live:        make(map[topology.NodeID]*liveSession),
 		deposited:   make(map[topology.NodeID]depositMark),
@@ -266,6 +270,7 @@ func (n *NIC) bindHandlers() {
 	n.depositDone = sim.HandlerFunc(func(a any) { n.notifyHost(a.(*proto.Frame)) })
 	n.notified = sim.HandlerFunc(func(a any) { n.deliverUp(a.(*proto.Frame)) })
 	n.ackReady = sim.HandlerFunc(func(a any) { n.transmitAck(a.(*proto.Frame)) })
+	n.ackDue = sim.HandlerFunc(func(a any) { n.delayedAckDue(a.(*delayedAck)) })
 	n.scanned = sim.HandlerFunc(func(any) { n.timerScan() })
 	n.adapted = sim.HandlerFunc(func(any) { n.adaptiveTimerScan() })
 }
@@ -348,8 +353,8 @@ func (n *NIC) Tracer() trace.Tracer { return n.opts.Tracer }
 // been emitted (piggybacked or explicit) and no timer left armed.
 func (n *NIC) PendingDelayedAcks() int {
 	c := 0
-	for _, t := range n.delayedAck {
-		if t.Pending() {
+	for _, d := range n.delayed {
+		if d.timer.Pending() {
 			c++
 		}
 	}
@@ -643,7 +648,7 @@ func (n *NIC) kickTX() {
 			n.emit(trace.EvErrDrop, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 			if n.ft && it.entry != nil {
 				n.snd.OnTransmitted(it.entry, n.k.Now())
-				it.entry.InFlight--
+				n.copyDone(it.entry)
 			} else {
 				n.releaseBuffer()
 			}
@@ -659,7 +664,7 @@ func (n *NIC) kickTX() {
 					// Keep the entry queued; the timer will retry once a
 					// route exists. Mark transmitted so the timer owns it.
 					n.snd.OnTransmitted(it.entry, n.k.Now())
-					it.entry.InFlight--
+					n.copyDone(it.entry)
 					n.noRoute(frame.Dst)
 				} else {
 					n.releaseBuffer()
@@ -675,8 +680,9 @@ func (n *NIC) kickTX() {
 		}
 		// The packet carries the route itself: the wire only reads it,
 		// and no installed route is ever written in place (SetRoute
-		// replaces the slice, table routes are capacity-capped).
-		pkt := &fabric.Packet{
+		// replaces the slice, table routes are capacity-capped). It comes
+		// from the fabric's pool; the receiving NIC releases it.
+		pkt := fabric.NewPacket(fabric.Packet{
 			Route:        route,
 			Dst:          frame.Dst,
 			Size:         frame.WireSize(),
@@ -685,7 +691,7 @@ func (n *NIC) kickTX() {
 			Seq:          frame.Seq,
 			Msg:          msgOf(frame),
 			OnInjectDone: n.injectDone,
-		}
+		})
 		n.txBusy = true
 		n.txCur = it
 		n.mx.AddTo(&n.m.pktsSent, "nic.pkts-sent", 1)
@@ -699,18 +705,27 @@ func (n *NIC) kickTX() {
 
 // onInjectDone runs when the packet on the send DMA (txCur) has left the
 // SRAM: the wire fires it exactly once per packet, and the next packet
-// starts only after it.
+// starts only after it. With FT on it reads no frame: an explicit ack's
+// frame may already be back in proto's pool (the shard-boundary hook
+// releases it once it has cloned it).
 func (n *NIC) onInjectDone() {
 	it := n.txCur
 	n.txCur = txItem{}
 	n.txBusy = false
 	if it.entry != nil {
-		it.entry.InFlight--
+		n.copyDone(it.entry)
 	}
 	if !n.ft && it.frame.Type == proto.FrameData {
 		n.releaseBuffer()
 	}
 	n.kickTX()
+}
+
+// copyDone notes that a copy of e has left the transmit path, and hands e
+// back to the sender if nothing else reaches it any more.
+func (n *NIC) copyDone(e *retrans.Entry) {
+	e.InFlight--
+	n.snd.Release(e)
 }
 
 // releaseBuffer returns one send buffer to the pool and wakes a blocked
@@ -968,6 +983,11 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 	n.mx.ObserveTo(&n.m.detectNS, "retrans.detect_ns", b.Oldest)
 	n.mx.ObserveTo(&n.m.scanWaitNS, "retrans.scan_wait_ns", b.Waited)
 	cost := time.Duration(len(b.Entries)) * n.cost.RetransPktCost
+	// The work below resends every entry of the batch, also those an ack
+	// frees before it runs, so the batch pins them until then.
+	for _, e := range b.Entries {
+		n.snd.Pin(e)
+	}
 	n.fw(cost, sim.HandlerFunc(func(any) {
 		items := make([]txItem, 0, len(b.Entries))
 		for i, e := range b.Entries {
@@ -988,6 +1008,9 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 			n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(&f))
 			e.InFlight++
 			items = append(items, txItem{frame: &f, entry: e})
+		}
+		for _, e := range b.Entries {
+			n.snd.Unpin(e)
 		}
 		// Prepend preserving batch order.
 		n.txQueue.PushFront(items...)
@@ -1081,18 +1104,23 @@ func (n *NIC) processAck(from topology.NodeID, gen uint32, seq uint64) {
 	}
 	n.mx.AddTo(&n.m.acksReceived, "nic.acks-received", 1)
 	n.emit(trace.EvAckRx, from, gen, seq, 0)
-	freed := n.snd.OnAck(from, gen, seq, n.k.Now())
+	n.ackFreed(n.snd.OnAck(from, gen, seq, n.k.Now()))
+}
+
+// ackFreed records the acknowledgment latency of the entries an ack
+// freed, hands them back to the sender, and frees their send buffers.
+func (n *NIC) ackFreed(freed []*retrans.Entry) {
 	n.noteAcked(freed)
-	n.releaseBuffers(len(freed))
+	k := len(freed)
+	n.snd.Recycle(freed)
+	n.releaseBuffers(k)
 }
 
 func (n *NIC) processData(frame *proto.Frame) {
 	// Piggybacked ack first: it frees buffers regardless of the data
 	// verdict.
 	if n.ft && frame.HasAck {
-		freed := n.snd.OnAck(frame.Src, frame.AckGen, frame.AckSeq, n.k.Now())
-		n.noteAcked(freed)
-		n.releaseBuffers(len(freed))
+		n.ackFreed(n.snd.OnAck(frame.Src, frame.AckGen, frame.AckSeq, n.k.Now()))
 	}
 	rr := n.ft && n.snd.Config().ReliableReception
 	var verdict retrans.Verdict
@@ -1179,14 +1207,7 @@ func (n *NIC) sendAck(to topology.NodeID) {
 	}
 	n.cancelDelayedAck(to)
 	n.rcv.AckEmitted(to)
-	ack := &proto.Frame{
-		Type:   proto.FrameAck,
-		Dst:    to,
-		HasAck: true,
-		AckGen: gen,
-		AckSeq: seq,
-	}
-	n.fw(n.cost.AckSendCost, n.ackReady, ack)
+	n.fw(n.cost.AckSendCost, n.ackReady, proto.NewAck(to, gen, seq))
 }
 
 // transmitAck queues an explicit ack once its firmware cost is paid.
@@ -1196,24 +1217,39 @@ func (n *NIC) transmitAck(ack *proto.Frame) {
 	n.SendControl(ack, nil)
 }
 
+// delayedAck is one peer's piggyback-or-explicit delayed ack timer. The
+// record itself is the argument of the NIC's bound ackDue handler, so
+// arming allocates nothing (a boxed NodeID above 255 would).
+type delayedAck struct {
+	peer  topology.NodeID
+	timer sim.Timer
+}
+
 // armDelayedAck starts the piggyback-or-explicit delayed ack timer for src
 // if it is not already running.
 func (n *NIC) armDelayedAck(src topology.NodeID) {
-	if t, ok := n.delayedAck[src]; ok && t.Pending() {
+	d := n.delayed[src]
+	if d == nil {
+		d = &delayedAck{peer: src}
+		n.delayed[src] = d
+	}
+	if d.timer.Pending() {
 		return
 	}
-	n.delayedAck[src] = n.k.After(n.snd.Config().DelayedAck, func() {
-		delete(n.delayedAck, src)
-		if n.rcv.PendingAck(src) {
-			n.sendAck(src)
-		}
-	})
+	d.timer = n.k.AtHandler(n.k.Now().Add(n.snd.Config().DelayedAck), n.ackDue, d)
+}
+
+// delayedAckDue sends the ack a delayed-ack timer held, if it is still
+// owed.
+func (n *NIC) delayedAckDue(d *delayedAck) {
+	if n.rcv.PendingAck(d.peer) {
+		n.sendAck(d.peer)
+	}
 }
 
 func (n *NIC) cancelDelayedAck(src topology.NodeID) {
-	if t, ok := n.delayedAck[src]; ok {
-		t.Cancel()
-		delete(n.delayedAck, src)
+	if d := n.delayed[src]; d != nil {
+		d.timer.Cancel()
 	}
 }
 
@@ -1274,9 +1310,11 @@ func (n *NIC) MarkUnreachable(dst topology.NodeID) {
 	delete(n.inRemap, dst)
 	n.RemoveRoute(dst)
 	if n.ft {
-		dropped := n.snd.MarkUnreachable(dst)
-		n.releaseBuffers(len(dropped))
-		n.mx.AddTo(&n.m.pktsDroppedUnreachable, "nic.pkts-dropped-unreachable", uint64(len(dropped)))
-		n.emit(trace.EvUnreachable, dst, 0, uint64(len(dropped)), 0)
+		entries := n.snd.MarkUnreachable(dst)
+		dropped := len(entries)
+		n.snd.Recycle(entries)
+		n.releaseBuffers(dropped)
+		n.mx.AddTo(&n.m.pktsDroppedUnreachable, "nic.pkts-dropped-unreachable", uint64(dropped))
+		n.emit(trace.EvUnreachable, dst, 0, uint64(dropped), 0)
 	}
 }

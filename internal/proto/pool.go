@@ -1,34 +1,36 @@
 package proto
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"sanft/internal/sim"
+	"sanft/internal/topology"
 )
 
 // poolProf gathers frame-pool traffic for the engine profiler
-// (internal/enginestat). Off by default: the pooled clone path pays one
-// predictable atomic load per clone, and the counters are process-wide —
+// (internal/enginestat). Off by default: a pooled frame costs one
+// predictable atomic load, and the counters are process-wide —
 // concurrent profiled clusters in one process see combined traffic, so
 // consumers report deltas from a construction-time baseline.
 var poolProf struct {
 	enabled atomic.Bool
-	gets    atomic.Uint64 // pooled clones served
+	gets    atomic.Uint64 // pooled frames served (NewAck and clones)
 	news    atomic.Uint64 // pool refills (fresh allocations)
 }
 
 // SetPoolProfiling toggles frame-pool traffic counting.
 func SetPoolProfiling(on bool) { poolProf.enabled.Store(on) }
 
-// PoolStats returns the cumulative pooled-clone count and the number of
-// those served by a fresh allocation (pool miss).
+// PoolStats returns the cumulative count of pooled frames served and the
+// number of those served by a fresh allocation (pool miss).
 func PoolStats() (gets, misses uint64) {
 	return poolProf.gets.Load(), poolProf.news.Load()
 }
 
 // frameBlock is one unit of pooled frame storage: the frame itself plus
 // inline payload structs and reusable byte/route buffers, allocated as a
-// single block so a shard-boundary clone touches the allocator zero
-// times in steady state.
+// single block so an explicit ack or a shard-boundary clone touches the
+// allocator zero times in steady state.
 type frameBlock struct {
 	f    Frame
 	data DataPayload
@@ -37,12 +39,37 @@ type frameBlock struct {
 	rbuf []int  // backing for ControlRoute, likewise
 }
 
-var framePool = sync.Pool{New: func() any {
-	if poolProf.enabled.Load() {
-		poolProf.news.Add(1)
+// framePool holds the released blocks, shared by every NIC and cell.
+var framePool sim.FreeList[frameBlock]
+
+// getBlock takes a block from the pool, or allocates one.
+func getBlock() *frameBlock {
+	prof := poolProf.enabled.Load()
+	if prof {
+		poolProf.gets.Add(1)
 	}
-	return new(frameBlock)
-}}
+	b := framePool.Get()
+	if b == nil {
+		if prof {
+			poolProf.news.Add(1)
+		}
+		b = new(frameBlock)
+	}
+	return b
+}
+
+// NewAck returns an explicit cumulative ack frame to dst in pooled
+// storage. The receiving NIC releases it once it has processed the ack
+// (or dropped it on a CRC error); the shard-boundary hook releases the
+// original once it has cloned it. An ack the fabric drops is left to the
+// garbage collector.
+func NewAck(dst topology.NodeID, gen uint32, seq uint64) *Frame {
+	b := getBlock()
+	f := &b.f
+	f.Type, f.Dst, f.HasAck, f.AckGen, f.AckSeq = FrameAck, dst, true, gen, seq
+	f.blk = b
+	return f
+}
 
 // ClonePooled returns a deep copy of the frame equivalent to Clone, but
 // drawing storage from a package pool when the frame's receive-side
@@ -61,10 +88,7 @@ func (f *Frame) ClonePooled() *Frame {
 	default:
 		return f.Clone()
 	}
-	if poolProf.enabled.Load() {
-		poolProf.gets.Add(1)
-	}
-	b := framePool.Get().(*frameBlock)
+	b := getBlock()
 	c := &b.f
 	*c = *f
 	c.blk = b
@@ -92,11 +116,15 @@ func (f *Frame) ClonePooled() *Frame {
 	return c
 }
 
-// Release returns a ClonePooled frame's storage to the pool. Only the
-// exact pooled frame releases its block: ordinary frames (blk nil) and
-// value copies of a pooled frame (whose address differs from the block's
-// interior frame) are no-ops, so a stray Release can never free storage
-// that is still owned. The frame must not be used after Release.
+// Release returns a pooled frame's storage (NewAck, ClonePooled) to the
+// pool, clearing every pointer in it. Only the exact pooled frame
+// releases its block: ordinary frames (blk nil) and value copies of a
+// pooled frame (whose address differs from the block's interior frame)
+// are no-ops, so a stray Release can never free storage that is still
+// owned. Explicit acks are pooled in sequential runs too, so the receive
+// path's release recycles them; data frames stay the sender's originals
+// there (NewData), and releasing one does nothing. The frame must not be
+// used after Release.
 func (f *Frame) Release() {
 	b := f.blk
 	if b == nil || &b.f != f {

@@ -110,3 +110,24 @@ func BenchmarkBoundaryClonePlain(b *testing.B) {
 		_ = f.Clone()
 	}
 }
+
+// TestNewAckAllocs: an explicit ack frame comes from the frame pool with
+// only its ack fields set, and once released and taken again allocates
+// nothing; the released block keeps no pointer.
+func TestNewAckAllocs(t *testing.T) {
+	f := NewAck(4, 2, 9)
+	if f.Type != FrameAck || f.Dst != 4 || !f.HasAck || f.AckGen != 2 || f.AckSeq != 9 ||
+		f.Data != nil || f.ControlRoute != nil || f.Src != 0 || f.Seq != 0 {
+		t.Fatalf("NewAck built %+v", f)
+	}
+	f.ControlRoute = routing.Route{1}
+	b := f.blk
+	f.Release()
+	if b.f.ControlRoute != nil || b.f.blk != nil {
+		t.Fatal("a released ack frame keeps its pointers")
+	}
+	avg := testing.AllocsPerRun(10000, func() { NewAck(1, 0, 1).Release() })
+	if avg != 0 {
+		t.Fatalf("NewAck+Release allocates %.2f allocs/op once warm, want 0", avg)
+	}
+}

@@ -203,7 +203,11 @@ type dataBlock struct {
 // NewData returns a data frame to dst carrying d, allocated with its
 // payload as one block (one allocation where a Frame literal with a
 // DataPayload pointer costs two). The block is not pooled: Release is a
-// no-op on the frame, like on any ordinary frame.
+// no-op on the frame, like on any ordinary frame. In a sequential run the
+// sender's retransmission queue and the receiver share this original, and
+// retransmitted copies share its payload, so nothing can tell when it is
+// dead short of the garbage collector: it is the one allocation a message
+// still makes.
 func NewData(dst topology.NodeID, d DataPayload) *Frame {
 	b := &dataBlock{d: d}
 	b.f = Frame{Type: FrameData, Dst: dst, Data: &b.d}

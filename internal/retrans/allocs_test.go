@@ -65,3 +65,31 @@ func TestScanOrderAscending(t *testing.T) {
 		}
 	}
 }
+
+// TestSenderCycleAllocs pins the go-back-N bookkeeping of one packet:
+// once warm, Prepare, OnTransmitted, a cumulative OnAck and Recycle of a
+// run of eight entries allocate nothing. Entries come from the sender's
+// free list, the queue is shifted in place and keeps its backing array,
+// and the ack's result is the sender's scratch slice. (Before: an entry
+// per packet, and the queue regrew after every ack sliced its head off.)
+func TestSenderCycleAllocs(t *testing.T) {
+	s := NewSender(Config{QueueSize: 32, Interval: time.Millisecond})
+	const d = topology.NodeID(5)
+	now := sim.Time(0)
+	cycle := func() {
+		var last *Entry
+		for i := 0; i < 8; i++ {
+			last = s.Prepare(d, now, 32, "payload", 64)
+			s.OnTransmitted(last, now)
+		}
+		freed := s.OnAck(d, 0, last.Seq, now)
+		if len(freed) != 8 {
+			t.Fatalf("ack freed %d entries, want 8", len(freed))
+		}
+		s.Recycle(freed)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(10000, cycle); avg != 0 {
+		t.Fatalf("a cycle of 8 packets allocates %.2f times, want 0", avg)
+	}
+}

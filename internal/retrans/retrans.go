@@ -147,13 +147,23 @@ type Entry struct {
 	InFlight int
 	// Retransmits counts how many times the entry has been resent.
 	Retransmits int
+
+	// queued says the entry sits in its destination's queue, pins counts
+	// the retransmit batches with firmware work pending that name it
+	// (Pin), and free says it is on the sender's free list. See Release.
+	queued bool
+	pins   int
+	free   bool
 }
 
 type destState struct {
-	id           topology.NodeID
-	nextSeq      uint64
-	gen          uint32
-	queue        []*Entry // unacked, ascending seq
+	id      topology.NodeID
+	nextSeq uint64
+	gen     uint32
+	// queue holds the unacked entries in ascending seq. Acks shift it
+	// down in place, so it keeps its backing array and appends do not
+	// regrow it.
+	queue        []*Entry
 	lastProgress sim.Time // last ack that freed something (or creation)
 	sinceAckReq  int      // packets since an ack was last requested
 	unreachable  bool
@@ -175,6 +185,10 @@ type Sender struct {
 	// periodic scans visit them deterministically without iterating the
 	// map or sorting on every timer fire.
 	order []*destState
+	// free holds the entries Release handed back, for Prepare to reuse;
+	// out is the scratch slice OnAck and MarkUnreachable return.
+	free []*Entry
+	out  []*Entry
 }
 
 // NewSender returns a Sender with the given configuration (zero fields
@@ -218,12 +232,21 @@ func (s *Sender) Prepare(dst topology.NodeID, now sim.Time, freeBuffers int, pay
 		// remap of a healthy path.
 		d.lastProgress = now
 	}
-	e := &Entry{
+	var e *Entry
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		e = new(Entry)
+	}
+	*e = Entry{
 		Dst:     dst,
 		Gen:     d.gen,
 		Seq:     d.nextSeq,
 		Size:    size,
 		Payload: payload,
+		queued:  true,
 	}
 	d.nextSeq++
 	d.queue = append(d.queue, e)
@@ -285,7 +308,9 @@ func (s *Sender) OnTransmitted(e *Entry, now sim.Time) {
 // OnAck processes a cumulative acknowledgment from dst covering every
 // sequence number ≤ ackSeq of generation ackGen. It returns the freed
 // entries (whose buffers the NIC may recycle). Stale-generation acks free
-// nothing.
+// nothing. The result is the sender's scratch slice: it stays valid until
+// the next OnAck, MarkUnreachable or Recycle, and the caller hands it back
+// with Recycle once it has read the entries.
 func (s *Sender) OnAck(dst topology.NodeID, ackGen uint32, ackSeq uint64, now sim.Time) []*Entry {
 	d := s.dests[dst]
 	if d == nil || ackGen != d.gen {
@@ -298,8 +323,7 @@ func (s *Sender) OnAck(dst topology.NodeID, ackGen uint32, ackSeq uint64, now si
 	if i == 0 {
 		return nil
 	}
-	freed := d.queue[:i:i]
-	d.queue = d.queue[i:]
+	freed := s.takeOut(d, i)
 	d.lastProgress = now
 	if s.cfg.Adaptive {
 		// Karn's algorithm: only never-retransmitted entries give an
@@ -314,6 +338,61 @@ func (s *Sender) OnAck(dst topology.NodeID, ackGen uint32, ackSeq uint64, now si
 		}
 	}
 	return freed
+}
+
+// takeOut moves the first i entries of d's queue into the scratch slice
+// and returns it, shifting the rest down so the queue keeps its backing
+// array.
+func (s *Sender) takeOut(d *destState, i int) []*Entry {
+	s.out = append(s.out[:0], d.queue[:i]...)
+	n := copy(d.queue, d.queue[i:])
+	clear(d.queue[n:])
+	d.queue = d.queue[:n]
+	for _, e := range s.out {
+		e.queued = false
+	}
+	return s.out
+}
+
+// Release hands e back for reuse by Prepare once nothing can reach it:
+// it has left its queue (acked, or dropped by MarkUnreachable), no copy of
+// it waits in the NIC's transmit queue or streams on the wire (InFlight is
+// 0), and no retransmit batch with firmware work pending names it (Pin).
+// Until all three hold it does nothing, so the NIC calls it wherever the
+// last of them may have ended: after OnAck and MarkUnreachable (Recycle),
+// when a copy leaves the transmit path, and when a batch's work has run
+// (Unpin). Its pointers are cleared, so a free entry keeps no payload
+// reachable.
+func (s *Sender) Release(e *Entry) {
+	if e.queued || e.InFlight > 0 || e.pins > 0 {
+		return
+	}
+	if e.free {
+		panic("retrans: entry released twice")
+	}
+	*e = Entry{free: true}
+	s.free = append(s.free, e)
+}
+
+// Recycle releases each entry of a slice OnAck or MarkUnreachable
+// returned, once the caller has read them, and clears the slice, so the
+// scratch keeps nothing reachable.
+func (s *Sender) Recycle(entries []*Entry) {
+	for _, e := range entries {
+		s.Release(e)
+	}
+	clear(entries)
+}
+
+// Pin marks e as named by a retransmit batch whose firmware work is still
+// pending: Release keeps it until the matching Unpin, even once it is
+// acked, because the batch will still read and resend it.
+func (s *Sender) Pin(e *Entry) { e.pins++ }
+
+// Unpin ends a Pin and releases e if nothing else reaches it.
+func (s *Sender) Unpin(e *Entry) {
+	e.pins--
+	s.Release(e)
 }
 
 // ObserveRTT feeds one path round-trip sample for dst into the adaptive
@@ -540,16 +619,15 @@ func (s *Sender) Generation(dst topology.NodeID) uint32 {
 // MarkUnreachable drops every pending packet for dst (the paper: "if no
 // alternative route to a node exists, the node is labeled as unreachable
 // and any pending packets are dropped") and returns the dropped entries so
-// the NIC can free their buffers.
+// the NIC can free their buffers. The result is the scratch slice OnAck
+// returns, valid until the next OnAck, MarkUnreachable or Recycle.
 func (s *Sender) MarkUnreachable(dst topology.NodeID) []*Entry {
 	d := s.dests[dst]
 	if d == nil {
 		return nil
 	}
-	dropped := d.queue
-	d.queue = nil
 	d.unreachable = true
-	return dropped
+	return s.takeOut(d, len(d.queue))
 }
 
 // Unreachable reports whether dst is currently marked unreachable.

@@ -496,3 +496,46 @@ func TestFixedAckPolicyStarvationEscape(t *testing.T) {
 		t.Fatalf("starved: %v, want immediate", lvl)
 	}
 }
+
+// TestEntryReleaseRules: Release hands an entry back only once it has
+// left its queue, no copy of it is in flight and no batch pins it; a free
+// entry keeps no payload, is the next one Prepare hands out, and
+// releasing it again panics.
+func TestEntryReleaseRules(t *testing.T) {
+	s := NewSender(Config{QueueSize: 8})
+	e := s.Prepare(dst, at(0), 8, "frame", 100)
+	s.OnTransmitted(e, at(0))
+	e.InFlight++ // a retransmitted copy waits in the transmit queue
+	s.Pin(e)     // and a batch with pending firmware work names it
+	s.Release(e)
+	if next := s.Prepare(dst, at(1), 8, nil, 100); next == e {
+		t.Fatal("a queued entry was handed out again")
+	}
+	s.Recycle(s.OnAck(dst, 0, 0, at(2)))
+	if next := s.Prepare(dst, at(3), 8, nil, 100); next == e {
+		t.Fatal("an entry with a copy in flight and a pin was handed out again")
+	}
+	s.Unpin(e)
+	if next := s.Prepare(dst, at(4), 8, nil, 100); next == e {
+		t.Fatal("an entry with a copy in flight was handed out again")
+	}
+	if e.Payload != "frame" {
+		t.Fatal("an entry still reachable lost its payload")
+	}
+	e.InFlight--
+	s.Release(e)
+	if e.Payload != nil {
+		t.Fatal("a free entry keeps its payload")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("releasing a free entry twice did not panic")
+			}
+		}()
+		s.Release(e)
+	}()
+	if next := s.Prepare(dst, at(5), 8, nil, 100); next != e || next.Seq != 4 || next.Payload != nil {
+		t.Fatalf("Prepare did not reuse the free entry as a fresh one: %+v", next)
+	}
+}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -57,4 +59,41 @@ func TestQueueFIFO(t *testing.T) {
 			t.Fatalf("drained queue still holds item %d at slot %d", v, i)
 		}
 	}
+}
+
+// TestFreeList: Get returns the newest object put back, nil when empty;
+// concurrent users each get back only objects nobody else holds.
+func TestFreeList(t *testing.T) {
+	var l FreeList[int]
+	if l.Get() != nil {
+		t.Fatal("an empty list returned an object")
+	}
+	a, b := new(int), new(int)
+	l.Put(a)
+	l.Put(b)
+	if l.Get() != b || l.Get() != a || l.Get() != nil {
+		t.Fatal("Get does not return the newest object first")
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				x := l.Get()
+				if x == nil {
+					x = new(int)
+				}
+				*x = g
+				runtime.Gosched()
+				if *x != g {
+					t.Error("an object was handed to two users")
+					return
+				}
+				*x = 0
+				l.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -82,12 +82,18 @@ func NewDirectory() *Directory {
 	return &Directory{eps: make(map[topology.NodeID]*Endpoint)}
 }
 
-type msgKey struct {
-	src topology.NodeID
-	id  uint64
+// source is what an endpoint keeps for one sending node: the completion
+// window of its messages and the messages of several chunks still being
+// reassembled, held as values in no particular order (there are few at a
+// time, about one per sending process on that node).
+type source struct {
+	done    completionWindow
+	partial []partialMsg
 }
 
+// partialMsg is a message of several chunks not yet fully received.
 type partialMsg struct {
+	id       uint64
 	received int
 	first    proto.Stamps
 }
@@ -106,8 +112,9 @@ type Endpoint struct {
 	// handle its destination's counter, so Send does no lookup.
 	nextMsgID map[topology.NodeID]*uint64
 
-	partial   map[msgKey]*partialMsg
-	completed map[topology.NodeID]*completionWindow
+	// sources holds the reassembly state of each sending node, indexed
+	// by node ID (nil: nothing received from it yet).
+	sources []*source
 
 	// Counters.
 	RejectedDeposits uint64
@@ -124,8 +131,6 @@ func NewEndpoint(k *sim.Kernel, n *nic.NIC, dir *Directory) *Endpoint {
 		node:      n.Node(),
 		byName:    make(map[string]*Export),
 		nextMsgID: make(map[topology.NodeID]*uint64),
-		partial:   make(map[msgKey]*partialMsg),
-		completed: make(map[topology.NodeID]*completionWindow),
 	}
 	n.SetOnDeliver(ep.onDeliver)
 	dir.eps[ep.node] = ep
@@ -243,30 +248,28 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 	}
 	copy(e.Mem[d.BufOffset:], d.Data)
 
-	cw := ep.completed[f.Src]
-	if cw == nil {
-		cw = &completionWindow{}
-		ep.completed[f.Src] = cw
-	}
-	if cw.done(d.MsgID) {
+	src := ep.source(f.Src)
+	if src.done.done(d.MsgID) {
 		// Redelivered chunk of an already-completed message (possible
 		// across a generation reset): the write above is idempotent;
 		// suppress tracking and notification.
 		ep.DupNotifications++
 		return
 	}
-	key := msgKey{f.Src, d.MsgID}
-	pm := ep.partial[key]
-	if pm == nil {
+	i := 0
+	for i < len(src.partial) && src.partial[i].id != d.MsgID {
+		i++
+	}
+	if i == len(src.partial) {
 		if len(d.Data) >= d.MsgLen {
 			// A chunk that carries the whole message (every message of
 			// at most one MTU) completes it without a partial record.
-			ep.complete(e, cw, f, f.Stamps)
+			ep.complete(e, &src.done, f, f.Stamps)
 			return
 		}
-		pm = &partialMsg{}
-		ep.partial[key] = pm
+		src.partial = append(src.partial, partialMsg{id: d.MsgID})
 	}
+	pm := &src.partial[i]
 	if d.MsgOffset == 0 {
 		pm.first = f.Stamps
 	}
@@ -274,12 +277,29 @@ func (ep *Endpoint) onDeliver(f *proto.Frame) {
 	if pm.received < d.MsgLen {
 		return
 	}
-	delete(ep.partial, key)
 	first := pm.first
+	last := len(src.partial) - 1
+	src.partial[i] = src.partial[last]
+	src.partial[last] = partialMsg{}
+	src.partial = src.partial[:last]
 	if d.MsgLen == 0 || first.HostStart == 0 {
 		first = f.Stamps
 	}
-	ep.complete(e, cw, f, first)
+	ep.complete(e, &src.done, f, first)
+}
+
+// source returns the reassembly state of sending node id, made on its
+// first chunk.
+func (ep *Endpoint) source(id topology.NodeID) *source {
+	if grow := int(id) + 1 - len(ep.sources); grow > 0 {
+		ep.sources = append(ep.sources, make([]*source, grow)...)
+	}
+	s := ep.sources[id]
+	if s == nil {
+		s = &source{}
+		ep.sources[id] = s
+	}
+	return s
 }
 
 // complete records the message of f's chunk as complete and, if it asked

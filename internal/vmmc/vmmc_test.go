@@ -379,9 +379,10 @@ func TestSingleChunkDeliverAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("a single-chunk deposit allocates %.2f allocs/op, want 0", avg)
 	}
-	if ep.DupNotifications != 0 || ep.RejectedDeposits != 0 || len(ep.partial) != 0 || !ep.completed[a].done(id) {
+	src := ep.sources[a]
+	if ep.DupNotifications != 0 || ep.RejectedDeposits != 0 || len(src.partial) != 0 || !src.done.done(id) {
 		t.Fatalf("dups %d, rejected %d, partial %d, done(%d)=%v; want 0, 0, 0, true",
-			ep.DupNotifications, ep.RejectedDeposits, len(ep.partial), id, ep.completed[a].done(id))
+			ep.DupNotifications, ep.RejectedDeposits, len(src.partial), id, src.done.done(id))
 	}
 }
 
