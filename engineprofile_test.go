@@ -199,3 +199,28 @@ func TestEngineProfileSequential(t *testing.T) {
 		t.Fatalf("text report missing kernels:\n%s", text.String())
 	}
 }
+
+// TestEngineProfilePoolsMatchCounters: the free lists count their own
+// traffic, and on a profiled one-cell run it agrees with the registry —
+// the packet pool served one packet per packet a NIC put on the wire
+// (nic.pkts-sent), and the frame pool one frame per explicit ack
+// (nic.acks-sent), with and without send-side errors.
+func TestEngineProfilePoolsMatchCounters(t *testing.T) {
+	for _, rate := range []float64{0, 1e-2} {
+		s := New(WithStar(2), WithFaultTolerance(), WithErrorRate(rate), WithEngineProfiling())
+		UnidirectionalBandwidth(s, 4096, 200)
+		s.Stop()
+		var sent, acks uint64
+		for i := range s.Hosts {
+			ctr := s.NICAt(i).Counters()
+			sent += ctr.Get("pkts-sent")
+			acks += ctr.Get("acks-sent")
+		}
+		pools := s.EngineProfile().Pools
+		if sent == 0 || acks == 0 || pools.PacketGets != sent || pools.FrameGets != acks {
+			t.Errorf("error rate %g: %d packet gets for %d packets sent, %d frame gets for %d acks sent",
+				rate, pools.PacketGets, sent, pools.FrameGets, acks)
+		}
+		t.Logf("error rate %g: %d packets sent, %d acks sent, pools %+v", rate, sent, acks, pools)
+	}
+}

@@ -71,7 +71,7 @@ func main() {
 	cluster.Stop()
 
 	newRoute, ok := cluster.NICAt(0).Route(dst.Node())
-	fmt.Printf("remaps completed: %d\n", cluster.Remaps)
+	fmt.Printf("remaps completed: %d\n", cluster.Metrics().CounterTotal("remap.successes"))
 	fmt.Printf("new route %v (ok=%v, changed=%v)\n", newRoute, ok, !newRoute.Equal(route))
 	fmt.Printf("delivered %d/%d distinct blocks across the permanent failure\n", received, messages)
 	fmt.Printf("sender NIC: %s\n", cluster.NICAt(0).Counters())

@@ -180,6 +180,15 @@ func finish(name string, v Variant, seed int64, e *Engine, r *Run, opts CheckOpt
 	if e.mttr.Count() > 0 {
 		p50, p99, p999 = e.mttr.Quantile(0.5), e.mttr.Quantile(0.99), e.mttr.Quantile(0.999)
 	}
+	// The remap counts are the registry's, summed over the hosts.
+	reg := e.C.Metrics()
+	total := func(name string) int { return int(reg.CounterTotal(name)) }
+	stats := core.RemapStats{
+		Attempts:    total("remap.attempts"),
+		Coalesced:   total("remap.coalesced"),
+		Deferred:    total("remap.deferred"),
+		Quarantines: total("remap.quarantines"),
+	}
 	return &Report{
 		Campaign:     name,
 		Variant:      v.Name,
@@ -194,9 +203,9 @@ func finish(name string, v Variant, seed int64, e *Engine, r *Run, opts CheckOpt
 		Expected:     r.Expected(),
 		Delivered:    r.Delivered(),
 		Duplicates:   r.Duplicates(),
-		Remaps:       e.C.Remaps,
-		Unreachables: e.C.Unreachables,
-		RemapStats:   e.C.RemapStats,
+		Remaps:       total("remap.successes"),
+		Unreachables: total("remap.failures"),
+		RemapStats:   stats,
 		MTTR:         e.MTTRSummary(),
 		Violations:   violations,
 		FlightDump:   dump,

@@ -105,7 +105,7 @@ func TestChaosLinkFailures(t *testing.T) {
 	for pr, got := range received {
 		if len(got) != msgsPerPair {
 			t.Fatalf("pair %d->%d delivered %d of %d (remaps=%d unreachable=%d)",
-				pr.a, pr.b, len(got), msgsPerPair, c.Remaps, c.Unreachables)
+				pr.a, pr.b, len(got), msgsPerPair, remapTotal(c, "successes"), remapTotal(c, "failures"))
 		}
 	}
 	for _, h := range hosts {
@@ -191,7 +191,7 @@ func TestChaosSwitchFailure(t *testing.T) {
 		t.Fatalf("near destination got %d of %d", len(gotNear), phase1+phase2)
 	}
 	_ = phase1
-	if c.Unreachables == 0 {
+	if remapTotal(c, "failures") == 0 {
 		t.Fatal("far destination was never declared unreachable")
 	}
 	// All phase-3 far messages arrive after restoration; phase-1 far

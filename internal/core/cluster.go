@@ -97,9 +97,8 @@ type Config struct {
 	// derives its own jitter stream from it.
 	Liveness *liveness.Config
 
-	// Cost overrides the NIC hardware cost model (zero = calibrated
-	// defaults); Fabric overrides wire constants (zero = defaults).
-	Cost   nic.CostModel
+	// Fabric overrides wire constants (zero = defaults). The NICs take
+	// the calibrated cost model (nic.DefaultCostModel).
 	Fabric fabric.Config
 
 	// Mapper enables on-demand mapping: stale paths and missing routes
@@ -207,12 +206,10 @@ type Cluster struct {
 	profiled bool
 	poolBase enginestat.PoolStat // pool counters at construction time
 
-	// Remaps counts completed on-demand remap operations.
-	Remaps int
-	// Unreachables counts remaps that ended in an unreachable verdict.
-	Unreachables int
 	// RemapStats counts remap-manager pacing activity (coalesced upcalls,
-	// deferred retries, quarantines).
+	// deferred retries, quarantines). Each field repeats a remap.* counter
+	// of the registry, which is the record to read; the struct stays only
+	// for the benchmark harness, which reads Attempts.
 	RemapStats RemapStats
 }
 
@@ -301,7 +298,6 @@ func (cfg *Config) newNIC(k *sim.Kernel, w nic.Wire, h topology.NodeID, tr trace
 	return nic.New(k, w, h, nic.Options{
 		FT:            cfg.FT,
 		Retrans:       cfg.Retrans,
-		Cost:          cfg.Cost,
 		Dropper:       dropper,
 		Tracer:        tr,
 		Metrics:       reg,

@@ -132,8 +132,8 @@ func TestOnDemandRemapWiring(t *testing.T) {
 	})
 	c.RunFor(3 * time.Second)
 	c.Stop()
-	if c.Remaps != 1 {
-		t.Fatalf("remaps = %d, want 1", c.Remaps)
+	if remapTotal(c, "successes") != 1 {
+		t.Fatalf("remaps = %d, want 1", remapTotal(c, "successes"))
 	}
 	if len(delivered) != 10 {
 		t.Fatalf("delivered %d/10 distinct messages", len(delivered))
@@ -157,8 +157,8 @@ func TestUnreachableCountsAndDropsPending(t *testing.T) {
 	})
 	c.RunFor(3 * time.Second)
 	c.Stop()
-	if c.Unreachables != 1 {
-		t.Fatalf("unreachables = %d, want 1", c.Unreachables)
+	if remapTotal(c, "failures") != 1 {
+		t.Fatalf("unreachables = %d, want 1", remapTotal(c, "failures"))
 	}
 	if c.NIC(src).ProtoSender().TotalUnacked() != 0 {
 		t.Fatal("pending packets not dropped")

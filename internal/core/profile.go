@@ -12,15 +12,13 @@ import (
 // traffic). It is a pure observer — it feeds nothing back into
 // simulation state, so enabling it never changes results.
 
-// enableProfiling arms every collection point. Pool counters are
-// process-wide (the packet and frame free lists are shared), so the
-// cluster remembers a construction-time baseline and EngineProfile reports
-// deltas; profiled clusters running concurrently in one process see
+// enableProfiling arms every collection point. The packet and frame free
+// lists count their traffic always, process-wide (they are shared), so
+// the cluster remembers a construction-time baseline and EngineProfile
+// reports deltas; clusters running concurrently in one process see
 // combined pool traffic.
 func (c *Cluster) enableProfiling() {
 	c.profiled = true
-	proto.SetPoolProfiling(true)
-	fabric.SetPoolProfiling(true)
 	c.poolBase = readPools()
 	for _, cl := range c.cells {
 		cl.k.CountKinds()

@@ -169,7 +169,7 @@ func TestQuarantineLastUsableRoute(t *testing.T) {
 
 	var afterFirst struct {
 		quarantined bool
-		remaps      int
+		remaps      uint64
 		quarantines int
 	}
 	// First trunk dies at 10 ms; by 300 ms the remap onto the survivor
@@ -177,7 +177,7 @@ func TestQuarantineLastUsableRoute(t *testing.T) {
 	c.K.After(10*time.Millisecond, func() { c.Fab.KillLink(trunks[0]) })
 	c.K.After(300*time.Millisecond, func() {
 		afterFirst.quarantined = c.Quarantined(src, dst)
-		afterFirst.remaps = c.Remaps
+		afterFirst.remaps = c.Metrics().CounterTotal("remap.successes")
 		afterFirst.quarantines = c.RemapStats.Quarantines
 	})
 	c.K.After(310*time.Millisecond, func() { c.Fab.KillLink(trunks[1]) })

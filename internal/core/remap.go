@@ -108,12 +108,13 @@ type remapManager struct {
 	rng *rand.Rand
 	dst map[topology.NodeID]*remapState
 	mx  *metrics.Scope
-	// mh holds the manager's metric handles, each resolved through mx the
-	// first time its event fires (metrics.Scope.AddTo).
+	// mh holds the handles of the manager's metrics with no trace kind,
+	// each resolved through mx the first time its event fires
+	// (metrics.Scope.AddTo). The counted kinds go through the NIC's
+	// EmitEvent, which counts them in this same scope.
 	mh struct {
-		held, coalesced, deferred, attempts, successes, failures,
-		quarantines *metrics.Counter
-		latencyNS *metrics.Histogram
+		held, coalesced, failures *metrics.Counter
+		latencyNS                 *metrics.Histogram
 	}
 
 	// suspended freezes recovery: triggers are held (not dropped) and
@@ -195,8 +196,7 @@ func (rm *remapManager) trigger(dst topology.NodeID) {
 		}
 		st.armed = true
 		rm.c.RemapStats.Deferred++
-		rm.mx.AddTo(&rm.mh.deferred, "remap.deferred", 1)
-		rm.n.EmitEvent(trace.EvRemapDefer, dst)
+		rm.n.EmitEvent(trace.EvRemapDefer, dst, 0)
 		rm.c.K.At(st.notBefore, func() {
 			st.armed = false
 			rm.trigger(dst)
@@ -210,17 +210,14 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 	st.running = true
 	st.seq++
 	rm.c.RemapStats.Attempts++
-	rm.mx.AddTo(&rm.mh.attempts, "remap.attempts", 1)
 	n := rm.n
-	n.EmitEvent(trace.EvRemapStart, dst)
+	n.EmitEvent(trace.EvRemapStart, dst, 0)
 	rm.c.K.Spawn(fmt.Sprintf("remap-%d-%d.%d", rm.h, dst, st.seq), func(p *sim.Proc) {
 		mst, ok := rm.m.Remap(p, dst)
 		st.running = false
 		if ok {
-			rm.c.Remaps++
-			rm.mx.AddTo(&rm.mh.successes, "remap.successes", 1)
 			rm.mx.ObserveTo(&rm.mh.latencyNS, "remap.latency_ns", mst.Elapsed)
-			n.EmitEvent(trace.EvRemapDone, dst)
+			n.EmitEvent(trace.EvRemapDone, dst, 0)
 			st.failures = 0
 			st.backoff = rm.pol.Backoff
 			st.release = rm.pol.Quarantine
@@ -231,7 +228,6 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 			st.pending = false
 			return
 		}
-		rm.c.Unreachables++
 		rm.mx.AddTo(&rm.mh.failures, "remap.failures", 1)
 		st.failures++
 		now := p.Now()
@@ -239,8 +235,7 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 			if !st.quarantined {
 				st.quarantined = true
 				rm.c.RemapStats.Quarantines++
-				rm.mx.AddTo(&rm.mh.quarantines, "remap.quarantines", 1)
-				n.EmitEvent(trace.EvQuarantine, dst)
+				n.EmitEvent(trace.EvQuarantine, dst, 0)
 				if rm.c.cfg.OnUnreachable != nil {
 					rm.c.cfg.OnUnreachable(rm.h, dst)
 				}

@@ -194,7 +194,7 @@ func TestTableRoutesIntactAfterRemaps(t *testing.T) {
 	c.K.After(2*time.Millisecond, func() { nw.KillLink(trunk) })
 	c.RunFor(200 * time.Millisecond)
 	c.Stop()
-	if c.Remaps == 0 {
+	if remapTotal(c, "successes") == 0 {
 		t.Fatal("no remap completed: the campaign never replaced a route")
 	}
 	checkHeld(t, held)

@@ -461,6 +461,27 @@ func TestFabricAndPipeAccountIdentically(t *testing.T) {
 	}
 }
 
+// TestPipeNoRouteCompletesSendDMAOnce: with no egress hook, a packet to a
+// host not attached to the Pipe is dropped at injection as no-route. Its
+// send DMA completes once, at the drop, and the drop is counted once.
+func TestPipeNoRouteCompletesSendDMAOnce(t *testing.T) {
+	k := sim.New(1)
+	nw, hosts := topology.Star(2)
+	p := NewPipe(k, nw, DefaultConfig())
+	p.AttachHost(hosts[0], func(*Packet) { t.Fatal("a packet was delivered") })
+	injectDone := 0
+	pkt := mkPacket(nw, hosts[0], hosts[1], 64)
+	pkt.OnInjectDone = func() { injectDone++ }
+	p.Inject(hosts[0], pkt)
+	k.Run()
+	if injectDone != 1 {
+		t.Fatalf("OnInjectDone fired %d times, want 1", injectDone)
+	}
+	if d, all := dropped(p, DropNoRoute), total(p, "pkts_dropped"); d != 1 || all != 1 {
+		t.Fatalf("%d no-route drops of %d, want 1 of 1", d, all)
+	}
+}
+
 func TestChannelBusyTime(t *testing.T) {
 	k, f, hosts, _ := testNet(t, 2)
 	f.Inject(hosts[0], mkPacket(f.Network(), hosts[0], hosts[1], 4096))

@@ -148,10 +148,14 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 		return
 	}
 
-	ser := p.SerializationTime(pkt.Size)
 	local := p.deliver[cur] != nil
+	if !local && p.egress == nil {
+		p.dropAtInject(pkt, DropNoRoute)
+		return
+	}
+	ser := p.SerializationTime(pkt.Size)
 	sent := p.sent
-	if !local && p.egress != nil {
+	if !local {
 		sent = p.sentAway
 	}
 	p.k.AtHandler(p.k.Now().Add(ser), sent, pkt)
@@ -159,10 +163,6 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	if local {
 		pkt.term = cur
 		p.k.AtHandler(at, p.landed, pkt)
-		return
-	}
-	if p.egress == nil {
-		p.dropAtInject(pkt, DropNoRoute)
 		return
 	}
 	p.egress(cur, at, pkt)

@@ -1,29 +1,12 @@
 package fabric
 
-import (
-	"sync/atomic"
+import "sanft/internal/sim"
 
-	"sanft/internal/sim"
-)
-
-// poolProf gathers packet-pool traffic for the engine profiler, mirroring
-// internal/proto's frame-pool counters: off by default, one atomic load
-// per pooled packet when on, process-wide totals (consumers report deltas
-// from a construction-time baseline).
-var poolProf struct {
-	enabled atomic.Bool
-	gets    atomic.Uint64 // pooled packets served (NewPacket and clones)
-	news    atomic.Uint64 // pool refills (fresh allocations)
-}
-
-// SetPoolProfiling toggles packet-pool traffic counting.
-func SetPoolProfiling(on bool) { poolProf.enabled.Store(on) }
-
-// PoolStats returns the cumulative count of pooled packets served and the
-// number of those served by a fresh allocation (pool miss).
-func PoolStats() (gets, misses uint64) {
-	return poolProf.gets.Load(), poolProf.news.Load()
-}
+// PoolStats returns how many pooled packets (NewPacket and clones) the
+// process has served, and how many of those were fresh allocations (pool
+// misses). The pool is process-wide, so the engine profiler reports
+// deltas from a construction-time baseline.
+func PoolStats() (gets, misses uint64) { return packetPool.Stats() }
 
 // packetBlock is one unit of pooled packet storage: the packet plus a
 // reusable route buffer, so sending a packet, or cloning one across a
@@ -42,18 +25,10 @@ var packetPool sim.FreeList[packetBlock]
 
 // getBlock takes a block from the pool, or allocates one.
 func getBlock() *packetBlock {
-	prof := poolProf.enabled.Load()
-	if prof {
-		poolProf.gets.Add(1)
+	if b := packetPool.Get(); b != nil {
+		return b
 	}
-	b := packetPool.Get()
-	if b == nil {
-		if prof {
-			poolProf.news.Add(1)
-		}
-		b = new(packetBlock)
-	}
-	return b
+	return new(packetBlock)
 }
 
 // NewPacket returns p in pooled storage: the sending NIC builds every

@@ -65,8 +65,8 @@ func (n *NIC) liveTx(dst topology.NodeID) {
 
 // onLiveness processes a received liveness control packet: session state
 // machine, RTT sampling into the adaptive retransmission timer, and
-// detection-timer re-arm. Session transitions emit trace events; a drop
-// to Down raises the session-down recovery upcall.
+// detection-timer re-arm. Session transitions are counted and traced
+// (emit); a drop to Down raises the session-down recovery upcall.
 func (n *NIC) onLiveness(frame *proto.Frame) {
 	if n.opts.Liveness == nil || frame.Live == nil {
 		return
@@ -96,11 +96,9 @@ func (n *NIC) onLiveness(frame *proto.Frame) {
 	if r.StateChanged {
 		switch r.New {
 		case liveness.Up:
-			n.mx.AddTo(&n.m.sessionUp, "liveness.session_up", 1)
 			n.emit(trace.EvLiveUp, src, 0, 0, 0)
 		case liveness.Down:
 			// Peer advertised Down (its detector fired or it restarted).
-			n.mx.AddTo(&n.m.sessionDown, "liveness.session_down", 1)
 			n.emit(trace.EvLiveDown, src, 0, 0, 0)
 			n.sessionDown(src)
 		}
@@ -116,7 +114,6 @@ func (n *NIC) liveDetect(dst topology.NodeID) {
 		return
 	}
 	lat := ls.s.SilenceFor(n.k.Now())
-	n.mx.AddTo(&n.m.sessionDown, "liveness.session_down", 1)
 	n.mx.ObserveTo(&n.m.liveDetectNS, "liveness.detect_ns", lat)
 	n.emit(trace.EvLiveDown, dst, 0, uint64(lat), 0)
 	n.sessionDown(dst)

@@ -20,8 +20,6 @@ import (
 
 // Options configures a NIC.
 type Options struct {
-	// Cost is the hardware cost model; zero value means defaults.
-	Cost CostModel
 	// FT enables the firmware retransmission protocol. Off, the NIC is
 	// the unreliable baseline ("No Fault Tolerance" in the figures).
 	FT bool
@@ -187,21 +185,53 @@ type NIC struct {
 // NIC's scope the first time its event fires (metrics.Scope.AddTo), so a
 // metric that never fires stays out of every export.
 type nicMetrics struct {
-	// Firmware events, read back through Counters.
-	sendBufferStall, acksPiggybacked, controlNoRoute, errInjectedDrops,
-	txNoRoute, pktsSent, retransmitBursts, pktsRetransmitted, crcDrops,
-	routeUpdates, acksReceived, rxDropped, rxDupDrops, rxOooDrops,
-	pktsAccepted, acksSent, probesAnswered, pathResets,
-	pktsDroppedUnreachable *metrics.Counter
+	// Firmware events with no trace kind, read back through Counters.
+	sendBufferStall, acksPiggybacked, controlNoRoute, txNoRoute, pktsSent,
+	retransmitBursts, routeUpdates, rxDropped, probesAnswered *metrics.Counter
+	// byKind holds the counter of each kind kindCounters names (emit).
+	byKind [trace.NumKinds]*metrics.Counter
 	// Retransmission timing.
 	ackLatencyNS, detectNS, scanWaitNS *metrics.Histogram
 	// Liveness sessions.
-	liveTx, liveRx, sessionUp, sessionDown *metrics.Counter
-	liveRTT, liveDetectNS                  *metrics.Histogram
+	liveTx, liveRx        *metrics.Counter
+	liveRTT, liveDetectNS *metrics.Histogram
 }
 
-// emit records a trace event if a tracer is wired.
+// kindCounters names the counter of every counted trace kind: the one
+// place a protocol action that is both counted and traced binds the two.
+// The NIC's and the liveness sessions' actions count in the NIC's scope,
+// and so do the remap manager's, which records through EmitEvent.
+var kindCounters = [trace.NumKinds]string{
+	trace.EvErrDrop:     "nic.err-injected-drops",
+	trace.EvRetransmit:  "nic.pkts-retransmitted",
+	trace.EvCrcDrop:     "nic.crc-drops",
+	trace.EvAckRx:       "nic.acks-received",
+	trace.EvDupDrop:     "nic.rx-dup-drops",
+	trace.EvOooDrop:     "nic.rx-ooo-drops",
+	trace.EvAccept:      "nic.pkts-accepted",
+	trace.EvAckTx:       "nic.acks-sent",
+	trace.EvGenReset:    "nic.path-resets",
+	trace.EvUnreachable: "nic.pkts-dropped-unreachable",
+	trace.EvLiveUp:      "liveness.session_up",
+	trace.EvLiveDown:    "liveness.session_down",
+	trace.EvRemapStart:  "remap.attempts",
+	trace.EvRemapDone:   "remap.successes",
+	trace.EvRemapDefer:  "remap.deferred",
+	trace.EvQuarantine:  "remap.quarantines",
+}
+
+// emit records one protocol action: it adds one to the kind's counter, if
+// kindCounters names one, and traces the event if a tracer is wired. An
+// unreachable verdict adds seq, the number of packets it dropped, 0
+// included.
 func (n *NIC) emit(kind trace.Kind, peer topology.NodeID, gen uint32, seq uint64, msg uint64) {
+	if name := kindCounters[kind]; name != "" {
+		d := uint64(1)
+		if kind == trace.EvUnreachable {
+			d = seq
+		}
+		n.mx.AddTo(&n.m.byKind[kind], name, d)
+	}
 	if n.opts.Tracer == nil {
 		return
 	}
@@ -222,15 +252,12 @@ func msgOf(frame *proto.Frame) uint64 {
 // New creates a NIC for host `node`, attaches it to the fabric, and (in FT
 // mode) starts the retransmission timer.
 func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
-	if opts.Cost == (CostModel{}) {
-		opts.Cost = DefaultCostModel()
-	}
 	opts.Retrans = opts.Retrans.Defaults()
 	n := &NIC{
 		k:           k,
 		fab:         fab,
 		node:        node,
-		cost:        opts.Cost,
+		cost:        DefaultCostModel(),
 		ft:          opts.FT,
 		cpu:         sim.NewResource(k, fmt.Sprintf("nic%d-cpu", node)),
 		pci:         sim.NewResource(k, fmt.Sprintf("nic%d-pci", node)),
@@ -335,13 +362,11 @@ func (n *NIC) SetOnSessionDown(fn func(dst topology.NodeID)) { n.opts.OnSessionD
 // SetTracer wires (or removes, with nil) a packet-event tracer.
 func (n *NIC) SetTracer(tr trace.Tracer) { n.opts.Tracer = tr }
 
-// EmitEvent records a trace event on behalf of a layer above the NIC (the
-// remap manager uses it for remap-lifecycle events). No-op without a tracer.
-func (n *NIC) EmitEvent(kind trace.Kind, peer topology.NodeID) { n.emit(kind, peer, 0, 0, 0) }
-
-// EmitMsgEvent records a message-level trace event on behalf of the VMMC
-// layer (host send, message completion). No-op without a tracer.
-func (n *NIC) EmitMsgEvent(kind trace.Kind, peer topology.NodeID, msg uint64) {
+// EmitEvent records an action on behalf of a layer above the NIC, as the
+// NIC's own actions are recorded (emit): the remap manager's remap
+// lifecycle, counted and traced, and the VMMC layer's message lifecycle
+// (host send, message completion), traced only, with msg its message ID.
+func (n *NIC) EmitEvent(kind trace.Kind, peer topology.NodeID, msg uint64) {
 	n.emit(kind, peer, 0, 0, msg)
 }
 
@@ -644,7 +669,6 @@ func (n *NIC) kickTX() {
 		// retransmission queue as if transmitted, but never touches the
 		// wire.
 		if frame.Type == proto.FrameData && n.dropper.ShouldDrop() {
-			n.mx.AddTo(&n.m.errInjectedDrops, "nic.err-injected-drops", 1)
 			n.emit(trace.EvErrDrop, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
 			if n.ft && it.entry != nil {
 				n.snd.OnTransmitted(it.entry, n.k.Now())
@@ -1004,7 +1028,6 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 				f.AckReq = proto.AckImmediate
 			}
 			n.attachPiggybackIfAny(&f)
-			n.mx.AddTo(&n.m.pktsRetransmitted, "nic.pkts-retransmitted", 1)
 			n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(&f))
 			e.InFlight++
 			items = append(items, txItem{frame: &f, entry: e})
@@ -1064,7 +1087,6 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	// The CRC check covers every frame type; corrupted packets are
 	// dropped after the check cost is paid.
 	if pkt.Corrupted {
-		n.mx.AddTo(&n.m.crcDrops, "nic.crc-drops", 1)
 		n.emit(trace.EvCrcDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 		frame.Release()
 		return
@@ -1102,7 +1124,6 @@ func (n *NIC) processAck(from topology.NodeID, gen uint32, seq uint64) {
 	if !n.ft {
 		return
 	}
-	n.mx.AddTo(&n.m.acksReceived, "nic.acks-received", 1)
 	n.emit(trace.EvAckRx, from, gen, seq, 0)
 	n.ackFreed(n.snd.OnAck(from, gen, seq, n.k.Now()))
 }
@@ -1140,10 +1161,8 @@ func (n *NIC) processData(frame *proto.Frame) {
 		if !verdict.Accept {
 			n.mx.AddTo(&n.m.rxDropped, "nic.rx-dropped", 1)
 			if n.rcv.Expected(frame.Src) > frame.Seq {
-				n.mx.AddTo(&n.m.rxDupDrops, "nic.rx-dup-drops", 1)
 				n.emit(trace.EvDupDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			} else {
-				n.mx.AddTo(&n.m.rxOooDrops, "nic.rx-ooo-drops", 1)
 				n.emit(trace.EvOooDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			}
 			frame.Release()
@@ -1151,7 +1170,6 @@ func (n *NIC) processData(frame *proto.Frame) {
 		}
 	}
 	frame.Stamps.NICRecvDone = n.k.Now()
-	n.mx.AddTo(&n.m.pktsAccepted, "nic.pkts-accepted", 1)
 	n.emit(trace.EvAccept, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 	// Deposit into host memory through the PCI engine, then notify.
 	size := len(frame.Data.Data)
@@ -1212,7 +1230,6 @@ func (n *NIC) sendAck(to topology.NodeID) {
 
 // transmitAck queues an explicit ack once its firmware cost is paid.
 func (n *NIC) transmitAck(ack *proto.Frame) {
-	n.mx.AddTo(&n.m.acksSent, "nic.acks-sent", 1)
 	n.emit(trace.EvAckTx, ack.Dst, ack.AckGen, ack.AckSeq, 0)
 	n.SendControl(ack, nil)
 }
@@ -1300,7 +1317,6 @@ func (n *NIC) ResetPath(dst topology.NodeID, route routing.Route) {
 		e.InFlight++
 		n.enqueueTX(txItem{frame: &f, entry: e})
 	}
-	n.mx.AddTo(&n.m.pathResets, "nic.path-resets", 1)
 	n.emit(trace.EvGenReset, dst, n.snd.Generation(dst), 0, 0)
 }
 
@@ -1314,7 +1330,6 @@ func (n *NIC) MarkUnreachable(dst topology.NodeID) {
 		dropped := len(entries)
 		n.snd.Recycle(entries)
 		n.releaseBuffers(dropped)
-		n.mx.AddTo(&n.m.pktsDroppedUnreachable, "nic.pkts-dropped-unreachable", uint64(dropped))
 		n.emit(trace.EvUnreachable, dst, 0, uint64(dropped), 0)
 	}
 }

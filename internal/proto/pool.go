@@ -1,31 +1,16 @@
 package proto
 
 import (
-	"sync/atomic"
-
 	"sanft/internal/sim"
 	"sanft/internal/topology"
 )
 
-// poolProf gathers frame-pool traffic for the engine profiler
-// (internal/enginestat). Off by default: a pooled frame costs one
-// predictable atomic load, and the counters are process-wide —
-// concurrent profiled clusters in one process see combined traffic, so
-// consumers report deltas from a construction-time baseline.
-var poolProf struct {
-	enabled atomic.Bool
-	gets    atomic.Uint64 // pooled frames served (NewAck and clones)
-	news    atomic.Uint64 // pool refills (fresh allocations)
-}
-
-// SetPoolProfiling toggles frame-pool traffic counting.
-func SetPoolProfiling(on bool) { poolProf.enabled.Store(on) }
-
-// PoolStats returns the cumulative count of pooled frames served and the
-// number of those served by a fresh allocation (pool miss).
-func PoolStats() (gets, misses uint64) {
-	return poolProf.gets.Load(), poolProf.news.Load()
-}
+// PoolStats returns how many pooled frames (NewAck and clones) the
+// process has served, and how many of those were fresh allocations (pool
+// misses). The pool is process-wide — concurrent clusters in one process
+// see combined traffic — so the engine profiler reports deltas from a
+// construction-time baseline.
+func PoolStats() (gets, misses uint64) { return framePool.Stats() }
 
 // frameBlock is one unit of pooled frame storage: the frame itself plus
 // inline payload structs and reusable byte/route buffers, allocated as a
@@ -44,18 +29,10 @@ var framePool sim.FreeList[frameBlock]
 
 // getBlock takes a block from the pool, or allocates one.
 func getBlock() *frameBlock {
-	prof := poolProf.enabled.Load()
-	if prof {
-		poolProf.gets.Add(1)
+	if b := framePool.Get(); b != nil {
+		return b
 	}
-	b := framePool.Get()
-	if b == nil {
-		if prof {
-			poolProf.news.Add(1)
-		}
-		b = new(frameBlock)
-	}
-	return b
+	return new(frameBlock)
 }
 
 // NewAck returns an explicit cumulative ack frame to dst in pooled

@@ -53,7 +53,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 		MaxSnapshots:   8,
 		SnapshotWindow: 128,
 	}
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		if k.Anomaly() {
 			f.Triggers[k] = true
 		}

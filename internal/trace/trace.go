@@ -104,8 +104,8 @@ const (
 	// drops).
 	EvLiveDown
 
-	// numKinds counts the Ev* constants; keep it last.
-	numKinds
+	// NumKinds counts the Ev* constants; keep it last.
+	NumKinds
 )
 
 var kindNames = [...]string{
@@ -119,7 +119,7 @@ var kindNames = [...]string{
 
 // Compile-time guard: adding a Kind without extending kindNames (or the
 // reverse) produces a constant index-out-of-range error here.
-var _ = [1]struct{}{}[len(kindNames)-int(numKinds)]
+var _ = [1]struct{}{}[len(kindNames)-int(NumKinds)]
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

@@ -83,11 +83,11 @@ func TestKindStrings(t *testing.T) {
 // name table must cover every Kind exactly, and no two kinds may share a
 // name (a copy-paste in kindNames would silently alias two kinds).
 func TestKindNamesComplete(t *testing.T) {
-	if len(kindNames) != int(numKinds) {
-		t.Fatalf("kindNames has %d entries, %d kinds declared", len(kindNames), numKinds)
+	if len(kindNames) != int(NumKinds) {
+		t.Fatalf("kindNames has %d entries, %d kinds declared", len(kindNames), NumKinds)
 	}
 	seen := make(map[string]Kind)
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		name := k.String()
 		if name == "" || name == "unknown" {
 			t.Fatalf("kind %d has no proper name", k)

@@ -197,7 +197,7 @@ func (imp *Import) Send(p *sim.Proc, offset int, data []byte, notify bool) uint6
 	}
 	*imp.next++
 	msgID := *imp.next
-	ep.n.EmitMsgEvent(trace.EvHostSend, imp.Remote, msgID)
+	ep.n.EmitEvent(trace.EvHostSend, imp.Remote, msgID)
 	mtu := ep.n.Cost().MTU
 	start := p.Now()
 	if len(data) == 0 {
@@ -308,7 +308,7 @@ func (ep *Endpoint) source(id topology.NodeID) *source {
 func (ep *Endpoint) complete(e *Export, cw *completionWindow, f *proto.Frame, first proto.Stamps) {
 	d := f.Data
 	cw.mark(d.MsgID)
-	ep.n.EmitMsgEvent(trace.EvMsgComplete, f.Src, d.MsgID)
+	ep.n.EmitEvent(trace.EvMsgComplete, f.Src, d.MsgID)
 	if !d.Notify {
 		return
 	}

@@ -64,27 +64,12 @@ func WithStar(n int) Option {
 	}
 }
 
-// WithDoubleStar wires n hosts across two switches with doubled trunks —
-// the smallest topology with full path redundancy.
-func WithDoubleStar(n int) Option {
-	return func(c *Config) {
-		c.Net, c.Hosts = topology.DoubleStar(n)
-	}
-}
-
-// WithFaultTolerance enables the firmware retransmission protocol. With
-// no argument the protocol runs with whatever parameters are configured
-// (zero fields take the paper's best-compromise defaults — see
-// DefaultParams); combine with WithRetrans to tune them. An optional
-// RetransConfig argument is accepted for backward compatibility and is
-// equivalent to WithRetrans(rc) followed by WithFaultTolerance().
-func WithFaultTolerance(rc ...RetransConfig) Option {
-	return func(c *Config) {
-		c.FT = true
-		if len(rc) > 0 {
-			c.Retrans = rc[0]
-		}
-	}
+// WithFaultTolerance enables the firmware retransmission protocol with
+// whatever parameters are configured (zero fields take the paper's
+// best-compromise defaults — see DefaultParams); combine with WithRetrans
+// to tune them.
+func WithFaultTolerance() Option {
+	return func(c *Config) { c.FT = true }
 }
 
 // WithRetrans sets the retransmission-protocol parameters (queue size q,
@@ -106,16 +91,6 @@ func WithErrorRate(p float64) Option {
 // WithSeed fixes all randomness. New defaults to seed 1.
 func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
-}
-
-// WithCostModel overrides the NIC hardware calibration.
-func WithCostModel(cm CostModel) Option {
-	return func(c *Config) { c.Cost = cm }
-}
-
-// WithFabricConfig overrides wire constants (link rate, watchdog, ...).
-func WithFabricConfig(fc FabricConfig) Option {
-	return func(c *Config) { c.Fabric = fc }
 }
 
 // WithMapper enables on-demand mapping (requires fault tolerance). An
@@ -156,25 +131,8 @@ func WithAdaptiveRetrans() Option {
 	return func(c *Config) { c.Retrans.Adaptive = true }
 }
 
-// WithRemapPolicy tunes recovery pacing (backoff, quarantine).
-func WithRemapPolicy(p RemapPolicy) Option {
-	return func(c *Config) { c.Remap = p }
-}
-
-// WithOnUnreachable installs the graceful-degradation upcall, fired when
-// src quarantines dst after repeated failed remaps.
-func WithOnUnreachable(fn func(src, dst NodeID)) Option {
-	return func(c *Config) { c.OnUnreachable = fn }
-}
-
-// WithMetrics tunes the observability layer (the registry itself is
-// always on; this configures sampling cadence and retention).
-func WithMetrics(mc MetricsConfig) Option {
-	return func(c *Config) { c.Metrics = mc }
-}
-
 // WithSampling starts periodic metric sampling every `every` of simulated
-// time — shorthand for WithMetrics(MetricsConfig{SampleEvery: every}).
+// time (Config.Metrics.SampleEvery).
 func WithSampling(every time.Duration) Option {
 	return func(c *Config) { c.Metrics.SampleEvery = every }
 }

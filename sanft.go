@@ -57,8 +57,6 @@ type (
 	// RetransConfig holds the retransmission-protocol parameters
 	// (Table 1: queue size, timer interval, ...).
 	RetransConfig = retrans.Config
-	// CostModel is the NIC hardware calibration.
-	CostModel = nic.CostModel
 	// FabricConfig holds wire constants (link rate, watchdog, ...).
 	FabricConfig = fabric.Config
 
