@@ -82,6 +82,7 @@ func kernelStat(shard int, k *sim.Kernel) enginestat.KernelStat {
 	return enginestat.KernelStat{
 		Shard:          shard,
 		Scheduled:      ks.Scheduled,
+		Heaped:         ks.Heaped,
 		Cancelled:      ks.Cancelled,
 		Executed:       ks.Executed,
 		Pending:        ks.Pending,

@@ -152,12 +152,15 @@ func (e *EngineStat) add(src *EngineStat) {
 	e.ActiveShardSum += src.ActiveShardSum
 }
 
-// KernelStat is one shard kernel's event-machinery account. Switches
-// counts the handoffs of its event loop between goroutines (sim.Proc);
-// ByKind splits the executed events by what they were.
+// KernelStat is one shard kernel's event-machinery account. Heaped
+// counts the scheduled events that entered the kernel's binary heap
+// rather than its sorted front (sim.KernelStats.Heaped); Switches counts
+// the handoffs of its event loop between goroutines (sim.Proc); ByKind
+// splits the executed events by what they were.
 type KernelStat struct {
 	Shard          int        `json:"shard"`
 	Scheduled      uint64     `json:"scheduled"`
+	Heaped         uint64     `json:"heaped"`
 	Cancelled      uint64     `json:"cancelled"`
 	Executed       uint64     `json:"executed"`
 	Pending        int        `json:"pending"`
@@ -247,6 +250,7 @@ func (p *Profile) AddFrom(src *Profile) {
 		}
 		k, s := &p.Kernels[i], &src.Kernels[i]
 		k.Scheduled += s.Scheduled
+		k.Heaped += s.Heaped
 		k.Cancelled += s.Cancelled
 		k.Executed += s.Executed
 		k.Pending += s.Pending
@@ -378,8 +382,8 @@ func (p *Profile) WriteText(w io.Writer) error {
 		b.WriteString("kernels:\n")
 		for i := range p.Kernels {
 			k := &p.Kernels[i]
-			fmt.Fprintf(&b, "  shard %-4d scheduled=%d cancelled=%d executed=%d pending=%d arena_high_water=%d switches=%d\n",
-				k.Shard, k.Scheduled, k.Cancelled, k.Executed, k.Pending, k.ArenaHighWater, k.Switches)
+			fmt.Fprintf(&b, "  shard %-4d scheduled=%d heaped=%d cancelled=%d executed=%d pending=%d arena_high_water=%d switches=%d\n",
+				k.Shard, k.Scheduled, k.Heaped, k.Cancelled, k.Executed, k.Pending, k.ArenaHighWater, k.Switches)
 			e := &k.ByKind
 			fmt.Fprintf(&b, "             by kind: tick=%d resource=%d worm=%d wake=%d pipe=%d other=%d\n",
 				e.Tick, e.Resource, e.Worm, e.Wake, e.Pipe, e.Other)

@@ -30,9 +30,9 @@ func fixedProfile() *Profile {
 			Wakes: 3, Parks: 3, Events: 5000},
 	}
 	p.Kernels = []KernelStat{
-		{Shard: 0, Scheduled: 5000, Cancelled: 120, Executed: 4800, Pending: 80, ArenaHighWater: 64, Switches: 700,
+		{Shard: 0, Scheduled: 5000, Heaped: 900, Cancelled: 120, Executed: 4800, Pending: 80, ArenaHighWater: 64, Switches: 700,
 			ByKind: EventKinds{Tick: 1000, Resource: 2000, Worm: 1500, Wake: 200, Other: 100}},
-		{Shard: 1, Scheduled: 4000, Cancelled: 90, Executed: 3900, Pending: 10, ArenaHighWater: 32, Switches: 40,
+		{Shard: 1, Scheduled: 4000, Heaped: 600, Cancelled: 90, Executed: 3900, Pending: 10, ArenaHighWater: 32, Switches: 40,
 			ByKind: EventKinds{Tick: 900, Resource: 1800, Wake: 100, Pipe: 1000, Other: 100}},
 	}
 	p.Pools = PoolStat{FrameGets: 10000, FrameMisses: 120, PacketGets: 8000, PacketMisses: 50}
@@ -109,7 +109,7 @@ func otherProfile() *Profile {
 			AwakeNS: 950_000, Claims: 9, Events: 400},
 	}
 	p.Kernels = []KernelStat{
-		{Shard: 0, Scheduled: 500, Cancelled: 10, Executed: 480, Pending: 10, ArenaHighWater: 128, Switches: 6,
+		{Shard: 0, Scheduled: 500, Heaped: 70, Cancelled: 10, Executed: 480, Pending: 10, ArenaHighWater: 128, Switches: 6,
 			ByKind: EventKinds{Tick: 100, Resource: 200, Worm: 100, Wake: 40, Pipe: 30, Other: 10}},
 	}
 	p.Pools = PoolStat{FrameGets: 100, FrameMisses: 2, PacketGets: 90, PacketMisses: 1}

@@ -96,7 +96,7 @@ type event struct {
 	from  Origin
 	seq   uint64
 	gen   uint32
-	pos   int32 // index in the kernel's heap, -1 when not queued
+	pos   int32 // index in the kernel's heap, inFront, or -1 when not queued
 	h     Handler
 	arg   any
 }
@@ -142,7 +142,11 @@ func (t Timer) Cancel() bool {
 	if e.gen != t.gen || e.pos < 0 {
 		return false
 	}
-	t.k.heapRemove(int(e.pos))
+	if e.pos == inFront {
+		t.k.frontRemove(t.id)
+	} else {
+		t.k.heapRemove(int(e.pos))
+	}
 	t.k.release(t.id)
 	t.k.cancelled++
 	return true
@@ -163,19 +167,28 @@ func (t Timer) Pending() bool {
 // goroutine holds it, the caller's or that of the Proc that parked last,
 // and the others wait on a channel until the loop is handed to them.
 //
-// The event queue is an index-based binary heap over a flat struct arena:
-// no per-event heap allocation, no interface boxing, and cancellation
-// removes the event eagerly instead of leaving a tombstone to skip later.
-// In steady state scheduling and firing events allocates nothing.
+// The event queue is a short sorted front ahead of an index-based binary
+// heap, both over a flat struct arena: no per-event heap allocation, no
+// interface boxing, and cancellation removes the event eagerly instead of
+// leaving a tombstone to skip later. The front holds the next few events,
+// each ordered before every event in the heap; an event scheduled ahead of
+// the heap's root joins it instead of being sifted in, and the next event
+// leaves it without a sift. Few events are pending in real runs (about 5
+// on the paper's figures, about 30 on a loaded fattree:16), and about 40 %
+// of all events are the next to run from when they are scheduled until
+// they fire. In steady state scheduling and firing events allocates
+// nothing.
 type Kernel struct {
 	now     Time
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 
-	arena []event // flat event records, indexed by event id
-	free  []int32 // recycled arena slots
-	heap  []int32 // binary heap of event ids, ordered by (at, sched, from, seq)
+	arena  []event          // flat event records, indexed by event id
+	free   []int32          // recycled arena slots
+	front  [frontSize]int32 // the next events, latest first: front[nfront-1] runs next
+	nfront int              // entries in front
+	heap   []int32          // binary heap of the later event ids, ordered by (at, sched, from, seq)
 
 	bound   Time          // the current run executes events at or before bound
 	running bool          // a Run, RunUntil or RunBefore call is active
@@ -195,8 +208,8 @@ type Kernel struct {
 	// now (see Ran).
 	ran, ranFrom Origin
 	// scheduled counts the events ever inserted (seq counts ordinary
-	// events and reserved keys only).
-	scheduled uint64
+	// events and reserved keys only), heaped those that entered the heap.
+	scheduled, heaped uint64
 
 	// byKind counts executed events per EventKind while CountKinds is on;
 	// nil otherwise, so the off path costs fire one branch.
@@ -207,6 +220,14 @@ type Kernel struct {
 // event (whose key stays below it) runs ahead of the ordinary events
 // scheduled at its instant.
 const laterBand = 1 << 63
+
+// frontSize is the capacity of the kernel's front. Measured on the
+// benchmark's workloads: 4 entries left part of the gain on the paper's
+// figures, 16 gained nothing over 8 anywhere.
+const frontSize = 8
+
+// inFront is the pos of an event held in the front.
+const inFront = math.MaxInt32
 
 // New returns a kernel with its clock at zero and an RNG seeded with seed.
 func New(seed int64) *Kernel {
@@ -224,12 +245,14 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending returns the number of events currently scheduled. Cancelled
 // events are removed eagerly, so the count is exact.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return k.nfront + len(k.heap) }
 
 // KernelStats is a snapshot of the kernel's event-machinery counters, for
 // the engine profiler. Scheduled counts every schedule call (it equals
-// Cancelled + Executed + Pending once the run has quiesced);
-// ArenaHighWater is the peak number of distinct event slots ever live at
+// Cancelled + Executed + Pending once the run has quiesced); Heaped counts
+// the events that entered the binary heap rather than the front, whether
+// scheduled there or moved there from a full front; ArenaHighWater is the
+// peak number of distinct event slots ever live at
 // once, i.e. the arena's memory footprint in records; Switches counts
 // every handoff of the loop from one goroutine to another (a Proc's
 // start, a wake-up of another Proc, a return to the caller). ByKind
@@ -237,6 +260,7 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 // when it was never called).
 type KernelStats struct {
 	Scheduled      uint64
+	Heaped         uint64
 	Cancelled      uint64
 	Executed       uint64
 	Pending        int
@@ -251,9 +275,10 @@ type KernelStats struct {
 func (k *Kernel) Stats() KernelStats {
 	s := KernelStats{
 		Scheduled:      k.scheduled,
+		Heaped:         k.heaped,
 		Cancelled:      k.cancelled,
 		Executed:       k.executed,
-		Pending:        len(k.heap),
+		Pending:        k.Pending(),
 		ArenaHighWater: len(k.arena),
 		Switches:       k.switches,
 	}
@@ -272,9 +297,9 @@ func (k *Kernel) CountKinds() {
 	}
 }
 
-// less orders heap entries by (time, scheduling instant, origin,
-// sequence). It is written to stay within the inliner's budget: the sift
-// loops call it for every comparison.
+// less orders events by (time, scheduling instant, origin, sequence). It
+// is written to stay within the inliner's budget: the sift loops call it
+// for every comparison.
 func (k *Kernel) less(a, b int32) bool {
 	ea, eb := &k.arena[a], &k.arena[b]
 	switch {
@@ -328,6 +353,13 @@ func (k *Kernel) siftDown(i int) {
 	k.arena[id].pos = int32(i)
 }
 
+// heapPush adds an event to the heap.
+func (k *Kernel) heapPush(id int32) {
+	k.heaped++
+	k.heap = append(k.heap, id)
+	k.siftUp(len(k.heap) - 1)
+}
+
 // heapRemove deletes the entry at heap position i, preserving heap order.
 func (k *Kernel) heapRemove(i int) {
 	n := len(k.heap) - 1
@@ -339,7 +371,60 @@ func (k *Kernel) heapRemove(i int) {
 	k.heap[i] = last
 	k.arena[last].pos = int32(i)
 	k.siftDown(i)
-	k.siftUp(i)
+	if i > 0 {
+		k.siftUp(i)
+	}
+}
+
+// enqueue puts a new event into the front when it orders before the
+// front's latest entry, or when the front has room and it orders before
+// the heap's root; any other event goes to the heap. So every front entry
+// stays ahead of the whole heap.
+func (k *Kernel) enqueue(id int32) {
+	n := k.nfront
+	switch {
+	case n > 0 && k.less(id, k.front[0]):
+		// Among the front: a full front's latest entry moves to the heap.
+		if n == frontSize {
+			k.heapPush(k.front[0])
+			n--
+			copy(k.front[:n], k.front[1:])
+		}
+	case n < frontSize && (len(k.heap) == 0 || k.less(id, k.heap[0])):
+		// After the whole front and ahead of the heap: the front's latest.
+	default:
+		k.heapPush(id)
+		return
+	}
+	i := n
+	for ; i > 0 && k.less(k.front[i-1], id); i-- {
+		k.front[i] = k.front[i-1]
+	}
+	k.front[i] = id
+	k.nfront = n + 1
+	k.arena[id].pos = inFront
+}
+
+// frontRemove deletes a cancelled event from the front.
+func (k *Kernel) frontRemove(id int32) {
+	n := k.nfront - 1
+	i := n
+	for k.front[i] != id {
+		i--
+	}
+	copy(k.front[i:n], k.front[i+1:])
+	k.nfront = n
+}
+
+// next returns the event that runs next, or -1 when none is pending.
+func (k *Kernel) next() int32 {
+	if n := k.nfront; n > 0 {
+		return k.front[n-1]
+	}
+	if len(k.heap) > 0 {
+		return k.heap[0]
+	}
+	return -1
 }
 
 // release returns an arena slot to the free list, dropping the handler
@@ -359,7 +444,7 @@ func (k *Kernel) schedule(t Time, h Handler, arg any) Timer {
 }
 
 // insert puts an event ordered by (t, sched, from, seq) into the arena and
-// the heap.
+// the queue.
 func (k *Kernel) insert(t, sched Time, from Origin, seq uint64, h Handler, arg any) Timer {
 	k.scheduled++
 	var id int32
@@ -373,9 +458,7 @@ func (k *Kernel) insert(t, sched Time, from Origin, seq uint64, h Handler, arg a
 	e := &k.arena[id]
 	e.at, e.sched, e.from, e.seq = t, sched, from, seq
 	e.h, e.arg = h, arg
-	e.pos = int32(len(k.heap))
-	k.heap = append(k.heap, id)
-	k.siftUp(int(e.pos))
+	k.enqueue(id)
 	return Timer{k: k, id: id, gen: e.gen}
 }
 
@@ -476,13 +559,20 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 // already scheduled for this instant.
 func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, thunk(fn), nil) }
 
-// fire pops and executes the earliest event.
+// fire pops and executes the earliest event: the front's next, or, when
+// the front is empty, the heap's root.
 func (k *Kernel) fire() {
-	id := k.heap[0]
+	var id int32
+	if n := k.nfront; n > 0 {
+		k.nfront = n - 1
+		id = k.front[n-1]
+	} else {
+		id = k.heap[0]
+		k.heapRemove(0)
+	}
 	e := &k.arena[id]
 	k.now, k.ran, k.ranFrom = e.at, Origin{e.sched, e.seq}, e.from
 	h, arg := e.h, e.arg
-	k.heapRemove(0)
 	k.release(id)
 	k.executed++
 	if k.byKind != nil {
@@ -500,7 +590,7 @@ func (k *Kernel) Step() bool {
 	if k.running {
 		panic("sim: Step called inside a run")
 	}
-	if k.stopped || len(k.heap) == 0 {
+	if k.stopped || k.Pending() == 0 {
 		return false
 	}
 	k.fire()
@@ -565,7 +655,10 @@ func (k *Kernel) run(bound Time) {
 // which it returns, or the window ends (nil). Outside a run it executes
 // nothing.
 func (k *Kernel) loop() *Proc {
-	for k.running && !k.stopped && k.failure == nil && len(k.heap) > 0 && k.arena[k.heap[0]].at <= k.bound {
+	for k.running && !k.stopped && k.failure == nil {
+		if id := k.next(); id < 0 || k.arena[id].at > k.bound {
+			break
+		}
 		k.fire()
 		if q := k.woken; q != nil {
 			k.woken = nil
@@ -632,10 +725,11 @@ func (k *Kernel) settle() {
 // parallel engine uses it to skip idle stretches: an epoch window starts
 // at the earliest work across all shards.
 func (k *Kernel) NextEvent() (Time, bool) {
-	if len(k.heap) == 0 {
+	id := k.next()
+	if id < 0 {
 		return 0, false
 	}
-	return k.arena[k.heap[0]].at, true
+	return k.arena[id].at, true
 }
 
 // Stopped reports whether Stop has been called.

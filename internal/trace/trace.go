@@ -56,7 +56,9 @@ const (
 	EvCrcDrop
 	// EvAckTx: an explicit acknowledgment was sent.
 	EvAckTx
-	// EvAckRx: an acknowledgment (explicit or piggybacked) was processed.
+	// EvAckRx: an explicit acknowledgment was processed. A piggybacked
+	// ack is neither traced nor counted where it is processed; the
+	// sender's nic.acks-piggybacked counts it where it is attached.
 	EvAckRx
 	// EvGenReset: a remap reset the sequence generation for a path.
 	EvGenReset
