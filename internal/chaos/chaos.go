@@ -69,10 +69,6 @@ func NewEngine(c *core.Cluster, seed int64) *Engine {
 	}
 }
 
-// FlightRecorder returns the flight recorder adopted from the cluster
-// (nil when tracing is off or the tracer is a plain ring).
-func (e *Engine) FlightRecorder() *trace.FlightRecorder { return e.fr }
-
 // MTTR returns the delivery-stall histogram — the engine's measure of how
 // long faults held traffic up.
 func (e *Engine) MTTR() *metrics.Histogram { return e.mttr }

@@ -61,13 +61,7 @@ type ShardPlan struct {
 	// the per-epoch fixed cost and keep intra-group traffic off the
 	// barrier path at the price of less available parallelism.
 	HostsPerShard int
-	// Groups, when non-empty, is an explicit partition and overrides
-	// HostsPerShard. Every host must appear in exactly one group.
-	Groups [][]topology.NodeID
 }
-
-// zero reports whether the plan is the default one-host-per-shard plan.
-func (p ShardPlan) zero() bool { return p.HostsPerShard == 0 && len(p.Groups) == 0 }
 
 // Config describes a cluster build.
 type Config struct {

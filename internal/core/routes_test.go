@@ -331,8 +331,13 @@ func TestSharedRowsAcrossCells(t *testing.T) {
 // per-cell logs, each in time order, with times drawn from a narrow range
 // so records of different cells often tie, and compares the result with
 // the rule it implements: a stable sort by time of the logs' concatenation
-// in cell order.
+// in cell order. The trace package checks the same merge on fixed trace
+// streams.
 func TestMergeDeliveriesMatchesStableSort(t *testing.T) {
+	deliveryAt := func(d *Delivery) sim.Time { return d.At }
+	if got := sim.MergeByTime([][]Delivery{nil, {}}, deliveryAt); len(got) != 0 {
+		t.Fatalf("empty logs merged to %d records", len(got))
+	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 1000; trial++ {
 		logs := make([][]Delivery, rng.Intn(12))
@@ -348,7 +353,7 @@ func TestMergeDeliveriesMatchesStableSort(t *testing.T) {
 			cat = append(cat, logs[i]...)
 		}
 		sort.SliceStable(cat, func(i, j int) bool { return cat[i].At < cat[j].At })
-		got := mergeDeliveries(logs)
+		got := sim.MergeByTime(logs, deliveryAt)
 		if len(got) != len(cat) || cap(got) != len(cat) {
 			t.Fatalf("trial %d: merged %d records (cap %d), want %d", trial, len(got), cap(got), len(cat))
 		}

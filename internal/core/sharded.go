@@ -92,7 +92,7 @@ type Flow struct {
 // vmmc.Import reads the exporter's table directly, a cross-cell read
 // outside the barrier.
 func (cfg *Config) cellGroups() [][]topology.NodeID {
-	if cfg.Engine != EngineSharded && cfg.Plan.zero() {
+	if cfg.Engine != EngineSharded && cfg.Plan.HostsPerShard == 0 {
 		return [][]topology.NodeID{cfg.Hosts}
 	}
 	if cfg.Mapper {
@@ -108,33 +108,9 @@ func (cfg *Config) cellGroups() [][]topology.NodeID {
 	return groups
 }
 
-// planGroups resolves a ShardPlan against the host list: explicit groups
-// are validated (every host exactly once, no strangers), HostsPerShard
+// planGroups resolves a ShardPlan against the host list: HostsPerShard
 // chunks the hosts in order, and the zero plan is one host per cell.
 func planGroups(plan ShardPlan, hosts []topology.NodeID) [][]topology.NodeID {
-	if len(plan.Groups) > 0 {
-		seen := make(map[topology.NodeID]bool)
-		for _, g := range plan.Groups {
-			if len(g) == 0 {
-				panic("core: shard plan contains an empty group")
-			}
-			for _, h := range g {
-				if seen[h] {
-					panic(fmt.Sprintf("core: shard plan lists host %d twice", h))
-				}
-				seen[h] = true
-			}
-		}
-		for _, h := range hosts {
-			if !seen[h] {
-				panic(fmt.Sprintf("core: shard plan does not cover host %d", h))
-			}
-		}
-		if len(seen) != len(hosts) {
-			panic("core: shard plan names nodes outside the cluster's host list")
-		}
-		return plan.Groups
-	}
 	k := plan.HostsPerShard
 	if k <= 0 {
 		k = 1
@@ -390,7 +366,7 @@ func (c *Cluster) TraceEvents() []trace.Event {
 			streams[i] = r.Events()
 		}
 	}
-	return trace.MergeStreams(streams...)
+	return sim.MergeByTime(streams, func(e *trace.Event) sim.Time { return e.At })
 }
 
 // Deliveries returns the merged delivery order of the StartFlows
@@ -401,60 +377,7 @@ func (c *Cluster) Deliveries() []Delivery {
 	for i, cl := range c.cells {
 		logs[i] = cl.deliveries
 	}
-	return mergeDeliveries(logs)
-}
-
-// mergeDeliveries merges logs, each in time order (a cell appends at its
-// kernel's Now), into one slice ordered by (time, log index, position):
-// exactly a stable sort by time of their concatenation. A heap of the
-// logs' unmerged tails, keyed on (head time, log index), picks each
-// next record.
-func mergeDeliveries(logs [][]Delivery) []Delivery {
-	type tail struct {
-		ds  []Delivery
-		log int
-	}
-	total := 0
-	var h []tail
-	for i, ds := range logs {
-		total += len(ds)
-		if len(ds) > 0 {
-			h = append(h, tail{ds, i})
-		}
-	}
-	less := func(i, j int) bool {
-		a, b := h[i].ds[0].At, h[j].ds[0].At
-		return a < b || a == b && h[i].log < h[j].log
-	}
-	down := func(i int) {
-		for {
-			m := i
-			if l := 2*i + 1; l < len(h) && less(l, m) {
-				m = l
-			}
-			if r := 2*i + 2; r < len(h) && less(r, m) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	out := make([]Delivery, 0, total)
-	for len(h) > 0 {
-		out = append(out, h[0].ds[0])
-		if h[0].ds = h[0].ds[1:]; len(h[0].ds) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
-	return out
+	return sim.MergeByTime(logs, func(d *Delivery) sim.Time { return d.At })
 }
 
 // DeliveredCount returns the total number of accepted StartFlows frames.

@@ -90,13 +90,6 @@ func (w *WorkerStat) accounted() int64 {
 	return w.BusyNS + w.StallNS + w.StealNS + w.ExchangeNS
 }
 
-// idle reports whether the worker recorded nothing at all (a helper slot
-// that never woke, e.g. when GOMAXPROCS capped the pool below the
-// requested worker count).
-func (w *WorkerStat) idle() bool {
-	return w.AwakeNS == 0 && w.accounted() == 0 && w.Claims == 0 && w.Wakes == 0
-}
-
 // add folds src into w field-wise (Worker index is kept).
 func (w *WorkerStat) add(src *WorkerStat) {
 	w.BusyNS += src.BusyNS

@@ -162,7 +162,6 @@ type BurstDropper struct {
 	BurstLen int
 	rng      *rand.Rand
 	left     int
-	dropped  uint64
 }
 
 // NewBurst returns a BurstDropper.
@@ -180,19 +179,14 @@ func NewBurst(rate float64, burstLen int, seed int64) *BurstDropper {
 func (d *BurstDropper) ShouldDrop() bool {
 	if d.left > 0 {
 		d.left--
-		d.dropped++
 		return true
 	}
 	if d.rng.Float64() < d.Rate/float64(d.BurstLen) {
 		d.left = d.BurstLen - 1
-		d.dropped++
 		return true
 	}
 	return false
 }
-
-// Dropped returns how many packets were dropped.
-func (d *BurstDropper) Dropped() uint64 { return d.dropped }
 
 // Corruptor marks each in-flight packet corrupted with probability Rate;
 // the receiving NIC's CRC check then discards it. Install via the fabric

@@ -168,12 +168,6 @@ func NewSession(cfg Config, self, peer topology.NodeID) *Session {
 // State returns the current session state.
 func (s *Session) State() State { return s.state }
 
-// Peer returns the remote endpoint.
-func (s *Session) Peer() topology.NodeID { return s.peer }
-
-// Config returns the session's (defaulted) configuration.
-func (s *Session) Config() Config { return s.cfg }
-
 // TxInterval returns the negotiated steady-state transmit interval: we
 // must not send faster than the peer can receive (RFC 5880 §6.8.2:
 // max(local DesiredMinTx, remote RequiredMinRx)).

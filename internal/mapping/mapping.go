@@ -187,9 +187,6 @@ func New(k *sim.Kernel, n *nic.NIC, cfg Config) *Mapper {
 	return m
 }
 
-// NIC returns the NIC the mapper drives.
-func (m *Mapper) NIC() *nic.NIC { return m.n }
-
 func (m *Mapper) onProbe(f *proto.Frame) {
 	if f.Probe == nil {
 		return

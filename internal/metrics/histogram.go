@@ -13,7 +13,6 @@ import (
 const (
 	histSubBits = 5
 	histHalf    = 1 << (histSubBits - 1) // sub-buckets per power-of-two range
-	histBuckets = 64 * histHalf          // upper bound on bucket index space
 )
 
 // bucketIndex maps a non-negative value to its bucket.

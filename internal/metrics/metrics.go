@@ -247,12 +247,6 @@ func (r *Registry) Scope(ls Labels) *Scope {
 	}
 }
 
-// Registry returns the underlying registry.
-func (s *Scope) Registry() *Registry { return s.r }
-
-// Labels returns the scope's label set.
-func (s *Scope) Labels() Labels { return s.labels }
-
 // Counter returns the scope-labeled counter, cached by name.
 func (s *Scope) Counter(name string) *Counter {
 	c := s.counters[name]
@@ -308,9 +302,6 @@ func (s *Scope) ObserveTo(h **Histogram, name string, d time.Duration) {
 	}
 	(*h).Observe(d)
 }
-
-// Gauge returns the scope-labeled gauge.
-func (s *Scope) Gauge(name string) *Gauge { return s.r.Gauge(name, s.labels) }
 
 // GaugeFunc registers a scope-labeled derived gauge.
 func (s *Scope) GaugeFunc(name string, fn func() float64) {

@@ -56,9 +56,6 @@ func NewObserver(cfg Config) *Observer {
 // instrument against.
 func (o *Observer) Registry() *Registry { return o.reg }
 
-// Config returns the observer's configuration.
-func (o *Observer) Config() Config { return o.cfg }
-
 // snapshot captures the current registry state.
 func (o *Observer) snapshot(now sim.Time) Sample {
 	s := Sample{TNS: int64(now)}

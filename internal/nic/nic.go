@@ -370,9 +370,6 @@ func (n *NIC) EmitEvent(kind trace.Kind, peer topology.NodeID, msg uint64) {
 	n.emit(kind, peer, 0, 0, msg)
 }
 
-// Tracer returns the tracer wired into this NIC (nil if none).
-func (n *NIC) Tracer() trace.Tracer { return n.opts.Tracer }
-
 // PendingDelayedAcks returns the number of armed delayed-ack timers — a
 // quiesce invariant: after traffic drains, every requested ack must have
 // been emitted (piggybacked or explicit) and no timer left armed.

@@ -374,7 +374,7 @@ func TestHostProbeAnsweredInFirmware(t *testing.T) {
 	src, dst := r.hosts[0], r.hosts[1]
 	nw := r.fab.Network()
 	fwd, _ := routing.Shortest(nw, src, dst)
-	ret, _ := routing.Reverse(nw, src, fwd)
+	ret, _ := routing.Shortest(nw, dst, src)
 	probe := &proto.Frame{
 		Type:  proto.FrameHostProbe,
 		Probe: &proto.ProbePayload{ProbeID: 42, Mapper: src, ReturnRoute: ret},

@@ -206,9 +206,6 @@ func (e *Engine) profMark(dst *int64) {
 // Workers returns the worker count the engine executes epochs with.
 func (e *Engine) Workers() int { return e.workers }
 
-// Lookahead returns the epoch window width.
-func (e *Engine) Lookahead() time.Duration { return e.lookahead }
-
 // Now returns the frontier the engine has advanced to. Individual shard
 // clocks may lag it between calls; Run aligns them before returning.
 func (e *Engine) Now() sim.Time { return e.now }

@@ -4,20 +4,22 @@
 // crosses (Myrinet-style: the entire route travels in the packet header and
 // each switch consumes one byte). The package provides:
 //
-//   - Walk/Reverse: deterministic traversal of a route over a topology,
-//     and computation of the return route from the entry ports observed —
-//     exactly what mapping probes rely on.
-//   - Shortest: plain BFS shortest-path routes, used by the on-demand
-//     mapper (which does NOT need deadlock-free routes, because the
-//     retransmission protocol recovers from deadlock).
-//   - Table: the same shortest routes between every pair of a cluster's
-//     hosts, built once with one search per source, which is what the
-//     NICs of a freshly mapped cluster start with.
+//   - Walk: deterministic traversal of a route over a topology, recording
+//     the port by which the packet enters each node.
+//   - Shortest: the BFS shortest route between two hosts over usable
+//     links, a view of the one search the Table runs. These routes need
+//     not be deadlock-free: the retransmission protocol recovers from
+//     deadlock.
+//   - Table/ShortestFrom: the same shortest routes between every pair of a
+//     cluster's hosts, built once with one search per source, which is
+//     what the NICs of a freshly mapped cluster start with; ShortestFrom
+//     is the map view of one row.
 //   - UpDown: the UP*/DOWN* deadlock-free routing baseline used by
-//     conventional full-map schemes (Autonet, Myrinet mapper).
-//   - DeadlockFree: a channel-dependency-graph cycle check, used to verify
-//     that UP*/DOWN* route sets are deadlock-free and that unconstrained
-//     shortest-path route sets on cyclic topologies are not.
+//     conventional full-map schemes (Autonet, Myrinet mapper), oriented
+//     by the levels of the same search.
+//   - DeadlockFree: a channel-dependency-graph cycle check, the oracle for
+//     the claim that UP*/DOWN* route sets are deadlock-free and that
+//     unconstrained shortest-route sets on cyclic topologies are not.
 package routing
 
 import (
@@ -66,7 +68,7 @@ type WalkResult struct {
 	Dst topology.NodeID
 	// EntryPorts[i] is the port by which the packet entered the i-th
 	// switch on the path; the final element is the port by which it
-	// entered Dst. Reversing a route uses these.
+	// entered Dst. DeadlockFree finds the links crossed from these.
 	EntryPorts []int
 	// Switches lists the switches crossed, in order.
 	Switches []topology.NodeID
@@ -110,93 +112,85 @@ func Walk(nw *topology.Network, src topology.NodeID, r Route) (WalkResult, error
 	}
 }
 
-// Reverse computes the route from the destination of (src, r) back to src,
-// using the entry ports recorded by a successful walk. Probe replies travel
-// on reversed routes.
-func Reverse(nw *topology.Network, src topology.NodeID, r Route) (Route, error) {
-	res, err := Walk(nw, src, r)
-	if err != nil {
-		return nil, err
-	}
-	// Entry ports at switches, reversed, form the return route.
-	nSw := len(res.Switches)
-	rev := make(Route, nSw)
-	for i := 0; i < nSw; i++ {
-		rev[i] = res.EntryPorts[nSw-1-i]
-	}
-	return rev, nil
-}
-
 // Shortest returns a BFS shortest route from host a to host b over usable
-// links, or ErrNoPath. Ties break toward lower port numbers, so the result
-// is deterministic. The returned route is not necessarily deadlock-free in
-// combination with other routes.
+// links, or ErrNoPath: the route the Table holds for the pair. Ties break
+// toward lower port numbers, so the result is deterministic. The returned
+// route is not necessarily deadlock-free in combination with other routes.
 func Shortest(nw *topology.Network, a, b topology.NodeID) (Route, error) {
 	if a == b {
 		return nil, fmt.Errorf("routing: route to self")
 	}
-	preds := make(map[topology.NodeID]pred)
-	visited := map[topology.NodeID]bool{a: true}
-	queue := []topology.NodeID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := nw.Node(cur)
+	s := newSearch(nw)
+	s.from(a)
+	if !s.steps[b].seen {
+		return nil, fmt.Errorf("%w: %s -> %s", ErrNoPath, nw.Node(a).Name, nw.Node(b).Name)
+	}
+	return s.routeTo(b, make(Route, s.steps[b].hops)), nil
+}
+
+// step is one node's BFS record: how the search first reached it.
+type step struct {
+	from topology.NodeID // predecessor node
+	port int             // output port taken at from
+	hops int             // switches crossed from the source: the route length
+	seen bool
+}
+
+// search is the package's one shortest-route search, which Shortest, the
+// Table, ShortestFrom and UpDown's levels all read: a single-source BFS
+// that tries ports in ascending order, never lets a route transit a host,
+// and crosses only the links Neighbor finds usable (a down link, or one
+// with a down endpoint, is not). Its per-node records are indexed by node
+// ID and reused across sources.
+type search struct {
+	nw    *topology.Network
+	steps []step
+	queue []topology.NodeID
+}
+
+func newSearch(nw *topology.Network) *search {
+	n := len(nw.Nodes)
+	return &search{nw: nw, steps: make([]step, n), queue: make([]topology.NodeID, 0, n)}
+}
+
+// from runs the search from a.
+func (s *search) from(a topology.NodeID) {
+	clear(s.steps)
+	s.steps[a].seen = true
+	q := append(s.queue[:0], a)
+	for i := 0; i < len(q); i++ {
+		cur := q[i]
+		n := s.nw.Node(cur)
 		if n.Kind == topology.Host && cur != a {
 			continue // routes do not pass through hosts
 		}
+		hops := s.steps[cur].hops
+		if n.Kind == topology.Switch {
+			hops++
+		}
 		for p := 0; p < n.Radix(); p++ {
-			next, _ := nw.Neighbor(cur, p)
-			if next == topology.None || visited[next] {
+			next, _ := s.nw.Neighbor(cur, p)
+			if next == topology.None || s.steps[next].seen {
 				continue
 			}
-			if !nw.Node(next).Up {
-				continue
-			}
-			visited[next] = true
-			preds[next] = pred{cur, p}
-			if next == b {
-				return reconstruct(nw, a, b, preds), nil
-			}
-			queue = append(queue, next)
+			s.steps[next] = step{from: cur, port: p, hops: hops, seen: true}
+			q = append(q, next)
 		}
 	}
-	return nil, fmt.Errorf("%w: %s -> %s", ErrNoPath, nw.Node(a).Name, nw.Node(b).Name)
+	s.queue = q
 }
 
-func reconstruct(nw *topology.Network, a, b topology.NodeID, preds map[topology.NodeID]pred) Route {
-	// Collect output ports from b back to a; the port at host a (its only
-	// port) is implicit and excluded.
-	var ports []int
+// routeTo fills r, which holds exactly the hops of b's step, with the
+// route the last search found to b, and returns it: one port per switch
+// crossed, walking back from b (a host source's own port is implicit).
+func (s *search) routeTo(b topology.NodeID, r Route) Route {
 	cur := b
-	for cur != a {
-		pr := preds[cur]
-		if nw.Node(pr.node).Kind == topology.Switch {
-			ports = append(ports, pr.port)
-		}
-		cur = pr.node
-	}
-	// ports are reversed (b-side first).
-	r := make(Route, len(ports))
-	for i := range ports {
-		r[i] = ports[len(ports)-1-i]
+	for i := len(r) - 1; i >= 0; i-- {
+		st := s.steps[cur]
+		r[i] = st.port
+		cur = st.from
 	}
 	return r
-}
-
-type pred struct {
-	node topology.NodeID
-	port int
-}
-
-// HopCount returns the number of switches on the shortest path between two
-// hosts, or -1 if unreachable.
-func HopCount(nw *topology.Network, a, b topology.NodeID) int {
-	r, err := Shortest(nw, a, b)
-	if err != nil {
-		return -1
-	}
-	return len(r)
 }
 
 // hostsOf returns sorted host IDs for deterministic iteration.

@@ -41,26 +41,6 @@ func TestWalkErrors(t *testing.T) {
 	}
 }
 
-func TestReverseRoundTrip(t *testing.T) {
-	nw, hosts := topology.Chain(3, 2, 1)
-	a, b := hosts[0][0], hosts[2][1]
-	fwd, err := Shortest(nw, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := Reverse(nw, a, fwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Walk(nw, b, rev)
-	if err != nil {
-		t.Fatalf("reverse route does not walk: %v", err)
-	}
-	if res.Dst != a {
-		t.Fatalf("reverse route ends at %d, want %d", res.Dst, a)
-	}
-}
-
 func TestShortestLengths(t *testing.T) {
 	nw, hosts := topology.Chain(4, 1, 1)
 	for i := 1; i < 4; i++ {
@@ -109,17 +89,17 @@ func TestShortestUnreachable(t *testing.T) {
 	}
 }
 
-func TestHopCount(t *testing.T) {
+func TestShortestHops(t *testing.T) {
 	f := topology.NewFig2()
 	for i, want := range []int{1, 2, 3, 4} {
-		if got := HopCount(f.Net, f.Mapper, f.Targets[i]); got != want {
-			t.Fatalf("HopCount(mapper, target%d) = %d, want %d", i, got, want)
+		if r, err := Shortest(f.Net, f.Mapper, f.Targets[i]); err != nil || len(r) != want {
+			t.Fatalf("Shortest(mapper, target%d) = %v, %v; want %d hops", i, r, err, want)
 		}
 	}
 	nw, hosts := topology.Star(2)
 	nw.KillSwitch(nw.Switches()[0])
-	if got := HopCount(nw, hosts[0], hosts[1]); got != -1 {
-		t.Fatalf("HopCount through dead switch = %d, want -1", got)
+	if _, err := Shortest(nw, hosts[0], hosts[1]); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("Shortest through dead switch: err = %v, want ErrNoPath", err)
 	}
 }
 

@@ -76,59 +76,6 @@ func ShortestFrom(nw *topology.Network, a topology.NodeID) map[topology.NodeID]R
 	return routes
 }
 
-// step is one node's BFS record: how the search first reached it.
-type step struct {
-	from topology.NodeID // predecessor node
-	port int             // output port taken at from
-	hops int             // switches crossed from the source: the route length
-	seen bool
-}
-
-// search is a single-source BFS with Shortest's visit order and
-// tie-breaks (ports in ascending order, hosts never transit, link and
-// node liveness checked as Neighbor checks them). Its per-node records
-// are indexed by node ID and reused across sources.
-type search struct {
-	nw    *topology.Network
-	steps []step
-	queue []topology.NodeID
-}
-
-func newSearch(nw *topology.Network) *search {
-	n := len(nw.Nodes)
-	return &search{nw: nw, steps: make([]step, n), queue: make([]topology.NodeID, 0, n)}
-}
-
-// from runs the search from a.
-func (s *search) from(a topology.NodeID) {
-	clear(s.steps)
-	s.steps[a].seen = true
-	q := append(s.queue[:0], a)
-	for i := 0; i < len(q); i++ {
-		cur := q[i]
-		n := s.nw.Node(cur)
-		if n.Kind == topology.Host && cur != a {
-			continue // routes do not pass through hosts
-		}
-		hops := s.steps[cur].hops
-		if n.Kind == topology.Switch {
-			hops++
-		}
-		for p := 0; p < n.Radix(); p++ {
-			next, _ := s.nw.Neighbor(cur, p)
-			if next == topology.None || s.steps[next].seen {
-				continue
-			}
-			if !s.nw.Node(next).Up {
-				continue
-			}
-			s.steps[next] = step{from: cur, port: p, hops: hops, seen: true}
-			q = append(q, next)
-		}
-	}
-	s.queue = q
-}
-
 // row searches from a (a host, or a switch whose attached hosts share
 // the row) and returns its routes to dsts in a row of the given width.
 // All of the row's ports share one block, counted before it is
@@ -148,17 +95,8 @@ func (s *search) row(a topology.NodeID, dsts []topology.NodeID, width int) []Rou
 			continue
 		}
 		h := s.steps[b].hops
-		r := Route(block[:h:h])
+		row[b] = s.routeTo(b, block[:h:h])
 		block = block[h:]
-		// Walk back from b: every node before it on the path is a switch
-		// except the source, whose own port is implicit.
-		cur := b
-		for i := h - 1; i >= 0; i-- {
-			st := s.steps[cur]
-			r[i] = st.port
-			cur = st.from
-		}
-		row[b] = r
 	}
 	return row
 }

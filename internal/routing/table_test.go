@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -27,6 +28,18 @@ func tableCases(t *testing.T) []tableCase {
 	f := topology.NewFig2()
 	cs = append(cs, tableCase{name: "fig2", nw: f.Net, hosts: f.Net.Hosts(),
 		trunk: f.Net.Node(f.Switches[1]).Ports[0], sw: f.Switches[2]})
+	// A host node with a second port bridging the ends of a chain: routes
+	// must take the chain, since hosts never transit. It is no member,
+	// because the members' shared rows rest on hosts having one port.
+	chain, rows := topology.Chain(4, 1, 1)
+	sws := chain.Switches()
+	bridge := chain.AddSwitch("bridge", 2)
+	chain.Node(bridge).Kind = topology.Host
+	chain.ConnectAny(bridge, sws[0])
+	chain.ConnectAny(bridge, sws[3])
+	cs = append(cs, tableCase{name: "bridging host", nw: chain,
+		hosts: []topology.NodeID{rows[0][0], rows[1][0], rows[2][0], rows[3][0]},
+		trunk: chain.Node(sws[1]).Ports[1], sw: sws[2]})
 	for _, spec := range []string{"fattree:4", "dragonfly:4,2,2", "torus:2,4,4", "fattree:16"} {
 		b, err := topology.ParseSpec(spec)
 		if err != nil {
@@ -39,7 +52,8 @@ func tableCases(t *testing.T) []tableCase {
 }
 
 // sample returns every host of a small fabric, or n spread evenly over a
-// large one (per-pair Shortest is the slow side of the comparison).
+// large one (per-pair referenceShortest is the slow side of the
+// comparison).
 func sample(hosts []topology.NodeID, n int) []topology.NodeID {
 	if len(hosts) <= 128 {
 		return hosts
@@ -51,11 +65,11 @@ func sample(hosts []topology.NodeID, n int) []topology.NodeID {
 	return out
 }
 
-// checkTable compares a table built over members against per-pair
-// Shortest, which is independent map-based code: every pair of distinct
-// hosts on a small fabric, 32 sources by 128 destinations on fattree:16.
-// Pairs into hosts outside members must have no route. A source's own
-// entry is not one of its routes, so it is left to checkSharing.
+// checkTable compares a table built over members, and Shortest, against
+// per-pair referenceShortest: every pair of distinct hosts on a small
+// fabric, 32 sources by 128 destinations on fattree:16. Table pairs into
+// hosts outside members must have no route. A source's own entry is not
+// one of its routes, so it is left to checkSharing.
 func checkTable(t *testing.T, name string, nw *topology.Network, members []topology.NodeID) {
 	t.Helper()
 	tab := NewTable(nw, members)
@@ -74,7 +88,11 @@ func checkTable(t *testing.T, name string, nw *topology.Network, members []topol
 			if int(b) < len(row) {
 				got = row[b]
 			}
-			want, err := Shortest(nw, a, b)
+			want, err := referenceShortest(nw, a, b)
+			short, serr := Shortest(nw, a, b)
+			if err != nil && !errors.Is(serr, ErrNoPath) || err == nil && (serr != nil || !short.Equal(want)) {
+				t.Fatalf("%s: Shortest %d->%d = %v, %v; reference %v, %v", name, a, b, short, serr, want, err)
+			}
 			if !in[b] || err != nil {
 				if got != nil {
 					t.Fatalf("%s: %d->%d has route %v, want none", name, a, b, got)
@@ -82,7 +100,7 @@ func checkTable(t *testing.T, name string, nw *topology.Network, members []topol
 				continue
 			}
 			if got == nil || !got.Equal(want) {
-				t.Fatalf("%s: %d->%d table route %v, Shortest %v", name, a, b, got, want)
+				t.Fatalf("%s: %d->%d table route %v, reference %v", name, a, b, got, want)
 			}
 		}
 	}
@@ -121,9 +139,10 @@ func checkSharing(t *testing.T, name string, nw *topology.Network, tab *Table, m
 	}
 }
 
-// TestTableMatchesShortest checks the table against per-pair Shortest on
-// every builder, intact, with one trunk link and one switch failed before
-// the build, and over a host subset.
+// TestTableMatchesShortest checks the table and Shortest against
+// referenceShortest on every builder and on a chain that a host bridges,
+// intact, with one trunk link and one switch failed before the build, and
+// over a host subset.
 func TestTableMatchesShortest(t *testing.T) {
 	for _, c := range tableCases(t) {
 		checkTable(t, c.name, c.nw, c.hosts)

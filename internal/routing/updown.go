@@ -17,8 +17,13 @@ import (
 // cost of generally not being shortest paths and concentrating traffic
 // near the root.
 type UpDown struct {
-	nw    *topology.Network
-	level map[topology.NodeID]int
+	nw *topology.Network
+	// level is a search from the root: a node's level is its hops, and
+	// one the search never reached has none. From a switch root the hops
+	// are every node's link distance; from a host root every switch's is
+	// one less. isUp compares levels only between switches, so the shift
+	// orients no link differently.
+	level []step
 }
 
 // NewUpDown builds UP*/DOWN* orientation over the usable part of the
@@ -39,52 +44,20 @@ func NewUpDown(nw *topology.Network, root topology.NodeID) (*UpDown, error) {
 	if root == topology.None {
 		return nil, fmt.Errorf("routing: empty network")
 	}
-	ud := &UpDown{nw: nw, level: make(map[topology.NodeID]int)}
-	// BFS levels over usable links.
-	ud.level[root] = 0
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := nw.Node(cur)
-		if n.Kind == topology.Host && cur != root {
-			continue
-		}
-		for p := 0; p < n.Radix(); p++ {
-			next, _ := nw.Neighbor(cur, p)
-			if next == topology.None {
-				continue
-			}
-			if _, seen := ud.level[next]; seen {
-				continue
-			}
-			ud.level[next] = ud.level[cur] + 1
-			queue = append(queue, next)
-		}
-	}
-	return ud, nil
-}
-
-// Level returns the BFS level of a node (distance from root), or -1 if the
-// node is unreachable from the root.
-func (ud *UpDown) Level(n topology.NodeID) int {
-	l, ok := ud.level[n]
-	if !ok {
-		return -1
-	}
-	return l
+	s := newSearch(nw)
+	s.from(root)
+	return &UpDown{nw: nw, level: s.steps}, nil
 }
 
 // isUp reports whether traversing from node a to node b is an up-direction
 // hop: b is strictly closer to the root, or equally close with a lower ID.
 func (ud *UpDown) isUp(a, b topology.NodeID) bool {
-	la, oka := ud.level[a]
-	lb, okb := ud.level[b]
-	if !oka || !okb {
+	la, lb := ud.level[a], ud.level[b]
+	if !la.seen || !lb.seen {
 		return false
 	}
-	if la != lb {
-		return lb < la
+	if la.hops != lb.hops {
+		return lb.hops < la.hops
 	}
 	return b < a
 }

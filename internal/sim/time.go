@@ -26,13 +26,8 @@ import (
 // the simulation.
 type Time int64
 
-// Common durations re-exported for brevity at call sites.
-const (
-	Nanosecond  = time.Nanosecond
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-)
+// Microsecond is time.Microsecond, re-exported for brevity at call sites.
+const Microsecond = time.Microsecond
 
 // Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
@@ -48,9 +43,6 @@ func (t Time) After(o Time) bool { return t > o }
 
 // Duration converts t to the duration elapsed since the simulation epoch.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
-
-// Seconds returns t expressed in seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // String formats t using time.Duration notation (e.g. "1.5ms").
 func (t Time) String() string { return fmt.Sprint(time.Duration(t)) }

@@ -35,9 +35,6 @@ type Worker struct {
 	granted   bool
 }
 
-// Proc returns the worker's simulated process.
-func (w *Worker) Proc() *sim.Proc { return w.p }
-
 func (w *Worker) lazyInit() {
 	if w.replyExp != nil {
 		return

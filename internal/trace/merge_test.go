@@ -7,6 +7,11 @@ import (
 	"sanft/internal/topology"
 )
 
+// mergeStreams merges per-cell rings the way core's TraceEvents does.
+func mergeStreams(streams ...[]Event) []Event {
+	return sim.MergeByTime(streams, func(e *Event) sim.Time { return e.At })
+}
+
 func TestMergeStreamsOrdering(t *testing.T) {
 	ev := func(at int64, node int, note string) Event {
 		return Event{At: sim.Time(at), Node: topology.NodeID(node), Kind: EvSend, Note: note}
@@ -14,7 +19,7 @@ func TestMergeStreamsOrdering(t *testing.T) {
 	s0 := []Event{ev(10, 0, "a"), ev(30, 0, "b"), ev(30, 0, "c")}
 	s1 := []Event{ev(10, 1, "d"), ev(20, 1, "e")}
 	s2 := []Event{ev(5, 2, "f")}
-	got := MergeStreams(s0, s1, s2)
+	got := mergeStreams(s0, s1, nil, s2)
 	want := []string{"f", "a", "d", "e", "b", "c"}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d events, want %d", len(got), len(want))
@@ -27,15 +32,15 @@ func TestMergeStreamsOrdering(t *testing.T) {
 	}
 	// Inputs untouched.
 	if s0[0].Note != "a" || len(s0) != 3 {
-		t.Fatal("MergeStreams mutated an input stream")
+		t.Fatal("the merge mutated an input stream")
 	}
 }
 
 func TestMergeStreamsEmpty(t *testing.T) {
-	if got := MergeStreams(); len(got) != 0 {
+	if got := mergeStreams(); len(got) != 0 {
 		t.Fatalf("no streams should merge to empty, got %d", len(got))
 	}
-	if got := MergeStreams(nil, []Event{}, nil); len(got) != 0 {
+	if got := mergeStreams(nil, []Event{}, nil); len(got) != 0 {
 		t.Fatalf("empty streams should merge to empty, got %d", len(got))
 	}
 }
