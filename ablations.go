@@ -7,6 +7,7 @@ import (
 	"sanft/internal/core"
 	"sanft/internal/mapping"
 	"sanft/internal/microbench"
+	"sanft/internal/report"
 	"sanft/internal/retrans"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
@@ -87,7 +88,7 @@ func MappingAblationString(rows []MappingAblationRow) string {
 			fmt.Sprint(r.OnDemandProbes), r.OnDemandTime.String(),
 			fmt.Sprint(r.FullProbes), r.FullTime.String()})
 	}
-	return "Ablation: on-demand partial mapping vs full network map\n" + table(header, rs)
+	return "Ablation: on-demand partial mapping vs full network map\n" + report.Grid(header, rs)
 }
 
 // ---------------------------------------------------------------------------
@@ -218,5 +219,5 @@ func FeedbackAblationString(rows []FeedbackAblationRow) string {
 			fmt.Sprintf("%.1f", r.Adaptive), fmt.Sprint(r.AdaptiveAcks),
 			fmt.Sprint(r.FixedN), fmt.Sprintf("%.1f", r.Fixed), fmt.Sprint(r.FixedAcks)})
 	}
-	return "Ablation: sender-based feedback vs fixed ack period (unidirectional)\n" + table(header, rs)
+	return "Ablation: sender-based feedback vs fixed ack period (unidirectional)\n" + report.Grid(header, rs)
 }

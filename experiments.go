@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sanft/internal/core"
-	"sanft/internal/report"
 	"sanft/internal/retrans"
 	"sanft/internal/topology"
 )
@@ -128,8 +127,3 @@ func fmtTimer(d time.Duration) string {
 	s = strings.Replace(s, "µs", "us", 1)
 	return s
 }
-
-// table renders rows of columns with aligned widths — the shared
-// report.Grid formatter, kept under its historical name for the figure
-// and ablation renderers.
-func table(header []string, rows [][]string) string { return report.Grid(header, rows) }

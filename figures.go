@@ -41,7 +41,7 @@ func (r Fig3Result) String() string {
 		{"TOTAL", r.NoFT.Total().String(), r.FT.Total().String()},
 	}
 	return "Figure 3: 4-byte one-way latency breakdown\n" +
-		table([]string{"stage", "no-FT", "with-FT"}, rows)
+		report.Grid([]string{"stage", "no-FT", "with-FT"}, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ func (r Fig4Result) String() string {
 			(l.FT - l.NoFT).String()})
 	}
 	out := "Figure 4 (left): one-way latency, small messages\n" +
-		table([]string{"size", "no-FT", "with-FT", "overhead"}, rows)
+		report.Grid([]string{"size", "no-FT", "with-FT", "overhead"}, rows)
 	rows = nil
 	for _, b := range r.Bandwidth {
 		rows = append(rows, []string{fmt.Sprint(b.Size),
@@ -110,7 +110,7 @@ func (r Fig4Result) String() string {
 			fmt.Sprintf("%.1f", b.UniNoFT), fmt.Sprintf("%.1f", b.UniFT)})
 	}
 	out += "\nFigure 4 (right): bandwidth MB/s (pp = ping-pong, uni = unidirectional)\n" +
-		table([]string{"size", "pp-noFT", "pp-FT", "uni-noFT", "uni-FT"}, rows)
+		report.Grid([]string{"size", "pp-noFT", "pp-FT", "uni-noFT", "uni-FT"}, rows)
 	return out
 }
 
@@ -203,7 +203,7 @@ func (r SweepResult) String() string {
 			fmt.Sprintf("%g", c.ErrorRate), fmt.Sprint(c.Size),
 			fmt.Sprintf("%.1f", c.PingPong), fmt.Sprintf("%.1f", c.Uni)})
 	}
-	return table(header, rows)
+	return report.Grid(header, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ func fig9Rows(cells []Fig9Cell) ([]string, [][]string) {
 func Fig9String(cells []Fig9Cell) string {
 	header, rows := fig9Rows(cells)
 	return "Figure 9: application execution-time breakdowns (max across workers)\n" +
-		table(header, rows)
+		report.Grid(header, rows)
 }
 
 // Fig9Report renders cells as the unified report.Table, so sanapp -json

@@ -126,11 +126,11 @@ type Config struct {
 	Seed int64
 
 	// Profile enables the engine wall-clock profiler: per-worker epoch
-	// accounting in the parallel engine, kernel event counters, and
-	// frame/packet pool traffic, collected worker-locally and read back
-	// through EngineProfile after the run. Off by default; profiling
-	// never changes simulation results (it reads clocks, feeds nothing
-	// back), so profiled dumps stay byte-identical to unprofiled ones.
+	// accounting in the parallel engine, collected worker-locally and
+	// read back, with every cell's kernel counters, through
+	// EngineProfile after the run. Off by default; profiling never
+	// changes simulation results (it reads clocks, feeds nothing back),
+	// so profiled dumps stay byte-identical to unprofiled ones.
 	Profile bool
 
 	// Engine selects the execution engine; a non-zero Plan implies
@@ -195,10 +195,9 @@ type Cluster struct {
 	mappers map[topology.NodeID]*mapping.Mapper
 	remaps  map[topology.NodeID]*remapManager
 
-	// Engine-profiling state (nil/zero when Config.Profile is off).
-	prof     *enginestat.EngineProf // parallel engine's recording area
-	profiled bool
-	poolBase enginestat.PoolStat // pool counters at construction time
+	// The parallel engine's profiling area (nil unless Config.Profile is
+	// set on a plan of several cells).
+	prof *enginestat.EngineProf
 
 	// RemapStats counts remap-manager pacing activity (coalesced upcalls,
 	// deferred retries, quarantines). Each field repeats a remap.* counter
@@ -242,8 +241,8 @@ func New(cfg Config) *Cluster {
 	} else {
 		c.startEngine(routes, groups)
 	}
-	if cfg.Profile {
-		c.enableProfiling()
+	if cfg.Profile && c.eng != nil {
+		c.prof = c.eng.EnableProfiling()
 	}
 	return c
 }

@@ -7,8 +7,9 @@
 // does wall-clock time go inside an epoch (kernel execution vs barrier
 // stall vs steal-loop overhead vs exchange/merge), how well is the
 // lookahead window utilized (events per epoch, active shards per
-// barrier), how hot are the frame/packet pools, and how large did the
-// kernel arenas grow.
+// barrier), and how large did the kernel arenas grow. Per-goroutine
+// timelines are the Go execution tracer's job (runtime/trace, go tool
+// trace), not this package's.
 //
 // Design constraints, in order:
 //
@@ -19,38 +20,47 @@
 //     state.
 //   - Worker-local collection. Each engine worker writes its own
 //     WorkerStat; nothing is shared during an epoch, and the stats are
-//     merged (plain commutative sums) only after the engine quiesces.
+//     read only after the engine quiesces.
 //   - Deterministic rendering. A given Profile value renders to
-//     byte-identical text/JSON: fixed field order, no map iteration, no
+//     byte-identical JSON: fixed field order, no map iteration, no
 //     timestamps taken at render time.
 //
-// The package deliberately depends only on the standard library and
-// internal/report, so the engine layers (parsim, core, sim, proto,
-// fabric) can feed it without cycles.
+// The package depends only on the standard library, so the engine layers
+// (parsim, core) can feed it without cycles.
 package enginestat
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 	"time"
-
-	"sanft/internal/report"
 )
 
 // epoch is the process-wide monotonic base for every wall-clock reading
-// the profiler takes, so spans from different workers share one timeline.
+// the profiler takes.
 var epoch = time.Now()
 
 // NowNS returns nanoseconds since the process profiling epoch, from the
 // monotonic clock.
 func NowNS() int64 { return int64(time.Since(epoch)) }
 
+// Bucket names one of the four wall-clock buckets of a WorkerStat.
+type Bucket uint8
+
+const (
+	// Busy is time executing shard kernel windows.
+	Busy Bucket = iota
+	// Stall is barrier time.
+	Stall
+	// Steal is claim-loop overhead.
+	Steal
+	// Exchange is the coordinator's time between windows.
+	Exchange
+)
+
 // WorkerStat is one engine worker's wall-clock account of a profiled run.
 // Worker 0 is the coordinating goroutine (a full epoch participant);
-// workers 1..n-1 are the spinning helpers. All fields are plain sums, so
-// merging stats is commutative and associative.
+// workers 1..n-1 are the spinning helpers. Its methods are nil-safe, so
+// the engine runs one epoch loop whether profiling is on or off.
 type WorkerStat struct {
 	Worker int `json:"worker"`
 
@@ -68,21 +78,72 @@ type WorkerStat struct {
 	ExchangeNS int64 `json:"exchange_ns"`
 	// AwakeNS is the wall-clock window the worker was accountable for:
 	// the coordinator's time inside Run, a helper's time between wake
-	// and park. The profiler's invariant (verified by test) is that
-	// Busy+Stall+Steal+Exchange equals AwakeNS exactly: every clock read
-	// closes one bucket and opens the next.
+	// and park. Busy+Stall+Steal+Exchange equals AwakeNS exactly, because
+	// every clock read closes one bucket and opens the next (Charge).
 	AwakeNS int64 `json:"awake_ns"`
 
-	// Claims counts shard windows this worker executed; StealAttempts
-	// and StealHits count cursor claims and successful ones.
-	Claims        uint64 `json:"claims"`
-	StealAttempts uint64 `json:"steal_attempts"`
-	StealHits     uint64 `json:"steal_hits"`
-	// Wakes and Parks count the helper's spin/park state transitions.
-	Wakes uint64 `json:"wakes"`
-	Parks uint64 `json:"parks"`
-	// Events counts simulation events executed by this worker.
+	// Claims counts shard windows this worker executed, Events the
+	// simulation events they executed.
+	Claims uint64 `json:"claims"`
 	Events uint64 `json:"events"`
+
+	// mark is the instant the last charge ended, woke the start of the
+	// current awake window.
+	mark, woke int64
+}
+
+// Wake opens the worker's awake window: the next charge runs from now.
+func (w *WorkerStat) Wake() {
+	if w == nil {
+		return
+	}
+	w.mark = NowNS()
+	w.woke = w.mark
+}
+
+// Charge adds the wall-clock since the worker's last mark to bucket b and
+// moves the mark to now. It is the only clock read between Wake and Park,
+// so consecutive charges chain and no instant of the awake window is
+// counted twice or left out.
+func (w *WorkerStat) Charge(b Bucket) {
+	if w == nil {
+		return
+	}
+	now := NowNS()
+	d := now - w.mark
+	w.mark = now
+	switch b {
+	case Busy:
+		w.BusyNS += d
+	case Stall:
+		w.StallNS += d
+	case Steal:
+		w.StealNS += d
+	default:
+		w.ExchangeNS += d
+	}
+}
+
+// Ran charges one claimed shard window that executed events to Busy.
+func (w *WorkerStat) Ran(events uint64) {
+	if w == nil {
+		return
+	}
+	w.Charge(Busy)
+	w.Claims++
+	w.Events += events
+}
+
+// Park charges the time since the last mark to b, closes the awake window
+// and returns its length (0 when w is nil).
+func (w *WorkerStat) Park(b Bucket) int64 {
+	if w == nil {
+		return 0
+	}
+	w.Charge(b)
+	d := w.mark - w.woke
+	w.AwakeNS += d
+	return d
 }
 
 // accounted returns the sum of the worker's explained buckets.
@@ -90,7 +151,7 @@ func (w *WorkerStat) accounted() int64 {
 	return w.BusyNS + w.StallNS + w.StealNS + w.ExchangeNS
 }
 
-// add folds src into w field-wise (Worker index is kept).
+// add folds src's accounts into w (the Worker index is kept).
 func (w *WorkerStat) add(src *WorkerStat) {
 	w.BusyNS += src.BusyNS
 	w.StallNS += src.StallNS
@@ -98,14 +159,11 @@ func (w *WorkerStat) add(src *WorkerStat) {
 	w.ExchangeNS += src.ExchangeNS
 	w.AwakeNS += src.AwakeNS
 	w.Claims += src.Claims
-	w.StealAttempts += src.StealAttempts
-	w.StealHits += src.StealHits
-	w.Wakes += src.Wakes
-	w.Parks += src.Parks
 	w.Events += src.Events
 }
 
-// EngineStat is the epoch-loop-level account of a profiled run.
+// EngineStat is the epoch-loop-level account of a run. The engine keeps
+// it whether profiling is on or not; only RunWallNS needs the profiler.
 type EngineStat struct {
 	Workers     int   `json:"workers"`
 	Shards      int   `json:"shards"`
@@ -132,134 +190,32 @@ type EngineStat struct {
 	ActiveShardSum uint64 `json:"active_shard_sum"`
 }
 
-func (e *EngineStat) add(src *EngineStat) {
-	if e.Workers == 0 {
-		e.Workers, e.Shards, e.LookaheadNS = src.Workers, src.Shards, src.LookaheadNS
-	}
-	e.RunWallNS += src.RunWallNS
-	e.Epochs += src.Epochs
-	e.BarrierEpochs += src.BarrierEpochs
-	e.SoloBatches += src.SoloBatches
-	e.Exchanged += src.Exchanged
-	e.WindowNS += src.WindowNS
-	e.ActiveShardSum += src.ActiveShardSum
-}
-
 // KernelStat is one shard kernel's event-machinery account. Heaped
 // counts the scheduled events that entered the kernel's binary heap
 // rather than its sorted front (sim.KernelStats.Heaped); Switches counts
-// the handoffs of its event loop between goroutines (sim.Proc); ByKind
-// splits the executed events by what they were.
+// the handoffs of its event loop between goroutines (sim.Proc).
 type KernelStat struct {
-	Shard          int        `json:"shard"`
-	Scheduled      uint64     `json:"scheduled"`
-	Heaped         uint64     `json:"heaped"`
-	Cancelled      uint64     `json:"cancelled"`
-	Executed       uint64     `json:"executed"`
-	Pending        int        `json:"pending"`
-	ArenaHighWater int        `json:"arena_high_water"`
-	Switches       uint64     `json:"switches"`
-	ByKind         EventKinds `json:"by_kind"`
-}
-
-// EventKinds counts executed events by kind (sim.EventKind): retransmission
-// timer ticks, resource (firmware, DMA) completions, worm steps through
-// the wormhole fabric, Proc wake-ups, Pipe send completions and arrivals,
-// and everything else.
-type EventKinds struct {
-	Tick     uint64 `json:"tick"`
-	Resource uint64 `json:"resource"`
-	Worm     uint64 `json:"worm"`
-	Wake     uint64 `json:"wake"`
-	Pipe     uint64 `json:"pipe"`
-	Other    uint64 `json:"other"`
-}
-
-func (e *EventKinds) add(src *EventKinds) {
-	e.Tick += src.Tick
-	e.Resource += src.Resource
-	e.Worm += src.Worm
-	e.Wake += src.Wake
-	e.Pipe += src.Pipe
-	e.Other += src.Other
-}
-
-// PoolStat is the frame/packet pool traffic observed during a profiled
-// run. Gets count pooled clones served; Misses count pool refills (fresh
-// allocations), so HitRate = 1 - Misses/Gets. The counters are
-// process-wide (the pools are shared), so overlapping profiled runs in
-// one process see each other's traffic.
-type PoolStat struct {
-	FrameGets    uint64 `json:"frame_gets"`
-	FrameMisses  uint64 `json:"frame_misses"`
-	PacketGets   uint64 `json:"packet_gets"`
-	PacketMisses uint64 `json:"packet_misses"`
-}
-
-func (p *PoolStat) add(src *PoolStat) {
-	p.FrameGets += src.FrameGets
-	p.FrameMisses += src.FrameMisses
-	p.PacketGets += src.PacketGets
-	p.PacketMisses += src.PacketMisses
-}
-
-func hitRate(gets, misses uint64) float64 {
-	if gets == 0 {
-		return 0
-	}
-	return round4(1 - float64(misses)/float64(gets))
+	Shard          int    `json:"shard"`
+	Scheduled      uint64 `json:"scheduled"`
+	Heaped         uint64 `json:"heaped"`
+	Cancelled      uint64 `json:"cancelled"`
+	Executed       uint64 `json:"executed"`
+	Pending        int    `json:"pending"`
+	ArenaHighWater int    `json:"arena_high_water"`
+	Switches       uint64 `json:"switches"`
 }
 
 // Profile is the collected, serializable result of a profiled run:
-// engine totals, per-worker wall-clock accounts, per-shard kernel
-// counters, pool traffic, and (when span recording was enabled) the
-// wall-clock spans for the Perfetto export. SpansDropped counts the spans
-// the per-worker caps turned away, so a truncated trace says so.
+// engine totals, per-worker wall-clock accounts and per-shard kernel
+// counters.
 type Profile struct {
-	Engine       EngineStat   `json:"engine"`
-	Workers      []WorkerStat `json:"workers,omitempty"`
-	Kernels      []KernelStat `json:"kernels,omitempty"`
-	Pools        PoolStat     `json:"pools"`
-	Spans        []Span       `json:"-"`
-	SpansDropped uint64       `json:"spans_dropped,omitempty"`
-}
-
-// AddFrom folds src into p. Every field is a commutative sum (workers and
-// kernels are matched by index, extending as needed), so aggregating
-// profiles from many runs — or worker-local stats from one run — gives
-// the same result in any order. Spans are concatenated and re-sorted at
-// export time.
-func (p *Profile) AddFrom(src *Profile) {
-	p.Engine.add(&src.Engine)
-	for i := range src.Workers {
-		for len(p.Workers) <= i {
-			p.Workers = append(p.Workers, WorkerStat{Worker: len(p.Workers)})
-		}
-		p.Workers[i].add(&src.Workers[i])
-	}
-	for i := range src.Kernels {
-		for len(p.Kernels) <= i {
-			p.Kernels = append(p.Kernels, KernelStat{Shard: len(p.Kernels)})
-		}
-		k, s := &p.Kernels[i], &src.Kernels[i]
-		k.Scheduled += s.Scheduled
-		k.Heaped += s.Heaped
-		k.Cancelled += s.Cancelled
-		k.Executed += s.Executed
-		k.Pending += s.Pending
-		if s.ArenaHighWater > k.ArenaHighWater {
-			k.ArenaHighWater = s.ArenaHighWater
-		}
-		k.Switches += s.Switches
-		k.ByKind.add(&s.ByKind)
-	}
-	p.Pools.add(&src.Pools)
-	p.Spans = append(p.Spans, src.Spans...)
-	p.SpansDropped += src.SpansDropped
+	Engine  EngineStat   `json:"engine"`
+	Workers []WorkerStat `json:"workers,omitempty"`
+	Kernels []KernelStat `json:"kernels,omitempty"`
 }
 
 // MergeWorkers flattens per-worker stats into one total, the order-free
-// aggregation the commutativity test pins.
+// aggregation the Summary fractions are derived from.
 func MergeWorkers(ws []WorkerStat) WorkerStat {
 	var t WorkerStat
 	t.Worker = -1
@@ -293,9 +249,6 @@ type Summary struct {
 	StallFrac       float64 `json:"stall_frac"`
 	StealFrac       float64 `json:"steal_frac"`
 	ExchangeFrac    float64 `json:"exchange_frac"`
-	StealHitRate    float64 `json:"steal_hit_rate"`
-	FramePoolHit    float64 `json:"frame_pool_hit_rate"`
-	PacketPoolHit   float64 `json:"packet_pool_hit_rate"`
 	ArenaHighWater  int     `json:"arena_high_water"`
 }
 
@@ -330,11 +283,6 @@ func (p *Profile) Summarize() Summary {
 		s.StealFrac = round4(float64(t.StealNS) / float64(acc))
 		s.ExchangeFrac = round4(float64(t.ExchangeNS) / float64(acc))
 	}
-	if t.StealAttempts > 0 {
-		s.StealHitRate = round4(float64(t.StealHits) / float64(t.StealAttempts))
-	}
-	s.FramePoolHit = hitRate(p.Pools.FrameGets, p.Pools.FrameMisses)
-	s.PacketPoolHit = hitRate(p.Pools.PacketGets, p.Pools.PacketMisses)
 	for i := range p.Kernels {
 		if hw := p.Kernels[i].ArenaHighWater; hw > s.ArenaHighWater {
 			s.ArenaHighWater = hw
@@ -350,64 +298,4 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(p)
-}
-
-// ms renders nanoseconds as milliseconds with fixed precision.
-func ms(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
-
-// WriteText renders the profile as a human-readable report: engine
-// totals, a per-worker wall-clock table, kernel counters, and pool hit
-// rates. Byte-stable for a given Profile value.
-func (p *Profile) WriteText(w io.Writer) error {
-	var b strings.Builder
-	e := &p.Engine
-	fmt.Fprintf(&b, "engine: workers=%d shards=%d lookahead=%s\n",
-		e.Workers, e.Shards, time.Duration(e.LookaheadNS))
-	fmt.Fprintf(&b, "  run wall      %s ms\n", ms(e.RunWallNS))
-	fmt.Fprintf(&b, "  epochs        %d (%d barrier, %d solo batches)\n",
-		e.Epochs, e.BarrierEpochs, e.SoloBatches)
-	fmt.Fprintf(&b, "  exchanged     %d cross-shard events\n", e.Exchanged)
-	sum := p.Summarize()
-	fmt.Fprintf(&b, "  utilization   %.4g events/epoch, %.4g active shards/barrier\n",
-		sum.EventsPerEpoch, sum.AvgActiveShards)
-	b.WriteString(p.WorkerTable().String())
-	if len(p.Kernels) > 0 {
-		b.WriteString("kernels:\n")
-		for i := range p.Kernels {
-			k := &p.Kernels[i]
-			fmt.Fprintf(&b, "  shard %-4d scheduled=%d heaped=%d cancelled=%d executed=%d pending=%d arena_high_water=%d switches=%d\n",
-				k.Shard, k.Scheduled, k.Heaped, k.Cancelled, k.Executed, k.Pending, k.ArenaHighWater, k.Switches)
-			e := &k.ByKind
-			fmt.Fprintf(&b, "             by kind: tick=%d resource=%d worm=%d wake=%d pipe=%d other=%d\n",
-				e.Tick, e.Resource, e.Worm, e.Wake, e.Pipe, e.Other)
-		}
-	}
-	fmt.Fprintf(&b, "pools: frame gets=%d misses=%d hit=%.4g  packet gets=%d misses=%d hit=%.4g\n",
-		p.Pools.FrameGets, p.Pools.FrameMisses, sum.FramePoolHit,
-		p.Pools.PacketGets, p.Pools.PacketMisses, sum.PacketPoolHit)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WorkerTable renders the per-worker accounts through the shared report
-// contract, so CLIs print the engine report the same way they print every
-// other result table.
-func (p *Profile) WorkerTable() *report.Table {
-	t := &report.Table{
-		Name: "engine wall-clock by worker",
-		Header: []string{"worker", "busy_ms", "stall_ms", "steal_ms", "exchange_ms",
-			"awake_ms", "claims", "steal_hit", "events"},
-	}
-	for i := range p.Workers {
-		w := &p.Workers[i]
-		hit := "-"
-		if w.StealAttempts > 0 {
-			hit = fmt.Sprintf("%.3f", float64(w.StealHits)/float64(w.StealAttempts))
-		}
-		t.Cells = append(t.Cells, []string{
-			fmt.Sprint(w.Worker), ms(w.BusyNS), ms(w.StallNS), ms(w.StealNS),
-			ms(w.ExchangeNS), ms(w.AwakeNS), fmt.Sprint(w.Claims), hit, fmt.Sprint(w.Events),
-		})
-	}
-	return t
 }

@@ -89,10 +89,6 @@ func (p *pipeLanded) Fire(arg any) {
 	(*Pipe)(p).arrive(pkt.term, pkt)
 }
 
-func (*pipeSent) EventKind() sim.EventKind     { return sim.KindPipe }
-func (*pipeSentAway) EventKind() sim.EventKind { return sim.KindPipe }
-func (*pipeLanded) EventKind() sim.EventKind   { return sim.KindPipe }
-
 // SetEgress installs the shard-boundary hook: packets terminating at a
 // host with no local AttachHost callback are handed to fn together with
 // their arrival time (strictly later than now by at least the cross-shard

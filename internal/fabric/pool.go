@@ -2,12 +2,6 @@ package fabric
 
 import "sanft/internal/sim"
 
-// PoolStats returns how many pooled packets (NewPacket and clones) the
-// process has served, and how many of those were fresh allocations (pool
-// misses). The pool is process-wide, so the engine profiler reports
-// deltas from a construction-time baseline.
-func PoolStats() (gets, misses uint64) { return packetPool.Stats() }
-
 // packetBlock is one unit of pooled packet storage: the packet plus a
 // reusable route buffer, so sending a packet, or cloning one across a
 // shard boundary, allocates nothing in steady state. The payload is not

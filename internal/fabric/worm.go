@@ -87,9 +87,6 @@ const (
 	wormWatchdog                  // the blocked-path timer expired
 )
 
-// EventKind names the worm's events for the engine profiler.
-func (*worm) EventKind() sim.EventKind { return sim.KindWorm }
-
 // Fire runs one of the worm's events. A worm whose delivery ran goes back
 // to the fabric's free list once the event is over: its releases were
 // all due before the delivery and have fired, its watchdog is cancelled,

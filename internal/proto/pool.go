@@ -5,13 +5,6 @@ import (
 	"sanft/internal/topology"
 )
 
-// PoolStats returns how many pooled frames (NewAck and clones) the
-// process has served, and how many of those were fresh allocations (pool
-// misses). The pool is process-wide — concurrent clusters in one process
-// see combined traffic — so the engine profiler reports deltas from a
-// construction-time baseline.
-func PoolStats() (gets, misses uint64) { return framePool.Stats() }
-
 // frameBlock is one unit of pooled frame storage: the frame itself plus
 // inline payload structs and reusable byte/route buffers, allocated as a
 // single block so an explicit ack or a shard-boundary clone touches the

@@ -34,49 +34,6 @@ type thunk func()
 
 func (f thunk) Fire(any) { f() }
 
-// EventKind classifies an executed event for the profiler's by-kind counts
-// (KernelStats.ByKind).
-type EventKind uint8
-
-const (
-	// KindOther is every event no other kind claims.
-	KindOther EventKind = iota
-	// KindTick is a periodic timer tick (the NIC retransmission timer).
-	KindTick
-	// KindResource is the completion of a Resource work item.
-	KindResource
-	// KindWorm is a step of a worm through the wormhole fabric.
-	KindWorm
-	// KindWake is a Proc's start, wake-up or wait timeout.
-	KindWake
-	// KindPipe is a Pipe's send-DMA completion or local arrival.
-	KindPipe
-
-	// NumEventKinds is the number of kinds.
-	NumEventKinds
-)
-
-// Kinded is implemented by a Handler whose events are of one EventKind
-// other than those the kernel knows itself (Proc wake-ups and Resource
-// completions).
-type Kinded interface {
-	EventKind() EventKind
-}
-
-// kindOf classifies an event by its handler; called only while CountKinds
-// is on.
-func kindOf(h Handler) EventKind {
-	switch h := h.(type) {
-	case *procWake, *procTimeout:
-		return KindWake
-	case *resourceDone:
-		return KindResource
-	case Kinded:
-		return h.EventKind()
-	}
-	return KindOther
-}
-
 // event is one scheduled callback, stored flat in the kernel's arena and
 // addressed by its arena index. Events execute in (at, sched, from, seq)
 // order, which keeps runs deterministic. An ordinary event's sched is the
@@ -210,10 +167,6 @@ type Kernel struct {
 	// scheduled counts the events ever inserted (seq counts ordinary
 	// events and reserved keys only), heaped those that entered the heap.
 	scheduled, heaped uint64
-
-	// byKind counts executed events per EventKind while CountKinds is on;
-	// nil otherwise, so the off path costs fire one branch.
-	byKind *[NumEventKinds]uint64
 }
 
 // laterBand is set in the seq of every ordinary event, so that an AtAsOf
@@ -255,9 +208,7 @@ func (k *Kernel) Pending() int { return k.nfront + len(k.heap) }
 // peak number of distinct event slots ever live at
 // once, i.e. the arena's memory footprint in records; Switches counts
 // every handoff of the loop from one goroutine to another (a Proc's
-// start, a wake-up of another Proc, a return to the caller). ByKind
-// splits the events executed since CountKinds by EventKind (all zero
-// when it was never called).
+// start, a wake-up of another Proc, a return to the caller).
 type KernelStats struct {
 	Scheduled      uint64
 	Heaped         uint64
@@ -266,14 +217,13 @@ type KernelStats struct {
 	Pending        int
 	ArenaHighWater int
 	Switches       uint64
-	ByKind         [NumEventKinds]uint64
 }
 
 // Stats returns the kernel's counter snapshot. Always available — the
 // counters are plain increments on paths that already mutate kernel
 // state, cheap enough to keep unconditionally.
 func (k *Kernel) Stats() KernelStats {
-	s := KernelStats{
+	return KernelStats{
 		Scheduled:      k.scheduled,
 		Heaped:         k.heaped,
 		Cancelled:      k.cancelled,
@@ -281,19 +231,6 @@ func (k *Kernel) Stats() KernelStats {
 		Pending:        k.Pending(),
 		ArenaHighWater: len(k.arena),
 		Switches:       k.switches,
-	}
-	if k.byKind != nil {
-		s.ByKind = *k.byKind
-	}
-	return s
-}
-
-// CountKinds starts counting executed events by EventKind (see
-// KernelStats.ByKind). The engine profiler turns it on; it never changes
-// what a run does.
-func (k *Kernel) CountKinds() {
-	if k.byKind == nil {
-		k.byKind = new([NumEventKinds]uint64)
 	}
 }
 
@@ -575,9 +512,6 @@ func (k *Kernel) fire() {
 	h, arg := e.h, e.arg
 	k.release(id)
 	k.executed++
-	if k.byKind != nil {
-		k.byKind[kindOf(h)]++
-	}
 	h.Fire(arg)
 }
 

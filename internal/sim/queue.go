@@ -75,36 +75,24 @@ func (q *Queue[T]) reclaim() {
 // it keeps every object until one is taken, garbage collections and the
 // race detector included, so a steady get/put cycle allocates nothing
 // under `go test -race` too. It is safe for concurrent use: the cells of
-// the parallel engine and concurrent campaigns share one. It counts its
-// own traffic (Stats). The zero value is an empty list.
+// the parallel engine and concurrent campaigns share one. The zero value
+// is an empty list.
 type FreeList[T any] struct {
-	mu           sync.Mutex
-	items        []*T
-	gets, misses uint64
+	mu    sync.Mutex
+	items []*T
 }
 
 // Get takes the object put back last, nil if there is none.
 func (l *FreeList[T]) Get() *T {
 	l.mu.Lock()
-	l.gets++
 	var x *T
 	if n := len(l.items); n > 0 {
 		x = l.items[n-1]
 		l.items[n-1] = nil
 		l.items = l.items[:n-1]
-	} else {
-		l.misses++
 	}
 	l.mu.Unlock()
 	return x
-}
-
-// Stats returns how many times Get was called, and how many of those
-// calls found the list empty.
-func (l *FreeList[T]) Stats() (gets, misses uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gets, l.misses
 }
 
 // Put hands x back for reuse. The caller has cleared what x must not keep

@@ -62,8 +62,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 // TestFreeList: Get returns the newest object put back, nil when empty;
-// concurrent users each get back only objects nobody else holds; Stats
-// counts every Get and the ones that found the list empty.
+// concurrent users each get back only objects nobody else holds.
 func TestFreeList(t *testing.T) {
 	var l FreeList[int]
 	if l.Get() != nil {
@@ -74,9 +73,6 @@ func TestFreeList(t *testing.T) {
 	l.Put(b)
 	if l.Get() != b || l.Get() != a || l.Get() != nil {
 		t.Fatal("Get does not return the newest object first")
-	}
-	if gets, misses := l.Stats(); gets != 4 || misses != 2 {
-		t.Fatalf("Stats = %d gets, %d misses; want 4, 2", gets, misses)
 	}
 	var wg sync.WaitGroup
 	for g := 1; g <= 4; g++ {
@@ -100,7 +96,4 @@ func TestFreeList(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if gets, _ := l.Stats(); gets != 4+4*1000 {
-		t.Fatalf("Stats = %d gets, want %d", gets, 4+4*1000)
-	}
 }

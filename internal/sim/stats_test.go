@@ -69,38 +69,4 @@ func TestKernelStats(t *testing.T) {
 	if s = k.Stats(); s.Switches != 4 {
 		t.Fatalf("Switches = %d after the run, want 4", s.Switches)
 	}
-	if s.ByKind != ([NumEventKinds]uint64{}) {
-		t.Fatalf("ByKind = %v without CountKinds, want all zero", s.ByKind)
-	}
-
-	// Once CountKinds is on, every executed event counts once, under the
-	// kind of its handler: Proc starts and wake-ups, Resource completions,
-	// a Kinded handler's own kind, and everything else as other.
-	k.CountKinds()
-	r := NewResource(k, "cpu")
-	r.Submit(time.Microsecond, nil)
-	r.Submit(time.Microsecond, func() {})
-	k.Spawn("q", func(p *Proc) { p.Sleep(time.Microsecond) })
-	k.AtHandler(k.Now().Add(time.Microsecond), tickHandler{}, nil)
-	k.After(time.Microsecond, func() {})
-	before := k.Executed()
-	k.Run()
-	s = k.Stats()
-	want := [NumEventKinds]uint64{KindOther: 1, KindTick: 1, KindResource: 2, KindWake: 2}
-	if s.ByKind != want {
-		t.Fatalf("ByKind = %v, want %v", s.ByKind, want)
-	}
-	var sum uint64
-	for _, n := range s.ByKind {
-		sum += n
-	}
-	if sum != s.Executed-before {
-		t.Fatalf("ByKind sums to %d, want the %d events executed since CountKinds", sum, s.Executed-before)
-	}
 }
-
-// tickHandler is a Kinded handler that does nothing.
-type tickHandler struct{}
-
-func (tickHandler) Fire(any)             {}
-func (tickHandler) EventKind() EventKind { return KindTick }

@@ -177,6 +177,13 @@ func DoubleStar(nHosts int) (*Network, []NodeID) {
 // switch-to-switch links are added until avgDegree is reached (or ports run
 // out). Deterministic for a given seed.
 //
+// Connectivity comes from a random spanning tree: switch i links to a
+// switch drawn from those before it, or, when the drawn one has no free
+// port, to the next earlier one that has. The i earlier switches hold
+// i·radix ports and their tree uses 2(i−1), so with radix 2 or more one
+// always has; Random panics on a smaller radix, naming it and the switch
+// count.
+//
 // The seed is finalized through parsim.ShardSeed — the same per-shard RNG
 // discipline every engine component uses — rather than fed to math/rand
 // raw, so adjacent seeds (the common "replica i uses seed base+i" pattern
@@ -187,6 +194,9 @@ func Random(nHosts, nSwitches, radix int, avgDegree float64, seed int64) (*Netwo
 	if nSwitches < 1 || nHosts < 0 {
 		panic("topology: bad random parameters")
 	}
+	if radix < 2 {
+		panic(fmt.Sprintf("topology: Random cannot connect %d switches of radix %d (a tree needs radix 2)", nSwitches, radix))
+	}
 	rng := rand.New(rand.NewSource(parsim.ShardSeed(seed, 0)))
 	nw := New()
 	sws := make([]NodeID, nSwitches)
@@ -196,6 +206,9 @@ func Random(nHosts, nSwitches, radix int, avgDegree float64, seed int64) (*Netwo
 	// Random spanning tree first, to guarantee connectivity.
 	for i := 1; i < nSwitches; i++ {
 		j := rng.Intn(i)
+		for nw.Node(sws[j]).FreePort() < 0 {
+			j = (j + i - 1) % i // the next earlier switch, wrapping to i-1
+		}
 		nw.ConnectAny(sws[i], sws[j])
 	}
 	// Extra links up to the requested average switch degree.

@@ -2,6 +2,7 @@ package topology_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sanft/internal/topology"
@@ -261,6 +262,40 @@ func TestBuilderDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBuilderRandomFullParents: the random builder's spanning tree skips
+// a drawn parent that has no free port, so switches outnumbering their
+// radix still build a valid, connected fabric, and a radix no tree fits
+// panics saying so. Seeds 0–99 of this shape panicked at 46 seeds when
+// the tree connected to the drawn parent unconditionally.
+func TestBuilderRandomFullParents(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		nw, hosts := topology.Random(8, 8, 3, 2.0, seed)
+		if err := nw.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sws := nw.Switches()
+		seen := map[topology.NodeID]bool{sws[0]: true}
+		for q := []topology.NodeID{sws[0]}; len(q) > 0; q = q[1:] {
+			for p := range nw.Node(q[0]).Ports {
+				if m, _ := nw.Neighbor(q[0], p); m != topology.None && !seen[m] {
+					seen[m] = true
+					q = append(q, m)
+				}
+			}
+		}
+		if len(seen) != len(sws)+len(hosts) {
+			t.Fatalf("seed %d: %d of %d nodes reachable from switch 0", seed, len(seen), len(sws)+len(hosts))
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "connect 3 switches of radix 1") {
+			t.Fatalf("radix 1, 3 switches: panic %q", msg)
+		}
+	}()
+	topology.Random(0, 3, 1, 1.0, 1)
 }
 
 // TestFatTreeHandle spot-checks the structural handle's link classes.

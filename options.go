@@ -154,13 +154,13 @@ func WithFlightRecorder(fr *FlightRecorder) Option {
 }
 
 // WithEngineProfiling enables the engine's wall-clock self-profiler:
-// per-worker epoch accounting (busy / barrier-stall / steal / exchange
-// time, steal hit rates, events executed), per-shard kernel counters
-// (scheduled/cancelled/executed, arena high-water mark), and frame/packet
-// pool hit rates. Read the collected profile with Cluster.EngineProfile
-// after the run; render it with its WriteText/WriteJSON/WriteChromeTrace.
-// Profiling observes wall clocks only and feeds nothing back, so results
-// stay byte-identical to an unprofiled run.
+// per-worker epoch accounting on a plan of several cells (busy /
+// barrier-stall / steal / exchange time, claims, events executed) and
+// per-cell kernel counters (scheduled/cancelled/executed, arena
+// high-water mark). Read the collected profile with Cluster.EngineProfile
+// after the run; render it with its WriteJSON, or derive its ratios with
+// Summarize. Profiling observes wall clocks only and feeds nothing back,
+// so results stay byte-identical to an unprofiled run.
 func WithEngineProfiling() Option {
 	return func(c *Config) { c.Profile = true }
 }

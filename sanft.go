@@ -127,8 +127,8 @@ type (
 	TraceRecovery = trace.RecoveryTimeline
 
 	// EngineProfile is the engine self-profiler's collected result
-	// (enable with WithEngineProfiling, record wall-clock spans with
-	// Cluster.ProfileSpans, read with Cluster.EngineProfile).
+	// (enable with WithEngineProfiling, read with Cluster.EngineProfile,
+	// render with its WriteJSON, derive ratios with its Summarize).
 	EngineProfile = enginestat.Profile
 )
 

@@ -6,6 +6,7 @@ import (
 
 	"sanft/internal/core"
 	"sanft/internal/mapping"
+	"sanft/internal/report"
 	"sanft/internal/retrans"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
@@ -71,5 +72,5 @@ func Table3String(rows []Table3Row) string {
 		})
 	}
 	return "Table 3: on-demand mapping cost vs switch distance (Fig. 2 testbed)\n" +
-		table(header, rs)
+		report.Grid(header, rs)
 }
