@@ -10,7 +10,7 @@ import (
 
 // profiledGateRun executes the reference parallel scenario with the
 // profiler on and returns the cluster's collected profile.
-func profiledGateRun(t *testing.T, workers int) *EngineProfile {
+func profiledGateRun(t *testing.T, workers int) (*EngineProfile, time.Duration) {
 	t.Helper()
 	f := NewFig2()
 	s := New(
@@ -27,13 +27,15 @@ func profiledGateRun(t *testing.T, workers int) *EngineProfile {
 		WithEngineProfiling(),
 	)
 	s.StartFlows(gateFlows(f), 8, 512, 200*time.Microsecond)
+	start := time.Now()
 	s.RunFor(40 * time.Millisecond)
+	span := time.Since(start)
 	s.Stop()
 	p := s.EngineProfile()
 	if p == nil {
 		t.Fatal("EngineProfile returned nil with profiling enabled")
 	}
-	return p
+	return p, span
 }
 
 // TestEngineProfileOffByteIdentical is the differential gate of the
@@ -52,16 +54,17 @@ func TestEngineProfileOffByteIdentical(t *testing.T) {
 // TestEngineProfileAccountingInvariant pins the profiler's documented
 // invariant: for every worker that woke at all, the explained buckets
 // (busy + stall + steal + exchange) sum to its awake wall-clock exactly,
-// and the coordinator's awake time equals the engine's Run wall-clock.
-// Every clock read closes one bucket and opens the next, so a worker
-// descheduled anywhere still has its time land in some bucket. GOMAXPROCS
-// is raised to 4 so the engine actually spins up helpers even on small CI
-// machines.
+// and the engine's Run wall-clock lies within the span the test's own
+// clock measures around the run (a Run that counted an epoch twice would
+// pass it). Every clock read closes one bucket and opens the next, so a
+// worker descheduled anywhere still has its time land in some bucket.
+// GOMAXPROCS is raised to 4 so the engine actually spins up helpers even
+// on small CI machines.
 func TestEngineProfileAccountingInvariant(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
-	p := profiledGateRun(t, 4)
+	p, span := profiledGateRun(t, 4)
 	if p.Engine.Epochs == 0 || p.Engine.RunWallNS <= 0 {
 		t.Fatalf("empty engine stats: %+v", p.Engine)
 	}
@@ -89,9 +92,9 @@ func TestEngineProfileAccountingInvariant(t *testing.T) {
 		t.Fatal("no worker recorded any activity")
 	}
 
-	// The coordinator is awake for exactly the time spent inside Run.
-	if w0 := &p.Workers[0]; w0.AwakeNS != p.Engine.RunWallNS {
-		t.Errorf("coordinator awake %dns vs run wall %dns", w0.AwakeNS, p.Engine.RunWallNS)
+	// Run is timed inside the span the test measured around it.
+	if wall := p.Engine.RunWallNS; wall <= 0 || wall > span.Nanoseconds() {
+		t.Errorf("run wall %dns outside the measured span of %dns", wall, span.Nanoseconds())
 	}
 }
 

@@ -439,6 +439,45 @@ func BenchmarkKernelPipeline(b *testing.B) {
 	}
 }
 
+// farTimerDelays and nearDelays are BenchmarkKernelFarTimers' cycles of
+// delays: retransmission ticks, think and arrival sleeps and delayed acks
+// 50 µs to 1 ms out, and packet stages a few hundred ns to a few µs out.
+var (
+	farTimerDelays = [7]time.Duration{time.Millisecond, 800 * time.Microsecond, 120 * time.Microsecond,
+		time.Millisecond, 50 * time.Microsecond, 450 * time.Microsecond, 2 * time.Millisecond}
+	nearDelays = [5]time.Duration{300, 1200, 700, 3500, 100}
+)
+
+// BenchmarkKernelFarTimers measures schedule+fire on the queue shape of
+// the fattree:16 SLO grid: 28 timers and sleeps stay pending, each
+// re-armed when it fires, while 4 packet events cycle ahead of them.
+// About 99 % of the events fired are near ones, and two thirds of them
+// enter a heap: the near one, about 4 deep, not the 32-deep mix.
+func BenchmarkKernelFarTimers(b *testing.B) {
+	k := New(1)
+	var nearFn, farFn func()
+	n, f := 0, 0
+	nearFn = func() {
+		n++
+		k.After(nearDelays[n%len(nearDelays)], nearFn)
+	}
+	farFn = func() {
+		f++
+		k.After(farTimerDelays[f%len(farTimerDelays)], farFn)
+	}
+	for i := 0; i < 28; i++ {
+		k.After(farTimerDelays[i%len(farTimerDelays)]+time.Duration(i)*time.Microsecond, farFn)
+	}
+	for i := 0; i < 4; i++ {
+		k.After(nearDelays[i%len(nearDelays)], nearFn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
 // BenchmarkOldKernelSchedulePop measures the legacy pointer-heap queue
 // on the identical workload.
 func BenchmarkOldKernelSchedulePop(b *testing.B) {

@@ -53,7 +53,7 @@ type event struct {
 	from  Origin
 	seq   uint64
 	gen   uint32
-	pos   int32 // index in the kernel's heap, inFront, or -1 when not queued
+	pos   int32 // index in the kernel's heap (far ones tagged farTag), inFront, or -1 when not queued
 	h     Handler
 	arg   any
 }
@@ -102,7 +102,7 @@ func (t Timer) Cancel() bool {
 	if e.pos == inFront {
 		t.k.frontRemove(t.id)
 	} else {
-		t.k.heapRemove(int(e.pos))
+		t.k.heapRemove(e.pos)
 	}
 	t.k.release(t.id)
 	t.k.cancelled++
@@ -124,17 +124,21 @@ func (t Timer) Pending() bool {
 // goroutine holds it, the caller's or that of the Proc that parked last,
 // and the others wait on a channel until the loop is handed to them.
 //
-// The event queue is a short sorted front ahead of an index-based binary
-// heap, both over a flat struct arena: no per-event heap allocation, no
-// interface boxing, and cancellation removes the event eagerly instead of
-// leaving a tombstone to skip later. The front holds the next few events,
-// each ordered before every event in the heap; an event scheduled ahead of
-// the heap's root joins it instead of being sifted in, and the next event
-// leaves it without a sift. Few events are pending in real runs (about 5
-// on the paper's figures, about 30 on a loaded fattree:16), and about 40 %
-// of all events are the next to run from when they are scheduled until
-// they fire. In steady state scheduling and firing events allocates
-// nothing.
+// The event queue is a short sorted front ahead of two index-based binary
+// heaps, a near one and a far one, all over a flat struct arena: no
+// per-event heap allocation, no interface boxing, and cancellation removes
+// the event eagerly instead of leaving a tombstone to skip later. The
+// front holds the next few events, each ordered before every event in
+// either heap; an event scheduled ahead of both roots joins it instead of
+// being sifted in, and the next event leaves it without a sift. An event
+// that does not stay in the front goes to the far heap when it is due more
+// than horizon after the instant it is queued at, and to the near heap
+// otherwise, so the packet events sift past the few events due soon, not
+// past every pending timer. Few events are pending in real runs (about 5
+// on the paper's figures; about 32 on a loaded fattree:16, of which about
+// 28 are far timers and sleeps), and about 40 % of all events are the
+// next to run from when they are scheduled until they fire. In steady
+// state scheduling and firing events allocates nothing.
 type Kernel struct {
 	now     Time
 	seq     uint64
@@ -145,7 +149,8 @@ type Kernel struct {
 	free   []int32          // recycled arena slots
 	front  [frontSize]int32 // the next events, latest first: front[nfront-1] runs next
 	nfront int              // entries in front
-	heap   []int32          // binary heap of the later event ids, ordered by (at, sched, from, seq)
+	heap   []int32          // binary heap of the later event ids due soon, ordered by (at, sched, from, seq)
+	far    []int32          // the same for those due more than horizon after they were queued
 
 	bound   Time          // the current run executes events at or before bound
 	running bool          // a Run, RunUntil or RunBefore call is active
@@ -153,6 +158,9 @@ type Kernel struct {
 	woken   *Proc         // the Proc the event just fired dispatched
 	home    chan struct{} // hands the loop back to the caller
 	failure any           // a panic raised on a Proc's goroutine, for the caller
+
+	idle  [carrierPool]*carrier // carriers waiting for a new Proc to run
+	nidle int                   // entries in idle
 
 	procs     procList // live procs in spawn order, for shutdown
 	executed  uint64   // events executed, for diagnostics
@@ -165,7 +173,7 @@ type Kernel struct {
 	// now (see Ran).
 	ran, ranFrom Origin
 	// scheduled counts the events ever inserted (seq counts ordinary
-	// events and reserved keys only), heaped those that entered the heap.
+	// events and reserved keys only), heaped those that entered a heap.
 	scheduled, heaped uint64
 }
 
@@ -181,6 +189,21 @@ const frontSize = 8
 
 // inFront is the pos of an event held in the front.
 const inFront = math.MaxInt32
+
+// farTag is set in the pos of an event held in the far heap, above its
+// index there (so pos == inFront is tested first).
+const farTag = 1 << 30
+
+// horizon splits the two heaps: an event due more than horizon after the
+// instant it is queued at goes to the far heap. On the fattree:16 SLO
+// grid (2-core Xeon VM, seeds 1–5, medians of one run each) 2, 5, 10 and
+// 30 µs gave pass times within noise of each other, 0.424–0.437 s;
+// 100 µs gave 0.438 s, 1 ms 0.443 s, and one heap 0.445 s. About 4 of
+// that grid's ~32 heaped events are due within 10 µs (resource
+// completions, worm steps) and take about 86 % of the heap inserts; the
+// rest are 1 ms retransmission ticks, think and arrival sleeps and
+// delayed acks.
+const horizon = Time(10 * Microsecond)
 
 // New returns a kernel with its clock at zero and an RNG seeded with seed.
 func New(seed int64) *Kernel {
@@ -198,17 +221,18 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending returns the number of events currently scheduled. Cancelled
 // events are removed eagerly, so the count is exact.
-func (k *Kernel) Pending() int { return k.nfront + len(k.heap) }
+func (k *Kernel) Pending() int { return k.nfront + len(k.heap) + len(k.far) }
 
 // KernelStats is a snapshot of the kernel's event-machinery counters, for
 // the engine profiler. Scheduled counts every schedule call (it equals
 // Cancelled + Executed + Pending once the run has quiesced); Heaped counts
-// the events that entered the binary heap rather than the front, whether
-// scheduled there or moved there from a full front; ArenaHighWater is the
-// peak number of distinct event slots ever live at
+// the events that entered either binary heap rather than the front,
+// whether scheduled there or moved there from a full front;
+// ArenaHighWater is the peak number of distinct event slots ever live at
 // once, i.e. the arena's memory footprint in records; Switches counts
-// every handoff of the loop from one goroutine to another (a Proc's
-// start, a wake-up of another Proc, a return to the caller).
+// every handoff of the loop from one goroutine to another (a Proc's start
+// on another carrier, a wake-up of another Proc, a return to the caller).
+// A Proc a finished body's carrier starts itself is not a switch.
 type KernelStats struct {
 	Scheduled      uint64
 	Heaped         uint64
@@ -252,71 +276,104 @@ func (k *Kernel) less(a, b int32) bool {
 	return ea.seq < eb.seq
 }
 
-func (k *Kernel) siftUp(i int) {
-	id := k.heap[i]
+// siftUp moves the entry at position i of heap h up to its place; tag
+// (0 or farTag) marks the positions it records.
+func (k *Kernel) siftUp(h []int32, tag int32, i int) {
+	id := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !k.less(id, k.heap[parent]) {
+		if !k.less(id, h[parent]) {
 			break
 		}
-		k.heap[i] = k.heap[parent]
-		k.arena[k.heap[i]].pos = int32(i)
+		h[i] = h[parent]
+		k.arena[h[i]].pos = int32(i) | tag
 		i = parent
 	}
-	k.heap[i] = id
-	k.arena[id].pos = int32(i)
+	h[i] = id
+	k.arena[id].pos = int32(i) | tag
 }
 
-func (k *Kernel) siftDown(i int) {
-	id := k.heap[i]
-	n := len(k.heap)
+// siftDown moves the entry at position i of heap h down to its place.
+func (k *Kernel) siftDown(h []int32, tag int32, i int) {
+	id := h[i]
+	n := len(h)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			break
 		}
 		child := left
-		if right := left + 1; right < n && k.less(k.heap[right], k.heap[left]) {
+		if right := left + 1; right < n && k.less(h[right], h[left]) {
 			child = right
 		}
-		if !k.less(k.heap[child], id) {
+		if !k.less(h[child], id) {
 			break
 		}
-		k.heap[i] = k.heap[child]
-		k.arena[k.heap[i]].pos = int32(i)
+		h[i] = h[child]
+		k.arena[h[i]].pos = int32(i) | tag
 		i = child
 	}
-	k.heap[i] = id
-	k.arena[id].pos = int32(i)
+	h[i] = id
+	k.arena[id].pos = int32(i) | tag
 }
 
-// heapPush adds an event to the heap.
+// heapPush adds an event to the far heap when it is due more than horizon
+// from now, and to the near heap otherwise.
 func (k *Kernel) heapPush(id int32) {
 	k.heaped++
+	if k.arena[id].at-k.now > horizon {
+		k.far = append(k.far, id)
+		k.siftUp(k.far, farTag, len(k.far)-1)
+		return
+	}
 	k.heap = append(k.heap, id)
-	k.siftUp(len(k.heap) - 1)
+	k.siftUp(k.heap, 0, len(k.heap)-1)
 }
 
-// heapRemove deletes the entry at heap position i, preserving heap order.
-func (k *Kernel) heapRemove(i int) {
-	n := len(k.heap) - 1
-	last := k.heap[n]
-	k.heap = k.heap[:n]
+// heapRemove deletes the heap entry at pos (a position in the near heap,
+// or one tagged farTag in the far heap), preserving heap order.
+func (k *Kernel) heapRemove(pos int32) {
+	h, tag := &k.heap, int32(0)
+	if pos&farTag != 0 {
+		h, tag = &k.far, farTag
+	}
+	i := int(pos &^ farTag)
+	n := len(*h) - 1
+	last := (*h)[n]
+	*h = (*h)[:n]
 	if i == n {
 		return
 	}
-	k.heap[i] = last
-	k.arena[last].pos = int32(i)
-	k.siftDown(i)
+	(*h)[i] = last
+	k.siftDown(*h, tag, i)
 	if i > 0 {
-		k.siftUp(i)
+		k.siftUp(*h, tag, i)
 	}
+}
+
+// root returns the earlier of the two heaps' roots, or -1 when both are
+// empty.
+func (k *Kernel) root() int32 {
+	switch {
+	case len(k.far) == 0:
+		if len(k.heap) == 0 {
+			return -1
+		}
+	case len(k.heap) == 0 || k.less(k.far[0], k.heap[0]):
+		return k.far[0]
+	}
+	return k.heap[0]
+}
+
+// beforeRoot reports whether an event orders before both heaps' roots.
+func (k *Kernel) beforeRoot(id int32) bool {
+	return (len(k.heap) == 0 || k.less(id, k.heap[0])) && (len(k.far) == 0 || k.less(id, k.far[0]))
 }
 
 // enqueue puts a new event into the front when it orders before the
 // front's latest entry, or when the front has room and it orders before
-// the heap's root; any other event goes to the heap. So every front entry
-// stays ahead of the whole heap.
+// both heaps' roots; any other event goes to a heap. So every front entry
+// stays ahead of both heaps.
 func (k *Kernel) enqueue(id int32) {
 	n := k.nfront
 	switch {
@@ -327,7 +384,7 @@ func (k *Kernel) enqueue(id int32) {
 			n--
 			copy(k.front[:n], k.front[1:])
 		}
-	case n < frontSize && (len(k.heap) == 0 || k.less(id, k.heap[0])):
+	case n < frontSize && k.beforeRoot(id):
 		// After the whole front and ahead of the heap: the front's latest.
 	default:
 		k.heapPush(id)
@@ -358,10 +415,7 @@ func (k *Kernel) next() int32 {
 	if n := k.nfront; n > 0 {
 		return k.front[n-1]
 	}
-	if len(k.heap) > 0 {
-		return k.heap[0]
-	}
-	return -1
+	return k.root()
 }
 
 // release returns an arena slot to the free list, dropping the handler
@@ -497,15 +551,15 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 func (k *Kernel) Immediately(fn func()) Timer { return k.schedule(k.now, thunk(fn), nil) }
 
 // fire pops and executes the earliest event: the front's next, or, when
-// the front is empty, the heap's root.
+// the front is empty, the earlier heap root.
 func (k *Kernel) fire() {
 	var id int32
 	if n := k.nfront; n > 0 {
 		k.nfront = n - 1
 		id = k.front[n-1]
 	} else {
-		id = k.heap[0]
-		k.heapRemove(0)
+		id = k.root()
+		k.heapRemove(k.arena[id].pos)
 	}
 	e := &k.arena[id]
 	k.now, k.ran, k.ranFrom = e.at, Origin{e.sched, e.seq}, e.from
@@ -613,18 +667,28 @@ func (k *Kernel) procLoop() (q *Proc) {
 	return k.loop()
 }
 
-// handTo gives the loop to q's goroutine, starting it on q's first
-// dispatch. The calling goroutine must then wait for the loop to come back
-// (or exit).
+// handTo gives the loop to q's goroutine, starting q on its first
+// dispatch: on an idle carrier, or on a new one when none is idle. The
+// calling goroutine must then wait for the loop to come back (or exit).
 func (k *Kernel) handTo(q *Proc) {
 	k.cur = q
 	k.switches++
-	if !q.started {
-		q.started = true
-		go q.main()
+	if q.started {
+		q.resume <- struct{}{}
 		return
 	}
-	q.resume <- struct{}{}
+	q.started = true
+	if k.nidle == 0 {
+		c := &carrier{wake: make(chan struct{})}
+		q.resume = c.wake
+		go c.run(q)
+		return
+	}
+	k.nidle--
+	c := k.idle[k.nidle]
+	k.idle[k.nidle] = nil
+	q.resume, c.next = c.wake, q
+	c.wake <- struct{}{}
 }
 
 // goHome gives the loop back to the caller's goroutine.
@@ -643,11 +707,14 @@ func (k *Kernel) await(q *Proc) {
 }
 
 // settle runs on the caller's goroutine while it holds the loop: it
-// unwinds the Procs of a stopped kernel and re-raises a panic a Proc's
-// goroutine kept.
+// unwinds the Procs of a stopped kernel, ends the idle carriers once no
+// Proc is live, and re-raises a panic a Proc's goroutine kept.
 func (k *Kernel) settle() {
 	if k.stopped {
 		k.reap()
+	}
+	if k.procs.head == nil {
+		k.retire()
 	}
 	if r := k.failure; r != nil {
 		k.failure = nil
@@ -674,9 +741,10 @@ func (k *Kernel) Stopped() bool { return k.stopped }
 // goroutine unwinds via a panic its exit recovers; deferred code in its
 // body runs). Called from the caller's goroutine, Stop unwinds them before
 // it returns; called from simulation code on a Proc's goroutine, the run
-// call or Step does so once the loop comes back to it. Call Stop when
-// abandoning a kernel that has live Procs, so their goroutines do not
-// leak.
+// call or Step does so once the loop comes back to it. The idle carriers
+// end too (as they do whenever a run or Step returns with no live Proc).
+// Call Stop when abandoning a kernel that has live Procs, so their
+// goroutines do not leak.
 func (k *Kernel) Stop() {
 	if k.stopped {
 		return
@@ -688,7 +756,7 @@ func (k *Kernel) Stop() {
 }
 
 // reap unwinds every live Proc of a stopped kernel, in spawn order, from
-// the caller's goroutine; a Proc whose goroutine never started just ends.
+// the caller's goroutine; a Proc that never started just ends.
 func (k *Kernel) reap() {
 	for p := k.procs.head; p != nil; {
 		next := p.next
@@ -700,6 +768,14 @@ func (k *Kernel) reap() {
 			k.procs.remove(p)
 		}
 		p = next
+	}
+}
+
+// retire ends the kernel's idle carriers.
+func (k *Kernel) retire() {
+	for ; k.nidle > 0; k.nidle-- {
+		close(k.idle[k.nidle-1].wake)
+		k.idle[k.nidle-1] = nil
 	}
 }
 

@@ -60,6 +60,10 @@ type refRun struct {
 	queue  []*refEvent   // pending events, sorted by before
 	all    []*refEvent   // every event scheduled, for cancels and Timer.Pending
 	resv   []reservation // NextKey reservations not used yet
+
+	// Coverage of the two heaps: checks that found the far root next,
+	// and cancels of events held in the near and in the far heap.
+	farNext, nearCancels, farCancels int
 }
 
 func (r *refRun) fatalf(format string, args ...any) {
@@ -87,16 +91,23 @@ func (r *refRun) Fire(arg any) {
 	r.check(4)
 }
 
-// delay draws a scheduling delay: mostly none or a few ticks, so that
-// many events share an instant and the tie-breaks decide their order.
-func (r *refRun) delay() Time {
-	switch n := r.rng.Intn(10); {
+// after draws an event's time from base: mostly base or a few ticks later,
+// so that many events share an instant and the tie-breaks decide their
+// order. Now and then it is horizon away, give or take a tick, or on a
+// coarse grid of instants one or two horizons ahead, so that events enter
+// the far heap and several share each far instant.
+func (r *refRun) after(base Time) Time {
+	switch n := r.rng.Intn(12); {
 	case n < 4:
-		return 0
+		return base
 	case n < 9:
-		return Time(1 + r.rng.Intn(4))
+		return base + Time(1+r.rng.Intn(4))
+	case n < 10:
+		return base + Time(5+r.rng.Intn(40))
+	case n < 11:
+		return base + horizon + Time(r.rng.Intn(3)) - 1
 	}
-	return Time(5 + r.rng.Intn(40))
+	return (base/horizon+Time(1+r.rng.Intn(2)))*horizon + Time(r.rng.Intn(3))
 }
 
 // add records a newly scheduled event in the reference list.
@@ -117,11 +128,11 @@ func (r *refRun) schedule() {
 	switch r.rng.Intn(6) {
 	case 0, 1, 2: // an ordinary event, at now or later
 		r.seq++
-		ev := &refEvent{at: now + r.delay(), sched: now, from: k.Origin(), key: r.seq | laterBand}
+		ev := &refEvent{at: r.after(now), sched: now, from: k.Origin(), key: r.seq | laterBand}
 		ev.timer = k.AtHandler(ev.at, r, ev)
 		r.add(ev)
 	case 3: // AtAsOf, as of a past, the present or a future instant
-		at := now + r.delay()
+		at := r.after(now)
 		asOf := at - Time(r.rng.Intn(8))
 		r.keys++
 		if asOf < 0 || k.Ran(at, asOf, r.keys) {
@@ -142,7 +153,7 @@ func (r *refRun) schedule() {
 		i := r.rng.Intn(len(r.resv))
 		rv := r.resv[i]
 		r.resv = append(r.resv[:i], r.resv[i+1:]...)
-		at := max(now, rv.asOf) + r.delay()
+		at := r.after(max(now, rv.asOf))
 		if k.RanFrom(at, rv.asOf, rv.from, rv.key) {
 			return
 		}
@@ -155,7 +166,7 @@ func (r *refRun) schedule() {
 		}
 		p := r.queue[r.rng.Intn(len(r.queue))]
 		from := Origin{Sched: p.sched, Key: p.key}
-		at := p.at + r.delay()
+		at := r.after(p.at)
 		r.keys++
 		if k.RanFrom(at, p.at, from, r.keys) {
 			return
@@ -177,6 +188,13 @@ func (r *refRun) cancel() {
 		ev = r.queue[r.rng.Intn(len(r.queue))]
 	} else {
 		ev = r.all[r.rng.Intn(len(r.all))]
+	}
+	if e := &r.k.arena[ev.timer.id]; ev.pending && e.pos != inFront {
+		if e.pos&farTag != 0 {
+			r.farCancels++
+		} else {
+			r.nearCancels++
+		}
 	}
 	if got := ev.timer.Cancel(); got != ev.pending {
 		r.fatalf("Cancel of %v = %v, pending %v", ev, got, ev.pending)
@@ -217,6 +235,9 @@ func (r *refRun) check(sample int) {
 	if ok != (len(r.queue) > 0) || ok && at != r.queue[0].at {
 		r.fatalf("NextEvent = %d, %v with %d pending", at, ok, len(r.queue))
 	}
+	if k.nfront == 0 && len(k.far) > 0 && k.root() == k.far[0] {
+		r.farNext++
+	}
 	if sample == 0 {
 		for _, ev := range r.all {
 			if ev.timer.Pending() != ev.pending {
@@ -233,19 +254,30 @@ func (r *refRun) check(sample int) {
 	}
 }
 
+// bound draws the end of a RunUntil or RunBefore window: a few ticks
+// ahead, or a tick before, at or after a pending event, near or far, so
+// that windows end between far events too.
+func (r *refRun) bound() Time {
+	now := r.k.Now()
+	if len(r.queue) == 0 || r.rng.Intn(3) != 0 {
+		return now + Time(r.rng.Intn(12))
+	}
+	return max(now, r.queue[r.rng.Intn(len(r.queue))].at+Time(r.rng.Intn(3))-1)
+}
+
 // window runs one RunUntil, RunBefore or burst of Steps, or acts from
 // outside a run, and checks where it stopped.
 func (r *refRun) window() {
 	k := r.k
 	switch r.rng.Intn(4) {
 	case 0:
-		bound := k.Now() + Time(r.rng.Intn(12))
+		bound := r.bound()
 		k.RunUntil(bound)
 		if k.Now() != bound || len(r.queue) > 0 && r.queue[0].at <= bound {
 			r.fatalf("RunUntil(%d) stopped at %d with %d pending", bound, k.Now(), len(r.queue))
 		}
 	case 1:
-		bound := k.Now() + Time(r.rng.Intn(12))
+		bound := r.bound()
 		k.RunBefore(bound)
 		if k.Now() != bound || len(r.queue) > 0 && r.queue[0].at < bound {
 			r.fatalf("RunBefore(%d) stopped at %d with %d pending", bound, k.Now(), len(r.queue))
@@ -271,9 +303,13 @@ func (r *refRun) window() {
 // fire in the order of a reference list sorted by (at, sched, from, key),
 // and Pending, NextEvent, Timer.Pending and Cancel must agree with it.
 // The keys drawn are distinct, so the order is total. Bursts of up to 20
-// events fill the front and spill into the heap.
+// events fill the front and spill into the heaps; some events are due
+// horizon away or more, several at one far instant, and windows end
+// between them, so the far heap's root, cancels and removals are checked
+// as the near heap's are.
 func TestEventOrderMatchesReference(t *testing.T) {
 	var heaped, scheduled uint64
+	var farNext, nearCancels, farCancels int
 	for seed := int64(1); seed <= 3000; seed++ {
 		r := &refRun{t: t, seed: seed, k: New(seed), rng: rand.New(rand.NewSource(seed))}
 		r.budget = 100 + r.rng.Intn(200)
@@ -296,9 +332,16 @@ func TestEventOrderMatchesReference(t *testing.T) {
 		}
 		heaped += s.Heaped
 		scheduled += s.Scheduled
+		farNext += r.farNext
+		nearCancels += r.nearCancels
+		farCancels += r.farCancels
 	}
 	if heaped == 0 || heaped == scheduled {
-		t.Fatalf("%d of %d events entered the heap: the front or the heap went unexercised", heaped, scheduled)
+		t.Fatalf("%d of %d events entered a heap: the front or the heaps went unexercised", heaped, scheduled)
 	}
-	t.Logf("%d of %d events entered the heap", heaped, scheduled)
+	if farNext == 0 || nearCancels == 0 || farCancels == 0 {
+		t.Fatalf("far root next %d times, %d near and %d far cancels: a heap went unexercised", farNext, nearCancels, farCancels)
+	}
+	t.Logf("%d of %d events entered a heap; far root next %d times; %d near and %d far cancels",
+		heaped, scheduled, farNext, nearCancels, farCancels)
 }

@@ -9,10 +9,11 @@ import (
 // kernel shuts down. It is recovered by the Proc's exit.
 type procKilled struct{}
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with the event loop so that exactly one piece of simulation code runs at a
-// time. A Proc advances virtual time only by calling Sleep, or by blocking
-// on a Gate/Mailbox until another event wakes it.
+// Proc is a simulated process: a body running on a goroutine of its own
+// (a carrier, see carrier) whose execution is interleaved with the event
+// loop so that exactly one piece of simulation code runs at a time. A Proc
+// advances virtual time only by calling Sleep, or by blocking on a
+// Gate/Mailbox until another event wakes it.
 //
 // A parked Proc does not yield to a kernel goroutine: under Run, RunUntil
 // or RunBefore it runs the event loop itself until an event wakes it
@@ -23,7 +24,7 @@ type Proc struct {
 	k        *Kernel
 	name     string
 	fn       func(p *Proc)
-	resume   chan struct{} // receives the loop when an event wakes this Proc or Stop unwinds it
+	resume   chan struct{} // its carrier's channel: receives the loop when an event wakes this Proc or Stop unwinds it
 	started  bool
 	done     bool
 	timedOut bool // the last WaitTimeout ended by its timeout
@@ -45,9 +46,9 @@ func (p *Proc) Done() bool { return p.done }
 
 // Spawn starts a simulated process running fn. The process begins
 // executing at the current simulated time (via an immediate event), on a
-// goroutine of its own that is started when that event runs; fn is
-// strictly serialized with all other simulation code. On a stopped kernel
-// Spawn returns a Proc that is already Done and starts nothing.
+// carrier goroutine that takes it up when that event runs; fn is strictly
+// serialized with all other simulation code. On a stopped kernel Spawn
+// returns a Proc that is already Done and starts nothing.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name}
 	if k.stopped {
@@ -55,7 +56,6 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		return p
 	}
 	p.fn = fn
-	p.resume = make(chan struct{})
 	if k.home == nil {
 		k.home = make(chan struct{})
 	}
@@ -64,18 +64,61 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// main is the body of a Proc's goroutine.
-func (p *Proc) main() {
-	defer p.exit()
-	p.fn(p)
+// carrier is a goroutine that runs Proc bodies one after another, so that
+// a short-lived Proc does not grow a fresh goroutine stack. When a body
+// ends and the event loop its exit runs starts a new Proc, the carrier
+// runs that body itself, with no goroutine switch. Otherwise it waits in
+// the kernel's idle pool (at most carrierPool carriers), where handTo
+// starts the next new Proc on it with one channel send, or it ends. The
+// Proc it runs waits on its channel while parked.
+type carrier struct {
+	wake chan struct{} // the resume channel of its Proc; closed to end an idle carrier
+	next *Proc         // the Proc to start, written by the loop's holder before it sends on wake
 }
 
-// exit retires a Proc whose body returned or unwound, then passes the
-// loop on: to the next Proc an event wakes, or back to the caller. A
-// panic other than procKilled is kept for the caller to re-raise.
-func (p *Proc) exit() {
+// carrierPool caps a kernel's idle carriers. Goroutines started per pass
+// of the fattree:16 SLO grid, whose 14,880 Procs are mostly one-op stream
+// senders: 14,880 with no carriers, and with a pool of 0 (direct starts
+// only) too; 931 with 1, 532 with 2, 513 with 4 and 503 unbounded. An
+// unbounded pool kept up to 76 idle carriers with grown stacks on the
+// chaos campaigns and raised their peak RSS by 21 % (10 benchmark pairs,
+// 2-core Xeon VM); 4 raised it by 6 % and 2 by 2–3 %.
+const carrierPool = 2
+
+// run is the body of a carrier's goroutine: it runs p, then every Proc
+// it starts directly or is handed from the pool, until it is retired.
+func (c *carrier) run(p *Proc) {
+	for p != nil {
+		next, idle := c.body(p)
+		if next == nil && idle {
+			if _, ok := <-c.wake; ok {
+				next, c.next = c.next, nil
+			}
+		}
+		p = next
+	}
+}
+
+// body runs p's body, then its exit, and reports what the carrier does
+// next: run next, wait in the pool (idle), or end.
+func (c *carrier) body(p *Proc) (next *Proc, idle bool) {
+	returned := false
+	defer func() { next, idle = c.exit(p, recover(), returned) }()
+	p.fn(p)
+	returned = true
+	return nil, false
+}
+
+// exit retires p, whose body returned, panicked with r, or called
+// runtime.Goexit (neither), then passes the loop on: to the next Proc an
+// event wakes, or back to the caller. A panic other than procKilled is
+// kept for the caller to re-raise. A Proc the loop starts runs next on
+// this carrier; otherwise the carrier joins the idle pool while it still
+// holds the loop, if the pool has room and the kernel runs on. After
+// Goexit the goroutine is ending: it hands the loop on and no more.
+func (c *carrier) exit(p *Proc, r any, returned bool) (next *Proc, idle bool) {
 	k := p.k
-	if r := recover(); r != nil {
+	if r != nil {
 		if _, ok := r.(procKilled); !ok {
 			k.failure = r
 		}
@@ -83,11 +126,25 @@ func (p *Proc) exit() {
 	p.done = true
 	p.fn = nil
 	k.procs.remove(p)
-	if q := k.procLoop(); q != nil {
-		k.handTo(q)
-		return
+	q := k.procLoop()
+	live := returned || r != nil
+	if live && q != nil && !q.started {
+		k.cur = q
+		q.started = true
+		q.resume = c.wake
+		return q, false
 	}
-	k.goHome()
+	if live && !k.stopped && k.nidle < carrierPool {
+		k.idle[k.nidle] = c
+		k.nidle++
+		idle = true
+	}
+	if q != nil {
+		k.handTo(q)
+	} else {
+		k.goHome()
+	}
+	return nil, idle
 }
 
 // dispatch wakes the proc. It must be the last action of the event that

@@ -329,3 +329,165 @@ func TestProcRunBeforeAcrossGoroutines(t *testing.T) {
 		t.Fatalf("clock at %v after the last window", k.Now())
 	}
 }
+
+// TestProcCarriersReused: 1,000 short-lived Procs started one after
+// another by a long-lived Proc (half of them directly, on the carrier of
+// the Proc that just ended) run on carriers the kernel reuses: the
+// goroutine count, sampled in every body, never passes base +
+// carrierPool + 2, and the bodies see at most carrierPool + 1 carriers.
+// Eight Procs that then run at once leave at most carrierPool idle
+// carriers, and Stop brings the count back to base.
+func TestProcCarriersReused(t *testing.T) {
+	const rounds = 500
+	base := runtime.NumGoroutine()
+	k := New(1)
+	var done, never Gate
+	carriers := map[chan struct{}]bool{}
+	peak := 0
+	sample := func(p *Proc) {
+		carriers[p.resume] = true
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	started := 0
+	k.Spawn("parent", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			sample(p)
+			k.Spawn("quick", func(q *Proc) { started++; sample(q) })
+			k.Spawn("sleeper", func(q *Proc) {
+				started++
+				sample(q)
+				q.Sleep(time.Microsecond)
+				done.Signal()
+			})
+			done.Wait(p)
+		}
+		for i := 0; i < 8; i++ {
+			k.Spawn("overlapping", func(q *Proc) { started++; q.Sleep(time.Duration(i+1) * time.Microsecond) })
+		}
+		never.Wait(p)
+	})
+	k.Run()
+	if started != 2*rounds+8 {
+		t.Fatalf("%d Procs ran, want %d", started, 2*rounds+8)
+	}
+	// Eight Procs that overlapped have ended; at most carrierPool of their
+	// carriers wait, beside the parent's.
+	waitGoroutines(t, base+1+carrierPool)
+	if limit := base + carrierPool + 2; peak > limit {
+		t.Fatalf("%d goroutines live inside the run, want at most %d", peak, limit)
+	}
+	if len(carriers) > carrierPool+1 {
+		t.Fatalf("%d Procs ran on %d carriers, want at most %d", 2*rounds+1, len(carriers), carrierPool+1)
+	}
+	k.Stop()
+	waitGoroutines(t, base)
+}
+
+// TestProcCarriersEndWithoutStop: a run, or a series of Steps, whose
+// Procs all finish leaves no carrier behind, with no Stop.
+func TestProcCarriersEndWithoutStop(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(1)
+	for i := 0; i < 8; i++ {
+		k.Spawn("sleeper", func(p *Proc) {
+			for j := 0; j <= i; j++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	k.Run()
+	waitGoroutines(t, base)
+
+	k = New(1)
+	for i := 0; i < 3; i++ {
+		k.Spawn("stepped", func(p *Proc) { p.Sleep(time.Duration(i+1) * time.Microsecond) })
+	}
+	for k.Step() {
+	}
+	waitGoroutines(t, base)
+}
+
+// TestProcGoexitHandsLoopOn: a body that calls runtime.Goexit (as
+// t.FailNow does) hands the loop on as its carrier ends, whether that
+// carrier came from the pool or started it directly: the run goes on, a
+// Proc spawned after it runs, and no goroutine is left behind. A dead
+// carrier left in the pool would hang the next start, so the runs go
+// under a deadline.
+func TestProcGoexitHandsLoopOn(t *testing.T) {
+	const rounds = 6
+	base := runtime.NumGoroutine()
+	finished := make(chan int)
+	go func() {
+		k := New(1)
+		var done Gate
+		ran := 0
+		k.Spawn("parent", func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				k.Spawn("quick", func(*Proc) { ran++ })
+				k.Spawn("child", func(q *Proc) {
+					ran++
+					q.Sleep(time.Microsecond)
+					done.Signal()
+					if i%2 == 1 {
+						runtime.Goexit()
+					}
+				})
+				done.Wait(p)
+			}
+		})
+		k.Run()
+		k.Spawn("after", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			ran++
+		})
+		k.Run()
+		finished <- ran
+	}()
+	select {
+	case ran := <-finished:
+		if want := 2*rounds + 1; ran != want {
+			t.Fatalf("%d bodies ran, want %d", ran, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a run hung after a Proc's Goexit")
+	}
+	waitGoroutines(t, base)
+}
+
+// TestProcPanicOnReusedCarrierReraised: a panic in a body that runs on the
+// carrier of a Proc that finished before it, taken from the pool or
+// started directly, is re-raised by the run call with the same value, and
+// Stop leaves no goroutine behind.
+func TestProcPanicOnReusedCarrierReraised(t *testing.T) {
+	base := runtime.NumGoroutine()
+	boom := errors.New("reused")
+	for _, direct := range []bool{false, true} {
+		k := New(1)
+		var g Gate
+		var first chan struct{}
+		k.Spawn("keeper", func(p *Proc) { g.Wait(p) })
+		k.Spawn("first", func(p *Proc) { first = p.resume })
+		faulty := func(p *Proc) {
+			if p.resume != first {
+				t.Errorf("direct=%v: the faulty Proc runs on a fresh carrier", direct)
+			}
+			panic(boom)
+		}
+		if direct {
+			k.Spawn("faulty", faulty)
+		} else {
+			k.Run() // first's carrier waits in the pool
+			k.Spawn("faulty", faulty)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Fatalf("direct=%v: Run panicked with %v, want %v", direct, r, boom)
+				}
+			}()
+			k.Run()
+		}()
+		k.Stop()
+	}
+	waitGoroutines(t, base)
+}
