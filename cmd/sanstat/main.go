@@ -102,7 +102,7 @@ func runWorkload(hosts int, rate float64, msgs int, seed int64, every time.Durat
 		sanft.WithSampling(every),
 	}
 	if liveness {
-		opts = append(opts, sanft.WithLiveness(), sanft.WithAdaptiveRetrans())
+		opts = append(opts, sanft.WithLiveness())
 	}
 	c := sanft.New(opts...)
 	for i := 0; i < hosts; i++ {

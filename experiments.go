@@ -37,26 +37,23 @@ type Options struct {
 	// Sizes overrides the message-size axis (default: a 5-point subset
 	// of PaperSizes for sweeps, the full axis for Figure 4).
 	Sizes []int
-	// MinDrops is the minimum injected drops a non-zero-error cell must
-	// experience (default 10, like the paper).
-	MinDrops int
 	// MaxMessages caps per-cell message count (default 4000).
 	MaxMessages int
-	// MinMessages floors per-cell message count (default 20).
-	MinMessages int
 	// Seed drives all randomness.
 	Seed int64
 }
 
+// Per-cell message-count floors: every non-zero-error cell injects at
+// least minDrops drops (like the paper), and every cell sends at least
+// minMessages messages.
+const (
+	minDrops    = 10
+	minMessages = 20
+)
+
 func (o Options) defaults() Options {
-	if o.MinDrops == 0 {
-		o.MinDrops = 10
-	}
 	if o.MaxMessages == 0 {
 		o.MaxMessages = 4000
-	}
-	if o.MinMessages == 0 {
-		o.MinMessages = 20
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -70,20 +67,17 @@ func (o Options) defaults() Options {
 var sweepSizes = []int{1024, 4096, 65536, 1 << 20}
 
 // iters picks the per-cell message count: enough bytes for a stable
-// bandwidth estimate and enough packets for MinDrops drops at the given
+// bandwidth estimate and enough packets for minDrops drops at the given
 // error rate.
 func (o Options) iters(size int, rate float64) int {
 	chunks := (size + 4095) / 4096
 	if chunks < 1 {
 		chunks = 1
 	}
-	// Bandwidth stability: ≥ 8 MB or MinMessages, whichever is more.
-	n := (8 << 20) / size
-	if n < o.MinMessages {
-		n = o.MinMessages
-	}
+	// Bandwidth stability: ≥ 8 MB or minMessages, whichever is more.
+	n := max((8<<20)/size, minMessages)
 	if rate > 0 {
-		need := int(math.Ceil(float64(o.MinDrops) / rate / float64(chunks)))
+		need := int(math.Ceil(minDrops / rate / float64(chunks)))
 		if need > n {
 			n = need
 		}

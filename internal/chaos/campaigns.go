@@ -19,12 +19,10 @@ import (
 type Variant struct {
 	// Name labels report rows ("baseline", "liveness").
 	Name string
-	// Liveness, when non-nil, runs BFD-style per-path sessions feeding
-	// the remap/quarantine recovery path.
-	Liveness *liveness.Config
-	// Adaptive switches the retransmission timeout from the fixed
-	// interval to the RTT-driven Jacobson/Karn estimator.
-	Adaptive bool
+	// Liveness runs BFD-style per-path sessions feeding the
+	// remap/quarantine recovery path, and with them the RTT-driven
+	// Jacobson/Karn retransmission timeout (nic.Options.Liveness).
+	Liveness bool
 
 	// eager runs every timer scan and every worm hop (core.Config.Eager):
 	// the reference of the idle-skipping and lazy-worm differential tests.
@@ -38,14 +36,14 @@ func Baseline() Variant { return Variant{Name: "baseline"} }
 // AdaptiveLiveness enables per-path liveness sessions (RFC 5880-style
 // defaults: 1ms interval, detect multiplier 3) plus the RTT-adaptive
 // retransmission timeout.
-func AdaptiveLiveness() Variant {
-	return Variant{Name: "liveness", Liveness: &liveness.Config{}, Adaptive: true}
-}
+func AdaptiveLiveness() Variant { return Variant{Name: "liveness", Liveness: true} }
 
 // apply overlays the variant onto a cluster configuration.
 func (v Variant) apply(cfg *core.Config) {
-	cfg.Liveness = v.Liveness
-	cfg.Retrans.Adaptive = v.Adaptive
+	cfg.Liveness = nil
+	if v.Liveness {
+		cfg.Liveness = &liveness.Config{}
+	}
 	cfg.Eager = v.eager
 }
 
@@ -53,7 +51,7 @@ func (v Variant) apply(cfg *core.Config) {
 // failures roughly 3× earlier than the fixed threshold, so the same fault
 // schedule legitimately drives more remap attempts.
 func (v Variant) maxAttempts(base int) int {
-	if base > 0 && v.Liveness != nil {
+	if base > 0 && v.Liveness {
 		return base * 2
 	}
 	return base

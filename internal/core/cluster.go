@@ -65,11 +65,10 @@ type ShardPlan struct {
 
 // Config describes a cluster build.
 type Config struct {
-	// Net and Hosts define the wiring; if Net is nil, a single-switch
-	// star of NumHosts hosts is built.
-	Net      *topology.Network
-	Hosts    []topology.NodeID
-	NumHosts int
+	// Net and Hosts define the wiring; if Net is nil, a two-host star is
+	// built.
+	Net   *topology.Network
+	Hosts []topology.NodeID
 
 	// FT enables the firmware retransmission protocol on every NIC.
 	FT bool
@@ -87,8 +86,9 @@ type Config struct {
 	// path: sessions detect dead paths after DetectMult negotiated
 	// intervals of control silence — typically well before the fixed
 	// permanent-failure threshold — and feed the same remap/quarantine
-	// recovery path. Requires FT. The Seed field is a base; each session
-	// derives its own jitter stream from it.
+	// recovery path. Their RTT samples make every NIC's retransmission
+	// timeout adaptive (nic.Options.Liveness). Requires FT. The Seed field
+	// is a base; each session derives its own jitter stream from it.
 	Liveness *liveness.Config
 
 	// Fabric overrides wire constants (zero = defaults). The NICs take
@@ -103,12 +103,9 @@ type Config struct {
 
 	// Remap paces the recovery path: remaps to one destination coalesce,
 	// failures back off exponentially with jitter, and persistent failures
-	// quarantine the destination. Zero fields take defaults.
+	// quarantine the destination (recorded as remap.quarantines and an
+	// EvQuarantine trace event). Zero fields take defaults.
 	Remap RemapPolicy
-	// OnUnreachable fires when src quarantines dst after repeated failed
-	// remaps — the explicit graceful-degradation upcall, instead of
-	// silently retrying forever.
-	OnUnreachable func(src, dst topology.NodeID)
 
 	// Metrics tunes the observability layer. The zero value still builds
 	// a full registry (all subsystems record unconditionally); set
@@ -252,11 +249,7 @@ func New(cfg Config) *Cluster {
 // constants, and the liveness seed folding.
 func (cfg *Config) resolve() {
 	if cfg.Net == nil {
-		n := cfg.NumHosts
-		if n == 0 {
-			n = 2
-		}
-		cfg.Net, cfg.Hosts = topology.Star(n)
+		cfg.Net, cfg.Hosts = topology.Star(2)
 	}
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = cfg.Net.Hosts()

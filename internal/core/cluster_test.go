@@ -12,7 +12,8 @@ import (
 )
 
 func TestDefaultStarBuild(t *testing.T) {
-	c := New(Config{NumHosts: 4, FT: true, Seed: 1})
+	nw, hosts := topology.Star(4)
+	c := New(Config{Net: nw, Hosts: hosts, FT: true, Seed: 1})
 	if len(c.Hosts) != 4 {
 		t.Fatalf("hosts = %d", len(c.Hosts))
 	}
@@ -46,11 +47,11 @@ func TestMapperRequiresFT(t *testing.T) {
 			t.Fatal("Mapper without FT should panic")
 		}
 	}()
-	New(Config{NumHosts: 2, Mapper: true})
+	New(Config{Mapper: true})
 }
 
 func TestEndToEndTransfer(t *testing.T) {
-	c := New(Config{NumHosts: 2, FT: true, Seed: 1})
+	c := New(Config{FT: true, Seed: 1})
 	exp := c.EndpointAt(1).Export("x", 64)
 	ok := false
 	c.K.Spawn("send", func(p *sim.Proc) {
@@ -73,7 +74,7 @@ func TestEndToEndTransfer(t *testing.T) {
 }
 
 func TestErrorRateWiresDroppers(t *testing.T) {
-	c := New(Config{NumHosts: 2, FT: true, ErrorRate: 0.05, Seed: 1})
+	c := New(Config{FT: true, ErrorRate: 0.05, Seed: 1})
 	exp := c.EndpointAt(1).Export("x", 4096)
 	got := 0
 	c.K.Spawn("send", func(p *sim.Proc) {
@@ -173,7 +174,8 @@ func mustExport(c *Cluster, dst topology.NodeID) string {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (sim.Time, uint64) {
-		c := New(Config{NumHosts: 3, FT: true, ErrorRate: 0.02, Seed: 9})
+		nw, hosts := topology.Star(3)
+		c := New(Config{Net: nw, Hosts: hosts, FT: true, ErrorRate: 0.02, Seed: 9})
 		exp := c.EndpointAt(2).Export("x", 4096)
 		c.K.Spawn("send", func(p *sim.Proc) {
 			imp, _ := c.EndpointAt(0).Import(c.Host(2), "x")
@@ -212,13 +214,13 @@ func TestLivenessRequiresFTOnBothEngines(t *testing.T) {
 					t.Errorf("%v engine: panic %v, want %q", eng, r, want)
 				}
 			}()
-			New(Config{NumHosts: 2, Engine: eng, Liveness: &liveness.Config{}})
+			New(Config{Engine: eng, Liveness: &liveness.Config{}})
 		}()
 	}
 }
 
 func TestFrameTypesOnWireAreCounted(t *testing.T) {
-	c := New(Config{NumHosts: 2, FT: true, Seed: 1})
+	c := New(Config{FT: true, Seed: 1})
 	exp := c.EndpointAt(1).Export("x", 64)
 	c.K.Spawn("send", func(p *sim.Proc) {
 		imp, _ := c.EndpointAt(0).Import(c.Host(1), "x")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"sanft/internal/topology"
 )
 
 // TestIdleHourEventBound runs a 16-host FT star with no traffic for a
@@ -13,7 +15,8 @@ import (
 // would have run — the closed form ticks × scanCost and ticks.
 func TestIdleHourEventBound(t *testing.T) {
 	const hosts = 16
-	c := New(Config{NumHosts: hosts, FT: true, Seed: 1})
+	nw, hs := topology.Star(hosts)
+	c := New(Config{Net: nw, Hosts: hs, FT: true, Seed: 1})
 	defer c.Stop()
 	allocs := testing.AllocsPerRun(1, func() { c.RunFor(time.Hour) })
 	if allocs != 0 {

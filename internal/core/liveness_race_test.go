@@ -24,16 +24,25 @@ import (
 )
 
 // TestSessionDownRacesWatchdogReset: trunk dies at 1ms on a single-trunk
-// two-switch chain; the liveness session detects at ~2.5ms (500µs
-// interval × multiplier 3), the path-stale detector at ~5ms, and the
-// (shortened) fabric watchdog flushes wedged worms at 3ms. The heal
-// instant sweeps across all of those. Every point must satisfy the full
-// oracle — complete delivery, no duplicate notifications, all NIC
-// buffers reclaimed, no remap left running — with the cluster-wide
+// two-switch chain. Three detectors watch it: the liveness session
+// (500µs interval × multiplier 3: ~2.5ms), the path-stale detector (~5ms)
+// and the shortened fabric watchdog, which flushes a worm wedged for 3ms.
+// The heal instant sweeps across that window. The session detects first
+// at every instant and starts a remap, so the path-stale verdict lands
+// inside it and the at-most-once guard absorbs it: no EvPathStale fires.
+// The watchdog resets a worm at heal 2ms and 8ms (about 13ms into the
+// run, while that remap still runs) and not at 3–6ms. The sweep must race
+// it at least once, or it tests nothing the session alone does not; with
+// the default 1ms session terms no instant does. Every point must satisfy
+// the full oracle — complete delivery, no duplicate notifications, all
+// NIC buffers reclaimed, no remap left running — with the cluster-wide
 // mapping-run count bounded (a double-remap per fault would break it).
 func TestSessionDownRacesWatchdogReset(t *testing.T) {
-	for _, healMS := range []int64{2, 3, 4, 5, 6, 8} {
+	heals := []int64{2, 3, 4, 5, 6, 8}
+	ran, resets := 0, uint64(0)
+	for _, healMS := range heals {
 		t.Run(fmt.Sprintf("heal@%dms", healMS), func(t *testing.T) {
+			ran++
 			nw, rows := topology.Chain(2, 1, 1)
 			var hosts []topology.NodeID
 			for _, row := range rows {
@@ -47,7 +56,6 @@ func TestSessionDownRacesWatchdogReset(t *testing.T) {
 					QueueSize:         16,
 					Interval:          time.Millisecond,
 					PermFailThreshold: 4 * time.Millisecond,
-					Adaptive:          true,
 				},
 				Liveness: &liveness.Config{DesiredMinTx: 500 * time.Microsecond},
 				Mapper:   true,
@@ -79,6 +87,7 @@ func TestSessionDownRacesWatchdogReset(t *testing.T) {
 				t.Fatalf("heal at %dms violated invariants: %v", healMS, vs)
 			}
 			reg := c.Metrics()
+			resets += reg.CounterTotal("fabric.watchdog_resets")
 			if healMS >= 4 {
 				// The heal lands after the session detection time: the
 				// session must have dropped and fed the recovery path.
@@ -101,5 +110,8 @@ func TestSessionDownRacesWatchdogReset(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ran == len(heals) && resets == 0 {
+		t.Fatal("no heal instant raced a watchdog reset")
 	}
 }

@@ -157,7 +157,8 @@ func TestOneCellGuard(t *testing.T) {
 // several cells and says why.
 func TestMapperNeedsOneCell(t *testing.T) {
 	const want = "core: on-demand mapping needs the one-cell plan: its probes and echoes would cross epoch barriers"
-	r := panicOf(func() { New(Config{NumHosts: 4, FT: true, Mapper: true, Engine: EngineSharded}) })
+	nw, hosts := topology.Star(4)
+	r := panicOf(func() { New(Config{Net: nw, Hosts: hosts, FT: true, Mapper: true, Engine: EngineSharded}) })
 	if r != want {
 		t.Fatalf("panic %v, want %q", r, want)
 	}

@@ -17,7 +17,7 @@ import (
 	"sanft/internal/proptest"
 	"sanft/internal/retrans"
 	"sanft/internal/sim"
-	"sanft/internal/topology"
+	"sanft/internal/trace"
 )
 
 // edgePolicy paces fast enough that a 5 s run covers many backoff and
@@ -129,19 +129,17 @@ func TestRequarantineDuringBackoff(t *testing.T) {
 // redundant fabric, via the proptest generator): losing one trunk must be
 // absorbed by a successful remap onto the surviving trunk with no
 // quarantine, and only losing that last usable route may quarantine the
-// destination and raise the Unreachable upcall.
+// destination (traced as EvQuarantine).
 func TestQuarantineLastUsableRoute(t *testing.T) {
 	nw, hosts := proptest.TopoSpec{Kind: proptest.TopoDoubleStar, Hosts: 2}.Build()
-	var upcalls []topology.NodeID
+	ring := trace.NewRing(1 << 16)
 	c := core.New(core.Config{
 		Net: nw, Hosts: hosts, FT: true,
 		Retrans: edgeRetrans(),
 		Mapper:  true,
 		Remap:   edgePolicy(),
-		OnUnreachable: func(src, dst topology.NodeID) {
-			upcalls = append(upcalls, dst)
-		},
-		Seed: 12,
+		Tracer:  ring,
+		Seed:    12,
 	})
 	src, dst := hosts[0], hosts[1]
 	exp := c.Endpoint(dst).Export("in", 4096)
@@ -197,8 +195,14 @@ func TestQuarantineLastUsableRoute(t *testing.T) {
 	if !c.Quarantined(src, dst) {
 		t.Fatal("losing the last usable route did not quarantine the destination")
 	}
-	if len(upcalls) == 0 || upcalls[0] != dst {
-		t.Fatalf("OnUnreachable upcalls = %v, want first for %d", upcalls, dst)
+	var quarantines []trace.Event
+	for _, e := range ring.Events() {
+		if e.Kind == trace.EvQuarantine {
+			quarantines = append(quarantines, e)
+		}
+	}
+	if len(quarantines) == 0 || quarantines[0].Node != src || quarantines[0].Peer != dst {
+		t.Fatalf("quarantines traced %v, want the first %d->%d", quarantines, src, dst)
 	}
 	if c.NIC(src).ProtoSender().TotalUnacked() != 0 {
 		t.Fatal("pending packets to the unreachable destination not reclaimed")

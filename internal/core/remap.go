@@ -236,9 +236,6 @@ func (rm *remapManager) attempt(dst topology.NodeID, st *remapState) {
 				st.quarantined = true
 				rm.c.RemapStats.Quarantines++
 				n.EmitEvent(trace.EvQuarantine, dst, 0)
-				if rm.c.cfg.OnUnreachable != nil {
-					rm.c.cfg.OnUnreachable(rm.h, dst)
-				}
 			}
 			st.notBefore = now.Add(st.release)
 			st.release *= 2

@@ -7,6 +7,7 @@ import (
 	"sanft/internal/retrans"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
+	"sanft/internal/trace"
 )
 
 // remapTotal sums the counter remap.<name> over every host of c.
@@ -121,12 +122,11 @@ func TestFlappingLinkRemapsCoalesced(t *testing.T) {
 // TestDeadDestinationQuarantined drives persistent demand at a destination
 // whose only link is dead. The manager must not retry forever: after the
 // configured number of consecutive failures the destination is
-// quarantined, the OnUnreachable upcall fires, and further attempts are
-// paced by exponentially growing release times.
+// quarantined, the quarantine is traced (EvQuarantine), and further
+// attempts are paced by exponentially growing release times.
 func TestDeadDestinationQuarantined(t *testing.T) {
 	nw, hosts := topology.Star(2)
-	type upcall struct{ src, dst topology.NodeID }
-	var upcalls []upcall
+	ring := trace.NewRing(1 << 16)
 	c := New(Config{
 		Net: nw, Hosts: hosts, FT: true,
 		Retrans: retrans.Config{
@@ -138,10 +138,8 @@ func TestDeadDestinationQuarantined(t *testing.T) {
 			PermFailThreshold: 4 * time.Millisecond,
 		},
 		Mapper: true,
-		OnUnreachable: func(src, dst topology.NodeID) {
-			upcalls = append(upcalls, upcall{src, dst})
-		},
-		Seed: 5,
+		Tracer: ring,
+		Seed:   5,
 	})
 	src, dst := hosts[0], hosts[1]
 	c.Endpoint(dst).Export("in", 4096)
@@ -157,11 +155,17 @@ func TestDeadDestinationQuarantined(t *testing.T) {
 	c.RunFor(5 * time.Second)
 	c.Stop()
 
-	if len(upcalls) == 0 {
-		t.Fatal("OnUnreachable never fired")
+	var quarantines []trace.Event
+	for _, e := range ring.Events() {
+		if e.Kind == trace.EvQuarantine {
+			quarantines = append(quarantines, e)
+		}
 	}
-	if upcalls[0] != (upcall{src, dst}) {
-		t.Fatalf("upcall = %+v, want {%d %d}", upcalls[0], src, dst)
+	if len(quarantines) == 0 {
+		t.Fatal("no quarantine traced")
+	}
+	if q := quarantines[0]; q.Node != src || q.Peer != dst {
+		t.Fatalf("quarantine traced as %d->%d, want %d->%d", q.Node, q.Peer, src, dst)
 	}
 	if !c.Quarantined(src, dst) {
 		t.Fatal("destination not quarantined despite permanent failure")

@@ -10,7 +10,6 @@ import (
 
 func cluster(ft bool, q int, interval time.Duration, errRate float64) *core.Cluster {
 	return core.New(core.Config{
-		NumHosts:  2,
 		FT:        ft,
 		Retrans:   retrans.Config{QueueSize: q, Interval: interval},
 		ErrorRate: errRate,

@@ -50,10 +50,11 @@ type Options struct {
 	OnSessionDown func(dst topology.NodeID)
 	// Liveness, if non-nil, runs a BFD-style liveness session per routed
 	// destination in this NIC's firmware (internal/liveness): periodic
-	// jittered control packets, detect-multiplier timeouts, and RTT
-	// samples feeding the adaptive retransmission timer when
-	// Retrans.Adaptive is set. Nil (the default) is the paper's
-	// fixed-timer firmware, bit for bit.
+	// jittered control packets and detect-multiplier timeouts. It also
+	// makes the retransmission timer adaptive: the sessions' RTT samples
+	// drive a per-destination timeout (retrans.NewAdaptiveSender), and
+	// each scan is scheduled at the earliest timeout deadline. Nil (the
+	// default) is the paper's fixed-timer firmware, bit for bit.
 	Liveness *liveness.Config
 	// Tracer, if non-nil, receives a packet-level event per protocol
 	// action (see internal/trace). Debugging aid; zero cost when nil.
@@ -66,8 +67,8 @@ type Options struct {
 	// finds nothing unacknowledged and the firmware idle, and catch the
 	// scans it skips up by arithmetic (see catchUp): an idle NIC then
 	// costs no kernel events, and nothing else changes. Off, every scan
-	// runs. Ignored with Liveness, whose sessions put work on the firmware
-	// every interval anyway.
+	// runs. Ignored with Liveness, which runs the adaptive timer instead
+	// (and whose sessions put work on the firmware every interval anyway).
 	SkipIdleScans bool
 }
 
@@ -141,13 +142,15 @@ type NIC struct {
 	dropper fault.Dropper
 	opts    Options
 
-	// Retransmission timer. interval is the fixed timer's period; rank,
-	// the kernel's schedule count when the timer started, orders this
-	// NIC's timer events after those of NICs built before it, as their
-	// scheduling sequence would (see tickKey).
+	// Retransmission timer. adaptive, decided once in New from
+	// Options.Liveness, selects the deadline-driven timer and an adaptive
+	// sender. interval is the fixed timer's period; rank, the kernel's
+	// schedule count when the timer started, orders this NIC's timer
+	// events after those of NICs built before it, as their scheduling
+	// sequence would (see tickKey).
+	adaptive bool
 	interval time.Duration
 	rank     uint64
-	skip     bool        // Options.SkipIdleScans, without liveness
 	scanned  sim.Handler // fixed-timer scan done: timerScan
 	adapted  sim.Handler // adaptive scan done: adaptiveTimerScan
 
@@ -268,6 +271,7 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		deposited:   make(map[topology.NodeID]depositMark),
 		dropper:     opts.Dropper,
 		opts:        opts,
+		adaptive:    opts.Liveness != nil,
 	}
 	if n.dropper == nil {
 		n.dropper = fault.None{}
@@ -279,7 +283,11 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 	n.mx = reg.Scope(metrics.HostLabels(int(node)))
 	n.bindHandlers()
 	if opts.FT {
-		n.snd = retrans.NewSender(opts.Retrans)
+		if n.adaptive {
+			n.snd = retrans.NewAdaptiveSender(opts.Retrans)
+		} else {
+			n.snd = retrans.NewSender(opts.Retrans)
+		}
 		n.rcv = retrans.NewReceiver(opts.Retrans)
 		n.scheduleTimer()
 	}
@@ -779,10 +787,8 @@ func (n *NIC) noRoute(dst topology.NodeID) {
 // scheduleTimer starts the retransmission timer. Its first tick comes one
 // interval plus a per-NIC phase after boot.
 func (n *NIC) scheduleTimer() {
-	cfg := n.snd.Config()
-	n.interval = cfg.Interval
+	n.interval = n.opts.Retrans.Interval
 	n.rank = n.k.Stats().Scheduled
-	n.skip = n.opts.SkipIdleScans && n.opts.Liveness == nil
 	// Desynchronize timer phases across NICs (real NICs boot at
 	// arbitrary instants). Without this, symmetric workloads can
 	// retransmit in lockstep after a synchronized watchdog reset and
@@ -790,7 +796,7 @@ func (n *NIC) scheduleTimer() {
 	// simulation starts every NIC at t=0.
 	phase := time.Duration(int64(n.node)%16) * (n.interval / 16)
 	first := n.k.Now().Add(n.interval + phase)
-	if cfg.Adaptive {
+	if n.adaptive {
 		n.k.AtHandler(first, (*timerTick)(n), nil)
 		return
 	}
@@ -814,7 +820,7 @@ type timerTick NIC
 
 func (t *timerTick) Fire(any) {
 	n := (*NIC)(t)
-	if n.opts.Retrans.Adaptive {
+	if n.adaptive {
 		n.adaptiveTimerFire()
 		return
 	}
@@ -833,7 +839,7 @@ func (n *NIC) tickAt(t, asOf sim.Time) {
 // busy time and dispatch count, which catchUp adds up.
 func (n *NIC) tick() {
 	now := n.k.Now()
-	if n.skip && !n.cpu.Busy() && n.snd.TotalUnacked() == 0 && n.scanCost() < n.interval {
+	if n.opts.SkipIdleScans && !n.cpu.Busy() && n.snd.TotalUnacked() == 0 && n.scanCost() < n.interval {
 		n.parked, n.nextTick, n.scanOpen = true, now.Add(n.interval), true
 		return
 	}
@@ -946,12 +952,12 @@ func (n *NIC) timerScan() {
 	}
 }
 
-// adaptiveTimerFire is the deadline-driven variant of the scan used with
-// Retrans.Adaptive: after each scan the next one is scheduled at the
-// earliest per-destination timeout deadline (clamped between RTOMin/2 and
-// the fixed Interval) instead of a free-running period, so a timeout is
-// detected within half an RTO-floor of expiring rather than up to a full
-// period late.
+// adaptiveTimerFire is the deadline-driven variant of the scan, run by a
+// NIC with liveness sessions: after each scan the next one is scheduled
+// at the earliest per-destination timeout deadline (clamped between
+// retrans.RTOMin/2 and the fixed Interval) instead of a free-running
+// period, so a timeout is detected within half an RTO floor of expiring
+// rather than up to a full period late.
 func (n *NIC) adaptiveTimerFire() {
 	n.fw(n.scanCost(), n.adapted, nil)
 }
@@ -960,20 +966,11 @@ func (n *NIC) adaptiveTimerFire() {
 // next fire at the earliest timeout deadline.
 func (n *NIC) adaptiveTimerScan() {
 	n.timerScan()
-	cfg := n.snd.Config()
-	delay := cfg.Interval
+	delay := n.interval
 	if dl, ok := n.snd.NextDeadline(); ok {
-		if d := dl.Sub(n.k.Now()); d < delay {
-			delay = d
-		}
+		delay = min(delay, dl.Sub(n.k.Now()))
 	}
-	floor := cfg.RTOMin / 2
-	if floor <= 0 {
-		floor = 50 * time.Microsecond
-	}
-	if delay < floor {
-		delay = floor
-	}
+	delay = max(delay, retrans.RTOMin/2)
 	n.k.AtHandler(n.k.Now().Add(delay), (*timerTick)(n), nil)
 }
 
@@ -998,7 +995,7 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 	// detect_ns is the honest timeout-detection latency: the timeout in
 	// force plus the scan-quantization wait; scan_wait_ns isolates that
 	// second component (up to a full period for the fixed free-running
-	// timer, at most RTOMin/2 + scan cost for the adaptive one).
+	// timer, at most retrans.RTOMin/2 + scan cost for the adaptive one).
 	n.mx.ObserveTo(&n.m.detectNS, "retrans.detect_ns", b.Oldest)
 	n.mx.ObserveTo(&n.m.scanWaitNS, "retrans.scan_wait_ns", b.Waited)
 	cost := time.Duration(len(b.Entries)) * n.cost.RetransPktCost
@@ -1248,7 +1245,7 @@ func (n *NIC) armDelayedAck(src topology.NodeID) {
 	if d.timer.Pending() {
 		return
 	}
-	d.timer = n.k.AtHandler(n.k.Now().Add(n.snd.Config().DelayedAck), n.ackDue, d)
+	d.timer = n.k.AtHandler(n.k.Now().Add(retrans.DelayedAck), n.ackDue, d)
 }
 
 // delayedAckDue sends the ack a delayed-ack timer held, if it is still

@@ -519,7 +519,6 @@ func TestReliableReceptionAckAfterDeposit(t *testing.T) {
 		r := newRig(t, 2, func(int) Options {
 			return Options{FT: true, Retrans: retrans.Config{
 				QueueSize: 4, Interval: 50 * time.Millisecond, ReliableReception: rr,
-				AckEveryDiv: 1, // request acks aggressively
 			}}
 		})
 		src, dst := r.hosts[0], r.hosts[1]

@@ -225,7 +225,7 @@ func TestDelayedAckAllocs(t *testing.T) {
 		if n.PendingDelayedAcks() != 1 {
 			t.Fatalf("%d delayed acks pending after arming, want 1", n.PendingDelayedAcks())
 		}
-		r.k.RunFor(n.snd.Config().DelayedAck) // fires; no ack is owed
+		r.k.RunFor(retrans.DelayedAck) // fires; no ack is owed
 		if n.PendingDelayedAcks() != 0 {
 			t.Fatal("delayed ack still pending after it fired")
 		}

@@ -8,14 +8,10 @@ import (
 	"sanft/internal/topology"
 )
 
-func adCfg() Config {
-	return Config{
-		QueueSize: 8,
-		Interval:  time.Millisecond,
-		Adaptive:  true,
-		RTOMin:    200 * time.Microsecond,
-		RTOMax:    8 * time.Millisecond,
-	}
+// newAdaptive returns an adaptive sender at T = 1ms: RTOMin is 200µs and
+// the cap 8 × T = 8ms.
+func newAdaptive() *Sender {
+	return NewAdaptiveSender(Config{QueueSize: 8, Interval: time.Millisecond})
 }
 
 func tAt(us int64) sim.Time { return sim.Time(0).Add(time.Duration(us) * time.Microsecond) }
@@ -32,7 +28,7 @@ func topoID(d int) topology.NodeID { return topology.NodeID(d) }
 // TestAdaptiveRTOFromSamples: RTT samples move the timeout off the fixed
 // interval, per Jacobson's estimator, clamped below by RTOMin.
 func TestAdaptiveRTOFromSamples(t *testing.T) {
-	s := NewSender(adCfg())
+	s := newAdaptive()
 	dst := topoID(1)
 	sendOne(s, 1, tAt(0))
 
@@ -59,7 +55,7 @@ func TestAdaptiveRTOFromSamples(t *testing.T) {
 // TestKarnAmbiguousAckIgnored: an ack that frees a retransmitted entry
 // must not produce an RTT sample (the measured span would be ambiguous).
 func TestKarnAmbiguousAckIgnored(t *testing.T) {
-	s := NewSender(adCfg())
+	s := newAdaptive()
 	dst := topoID(1)
 	e := sendOne(s, 1, tAt(0))
 	e.Retransmits = 1 // pretend the timer resent it
@@ -76,9 +72,9 @@ func TestKarnAmbiguousAckIgnored(t *testing.T) {
 }
 
 // TestKarnBackoff: each unanswered burst doubles the timeout (capped at
-// RTOMax); a fresh sample or a generation reset clears the backoff.
+// 8 × Interval); a fresh sample or a generation reset clears the backoff.
 func TestKarnBackoff(t *testing.T) {
-	s := NewSender(adCfg())
+	s := newAdaptive()
 	dst := topoID(1)
 	sendOne(s, 1, tAt(0))
 	s.ObserveRTT(dst, 100*time.Microsecond) // RTO = 300µs → clamped 300µs? (100+4·50)
@@ -98,13 +94,13 @@ func TestKarnBackoff(t *testing.T) {
 			t.Fatalf("after burst %d: timeout %v, want %v", i, got, want)
 		}
 	}
-	// Cap at RTOMax.
+	// Cap at 8 × Interval.
 	for i := 0; i < 6; i++ {
 		now = now.Add(s.TimeoutFor(dst) + time.Microsecond)
 		s.Tick(now)
 	}
 	if got := s.TimeoutFor(dst); got != 8*time.Millisecond {
-		t.Fatalf("capped timeout = %v, want RTOMax 8ms", got)
+		t.Fatalf("capped timeout = %v, want the 8ms cap", got)
 	}
 	// A fresh sample resets the backoff.
 	s.ObserveRTT(dst, 100*time.Microsecond)
@@ -113,8 +109,9 @@ func TestKarnBackoff(t *testing.T) {
 	}
 }
 
-// TestFixedModeUnchanged: without Adaptive, ObserveRTT is inert and the
-// timeout stays the fixed interval — the paper's baseline, bit for bit.
+// TestFixedModeUnchanged: on a sender NewSender built, ObserveRTT is inert
+// and the timeout stays the fixed interval — the paper's baseline, bit for
+// bit.
 func TestFixedModeUnchanged(t *testing.T) {
 	s := NewSender(Config{QueueSize: 8, Interval: time.Millisecond})
 	dst := topoID(1)
@@ -164,7 +161,7 @@ func TestDetectionBlindSpot(t *testing.T) {
 // TestNextDeadline: the earliest eligible head defines the deadline the
 // adaptive NIC timer sleeps until; in-flight and unsent heads don't.
 func TestNextDeadline(t *testing.T) {
-	s := NewSender(adCfg())
+	s := newAdaptive()
 	if _, ok := s.NextDeadline(); ok {
 		t.Fatal("deadline with no traffic")
 	}

@@ -45,21 +45,14 @@ import (
 	"sanft/internal/topology"
 )
 
-// Config holds the protocol parameters studied in the paper (Table 1).
+// Config holds the protocol parameters studied in the paper (Table 1),
+// and the switches of the ablation and extension experiments.
 type Config struct {
 	// QueueSize is the number of NIC send buffers (q): the maximum
 	// packets in flight (unacknowledged) across all destinations.
 	QueueSize int
 	// Interval is the retransmission timer period (T).
 	Interval time.Duration
-	// AckEveryDiv sets the "plenty of buffers" ack-request period:
-	// a delayed ack is requested every max(1, QueueSize/AckEveryDiv)
-	// packets when more than 3/4 of the buffers are free. Default 4.
-	AckEveryDiv int
-	// DelayedAck is how long a receiver holds a requested ack hoping to
-	// piggyback it on reverse data before sending it explicitly.
-	// Default 30µs.
-	DelayedAck time.Duration
 	// NoPiggyback disables piggybacked acknowledgments (ablation: every
 	// ack is an explicit frame).
 	NoPiggyback bool
@@ -80,22 +73,23 @@ type Config struct {
 	// (every failure is treated as transient). Default in the full
 	// system: 250ms.
 	PermFailThreshold time.Duration
-
-	// Adaptive replaces the fixed per-destination timeout (Interval) with
-	// a Jacobson/Karn SRTT/RTTVAR retransmission timeout: RTT samples
-	// (from unambiguous acks and from liveness control traffic via
-	// ObserveRTT) drive RTO = SRTT + 4·RTTVAR, clamped to
-	// [RTOMin, RTOMax], with exponential backoff per unanswered
-	// retransmission (Karn's algorithm). Interval remains the timer-scan
-	// ceiling and the timeout for destinations with no samples yet, so
-	// the paper's fixed-timer behavior is the Adaptive=false default.
-	Adaptive bool
-	// RTOMin floors the adaptive timeout (default 200µs).
-	RTOMin time.Duration
-	// RTOMax caps the adaptive timeout, including Karn backoff (default
-	// 8 × Interval).
-	RTOMax time.Duration
 }
+
+// Protocol constants no configuration varies.
+const (
+	// DelayedAck is how long a receiver holds a requested ack hoping to
+	// piggyback it on reverse data before sending it explicitly.
+	DelayedAck = 30 * time.Microsecond
+	// ackEveryDiv sets the "plenty of buffers" ack-request period: a
+	// delayed ack is requested every max(1, QueueSize/ackEveryDiv)
+	// packets when more than 3/4 of the buffers are free.
+	ackEveryDiv = 4
+	// RTOMin floors the adaptive timeout (NewAdaptiveSender).
+	RTOMin = 200 * time.Microsecond
+	// rtoMaxIntervals caps the adaptive timeout, Karn backoff included,
+	// at this many Intervals.
+	rtoMaxIntervals = 8
+)
 
 // Defaults fills zero fields with the paper's best-compromise values.
 func (c Config) Defaults() Config {
@@ -104,20 +98,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Interval == 0 {
 		c.Interval = time.Millisecond
-	}
-	if c.AckEveryDiv == 0 {
-		c.AckEveryDiv = 4
-	}
-	if c.DelayedAck == 0 {
-		c.DelayedAck = 30 * time.Microsecond
-	}
-	if c.Adaptive {
-		if c.RTOMin == 0 {
-			c.RTOMin = 200 * time.Microsecond
-		}
-		if c.RTOMax == 0 {
-			c.RTOMax = 8 * c.Interval
-		}
 	}
 	return c
 }
@@ -168,8 +148,8 @@ type destState struct {
 	sinceAckReq  int      // packets since an ack was last requested
 	unreachable  bool
 
-	// Adaptive-timeout state (Jacobson/Karn), used only with
-	// Config.Adaptive: smoothed RTT and variance in nanoseconds, and the
+	// Adaptive-timeout state (Jacobson/Karn), used only by an adaptive
+	// sender: smoothed RTT and variance in nanoseconds, and the
 	// exponential backoff applied after each unanswered retransmission.
 	srtt    int64
 	rttvar  int64
@@ -179,8 +159,11 @@ type destState struct {
 
 // Sender is the send side of the protocol for one NIC.
 type Sender struct {
-	cfg   Config
-	dests map[topology.NodeID]*destState
+	cfg Config
+	// adaptive replaces the fixed per-destination timeout (Interval) with
+	// a Jacobson/Karn SRTT/RTTVAR one; see NewAdaptiveSender.
+	adaptive bool
+	dests    map[topology.NodeID]*destState
 	// order holds the same destinations in ascending NodeID, so the
 	// periodic scans visit them deterministically without iterating the
 	// map or sorting on every timer fire.
@@ -199,6 +182,20 @@ func NewSender(cfg Config) *Sender {
 		panic(fmt.Sprintf("retrans: queue size %d < 1", cfg.QueueSize))
 	}
 	return &Sender{cfg: cfg, dests: make(map[topology.NodeID]*destState)}
+}
+
+// NewAdaptiveSender returns a Sender whose per-destination timeout follows
+// the path instead of the paper's fixed Interval: RTT samples (from
+// unambiguous acks, and from liveness control traffic via ObserveRTT)
+// drive a Jacobson/Karn retransmission timeout RTO = SRTT + 4·RTTVAR,
+// clamped to [RTOMin, 8 × Interval], with exponential backoff per
+// unanswered retransmission (Karn's algorithm). Interval stays the
+// timeout of destinations with no samples yet. The NIC builds one when it
+// runs liveness sessions, which supply the samples.
+func NewAdaptiveSender(cfg Config) *Sender {
+	s := NewSender(cfg)
+	s.adaptive = true
+	return s
 }
 
 // Config returns the sender's configuration.
@@ -285,7 +282,7 @@ func (s *Sender) AckRequestFor(e *Entry, freeBuffers int) proto.AckLevel {
 		return proto.AckDelayed
 	default:
 		d.sinceAckReq++
-		k := q / s.cfg.AckEveryDiv
+		k := q / ackEveryDiv
 		if k < 1 {
 			k = 1
 		}
@@ -325,7 +322,7 @@ func (s *Sender) OnAck(dst topology.NodeID, ackGen uint32, ackSeq uint64, now si
 	}
 	freed := s.takeOut(d, i)
 	d.lastProgress = now
-	if s.cfg.Adaptive {
+	if s.adaptive {
 		// Karn's algorithm: only never-retransmitted entries give an
 		// unambiguous RTT (the ack provably answers this transmission).
 		// Sample the newest qualifying entry of the run.
@@ -400,9 +397,9 @@ func (s *Sender) Unpin(e *Entry) {
 // (|rtt−SRTT|−RTTVAR)/4) and, since a fresh sample proves the path
 // answers, resets the Karn backoff. Samples come from unambiguous data
 // acks (OnAck) and from liveness control traffic (the NIC). No-op unless
-// Adaptive.
+// the sender is adaptive.
 func (s *Sender) ObserveRTT(dst topology.NodeID, rtt time.Duration) {
-	if !s.cfg.Adaptive || rtt < 0 {
+	if !s.adaptive || rtt < 0 {
 		return
 	}
 	d := s.dests[dst]
@@ -426,27 +423,21 @@ func (s *Sender) ObserveRTT(dst topology.NodeID, rtt time.Duration) {
 }
 
 // timeoutFor returns the retransmission timeout in force for one
-// destination: the fixed Interval, or with Adaptive the Jacobson RTO
-// (SRTT + 4·RTTVAR clamped to [RTOMin, RTOMax]) doubled per unanswered
-// retransmission burst (Karn backoff, capped at RTOMax).
+// destination: the fixed Interval, or on an adaptive sender the Jacobson
+// RTO (SRTT + 4·RTTVAR clamped to [RTOMin, 8 × Interval]) doubled per
+// unanswered retransmission burst (Karn backoff, under the same cap).
 func (s *Sender) timeoutFor(d *destState) time.Duration {
-	if !s.cfg.Adaptive {
+	if !s.adaptive {
 		return s.cfg.Interval
 	}
-	to := s.cfg.Interval
+	to, ceil := s.cfg.Interval, rtoMaxIntervals*s.cfg.Interval
 	if d.hasRTT {
-		to = time.Duration(d.srtt + 4*d.rttvar)
-		if to < s.cfg.RTOMin {
-			to = s.cfg.RTOMin
-		}
+		to = max(time.Duration(d.srtt+4*d.rttvar), RTOMin)
 	}
-	for i := uint(0); i < d.backoff && to < s.cfg.RTOMax; i++ {
+	for i := uint(0); i < d.backoff && to < ceil; i++ {
 		to *= 2
 	}
-	if to > s.cfg.RTOMax {
-		to = s.cfg.RTOMax
-	}
-	return to
+	return min(to, ceil)
 }
 
 // TimeoutFor exposes the timeout in force for dst (Interval when the
@@ -532,7 +523,7 @@ func (s *Sender) Tick(now sim.Time) []Batch {
 			batch = append(batch, e)
 		}
 		if len(batch) > 0 {
-			if s.cfg.Adaptive && d.backoff < 16 {
+			if s.adaptive && d.backoff < 16 {
 				// Karn backoff: each unanswered burst doubles the next
 				// timeout until a fresh sample arrives.
 				d.backoff++

@@ -116,7 +116,7 @@ func TestTickSkipsQueuesWithUntransmittedHead(t *testing.T) {
 }
 
 func TestAckRequestFeedbackLevels(t *testing.T) {
-	s := NewSender(Config{QueueSize: 32, AckEveryDiv: 4})
+	s := NewSender(Config{QueueSize: 32})
 	e := s.Prepare(dst, at(0), 32, nil, 100)
 	// Plenty free (32 of 32): every K=8th packet requests delayed.
 	for i := 0; i < 7; i++ {

@@ -5,7 +5,6 @@ import (
 
 	"sanft/internal/core"
 	"sanft/internal/liveness"
-	"sanft/internal/mapping"
 	"sanft/internal/metrics"
 	"sanft/internal/report"
 	"sanft/internal/topology"
@@ -26,12 +25,6 @@ type (
 	// MetricsSample is one point of the collected time series.
 	MetricsSample = metrics.Sample
 
-	// MapperConfig holds on-demand mapper tunables (probe timeout, BFS
-	// bounds).
-	MapperConfig = mapping.Config
-	// LivenessConfig holds per-path liveness session timer terms
-	// (desired/required intervals, detection multiplier, jitter).
-	LivenessConfig = liveness.Config
 	// RemapPolicy paces the recovery path (backoff, quarantine).
 	RemapPolicy = core.RemapPolicy
 
@@ -93,42 +86,22 @@ func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
 }
 
-// WithMapper enables on-demand mapping (requires fault tolerance). An
-// optional MapperConfig sets probe timeouts and BFS bounds.
-func WithMapper(cfg ...MapperConfig) Option {
-	return func(c *Config) {
-		c.Mapper = true
-		if len(cfg) > 0 {
-			c.MapperCfg = cfg[0]
-		}
-	}
+// WithMapper enables on-demand mapping (requires fault tolerance).
+func WithMapper() Option {
+	return func(c *Config) { c.Mapper = true }
 }
 
 // WithLiveness runs a BFD-style liveness session on every routed path
-// (requires fault tolerance): a dead path is declared down after
-// detect-multiplier × negotiated-interval of control silence — typically
-// well before the fixed permanent-failure threshold — and the
-// session-down event triggers the same remap/quarantine recovery as a
-// stale path. An optional LivenessConfig overrides the timer terms; zero
-// fields take RFC 5880-style defaults (1ms interval, multiplier 3).
-func WithLiveness(cfg ...LivenessConfig) Option {
-	return func(c *Config) {
-		lc := LivenessConfig{}
-		if len(cfg) > 0 {
-			lc = cfg[0]
-		}
-		c.Liveness = &lc
-	}
-}
-
-// WithAdaptiveRetrans switches the retransmission timeout from the
-// paper's fixed interval to an RTT-adaptive one: liveness RTT samples
-// (and unambiguous ack timings) drive a Jacobson/Karn SRTT/RTTVAR
-// estimator per destination, with exponential backoff while a path is
-// unresponsive. Best combined with WithLiveness, which supplies steady
-// RTT samples even when data traffic is idle.
-func WithAdaptiveRetrans() Option {
-	return func(c *Config) { c.Retrans.Adaptive = true }
+// (requires fault tolerance), with RFC 5880-style timer terms (1ms
+// interval, multiplier 3): a dead path is declared down after three
+// intervals of control silence — typically well before the fixed
+// permanent-failure threshold — and the session-down event triggers the
+// same remap/quarantine recovery as a stale path. The sessions also make
+// the retransmission timeout adaptive: their RTT samples (and unambiguous
+// ack timings) drive a Jacobson/Karn SRTT/RTTVAR estimator per
+// destination, with exponential backoff while a path is unresponsive.
+func WithLiveness() Option {
+	return func(c *Config) { c.Liveness = &liveness.Config{} }
 }
 
 // WithSampling starts periodic metric sampling every `every` of simulated

@@ -164,14 +164,14 @@ func TestParallelByteIdentical(t *testing.T) {
 }
 
 // TestParallelByteIdenticalLiveness re-runs the differential gate with
-// per-path liveness sessions and adaptive retransmission enabled: session
+// per-path liveness sessions, and with them adaptive retransmission: session
 // timers, jittered control traffic, and RTT observations all draw from
 // session-local RNGs seeded from (cluster seed, src, dst) — never from a
 // shard or worker — so the observable dump must stay byte-identical at
 // any worker count. It must also differ from the baseline dump (the
 // sessions must actually run) and stay seed-sensitive.
 func TestParallelByteIdenticalLiveness(t *testing.T) {
-	live := []Option{WithLiveness(), WithAdaptiveRetrans()}
+	live := []Option{WithLiveness()}
 	ref, s := gateRun(t, 7, 1, live...)
 	requireRecovery(t, s)
 	for _, w := range []int{2, 4} {

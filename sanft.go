@@ -180,18 +180,6 @@ func DoubleStar(n int) (*Network, []NodeID) { return topology.DoubleStar(n) }
 // NewFig2 builds the paper's Figure 2 mapping testbed.
 func NewFig2() *Fig2Topology { return topology.NewFig2() }
 
-// NewMapper attaches an on-demand mapper to a NIC. An optional
-// MapperConfig sets probe timeouts and BFS bounds; earlier versions
-// dropped the configuration on the floor, so callers that need tuning
-// should pass it here rather than mutating the mapper afterwards.
-func NewMapper(k *Kernel, n *NIC, cfg ...MapperConfig) *Mapper {
-	mc := MapperConfig{}
-	if len(cfg) > 0 {
-		mc = cfg[0]
-	}
-	return mapping.New(k, n, mc)
-}
-
 // ShortestRoute computes a BFS shortest source route between two hosts.
 func ShortestRoute(nw *Network, a, b NodeID) (Route, error) { return routing.Shortest(nw, a, b) }
 

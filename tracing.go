@@ -137,7 +137,7 @@ func RunTraced(ts TraceSetup) (*TraceResult, error) {
 			WithFlightRecorder(fr),
 		}
 		if ts.Liveness {
-			opts = append(opts, WithLiveness(), WithAdaptiveRetrans())
+			opts = append(opts, WithLiveness())
 		}
 		c := New(opts...)
 		runTraceWorkload(c, ts, notes)

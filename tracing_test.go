@@ -115,12 +115,25 @@ func TestTracedPerfettoParses(t *testing.T) {
 // against a golden file — the same check CI runs through cmd/santrace.
 // Regenerate with: go test -run TestChaosTimelineGolden -update .
 func TestChaosTimelineGolden(t *testing.T) {
-	res, err := RunTraced(TraceSetup{Campaign: "link-flap"})
+	checkTimelineGolden(t, TraceSetup{Campaign: "link-flap"}, "santrace-linkflap.timeline")
+}
+
+// TestChaosTimelineGoldenLiveness pins the link-kill campaign's timeline
+// tail under liveness sessions, and with them the adaptive timer.
+func TestChaosTimelineGoldenLiveness(t *testing.T) {
+	checkTimelineGolden(t, TraceSetup{Campaign: "link-kill", Liveness: true}, "santrace-linkkill-liveness.timeline")
+}
+
+// checkTimelineGolden compares the last 400 events of ts's timeline with
+// testdata/name, or rewrites the file under -update.
+func checkTimelineGolden(t *testing.T, ts TraceSetup, name string) {
+	t.Helper()
+	res, err := RunTraced(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := res.TimelineText(400)
-	golden := filepath.Join("testdata", "santrace-linkflap.timeline")
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
