@@ -142,12 +142,13 @@ func (c *Cluster) startEngine(routes *routing.Table, groups [][]topology.NodeID)
 	c.eng = parsim.NewEngine(shards, c.Lookahead, c.cfg.Workers)
 	for i, p := range pipes {
 		port := c.eng.Port(i)
+		pkts, frames := fabric.PacketsOf(c.cells[i].k), proto.FramesOf(c.cells[i].k)
 		p.SetEgress(func(dst topology.NodeID, at sim.Time, pkt *fabric.Packet) {
 			j, ok := c.byHost[dst]
 			if !ok {
 				return // terminal node is not a workload host: silently lost
 			}
-			cp := clonePacket(pkt)
+			cp := clonePacket(pkts, frames, pkt)
 			to := pipes[j]
 			port.Send(at, j, func() { to.Arrive(dst, cp) })
 		})
@@ -163,21 +164,22 @@ func msgID(f *proto.Frame) uint64 {
 }
 
 // clonePacket deep-copies a packet crossing a shard boundary, drawing
-// packet and frame storage from the fabric/proto pools: the destination
-// NIC's receive path releases both at end of life, so steady-state
-// cross-shard traffic allocates nothing. Callbacks are stripped by
-// ClonePooled: OnInjectDone already fired on the source shard, and the
-// wire gives no cross-host drop feedback (which is why the
-// retransmission protocol exists). An explicit ack's original frame has
-// no other reader once cloned, so it goes back to the pool here; the
-// original packet goes back after its send DMA (fabric.Pipe), and a data
-// frame stays with the sender's retransmission queue.
-func clonePacket(pkt *fabric.Packet) *fabric.Packet {
-	cp := pkt.ClonePooled()
+// packet and frame storage from the source cell's lists, pkts and
+// frames: the destination NIC's receive path sends both back to those
+// lists at end of life, so steady-state cross-shard traffic allocates
+// nothing. Callbacks are stripped (fabric.Packets.Clone): OnInjectDone
+// already fired on the source shard, and the wire gives no cross-host
+// drop feedback (which is why the retransmission protocol exists). An
+// explicit ack's original frame has no other reader once cloned, so it
+// goes back to its list here; the original packet goes back after its
+// send DMA (fabric.Pipe), and a data frame stays with the sender's
+// retransmission queue.
+func clonePacket(pkts fabric.Packets, frames proto.Frames, pkt *fabric.Packet) *fabric.Packet {
+	cp := pkts.Clone(pkt)
 	if f, ok := pkt.Payload.(*proto.Frame); ok {
-		cp.Payload = f.ClonePooled()
+		cp.Payload = frames.Clone(f)
 		if f.Type == proto.FrameAck {
-			f.Release()
+			frames.Release(f)
 		}
 	}
 	return cp

@@ -12,7 +12,8 @@ import (
 
 // TestPacketClonePooledAllocs pins the fabric side of the shard-boundary
 // clone: after pool warmup, ClonePooled+Release of a packet shell must
-// not allocate (the payload is cloned separately by the protocol layer).
+// not allocate (the payload is cloned separately by the protocol layer),
+// on the list of code with no cell and on a cell's own list alike.
 func TestPacketClonePooledAllocs(t *testing.T) {
 	pkt := &Packet{
 		Route: routing.Route{1, 2}, Src: 1, Dst: 2, Size: 1048,
@@ -24,6 +25,11 @@ func TestPacketClonePooledAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("packet boundary clone allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+	ps := PacketsOf(sim.New(1))
+	ps.Release(ps.Clone(pkt))
+	if avg := testing.AllocsPerRun(10000, func() { ps.Release(ps.Clone(pkt)) }); avg != 0 {
+		t.Fatalf("packet clone on a cell's list allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 }
 

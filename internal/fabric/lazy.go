@@ -109,7 +109,7 @@ func (f *Fabric) plan(w *worm) bool {
 			return false
 		}
 		l := nd.Ports[port]
-		if !f.nw.LinkUsable(l) || f.gray[l.ID] != nil {
+		if !f.nw.LinkUsable(l) || f.grayLink(l.ID) != nil {
 			return false
 		}
 		key := keyFor(l, node)

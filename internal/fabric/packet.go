@@ -105,6 +105,7 @@ type Packet struct {
 	term topology.NodeID
 
 	// blk points back to this packet's pooled storage when it came from
-	// ClonePooled; nil for ordinary packets. See Release.
+	// a packet list (Packets, ClonePooled); nil for ordinary packets. See
+	// Release.
 	blk *packetBlock
 }

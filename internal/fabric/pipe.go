@@ -38,6 +38,9 @@ type Pipe struct {
 	wire
 
 	egress func(dst topology.NodeID, at sim.Time, pkt *Packet)
+	// pkts is the packet list of the kernel's cell, where a packet handed
+	// to the egress hook goes back after its send DMA.
+	pkts Packets
 
 	// The send-DMA completion and the local arrival of every packet, bound
 	// once; the packet is the event argument. sentAway is the send-DMA
@@ -50,7 +53,7 @@ type Pipe struct {
 // wormhole fabric it publishes no per-link busy/utilization gauges — only
 // the packet counters.
 func NewPipe(k *sim.Kernel, nw *topology.Network, cfg Config) *Pipe {
-	p := &Pipe{wire: newWire(k, nw, cfg)}
+	p := &Pipe{wire: newWire(k, nw, cfg), pkts: PacketsOf(k)}
 	p.sent = (*pipeSent)(p)
 	p.sentAway = (*pipeSentAway)(p)
 	p.landed = (*pipeLanded)(p)
@@ -76,12 +79,12 @@ func (*pipeSent) Fire(arg any) {
 
 // Fire completes the send DMA of a packet the egress hook has copied
 // (or let go), which is its last use.
-func (*pipeSentAway) Fire(arg any) {
+func (p *pipeSentAway) Fire(arg any) {
 	pkt := arg.(*Packet)
 	if pkt.OnInjectDone != nil {
 		pkt.OnInjectDone()
 	}
-	pkt.Release()
+	p.pkts.Release(pkt)
 }
 
 func (p *pipeLanded) Fire(arg any) {
@@ -144,7 +147,7 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 		return
 	}
 
-	local := p.deliver[cur] != nil
+	local := p.host(cur) != nil
 	if !local && p.egress == nil {
 		p.dropAtInject(pkt, DropNoRoute)
 		return

@@ -208,7 +208,7 @@ func TestDroppedPacketNotReused(t *testing.T) {
 	f.KillLink(nw.Node(hosts[0]).Ports[0])
 	var kept *Packet
 	var p *Packet
-	p = NewPacket(Packet{Route: route, Dst: hosts[1], Size: 64,
+	p = PacketsOf(nil).New(Packet{Route: route, Dst: hosts[1], Size: 64,
 		Payload: "frame", OnDropped: func(DropReason) { kept = p }})
 	f.Inject(hosts[0], p)
 	k.Run()
@@ -216,7 +216,7 @@ func TestDroppedPacketNotReused(t *testing.T) {
 		t.Fatalf("drop callback kept %p of %p, %d no-route drops", kept, p, dropped(f, DropNoRoute))
 	}
 	for i := 0; i < 64; i++ {
-		if q := NewPacket(Packet{}); q == p {
+		if q := PacketsOf(nil).New(Packet{}); q == p {
 			t.Fatal("a dropped packet came back out of the pool")
 		}
 	}
@@ -242,7 +242,7 @@ func TestPipeEgressPacketReleasedAfterSendDMA(t *testing.T) {
 	route := mkPacket(nw, hosts[0], hosts[1], 64).Route
 	var pkt *Packet
 	injectDone := 0
-	pkt = NewPacket(Packet{Route: route, Dst: hosts[1], Size: 1500, Payload: "frame", OnInjectDone: func() {
+	pkt = PacketsOf(nil).New(Packet{Route: route, Dst: hosts[1], Size: 1500, Payload: "frame", OnInjectDone: func() {
 		if pkt.Payload != "frame" || pkt.Route == nil {
 			t.Fatal("egress packet cleared before its send DMA completed")
 		}
@@ -253,11 +253,11 @@ func TestPipeEgressPacketReleasedAfterSendDMA(t *testing.T) {
 		t.Fatal("packet not handed to the egress hook")
 	}
 	for i := 0; i < 64; i++ {
-		if q := NewPacket(Packet{}); q == pkt {
+		if q := PacketsOf(nil).New(Packet{}); q == pkt {
 			t.Fatal("egress packet handed out before its send DMA completed")
 		}
 	}
-	back := NewPacket(Packet{Route: mkPacket(nw, hosts[1], hosts[0], 64).Route, Dst: hosts[0], Size: 64, Payload: "reply"})
+	back := PacketsOf(nil).New(Packet{Route: mkPacket(nw, hosts[1], hosts[0], 64).Route, Dst: hosts[0], Size: 64, Payload: "reply"})
 	p.Inject(hosts[1], back)
 	k.Run()
 	if injectDone != 1 {

@@ -19,8 +19,11 @@ type wire struct {
 	nw  *topology.Network
 	cfg Config
 
-	deliver map[topology.NodeID]func(*Packet)
-	gray    map[int]*grayLink // per-link probabilistic loss (SetLinkLoss)
+	// deliver holds each attached host's receive callback, indexed by
+	// node ID; gray the loss state of each gray link (SetLinkLoss),
+	// indexed by link ID, and stays nil until some link turns gray.
+	deliver []func(*Packet)
+	gray    []*grayLink
 
 	// transitHook, if set, runs once per packet at delivery time and may
 	// mutate it (set Corrupted) or return false to drop it in transit.
@@ -45,7 +48,7 @@ func newWire(k *sim.Kernel, nw *topology.Network, cfg Config) wire {
 	if cfg.LinkRate <= 0 {
 		panic("fabric: LinkRate must be positive")
 	}
-	return wire{k: k, nw: nw, cfg: cfg, deliver: make(map[topology.NodeID]func(*Packet))}
+	return wire{k: k, nw: nw, cfg: cfg, deliver: make([]func(*Packet), len(nw.Nodes))}
 }
 
 // BindMetrics points the packet counters at reg. core.New calls it with
@@ -85,7 +88,18 @@ func (w *wire) AttachHost(h topology.NodeID, fn func(*Packet)) {
 	if w.nw.Node(h).Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: %d is not a host", h))
 	}
+	for int(h) >= len(w.deliver) {
+		w.deliver = append(w.deliver, nil)
+	}
 	w.deliver[h] = fn
+}
+
+// host returns the receive callback attached at host h, nil if none.
+func (w *wire) host(h topology.NodeID) func(*Packet) {
+	if int(h) < len(w.deliver) {
+		return w.deliver[h]
+	}
+	return nil
 }
 
 // SetTransitHook installs a fault-injection hook invoked once per packet at
@@ -113,18 +127,28 @@ func (w *wire) SerializationTime(n int) time.Duration {
 // stream. rate 0 removes the loss.
 func (w *wire) SetLinkLoss(link int, rate float64, seed int64) {
 	if rate <= 0 {
-		delete(w.gray, link)
+		if link < len(w.gray) {
+			w.gray[link] = nil
+		}
 		return
 	}
-	if w.gray == nil {
-		w.gray = make(map[int]*grayLink)
+	for link >= len(w.gray) {
+		w.gray = append(w.gray, nil)
 	}
 	w.gray[link] = newGrayLink(rate, seed, link)
 }
 
+// grayLink returns the loss state of link id, nil if it is not gray.
+func (w *wire) grayLink(link int) *grayLink {
+	if link < len(w.gray) {
+		return w.gray[link]
+	}
+	return nil
+}
+
 // graySample draws the gray stream of link id (if any) for one crossing.
 func (w *wire) graySample(link int) bool {
-	g := w.gray[link]
+	g := w.grayLink(link)
 	return g != nil && g.drop()
 }
 
@@ -202,7 +226,7 @@ func (w *wire) arrive(dst topology.NodeID, pkt *Packet) {
 	w.count(&w.delivered, "fabric.pkts_delivered", 1)
 	w.count(&w.bytes, "fabric.bytes_delivered", uint64(pkt.Size))
 	w.emitPkt(trace.EvDeliver, pkt, -1, 0, "")
-	if fn := w.deliver[dst]; fn != nil {
+	if fn := w.host(dst); fn != nil {
 		fn(pkt)
 	}
 }

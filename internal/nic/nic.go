@@ -119,6 +119,13 @@ type NIC struct {
 	freeBuffers int
 	bufGate     sim.Gate
 
+	// pkts and frames are the free lists of the kernel's cell: every
+	// packet sent and explicit ack comes from them, and the receive path
+	// releases what it consumed through them, home to whichever cell's
+	// list it came from.
+	pkts   fabric.Packets
+	frames proto.Frames
+
 	// txQueue holds the frames waiting for the send DMA. The NIC has one
 	// packet on the DMA at a time (txBusy); txCur is that packet's item.
 	txQueue sim.Queue[txItem]
@@ -265,6 +272,8 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		cpu:         sim.NewResource(k, fmt.Sprintf("nic%d-cpu", node)),
 		pci:         sim.NewResource(k, fmt.Sprintf("nic%d-pci", node)),
 		freeBuffers: opts.Retrans.QueueSize,
+		pkts:        fabric.PacketsOf(k),
+		frames:      proto.FramesOf(k),
 		delayed:     make(map[topology.NodeID]*delayedAck),
 		inRemap:     make(map[topology.NodeID]bool),
 		live:        make(map[topology.NodeID]*liveSession),
@@ -710,8 +719,8 @@ func (n *NIC) kickTX() {
 		// The packet carries the route itself: the wire only reads it,
 		// and no installed route is ever written in place (SetRoute
 		// replaces the slice, table routes are capacity-capped). It comes
-		// from the fabric's pool; the receiving NIC releases it.
-		pkt := fabric.NewPacket(fabric.Packet{
+		// from the cell's packet list; the receiving NIC releases it.
+		pkt := n.pkts.New(fabric.Packet{
 			Route:        route,
 			Dst:          frame.Dst,
 			Size:         frame.WireSize(),
@@ -1071,8 +1080,8 @@ func (n *NIC) onWire(pkt *fabric.Packet) {
 func (n *NIC) receive(pkt *fabric.Packet) {
 	n.processFrame(pkt.Payload.(*proto.Frame), pkt)
 	// The packet shell is dead once receive firmware returns; recycle
-	// pooled (shard-boundary) storage. No-op for ordinary packets.
-	pkt.Release()
+	// its pooled storage. No-op for ordinary packets.
+	n.pkts.Release(pkt)
 }
 
 func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
@@ -1080,7 +1089,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	// dropped after the check cost is paid.
 	if pkt.Corrupted {
 		n.emit(trace.EvCrcDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
-		frame.Release()
+		n.frames.Release(frame)
 		return
 	}
 	// Frames the receive path fully consumes are released at their last
@@ -1092,7 +1101,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	switch frame.Type {
 	case proto.FrameAck:
 		n.processAck(frame.Src, frame.AckGen, frame.AckSeq)
-		frame.Release()
+		n.frames.Release(frame)
 	case proto.FrameData:
 		n.processData(frame)
 	case proto.FrameHostProbe:
@@ -1108,7 +1117,7 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 		}
 	case proto.FrameLiveness:
 		n.onLiveness(frame)
-		frame.Release()
+		n.frames.Release(frame)
 	}
 }
 
@@ -1157,7 +1166,7 @@ func (n *NIC) processData(frame *proto.Frame) {
 			} else {
 				n.emit(trace.EvOooDrop, frame.Src, frame.Gen, frame.Seq, msgOf(frame))
 			}
-			frame.Release()
+			n.frames.Release(frame)
 			return
 		}
 	}
@@ -1195,7 +1204,7 @@ func (n *NIC) deliverUp(frame *proto.Frame) {
 	}
 	// Host consumption is the end of a received data frame's life;
 	// recycle pooled storage (no-op on a sender's original).
-	frame.Release()
+	n.frames.Release(frame)
 }
 
 // ackValue returns the cumulative ack to advertise to `to`: the NIC-accept
@@ -1217,7 +1226,7 @@ func (n *NIC) sendAck(to topology.NodeID) {
 	}
 	n.cancelDelayedAck(to)
 	n.rcv.AckEmitted(to)
-	n.fw(n.cost.AckSendCost, n.ackReady, proto.NewAck(to, gen, seq))
+	n.fw(n.cost.AckSendCost, n.ackReady, n.frames.NewAck(to, gen, seq))
 }
 
 // transmitAck queues an explicit ack once its firmware cost is paid.

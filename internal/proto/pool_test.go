@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sanft/internal/routing"
+	"sanft/internal/sim"
 )
 
 func poolTestFrame(payload int) *Frame {
@@ -111,11 +112,12 @@ func BenchmarkBoundaryClonePlain(b *testing.B) {
 	}
 }
 
-// TestNewAckAllocs: an explicit ack frame comes from the frame pool with
+// TestNewAckAllocs: an explicit ack frame comes from a frame list with
 // only its ack fields set, and once released and taken again allocates
-// nothing; the released block keeps no pointer.
+// nothing, on the list of code with no cell and on a cell's own list
+// alike; the released block keeps no pointer.
 func TestNewAckAllocs(t *testing.T) {
-	f := NewAck(4, 2, 9)
+	f := FramesOf(nil).NewAck(4, 2, 9)
 	if f.Type != FrameAck || f.Dst != 4 || !f.HasAck || f.AckGen != 2 || f.AckSeq != 9 ||
 		f.Data != nil || f.ControlRoute != nil || f.Src != 0 || f.Seq != 0 {
 		t.Fatalf("NewAck built %+v", f)
@@ -126,8 +128,13 @@ func TestNewAckAllocs(t *testing.T) {
 	if b.f.ControlRoute != nil || b.f.blk != nil {
 		t.Fatal("a released ack frame keeps its pointers")
 	}
-	avg := testing.AllocsPerRun(10000, func() { NewAck(1, 0, 1).Release() })
+	avg := testing.AllocsPerRun(10000, func() { FramesOf(nil).NewAck(1, 0, 1).Release() })
 	if avg != 0 {
 		t.Fatalf("NewAck+Release allocates %.2f allocs/op once warm, want 0", avg)
+	}
+	fs := FramesOf(sim.New(1))
+	fs.Release(fs.NewAck(1, 0, 1))
+	if avg := testing.AllocsPerRun(10000, func() { fs.Release(fs.NewAck(1, 0, 1)) }); avg != 0 {
+		t.Fatalf("NewAck+Release on a cell's list allocates %.2f allocs/op once warm, want 0", avg)
 	}
 }

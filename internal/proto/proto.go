@@ -190,7 +190,8 @@ type Frame struct {
 	ControlRoute routing.Route
 
 	// blk points back to this frame's pooled storage when it came from
-	// ClonePooled; nil for ordinary frames. See Release.
+	// a frame list (Frames, ClonePooled); nil for ordinary frames. See
+	// Release.
 	blk *frameBlock
 }
 

@@ -32,7 +32,6 @@ type Verdict struct {
 
 // Receiver is the receive side of the protocol for one NIC.
 type Receiver struct {
-	cfg  Config
 	srcs map[topology.NodeID]*srcState
 
 	// Counters.
@@ -41,9 +40,11 @@ type Receiver struct {
 	StaleGen   uint64
 }
 
-// NewReceiver returns a Receiver with the given configuration.
-func NewReceiver(cfg Config) *Receiver {
-	return &Receiver{cfg: cfg.Defaults(), srcs: make(map[topology.NodeID]*srcState)}
+// NewReceiver returns a Receiver. The receive rules take no settings: the
+// Config argument is accepted so that a NIC builds both halves of the
+// protocol from one Config, and is not read.
+func NewReceiver(Config) *Receiver {
+	return &Receiver{srcs: make(map[topology.NodeID]*srcState)}
 }
 
 func (r *Receiver) src(id topology.NodeID) *srcState {

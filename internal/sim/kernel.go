@@ -175,6 +175,10 @@ type Kernel struct {
 	// scheduled counts the events ever inserted (seq counts ordinary
 	// events and reserved keys only), heaped those that entered a heap.
 	scheduled, heaped uint64
+
+	// lists holds this cell's free list of each pooled type, keyed by
+	// the type's Lists (see Lists.Of).
+	lists map[any]any
 }
 
 // laterBand is set in the seq of every ordinary event, so that an AtAsOf

@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // Queue is a FIFO that pops in place: the waiting items are items[head:],
 // and the consumed prefix is reclaimed once it reaches half the slice. A
 // push and a pop in steady state allocate nothing, and a queue whose
@@ -68,37 +66,4 @@ func (q *Queue[T]) reclaim() {
 		clear(q.items[n:])
 		q.items, q.head = q.items[:n], 0
 	}
-}
-
-// FreeList keeps objects for reuse: Put hands one back, Get takes the
-// newest back out, or returns nil when there is none. Unlike a sync.Pool
-// it keeps every object until one is taken, garbage collections and the
-// race detector included, so a steady get/put cycle allocates nothing
-// under `go test -race` too. It is safe for concurrent use: the cells of
-// the parallel engine and concurrent campaigns share one. The zero value
-// is an empty list.
-type FreeList[T any] struct {
-	mu    sync.Mutex
-	items []*T
-}
-
-// Get takes the object put back last, nil if there is none.
-func (l *FreeList[T]) Get() *T {
-	l.mu.Lock()
-	var x *T
-	if n := len(l.items); n > 0 {
-		x = l.items[n-1]
-		l.items[n-1] = nil
-		l.items = l.items[:n-1]
-	}
-	l.mu.Unlock()
-	return x
-}
-
-// Put hands x back for reuse. The caller has cleared what x must not keep
-// reachable, and uses x no more.
-func (l *FreeList[T]) Put(x *T) {
-	l.mu.Lock()
-	l.items = append(l.items, x)
-	l.mu.Unlock()
 }

@@ -61,18 +61,23 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestFreeList: Get returns the newest object put back, nil when empty;
-// concurrent users each get back only objects nobody else holds.
+// TestFreeList: Get returns the newest object put back, a new one when
+// the list is empty, and Made counts those; concurrent users of a list
+// with no cell each get back only objects nobody else holds.
 func TestFreeList(t *testing.T) {
 	var l FreeList[int]
-	if l.Get() != nil {
-		t.Fatal("an empty list returned an object")
+	c := l.Get()
+	if c == nil || l.Made() != 1 {
+		t.Fatalf("an empty list returned %v and made %d objects, want a new one", c, l.Made())
 	}
 	a, b := new(int), new(int)
 	l.Put(a)
 	l.Put(b)
-	if l.Get() != b || l.Get() != a || l.Get() != nil {
+	if l.Get() != b || l.Get() != a {
 		t.Fatal("Get does not return the newest object first")
+	}
+	if x := l.Get(); x == a || x == b || l.Made() != 2 {
+		t.Fatal("Get on an empty list did not allocate")
 	}
 	var wg sync.WaitGroup
 	for g := 1; g <= 4; g++ {
@@ -81,9 +86,6 @@ func TestFreeList(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				x := l.Get()
-				if x == nil {
-					x = new(int)
-				}
 				*x = g
 				runtime.Gosched()
 				if *x != g {
@@ -91,9 +93,16 @@ func TestFreeList(t *testing.T) {
 					return
 				}
 				*x = 0
-				l.Put(x)
+				if i%2 == 0 {
+					l.Put(x)
+				} else {
+					l.Return(x)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	if l.Made() > 6 {
+		t.Fatalf("4 users made %d objects, want at most 6", l.Made())
+	}
 }

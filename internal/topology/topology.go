@@ -55,6 +55,8 @@ type Node struct {
 
 	// Up is false when the node has suffered a permanent failure
 	// (switches only; host failures are out of scope, per the paper).
+	// Only the Network's mutators set it (KillSwitch, RestoreSwitch),
+	// since they keep the usable flag of the node's links in step.
 	Up bool
 }
 
@@ -86,8 +88,15 @@ func (n *Node) FreePort() int {
 type Link struct {
 	ID   int
 	A, B Endpoint
-	// Up is false when the link has suffered a permanent failure.
+	// Up is false when the link has suffered a permanent failure or has
+	// been unplugged. Only the Network's mutators set it (KillLink,
+	// RestoreLink, Disconnect), since they keep usable in step.
 	Up bool
+
+	// usable caches Up && A's node up && B's node up, the one load
+	// LinkUsable makes on every hop of every packet. Every mutator that
+	// changes one of the three sets it (see refresh), and Clone copies it.
+	usable bool
 }
 
 // Endpoint is one end of a link: a node and the port it plugs into.
@@ -203,6 +212,7 @@ func (nw *Network) Connect(a NodeID, pa int, b NodeID, pb int) *Link {
 	nw.Links = append(nw.Links, l)
 	na.Ports[pa] = l
 	nb.Ports[pb] = l
+	nw.refresh(l)
 	return l
 }
 
@@ -225,7 +235,7 @@ func (nw *Network) Disconnect(a NodeID, pa int) *Link {
 	}
 	nw.Node(l.A.Node).Ports[l.A.Port] = nil
 	nw.Node(l.B.Node).Ports[l.B.Port] = nil
-	l.Up = false
+	l.Up, l.usable = false, false
 	return l
 }
 
@@ -258,7 +268,7 @@ func (nw *Network) Clone() *Network {
 
 // KillLink marks a link permanently failed. Traffic attempting to cross it
 // is dropped by the fabric.
-func (nw *Network) KillLink(l *Link) { l.Up = false }
+func (nw *Network) KillLink(l *Link) { l.Up, l.usable = false, false }
 
 // RestoreLink brings a failed (but still wired) link back up.
 func (nw *Network) RestoreLink(l *Link) {
@@ -266,6 +276,7 @@ func (nw *Network) RestoreLink(l *Link) {
 		panic("topology: cannot restore a disconnected link")
 	}
 	l.Up = true
+	nw.refresh(l)
 }
 
 // KillSwitch marks a switch permanently failed; all its links are
@@ -275,17 +286,31 @@ func (nw *Network) KillSwitch(id NodeID) {
 	if n.Kind != Switch {
 		panic(fmt.Sprintf("topology: %s is not a switch", n.Name))
 	}
-	n.Up = false
+	nw.setUp(n, false)
 }
 
 // RestoreSwitch brings a failed switch back up.
-func (nw *Network) RestoreSwitch(id NodeID) { nw.Node(id).Up = true }
+func (nw *Network) RestoreSwitch(id NodeID) { nw.setUp(nw.Node(id), true) }
+
+// setUp sets node n up or down and refreshes the links wired to it.
+func (nw *Network) setUp(n *Node, up bool) {
+	n.Up = up
+	for _, l := range n.Ports {
+		if l != nil {
+			nw.refresh(l)
+		}
+	}
+}
+
+// refresh recomputes whether l is usable: up, with both endpoint nodes up.
+func (nw *Network) refresh(l *Link) {
+	l.usable = l.Up && nw.Node(l.A.Node).Up && nw.Node(l.B.Node).Up
+}
 
 // LinkUsable reports whether a link can carry traffic: it must be up and
-// both endpoint nodes up.
-func (nw *Network) LinkUsable(l *Link) bool {
-	return l != nil && l.Up && nw.Node(l.A.Node).Up && nw.Node(l.B.Node).Up
-}
+// both endpoint nodes up. It reads the flag the mutators keep, so it
+// makes one load instead of two node lookups.
+func (nw *Network) LinkUsable(l *Link) bool { return l != nil && l.usable }
 
 // MoveHost unplugs host h and rewires it to port newPort of switch sw,
 // modeling the paper's dynamic-reconfiguration scenario ("a node is
