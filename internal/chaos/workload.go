@@ -116,6 +116,9 @@ func (w Workload) Start(e *Engine) *Run {
 		e.StallFloor = 2 * w.Gap
 	}
 	r := &Run{W: w, logs: make(map[Pair]*pairLog, len(w.Pairs))}
+	// Every message is sent from one zero buffer: no layer writes a send
+	// buffer.
+	payload := make([]byte, w.Bytes)
 	for i, pr := range w.Pairs {
 		pr := pr
 		name := fmt.Sprintf("chaos-%d", pr.Src)
@@ -139,7 +142,7 @@ func (w Workload) Start(e *Engine) *Run {
 				panic(fmt.Sprintf("chaos: import %d->%d: %v", pr.Src, pr.Dst, err))
 			}
 			for m := 0; m < w.Msgs; m++ {
-				imp.Send(p, 0, make([]byte, w.Bytes), true)
+				imp.Send(p, 0, payload, true)
 				p.Sleep(w.Gap)
 			}
 		})

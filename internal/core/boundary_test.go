@@ -10,9 +10,10 @@ import (
 )
 
 // TestBoundaryCloneReleasesAck: the shard-boundary hook deep-copies a
-// packet and its frame. An explicit ack's original frame has no reader
-// left once copied, so it goes back to its cell's frame list at once; a
-// data frame stays the sender's, for its retransmission queue.
+// packet and its frame, and lets go of the original packet's hold on the
+// frame. An explicit ack's original has no other holder, so it goes back
+// to its cell's frame list at once; a data frame the sender's entry still
+// holds stays as it is until the entry lets go too.
 func TestBoundaryCloneReleasesAck(t *testing.T) {
 	k := sim.New(1)
 	pkts, frames := fabric.PacketsOf(k), proto.FramesOf(k)
@@ -28,14 +29,19 @@ func TestBoundaryCloneReleasesAck(t *testing.T) {
 		t.Fatal("the original ack frame was not released once cloned")
 	}
 
-	data := proto.NewData(2, proto.DataPayload{MsgID: 3, MsgLen: 4, Data: []byte{1, 2, 3, 4}})
+	data := frames.NewData(2, proto.DataPayload{MsgID: 3, MsgLen: 4, Data: []byte{1, 2, 3, 4}})
 	data.Src = 1
+	data.Hold() // the sender's entry
 	pkt = pkts.New(fabric.Packet{Route: routing.Route{0}, Src: 1, Dst: 2, Size: data.WireSize(), Payload: data})
 	cp = clonePacket(pkts, frames, pkt)
 	if got := cp.Payload.(*proto.Frame); got == data || got.Data.MsgID != 3 {
 		t.Fatalf("data clone %+v", got)
 	}
-	if data.Type != proto.FrameData || data.Data == nil || data.Data.MsgID != 3 {
-		t.Fatal("the original data frame was touched by the clone")
+	if data.Type != proto.FrameData || data.Data == nil || data.Data.MsgID != 3 || data.Src != 1 {
+		t.Fatal("the original data frame was released while its entry holds it")
+	}
+	frames.Release(data) // the entry lets go
+	if data.Data != nil || data.Src != 0 {
+		t.Fatal("the original data frame was not released once its entry let go")
 	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"sanft/internal/fabric"
 	"sanft/internal/proto"
+	"sanft/internal/retrans"
+	"sanft/internal/topology"
 )
 
 // blocksMade sums the packet and frame blocks every cell's lists have
@@ -53,5 +55,80 @@ func TestPoolOwnershipAcrossCells(t *testing.T) {
 	}
 	if got, want := c.DeliveredCount(), 4*150+600; got != want {
 		t.Fatalf("%d frames delivered, want %d", got, want)
+	}
+}
+
+// TestDataFrameOwnershipCells runs the frame-level workload, whose data
+// frames come from each sending cell's frame list, on plans of several
+// cells under send-side drops and a lossy trunk, with and without the
+// retransmission protocol. A data frame's block has one hold per holder,
+// and a packet that crosses to another cell lets go of its hold once the
+// boundary hook has copied it. Every delivery must be a message its flow
+// sent, with the generation and sequence it was sent under (with FT:
+// every message exactly once, in order), and once the traffic is over
+// every block each cell's list made must be back on it but the frame of
+// each packet the wire dropped.
+func TestDataFrameOwnershipCells(t *testing.T) {
+	const msgs = 200
+	for _, tc := range []struct {
+		name string
+		ft   bool
+		plan ShardPlan
+	}{
+		{"ft-host-per-cell", true, ShardPlan{}},
+		{"ft-two-hosts-per-cell", true, ShardPlan{HostsPerShard: 2}},
+		{"no-ft-two-hosts-per-cell", false, ShardPlan{HostsPerShard: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, hosts := topology.DoubleStar(4)
+			c := New(Config{Net: nw, Hosts: hosts, FT: tc.ft, ErrorRate: 0.02, Seed: 9,
+				Retrans: retrans.Config{QueueSize: 16, Interval: 200 * time.Microsecond},
+				Engine:  EngineSharded, Plan: tc.plan, Workers: 2})
+			defer c.Stop()
+			for _, l := range nw.TrunkLinks() {
+				c.SetLinkLoss(l.ID, 0.02)
+			}
+			h := hosts
+			flows := []Flow{{h[0], h[2]}, {h[2], h[0]}, {h[1], h[3]}, {h[0], h[1]}, {h[3], h[2]}}
+			c.StartFlows(flows, msgs, 512, 5*time.Microsecond)
+			c.RunFor(50 * time.Millisecond)
+
+			next := make(map[Flow]uint64)
+			for _, d := range c.Deliveries() {
+				f := Flow{d.Src, d.Dst}
+				want := next[f] + 1
+				if !tc.ft && d.Msg >= want {
+					want = d.Msg // without FT a message may be lost, none repeated
+				}
+				if d.Msg != want || d.Msg > msgs || d.Gen != 0 || (tc.ft && d.Seq != d.Msg-1) || (!tc.ft && d.Seq != 0) {
+					t.Fatalf("%v after message %d of its flow", d, next[f])
+				}
+				next[f] = d.Msg
+			}
+			for _, f := range flows {
+				if tc.ft && next[f] != msgs {
+					t.Fatalf("flow %d->%d delivered %d of %d messages", f.Src, f.Dst, next[f], msgs)
+				}
+			}
+			reg := c.MergedObserver().Registry()
+			dropped := reg.CounterTotal("fabric.pkts_dropped")
+			if reg.CounterTotal("nic.err-injected-drops") == 0 || dropped == 0 || c.Exchanged() == 0 {
+				t.Fatal("no send-side drops, wire drops or cell crossings: the run does not exercise what it is for")
+			}
+			// Count each list's free blocks by drawing until it has to
+			// make one.
+			out := 0
+			for i := 0; i < c.Shards(); i++ {
+				frames := proto.FramesOf(c.CellKernel(i))
+				made, free := frames.Made(), 0
+				for frames.NewAck(0, 0, 0); frames.Made() == made; frames.NewAck(0, 0, 0) {
+					free++
+				}
+				out += made - free
+			}
+			if uint64(out) != dropped {
+				t.Fatalf("%d frame blocks are out after the run, want %d, one per packet the wire dropped", out, dropped)
+			}
+		})
 	}
 }

@@ -130,8 +130,10 @@ func planGroups(plan ShardPlan, hosts []topology.NodeID) [][]topology.NodeID {
 // lookahead is the fastest cross-cell traversal the route table allows.
 // A packet terminating at a host of another cell crosses via the engine,
 // deep-copied from pooled storage — wire transit is the serialization
-// point. Intra-cell packets never get here: their hosts are attached to
-// the cell's own pipe.
+// point — and posted to the destination pipe's bound arrival handler,
+// with the copy as the argument, so a crossing schedules no closure.
+// Intra-cell packets never get here: their hosts are attached to the
+// cell's own pipe.
 func (c *Cluster) startEngine(routes *routing.Table, groups [][]topology.NodeID) {
 	c.Lookahead = c.cfg.Fabric.MinCrossLatency(minCrossHops(routes, groups))
 	shards := make([]parsim.Shard, len(c.cells))
@@ -148,9 +150,7 @@ func (c *Cluster) startEngine(routes *routing.Table, groups [][]topology.NodeID)
 			if !ok {
 				return // terminal node is not a workload host: silently lost
 			}
-			cp := clonePacket(pkts, frames, pkt)
-			to := pipes[j]
-			port.Send(at, j, func() { to.Arrive(dst, cp) })
+			port.Send(at, j, pipes[j].Arrival(), clonePacket(pkts, frames, pkt))
 		})
 	}
 }
@@ -169,18 +169,17 @@ func msgID(f *proto.Frame) uint64 {
 // lists at end of life, so steady-state cross-shard traffic allocates
 // nothing. Callbacks are stripped (fabric.Packets.Clone): OnInjectDone
 // already fired on the source shard, and the wire gives no cross-host
-// drop feedback (which is why the retransmission protocol exists). An
-// explicit ack's original frame has no other reader once cloned, so it
-// goes back to its list here; the original packet goes back after its
-// send DMA (fabric.Pipe), and a data frame stays with the sender's
-// retransmission queue.
+// drop feedback (which is why the retransmission protocol exists). The
+// original packet's reference to its frame ends with the copy, so the
+// hook lets go of the packet's hold here: an explicit ack's frame goes
+// back to its list, and a data frame stays with whoever else holds it,
+// the sender's retransmission entry under FT. The original packet goes
+// back after its send DMA (fabric.Pipe).
 func clonePacket(pkts fabric.Packets, frames proto.Frames, pkt *fabric.Packet) *fabric.Packet {
 	cp := pkts.Clone(pkt)
 	if f, ok := pkt.Payload.(*proto.Frame); ok {
 		cp.Payload = frames.Clone(f)
-		if f.Type == proto.FrameAck {
-			frames.Release(f)
-		}
+		frames.Release(f)
 	}
 	return cp
 }
@@ -285,18 +284,21 @@ func (c *Cluster) StartFlows(flows []Flow, msgs, bytes int, gap time.Duration) {
 	if gap == 0 {
 		gap = 200 * time.Microsecond
 	}
+	// Every message is sent from one zero buffer: no layer writes a send
+	// buffer (a boundary copy copies the bytes, a receiver reads them).
+	buf := make([]byte, bytes)
 	for i, f := range flows {
 		sc, dc := c.cells[c.byHost[f.Src]], c.cells[c.byHost[f.Dst]]
 		dc.nics[f.Dst].SetOnDeliver(dc.logDelivery(f.Dst))
-		n := sc.nics[f.Src]
+		n, frames := sc.nics[f.Src], proto.FramesOf(sc.k)
 		stagger := time.Duration(i%7) * 37 * time.Microsecond
 		sc.k.Spawn(fmt.Sprintf("flow-%d-%d", f.Src, f.Dst), func(p *sim.Proc) {
 			p.Sleep(stagger)
 			for m := 1; m <= msgs; m++ {
-				n.Send(p, proto.NewData(f.Dst, proto.DataPayload{
+				n.Send(p, frames.NewData(f.Dst, proto.DataPayload{
 					MsgID:  uint64(m),
 					MsgLen: bytes,
-					Data:   make([]byte, bytes),
+					Data:   buf,
 					Notify: true,
 				}))
 				p.Sleep(gap)

@@ -100,8 +100,9 @@ type Packet struct {
 	// OnDropped fires if the fabric discards the packet. May be nil.
 	OnDropped func(reason DropReason)
 
-	// term is the terminal host a Pipe resolved at inject, read by its
-	// local-arrival event.
+	// term is the terminal host a Pipe resolved at inject, read by the
+	// arrival event of the pipe it lands on (Pipe.Arrival); a
+	// shard-boundary copy keeps it.
 	term topology.NodeID
 
 	// blk points back to this packet's pooled storage when it came from

@@ -33,7 +33,8 @@ import (
 //
 // A destination host attached locally (AttachHost) receives directly; any
 // other destination is handed to the Egress hook with its precomputed
-// arrival time — the shard boundary the engine carries packets across.
+// arrival time — the shard boundary the engine carries packets across,
+// to the owning shard's pipe's Arrival handler.
 type Pipe struct {
 	wire
 
@@ -95,9 +96,10 @@ func (p *pipeLanded) Fire(arg any) {
 // SetEgress installs the shard-boundary hook: packets terminating at a
 // host with no local AttachHost callback are handed to fn together with
 // their arrival time (strictly later than now by at least the cross-shard
-// lookahead). The engine forwards them to the owning shard's pipe via
-// Arrive. fn must copy what it keeps: the pipe releases the packet after
-// its send DMA.
+// lookahead), their terminal host stamped on them as on a local arrival.
+// The engine forwards them to the owning shard's pipe's Arrival handler.
+// fn must copy what it keeps: the pipe releases the packet after its send
+// DMA.
 func (p *Pipe) SetEgress(fn func(dst topology.NodeID, at sim.Time, pkt *Packet)) {
 	p.egress = fn
 }
@@ -159,18 +161,21 @@ func (p *Pipe) Inject(src topology.NodeID, pkt *Packet) {
 	}
 	p.k.AtHandler(p.k.Now().Add(ser), sent, pkt)
 	at := p.k.Now().Add(lat + ser)
+	pkt.term = cur
 	if local {
-		pkt.term = cur
 		p.k.AtHandler(at, p.landed, pkt)
 		return
 	}
 	p.egress(cur, at, pkt)
 }
 
-// Arrive completes delivery of pkt to terminal host dst at the current
-// instant. For cross-shard packets the engine calls this on the owning
-// shard's pipe at the arrival time the source shard computed.
-func (p *Pipe) Arrive(dst topology.NodeID, pkt *Packet) { p.arrive(dst, pkt) }
+// Arrival returns the pipe's bound arrival handler: fired with a packet
+// whose terminal host Inject stamped (a copy of it keeps the stamp), it
+// completes the delivery to that host at the current instant. The engine
+// posts every cross-shard packet to the owning shard's pipe with it, at
+// the arrival time the source shard computed, so a crossing schedules no
+// closure.
+func (p *Pipe) Arrival() sim.Handler { return p.landed }
 
 // MinCrossLatency returns the smallest pipe-mode traversal latency between
 // any ordered pair of distinct hosts whose shortest route crosses minHops

@@ -37,7 +37,9 @@ func newRig(t *testing.T, nw *topology.Network, hosts []topology.NodeID, install
 			FT:      true,
 			Retrans: retrans.Config{QueueSize: 16, Interval: time.Millisecond},
 			OnDeliver: func(f *proto.Frame) {
-				r.rx[h] = append(r.rx[h], f)
+				// A copy: a delivered frame is let go of once OnDeliver
+				// returns, and a pooled one goes back to its list then.
+				r.rx[h] = append(r.rx[h], f.Clone())
 			},
 		})
 	}
@@ -294,7 +296,7 @@ func TestRemapEndToEndAfterPermanentFailure(t *testing.T) {
 				Interval:          time.Millisecond,
 				PermFailThreshold: 10 * time.Millisecond,
 			},
-			OnDeliver: func(f *proto.Frame) { rx[h] = append(rx[h], f) },
+			OnDeliver: func(f *proto.Frame) { rx[h] = append(rx[h], f.Clone()) },
 		})
 	}
 	for _, a := range hosts {

@@ -4,21 +4,42 @@
 // never waits for the receiver — measuring how fast data can be put onto
 // the network.
 //
-// Each benchmark sends every message from one zero buffer, as a VMMC
-// micro-benchmark sends one registered buffer repeatedly. Sharing it is
-// safe because no layer writes a send buffer: VMMC frames, and the
-// go-back-N clones of them, point into it until they are acknowledged,
-// and the receiver copies the bytes into its export.
+// Every benchmark sends every message from one process-wide zero buffer,
+// as a VMMC micro-benchmark sends one registered buffer repeatedly.
+// Sharing it is safe because no layer writes a send buffer: VMMC frames,
+// and the go-back-N copies of them, point into it until they are
+// acknowledged, and the receiver copies the bytes into its export. Calls
+// that run concurrently (parallel tests, replica pools) share it too: it
+// only grows, under a lock, and nothing ever writes it.
 package microbench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"sanft/internal/core"
 	"sanft/internal/sim"
 	"sanft/internal/stats"
 )
+
+// zeros is the process-wide zero send buffer (zeroBuf).
+var zeros struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// zeroBuf returns n zero bytes to send from, shared with every other
+// caller and never written. A larger request replaces the buffer with a
+// larger one; slices of the old one stay valid for whoever holds them.
+func zeroBuf(n int) []byte {
+	zeros.mu.Lock()
+	defer zeros.mu.Unlock()
+	if len(zeros.buf) < n {
+		zeros.buf = make([]byte, n)
+	}
+	return zeros.buf[:n:n]
+}
 
 // LatencyResult is one row of the latency micro-benchmark.
 type LatencyResult struct {
@@ -34,7 +55,7 @@ func Latency(c *core.Cluster, size, iters int) LatencyResult {
 	a, b := c.EndpointAt(0), c.EndpointAt(1)
 	expB := b.Export(fmt.Sprintf("lat-b-%d", size), maxInt(size, 1))
 	expA := a.Export(fmt.Sprintf("lat-a-%d", size), maxInt(size, 1))
-	buf := make([]byte, size)
+	buf := zeroBuf(size)
 
 	var agg stats.BreakdownAvg
 	var sum time.Duration
@@ -96,7 +117,7 @@ func PingPong(c *core.Cluster, size, iters int) BandwidthResult {
 	name := fmt.Sprintf("pp-%d", size)
 	expB := b.Export(name+"-b", size)
 	expA := a.Export(name+"-a", size)
-	buf := make([]byte, size)
+	buf := zeroBuf(size)
 
 	var start, end sim.Time
 	count := 0
@@ -142,7 +163,7 @@ func Unidirectional(c *core.Cluster, size, iters int) BandwidthResult {
 	a, b := c.EndpointAt(0), c.EndpointAt(1)
 	name := fmt.Sprintf("uni-%d", size)
 	expB := b.Export(name, size)
-	buf := make([]byte, size)
+	buf := zeroBuf(size)
 
 	var first, last sim.Time
 	count := 0

@@ -6,6 +6,7 @@ import (
 
 	"sanft/internal/fabric"
 	"sanft/internal/proto"
+	"sanft/internal/retrans"
 	"sanft/internal/routing"
 	"sanft/internal/sim"
 	"sanft/internal/topology"
@@ -105,5 +106,77 @@ func TestTxQueueBacklogBoundedMemory(t *testing.T) {
 	}
 	if maxCap > 4*backlog {
 		t.Fatalf("transmit queue capacity grew to %d with a backlog of %d", maxCap, backlog)
+	}
+}
+
+// sinkWire completes each packet's send DMA a microsecond after its
+// inject, and then lets go of the packet and its frame, as a receiving NIC
+// would once done with them.
+type sinkWire struct {
+	k      *sim.Kernel
+	pkts   fabric.Packets
+	frames proto.Frames
+	done   sim.Handler // complete, bound once
+}
+
+func (w *sinkWire) AttachHost(topology.NodeID, func(*fabric.Packet)) {}
+
+func (w *sinkWire) Inject(_ topology.NodeID, pkt *fabric.Packet) {
+	w.k.AtHandler(w.k.Now().Add(time.Microsecond), w.done, pkt)
+}
+
+func (w *sinkWire) complete(arg any) {
+	pkt := arg.(*fabric.Packet)
+	pkt.OnInjectDone()
+	w.frames.Release(pkt.Payload.(*proto.Frame))
+	w.pkts.Release(pkt)
+}
+
+// TestGoBackNBurstAllocs: a go-back-N burst allocates nothing once warm.
+// The scan's batches are the sender's scratch (retrans.Sender.Tick), the
+// burst's firmware work is a bound handler whose argument is a reused
+// record, each resent copy is a block from the cell's frame list that goes
+// back once its packet has left and the ack has freed its entry, and the
+// copies go to the front of a transmit queue that keeps its backing array.
+// (Before: the scan's result and each batch's entry slice, a closure and
+// an item slice per burst, and a frame per copy.)
+func TestGoBackNBurstAllocs(t *testing.T) {
+	const (
+		interval = 50 * time.Microsecond
+		run      = 8
+	)
+	k := sim.New(1)
+	w := &sinkWire{k: k, pkts: fabric.PacketsOf(k), frames: proto.FramesOf(k)}
+	w.done = sim.HandlerFunc(w.complete)
+	n := New(k, w, 0, Options{FT: true, Retrans: retrans.Config{QueueSize: 32, Interval: interval}})
+	n.SetRoute(1, routing.Route{})
+	frames := proto.FramesOf(k)
+	buf := make([]byte, 64)
+	sent := uint64(0)
+	cycle := func() {
+		for i := 0; i < run; i++ {
+			f := frames.NewData(1, proto.DataPayload{MsgID: sent, MsgLen: len(buf), Data: buf})
+			f.Src = n.node
+			n.freeBuffers--
+			n.queueData(f)
+			sent++
+		}
+		// No ack comes back: a scan batches the run once its timeout is
+		// up, and the copies leave the wire; then an ack frees it all.
+		k.RunFor(3 * interval)
+		n.processAck(1, 0, sent-1)
+		k.RunFor(interval)
+	}
+	cycle()
+	cycle()
+	resent := n.Counters().Get("pkts-retransmitted")
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("a run of %d frames and its go-back-N burst allocate %.2f times, want 0", run, avg)
+	}
+	if got := n.Counters().Get("pkts-retransmitted") - resent; got < 200*run {
+		t.Fatalf("%d frames resent over 200 cycles, want at least %d: the bursts never ran", got, 200*run)
+	}
+	if n.ProtoSender().TotalUnacked() != 0 || n.FreeBuffers() != 32 {
+		t.Fatalf("%d unacked, %d free buffers after the cycles", n.ProtoSender().TotalUnacked(), n.FreeBuffers())
 	}
 }

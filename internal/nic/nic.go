@@ -72,10 +72,16 @@ type Options struct {
 	SkipIdleScans bool
 }
 
-// txItem is one frame queued for transmission.
+// txItem is one frame queued for transmission. A queued data frame is
+// held by its item (the send path's hold) until kickTX passes the hold
+// on to the frame's packet, or lets go of it.
 type txItem struct {
 	frame *proto.Frame
 	entry *retrans.Entry // nil for control frames and non-FT mode
+	// data, set once the frame has gone to its packet, records that it
+	// was a data frame: onInjectDone reads it instead of the frame, which
+	// the receiver may have released by then.
+	data bool
 }
 
 // depositMark is the reliable-reception ack horizon for one source.
@@ -120,9 +126,10 @@ type NIC struct {
 	bufGate     sim.Gate
 
 	// pkts and frames are the free lists of the kernel's cell: every
-	// packet sent and explicit ack comes from them, and the receive path
-	// releases what it consumed through them, home to whichever cell's
-	// list it came from.
+	// packet sent, explicit ack and go-back-N copy comes from them, and
+	// every hold the NIC has on a frame (see queueData) and every packet
+	// it received are let go of through them, home to whichever cell's
+	// list they came from.
 	pkts   fabric.Packets
 	frames proto.Frames
 
@@ -131,6 +138,12 @@ type NIC struct {
 	txQueue sim.Queue[txItem]
 	txBusy  bool
 	txCur   txItem
+
+	// bursts is the cell's list of retransmit-burst records (see
+	// retransmitBatch); resend is the scratch a burst's firmware work
+	// builds the copies' items in.
+	bursts *sim.FreeList[burst]
+	resend []txItem
 
 	snd *retrans.Sender
 	rcv *retrans.Receiver
@@ -183,6 +196,7 @@ type NIC struct {
 	notified    sim.Handler // notification posted: deliverUp
 	ackReady    sim.Handler // ack firmware done: transmitAck
 	ackDue      sim.Handler // delayed-ack timer expired: delayedAckDue
+	burstDone   sim.Handler // retransmit burst's firmware work done: resendBurst
 
 	// mx is the NIC's host-labeled scope: every firmware event is one
 	// add to a constant nic.* name, read back through Counters; m holds
@@ -274,6 +288,7 @@ func New(k *sim.Kernel, fab Wire, node topology.NodeID, opts Options) *NIC {
 		freeBuffers: opts.Retrans.QueueSize,
 		pkts:        fabric.PacketsOf(k),
 		frames:      proto.FramesOf(k),
+		bursts:      burstLists.Of(k),
 		delayed:     make(map[topology.NodeID]*delayedAck),
 		inRemap:     make(map[topology.NodeID]bool),
 		live:        make(map[topology.NodeID]*liveSession),
@@ -315,6 +330,7 @@ func (n *NIC) bindHandlers() {
 	n.notified = sim.HandlerFunc(func(a any) { n.deliverUp(a.(*proto.Frame)) })
 	n.ackReady = sim.HandlerFunc(func(a any) { n.transmitAck(a.(*proto.Frame)) })
 	n.ackDue = sim.HandlerFunc(func(a any) { n.delayedAckDue(a.(*delayedAck)) })
+	n.burstDone = sim.HandlerFunc(func(a any) { n.resendBurst(a.(*burst)) })
 	n.scanned = sim.HandlerFunc(func(any) { n.timerScan() })
 	n.adapted = sim.HandlerFunc(func(any) { n.adaptiveTimerScan() })
 }
@@ -556,7 +572,9 @@ func (n *NIC) Destinations() []topology.NodeID {
 // blocks (in virtual time) while no send buffer is free, pays the host-side
 // cost (PIO or descriptor post), and returns once the host's part is done —
 // the asynchronous VMMC send semantics. Delivery is reported to the remote
-// host via its OnDeliver.
+// host via its OnDeliver. A pooled frame (proto.Frames.NewData) comes with
+// the send path's hold, which the NIC takes over: the caller must not use
+// the frame after Send.
 func (n *NIC) Send(p *sim.Proc, frame *proto.Frame) {
 	if frame.Type != proto.FrameData || frame.Data == nil {
 		panic("nic: Send is for data frames; use SendControl")
@@ -599,10 +617,20 @@ func (n *NIC) firmwareSend(frame *proto.Frame) {
 
 // queueData finishes the firmware's send processing of a data frame: it
 // sequences the frame under FT and queues it for transmission.
+//
+// A pooled data frame has one hold per holder, and each lets go where its
+// reference ends: the send path's, carried by the transmit item, until
+// kickTX passes it on to the frame's packet or lets go of it on a
+// send-side drop or a missing route; the retransmission entry's, taken
+// here, until the sender releases the entry (dropPayload); and each
+// packet's, until the receiving NIC's last use of it or the shard-boundary
+// hook's copy. A packet the fabric drops never lets go: its frame is left
+// to the garbage collector, like the packet.
 func (n *NIC) queueData(frame *proto.Frame) {
 	var entry *retrans.Entry
 	if n.ft {
 		entry = n.snd.Prepare(frame.Dst, n.k.Now(), n.freeBuffers, frame, frame.WireSize())
+		frame.Hold() // the entry's, until the sender releases it
 		frame.Gen = entry.Gen
 		frame.Seq = entry.Seq
 		frame.AckReq = n.snd.AckRequestFor(entry, n.freeBuffers)
@@ -646,6 +674,7 @@ func (n *NIC) SendControl(frame *proto.Frame, route routing.Route) {
 		r, ok := n.Route(frame.Dst)
 		if !ok {
 			n.mx.AddTo(&n.m.controlNoRoute, "nic.control-no-route", 1)
+			n.frames.Release(frame)
 			return
 		}
 		route = r
@@ -690,20 +719,23 @@ func (n *NIC) kickTX() {
 			} else {
 				n.releaseBuffer()
 			}
+			n.frames.Release(frame) // the send path's hold
 			continue
 		}
 
 		route := frame.ControlRoute
 		if route == nil {
-			r, ok := n.Route(frame.Dst)
+			dst := frame.Dst
+			r, ok := n.Route(dst)
 			if !ok {
 				n.mx.AddTo(&n.m.txNoRoute, "nic.tx-no-route", 1)
+				n.frames.Release(frame) // the send path's hold
 				if n.ft && it.entry != nil {
 					// Keep the entry queued; the timer will retry once a
 					// route exists. Mark transmitted so the timer owns it.
 					n.snd.OnTransmitted(it.entry, n.k.Now())
 					n.copyDone(it.entry)
-					n.noRoute(frame.Dst)
+					n.noRoute(dst)
 				} else {
 					n.releaseBuffer()
 				}
@@ -719,7 +751,8 @@ func (n *NIC) kickTX() {
 		// The packet carries the route itself: the wire only reads it,
 		// and no installed route is ever written in place (SetRoute
 		// replaces the slice, table routes are capacity-capped). It comes
-		// from the cell's packet list; the receiving NIC releases it.
+		// from the cell's packet list; the receiving NIC releases it. It
+		// takes over the send path's hold on the frame.
 		pkt := n.pkts.New(fabric.Packet{
 			Route:        route,
 			Dst:          frame.Dst,
@@ -731,7 +764,7 @@ func (n *NIC) kickTX() {
 			OnInjectDone: n.injectDone,
 		})
 		n.txBusy = true
-		n.txCur = it
+		n.txCur = txItem{entry: it.entry, data: frame.Type == proto.FrameData}
 		n.mx.AddTo(&n.m.pktsSent, "nic.pkts-sent", 1)
 		if frame.Type == proto.FrameData {
 			n.emit(trace.EvInject, frame.Dst, frame.Gen, frame.Seq, msgOf(frame))
@@ -743,9 +776,9 @@ func (n *NIC) kickTX() {
 
 // onInjectDone runs when the packet on the send DMA (txCur) has left the
 // SRAM: the wire fires it exactly once per packet, and the next packet
-// starts only after it. With FT on it reads no frame: an explicit ack's
-// frame may already be back in proto's pool (the shard-boundary hook
-// releases it once it has cloned it).
+// starts only after it. It reads no frame: the packet's frame may already
+// be back on its list (released by the receiving NIC, or by the
+// shard-boundary hook once it has cloned it).
 func (n *NIC) onInjectDone() {
 	it := n.txCur
 	n.txCur = txItem{}
@@ -753,7 +786,7 @@ func (n *NIC) onInjectDone() {
 	if it.entry != nil {
 		n.copyDone(it.entry)
 	}
-	if !n.ft && it.frame.Type == proto.FrameData {
+	if !n.ft && it.data {
 		n.releaseBuffer()
 	}
 	n.kickTX()
@@ -763,7 +796,16 @@ func (n *NIC) onInjectDone() {
 // back to the sender if nothing else reaches it any more.
 func (n *NIC) copyDone(e *retrans.Entry) {
 	e.InFlight--
-	n.snd.Release(e)
+	n.dropPayload(n.snd.Release(e))
+}
+
+// dropPayload lets go of the hold a retransmission entry had on its
+// payload frame, once the sender has released the entry (nil: it has
+// not).
+func (n *NIC) dropPayload(payload any) {
+	if f, ok := payload.(*proto.Frame); ok {
+		n.frames.Release(f)
+	}
 }
 
 // releaseBuffer returns one send buffer to the pool and wakes a blocked
@@ -995,10 +1037,21 @@ func (n *NIC) noteAcked(freed []*retrans.Entry) {
 	}
 }
 
+// burst is a go-back-N batch waiting for its firmware work: the entries
+// it resends, each pinned until the work has run. The record is the
+// argument of the NIC's bound burstDone handler, drawn from its cell's
+// list, and goes back once the work has run.
+type burst struct {
+	entries []*retrans.Entry
+}
+
+// burstLists holds each cell's list of burst records.
+var burstLists sim.Lists[burst]
+
 // retransmitBatch re-enqueues a go-back-N batch at the front of the TX
-// queue, in order, cloning each frame (an original may still be in flight).
-// The final frame requests an immediate ack so the sender resynchronizes
-// in one round trip.
+// queue, in order, once its firmware work is paid (resendBurst). The
+// final frame requests an immediate ack so the sender resynchronizes in
+// one round trip.
 func (n *NIC) retransmitBatch(b retrans.Batch) {
 	n.mx.AddTo(&n.m.retransmitBursts, "nic.retransmit-bursts", 1)
 	// detect_ns is the honest timeout-detection latency: the timeout in
@@ -1008,38 +1061,50 @@ func (n *NIC) retransmitBatch(b retrans.Batch) {
 	n.mx.ObserveTo(&n.m.detectNS, "retrans.detect_ns", b.Oldest)
 	n.mx.ObserveTo(&n.m.scanWaitNS, "retrans.scan_wait_ns", b.Waited)
 	cost := time.Duration(len(b.Entries)) * n.cost.RetransPktCost
-	// The work below resends every entry of the batch, also those an ack
-	// frees before it runs, so the batch pins them until then.
-	for _, e := range b.Entries {
+	// The work resends every entry of the batch, also those an ack frees
+	// before it runs, so the batch pins them until then.
+	bu := n.bursts.Get()
+	bu.entries = append(bu.entries, b.Entries...)
+	for _, e := range bu.entries {
 		n.snd.Pin(e)
 	}
-	n.fw(cost, sim.HandlerFunc(func(any) {
-		items := make([]txItem, 0, len(b.Entries))
-		for i, e := range b.Entries {
-			orig, ok := e.Payload.(*proto.Frame)
-			if !ok {
-				continue
-			}
-			f := *orig
-			f.Retransmitted = true
-			f.HasAck = false
-			f.Gen = e.Gen
-			f.Seq = e.Seq
-			if i == len(b.Entries)-1 {
-				f.AckReq = proto.AckImmediate
-			}
-			n.attachPiggybackIfAny(&f)
-			n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(&f))
-			e.InFlight++
-			items = append(items, txItem{frame: &f, entry: e})
+	n.fw(cost, n.burstDone, bu)
+}
+
+// resendBurst is a burst's firmware work: it queues a copy of each
+// entry's payload, each a block of its own (proto.Frames.Resend) held by
+// its transmit item, ahead of every queued frame.
+func (n *NIC) resendBurst(bu *burst) {
+	items := n.resend
+	for i, e := range bu.entries {
+		orig, ok := e.Payload.(*proto.Frame)
+		if !ok {
+			continue
 		}
-		for _, e := range b.Entries {
-			n.snd.Unpin(e)
+		f := n.frames.Resend(orig)
+		f.Retransmitted = true
+		f.HasAck = false
+		f.Gen = e.Gen
+		f.Seq = e.Seq
+		if i == len(bu.entries)-1 {
+			f.AckReq = proto.AckImmediate
 		}
-		// Prepend preserving batch order.
-		n.txQueue.PushFront(items...)
-		n.kickTX()
-	}), nil)
+		n.attachPiggybackIfAny(f)
+		n.emit(trace.EvRetransmit, f.Dst, f.Gen, f.Seq, msgOf(f))
+		e.InFlight++
+		items = append(items, txItem{frame: f, entry: e})
+	}
+	for _, e := range bu.entries {
+		n.dropPayload(n.snd.Unpin(e))
+	}
+	clear(bu.entries)
+	bu.entries = bu.entries[:0]
+	n.bursts.Put(bu)
+	// Prepend preserving batch order.
+	n.txQueue.PushFront(items...)
+	clear(items)
+	n.resend = items[:0]
+	n.kickTX()
 }
 
 func (n *NIC) attachPiggybackIfAny(frame *proto.Frame) {
@@ -1096,8 +1161,9 @@ func (n *NIC) processFrame(frame *proto.Frame, pkt *fabric.Packet) {
 	// use: acks and liveness here, data frames at the end of their deposit
 	// path (processData owns them from here). Probe-family and
 	// route-update frames are never pooled — interior references outlive
-	// the receive path — so they need no release. In sequential mode every
-	// frame is the sender's original (Release no-ops on it).
+	// the receive path — so they need no release. A data frame is the
+	// sender's own block on the one-cell plan: releasing it lets go of
+	// its packet's hold, and the sender's entry keeps its own.
 	switch frame.Type {
 	case proto.FrameAck:
 		n.processAck(frame.Src, frame.AckGen, frame.AckSeq)
@@ -1134,7 +1200,7 @@ func (n *NIC) processAck(from topology.NodeID, gen uint32, seq uint64) {
 func (n *NIC) ackFreed(freed []*retrans.Entry) {
 	n.noteAcked(freed)
 	k := len(freed)
-	n.snd.Recycle(freed)
+	n.snd.Recycle(freed, n.dropPayload)
 	n.releaseBuffers(k)
 }
 
@@ -1202,8 +1268,8 @@ func (n *NIC) deliverUp(frame *proto.Frame) {
 	if n.opts.OnDeliver != nil {
 		n.opts.OnDeliver(frame)
 	}
-	// Host consumption is the end of a received data frame's life;
-	// recycle pooled storage (no-op on a sender's original).
+	// Host consumption is the end of a received data frame's life: its
+	// packet's hold ends here.
 	n.frames.Release(frame)
 }
 
@@ -1309,14 +1375,20 @@ func (n *NIC) ResetPath(dst topology.NodeID, route routing.Route) {
 		if !ok {
 			continue
 		}
-		f := *orig
+		// The entry's payload becomes a copy of its own, held by the
+		// entry and by its transmit item; the entry lets go of the frame
+		// the copy replaces, which copies still queued or on the wire
+		// hold for themselves.
+		f := n.frames.Resend(orig)
 		f.Gen = e.Gen
 		f.Seq = e.Seq
 		f.HasAck = false
 		f.Retransmitted = true
-		e.Payload = &f
+		f.Hold()
+		e.Payload = f
+		n.frames.Release(orig)
 		e.InFlight++
-		n.enqueueTX(txItem{frame: &f, entry: e})
+		n.enqueueTX(txItem{frame: f, entry: e})
 	}
 	n.emit(trace.EvGenReset, dst, n.snd.Generation(dst), 0, 0)
 }
@@ -1329,7 +1401,7 @@ func (n *NIC) MarkUnreachable(dst topology.NodeID) {
 	if n.ft {
 		entries := n.snd.MarkUnreachable(dst)
 		dropped := len(entries)
-		n.snd.Recycle(entries)
+		n.snd.Recycle(entries, n.dropPayload)
 		n.releaseBuffers(dropped)
 		n.emit(trace.EvUnreachable, dst, 0, uint64(dropped), 0)
 	}

@@ -39,7 +39,9 @@ func newRig(t *testing.T, nHosts int, mkOpts func(i int) Options) *rig {
 		opts := mkOpts(i)
 		userDeliver := opts.OnDeliver
 		opts.OnDeliver = func(f *proto.Frame) {
-			r.rx[h] = append(r.rx[h], f)
+			// A copy: a delivered frame is let go of once OnDeliver
+			// returns, and a pooled one goes back to its list then.
+			r.rx[h] = append(r.rx[h], f.Clone())
 			if userDeliver != nil {
 				userDeliver(f)
 			}

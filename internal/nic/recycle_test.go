@@ -246,32 +246,44 @@ func TestDelayedAckAllocs(t *testing.T) {
 
 // TestDeliveredFrameCollectable: once a sender's last ack is back and the
 // receiver has delivered every frame, nothing kept for reuse — free
-// entries, pooled packets and ack frames, free worms, the sender's
-// scratch slices — keeps a data frame reachable: every frame's finalizer
-// runs while the cluster is still alive.
+// entries, pooled packets, frame blocks and ack frames, free worms, the
+// sender's scratch slices — keeps a data frame, or the caller's buffer a
+// pooled one carried, reachable: every frame's finalizer runs while the
+// cluster is still alive, and so does every payload buffer's once the
+// pooled frames that pointed at them are back on their list.
 func TestDeliveredFrameCollectable(t *testing.T) {
-	r := newRig(t, 2, func(int) Options { return ftOpts(32, time.Millisecond) })
-	src, dst := r.hosts[0], r.hosts[1]
-	const n = 200
-	var collected atomic.Int32
-	r.k.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			f := dataFrame(dst, uint64(i), make([]byte, 64))
-			runtime.SetFinalizer(f, func(*proto.Frame) { collected.Add(1) })
-			r.nics[src].Send(p, f)
+	for _, pooled := range []bool{false, true} {
+		r := newRig(t, 2, func(int) Options { return ftOpts(32, time.Millisecond) })
+		src, dst := r.hosts[0], r.hosts[1]
+		frames := proto.FramesOf(r.k)
+		const n = 200
+		var collected atomic.Int32
+		r.k.Spawn("sender", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				var f *proto.Frame
+				if pooled {
+					buf := new([64]byte)
+					runtime.SetFinalizer(buf, func(*[64]byte) { collected.Add(1) })
+					f = frames.NewData(dst, proto.DataPayload{MsgID: uint64(i), MsgLen: len(buf), Data: buf[:], Notify: true})
+				} else {
+					f = dataFrame(dst, uint64(i), make([]byte, 64))
+					runtime.SetFinalizer(f, func(*proto.Frame) { collected.Add(1) })
+				}
+				r.nics[src].Send(p, f)
+			}
+		})
+		r.k.RunFor(10 * time.Millisecond)
+		if got := len(r.rx[dst]); got != n || r.nics[src].ProtoSender().TotalUnacked() != 0 {
+			t.Fatalf("pooled %v: delivered %d of %d, %d unacked", pooled, got, n, r.nics[src].ProtoSender().TotalUnacked())
 		}
-	})
-	r.k.RunFor(10 * time.Millisecond)
-	if got := len(r.rx[dst]); got != n || r.nics[src].ProtoSender().TotalUnacked() != 0 {
-		t.Fatalf("delivered %d of %d, %d unacked", got, n, r.nics[src].ProtoSender().TotalUnacked())
+		clear(r.rx) // the rig's own record of deliveries
+		for i := 0; i < 200 && collected.Load() < n; i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if c := collected.Load(); c != n {
+			t.Fatalf("pooled %v: %d of %d delivered data frames or payloads collected; the rest are still reachable", pooled, c, n)
+		}
+		runtime.KeepAlive(r)
 	}
-	clear(r.rx) // the rig's own record of deliveries
-	for i := 0; i < 200 && collected.Load() < n; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if c := collected.Load(); c != n {
-		t.Fatalf("%d of %d delivered data frames collected; the rest are still reachable", c, n)
-	}
-	runtime.KeepAlive(r)
 }

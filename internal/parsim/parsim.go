@@ -51,12 +51,14 @@ type Shard interface {
 	Kernel() *sim.Kernel
 }
 
-// xev is one cross-shard event in flight between epochs.
+// xev is one cross-shard event in flight between epochs: h fires with
+// arg on the destination shard's kernel.
 type xev struct {
 	at       sim.Time
 	src, dst int
 	seq      uint64
-	fn       func()
+	h        sim.Handler
+	arg      any
 }
 
 // xevLess orders cross-shard events by (time, source shard, per-source
@@ -88,11 +90,14 @@ type Port struct {
 	src int
 }
 
-// Send schedules fn to run on shard dst's kernel at absolute time at.
-// It must be called from shard src's execution (during an epoch) and at
-// must be at least the current epoch's end — the conservative condition.
-// Violations panic: they mean the claimed lookahead was wrong.
-func (p *Port) Send(at sim.Time, dst int, fn func()) {
+// Send schedules h.Fire(arg) on shard dst's kernel at absolute time at,
+// as sim.Kernel.AtHandler does, so a component that posts the same kind
+// of event for every packet binds its handler once and posts the packet
+// as arg, allocating nothing. It must be called from shard src's
+// execution (during an epoch) and at must be at least the current epoch's
+// end — the conservative condition. Violations panic: they mean the
+// claimed lookahead was wrong.
+func (p *Port) Send(at sim.Time, dst int, h sim.Handler, arg any) {
 	e := p.e
 	if dst < 0 || dst >= len(e.shards) {
 		panic(fmt.Sprintf("parsim: send to unknown shard %d", dst))
@@ -102,7 +107,7 @@ func (p *Port) Send(at sim.Time, dst int, fn func()) {
 			p.src, at, e.curEnd))
 	}
 	e.seq[p.src]++
-	e.outbox[p.src] = append(e.outbox[p.src], xev{at: at, src: p.src, dst: dst, seq: e.seq[p.src], fn: fn})
+	e.outbox[p.src] = append(e.outbox[p.src], xev{at: at, src: p.src, dst: dst, seq: e.seq[p.src], h: h, arg: arg})
 }
 
 // Engine executes a set of shards under epoch barriers.
@@ -254,11 +259,11 @@ func (e *Engine) deliver(i int, end sim.Time) {
 	}
 	k := e.shards[i].Kernel()
 	for j := 0; j < n; j++ {
-		k.At(in[j].at, in[j].fn)
+		k.AtHandler(in[j].at, in[j].h, in[j].arg)
 	}
 	m := copy(in, in[n:])
 	for j := m; j < len(in); j++ {
-		in[j] = xev{} // drop closure refs in the vacated tail
+		in[j] = xev{} // drop handler and argument refs in the vacated tail
 	}
 	e.inbox[i] = in[:m]
 }
@@ -460,7 +465,7 @@ func (e *Engine) collect() {
 			e.touched[ev.dst] = true
 			dirty = true
 			e.st.Exchanged++
-			out[j].fn = nil // inbox owns the closure now
+			out[j].h, out[j].arg = nil, nil // the inbox holds them now
 		}
 		e.outbox[src] = out[:0]
 	}

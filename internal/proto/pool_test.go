@@ -138,3 +138,71 @@ func TestNewAckAllocs(t *testing.T) {
 		t.Fatalf("NewAck+Release on a cell's list allocates %.2f allocs/op once warm, want 0", avg)
 	}
 }
+
+// TestNewDataAllocs: a data frame comes from a frame list with one hold,
+// each Hold adds one, and the block goes home only when the last holder
+// lets go, cleared, the caller's payload bytes included. A copy to resend
+// (Resend) is a block of its own, with its own payload record, that shares
+// only the caller's bytes, so it outlives its original's block. A value
+// copy of a pooled frame holds nothing. Drawing, holding and letting go
+// allocate nothing once warm, on a cell's list and on the list of code
+// with no cell.
+func TestNewDataAllocs(t *testing.T) {
+	fs := FramesOf(sim.New(1))
+	payload := []byte{1, 2, 3}
+	f := fs.NewData(4, DataPayload{MsgID: 9, MsgLen: len(payload), Data: payload, Notify: true})
+	if f.Type != FrameData || f.Dst != 4 || f.Data == nil || f.Data.MsgID != 9 || !f.Data.Notify || &f.Data.Data[0] != &payload[0] {
+		t.Fatalf("NewData built %+v", f)
+	}
+	f.Hold() // a second holder, as the retransmission entry
+	c := fs.Resend(f)
+	if c == f || c.Data == f.Data || c.Data.MsgID != 9 || &c.Data.Data[0] != &payload[0] {
+		t.Fatal("a resent copy must have its own frame and payload record and share only the bytes")
+	}
+	v := *f
+	v.Hold()
+	fs.Release(&v) // a value copy holds nothing and frees nothing
+	fs.Release(f)
+	if f.Data == nil || f.Data.MsgID != 9 {
+		t.Fatal("a data frame went home while a holder was left")
+	}
+	b := f.blk
+	fs.Release(f)
+	if b.f.Data != nil || b.data.Data != nil || b.f.blk != nil || b.holds != 0 {
+		t.Fatal("a data frame's block keeps its frame, its payload or its holds once the last holder let go")
+	}
+	if c.Data.MsgID != 9 || c.Data.Data[2] != 3 {
+		t.Fatal("a resent copy changed when its original went home")
+	}
+	fs.Release(c)
+	d := DataPayload{MsgID: 1, MsgLen: len(payload), Data: payload}
+	cycle := func(fs Frames) func() {
+		return func() {
+			f := fs.NewData(2, d)
+			f.Hold()
+			fs.Release(fs.Resend(f))
+			fs.Release(f)
+			fs.Release(f)
+		}
+	}
+	for _, fs := range []Frames{fs, FramesOf(nil)} {
+		cycle(fs)()
+		if avg := testing.AllocsPerRun(10000, cycle(fs)); avg != 0 {
+			t.Fatalf("a data frame's draw, copy, holds and releases allocate %.2f times once warm, want 0", avg)
+		}
+	}
+}
+
+// BenchmarkDataFrameHold is a data frame's life on a cell's list: drawn
+// (NewData), held by a second holder, and let go of by both.
+func BenchmarkDataFrameHold(b *testing.B) {
+	fs := FramesOf(sim.New(1))
+	d := DataPayload{MsgID: 1, MsgLen: 64, Data: make([]byte, 64)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := fs.NewData(2, d)
+		f.Hold()
+		fs.Release(f)
+		fs.Release(f)
+	}
+}

@@ -191,28 +191,8 @@ type Frame struct {
 
 	// blk points back to this frame's pooled storage when it came from
 	// a frame list (Frames, ClonePooled); nil for ordinary frames. See
-	// Release.
+	// Hold and Release.
 	blk *frameBlock
-}
-
-// dataBlock is a data frame and its payload allocated together.
-type dataBlock struct {
-	f Frame
-	d DataPayload
-}
-
-// NewData returns a data frame to dst carrying d, allocated with its
-// payload as one block (one allocation where a Frame literal with a
-// DataPayload pointer costs two). The block is not pooled: Release is a
-// no-op on the frame, like on any ordinary frame. In a sequential run the
-// sender's retransmission queue and the receiver share this original, and
-// retransmitted copies share its payload, so nothing can tell when it is
-// dead short of the garbage collector: it is the one allocation a message
-// still makes.
-func NewData(dst topology.NodeID, d DataPayload) *Frame {
-	b := &dataBlock{d: d}
-	b.f = Frame{Type: FrameData, Dst: dst, Data: &b.d}
-	return &b.f
 }
 
 // Clone returns a deep copy of the frame: payload bytes, probe fields,

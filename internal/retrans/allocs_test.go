@@ -86,7 +86,7 @@ func TestSenderCycleAllocs(t *testing.T) {
 		if len(freed) != 8 {
 			t.Fatalf("ack freed %d entries, want 8", len(freed))
 		}
-		s.Recycle(freed)
+		s.Recycle(freed, nil)
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(10000, cycle); avg != 0 {

@@ -172,6 +172,11 @@ type Sender struct {
 	// out is the scratch slice OnAck and MarkUnreachable return.
 	free []*Entry
 	out  []*Entry
+	// Tick's scratch: the batches it returns, their entries back to back,
+	// and where each batch's run ends.
+	batches []Batch
+	batched []*Entry
+	ends    []int
 }
 
 // NewSender returns a Sender with the given configuration (zero fields
@@ -355,41 +360,48 @@ func (s *Sender) takeOut(d *destState, i int) []*Entry {
 // it has left its queue (acked, or dropped by MarkUnreachable), no copy of
 // it waits in the NIC's transmit queue or streams on the wire (InFlight is
 // 0), and no retransmit batch with firmware work pending names it (Pin).
-// Until all three hold it does nothing, so the NIC calls it wherever the
-// last of them may have ended: after OnAck and MarkUnreachable (Recycle),
-// when a copy leaves the transmit path, and when a batch's work has run
-// (Unpin). Its pointers are cleared, so a free entry keeps no payload
-// reachable.
-func (s *Sender) Release(e *Entry) {
+// Until all three hold it does nothing and returns nil, so the NIC calls
+// it wherever the last of them may have ended: after OnAck and
+// MarkUnreachable (Recycle), when a copy leaves the transmit path, and
+// when a batch's work has run (Unpin). Its pointers are cleared, so a free
+// entry keeps no payload reachable; it returns the payload it let go of,
+// for the NIC to drop the entry's hold on it.
+func (s *Sender) Release(e *Entry) (payload any) {
 	if e.queued || e.InFlight > 0 || e.pins > 0 {
-		return
+		return nil
 	}
 	if e.free {
 		panic("retrans: entry released twice")
 	}
+	payload = e.Payload
 	*e = Entry{free: true}
 	s.free = append(s.free, e)
+	return payload
 }
 
 // Recycle releases each entry of a slice OnAck or MarkUnreachable
-// returned, once the caller has read them, and clears the slice, so the
-// scratch keeps nothing reachable.
-func (s *Sender) Recycle(entries []*Entry) {
+// returned, once the caller has read them, calls drop (unless nil) with
+// each payload a release lets go of, and clears the slice, so the scratch
+// keeps nothing reachable.
+func (s *Sender) Recycle(entries []*Entry, drop func(payload any)) {
 	for _, e := range entries {
-		s.Release(e)
+		if p := s.Release(e); p != nil && drop != nil {
+			drop(p)
+		}
 	}
 	clear(entries)
 }
 
 // Pin marks e as named by a retransmit batch whose firmware work is still
-// pending: Release keeps it until the matching Unpin, even once it is
-// acked, because the batch will still read and resend it.
+// pending: Release keeps it, and its payload, until the matching Unpin,
+// even once it is acked, because the batch will still read and resend it.
 func (s *Sender) Pin(e *Entry) { e.pins++ }
 
-// Unpin ends a Pin and releases e if nothing else reaches it.
-func (s *Sender) Unpin(e *Entry) {
+// Unpin ends a Pin and releases e if nothing else reaches it, returning
+// what Release returns.
+func (s *Sender) Unpin(e *Entry) (payload any) {
 	e.pins--
-	s.Release(e)
+	return s.Release(e)
 }
 
 // ObserveRTT feeds one path round-trip sample for dst into the adaptive
@@ -502,7 +514,7 @@ type Batch struct {
 // the NIC must transmit them (ahead of any queued new packets for the same
 // destination, to preserve wire order).
 func (s *Sender) Tick(now sim.Time) []Batch {
-	var out []Batch
+	s.batches, s.batched, s.ends = s.batches[:0], s.batched[:0], s.ends[:0]
 	for _, d := range s.order {
 		if len(d.queue) == 0 || d.unreachable {
 			continue
@@ -513,28 +525,38 @@ func (s *Sender) Tick(now sim.Time) []Batch {
 		if !head.Sent || head.InFlight > 0 || age < timeout {
 			continue
 		}
-		var batch []*Entry
+		first := len(s.batched)
 		for _, e := range d.queue {
 			if !e.Sent || e.InFlight > 0 {
 				break // still queued at the NIC or on the wire
 			}
 			e.LastSent = now
 			e.Retransmits++
-			batch = append(batch, e)
+			s.batched = append(s.batched, e)
 		}
-		if len(batch) > 0 {
+		if len(s.batched) > first {
 			if s.adaptive && d.backoff < 16 {
 				// Karn backoff: each unanswered burst doubles the next
 				// timeout until a fresh sample arrives.
 				d.backoff++
 			}
-			out = append(out, Batch{
-				Dst: d.id, Entries: batch,
-				Oldest: age, Timeout: timeout, Waited: age - timeout,
+			s.batches = append(s.batches, Batch{
+				Dst: d.id, Oldest: age, Timeout: timeout, Waited: age - timeout,
 			})
+			s.ends = append(s.ends, len(s.batched))
 		}
 	}
-	return out
+	if len(s.batches) == 0 {
+		return nil
+	}
+	// The batches' entries sit back to back in batched, which has stopped
+	// growing: slice each batch's run out of it.
+	first := 0
+	for i, end := range s.ends {
+		s.batches[i].Entries = s.batched[first:end:end]
+		first = end
+	}
+	return s.batches
 }
 
 // Unacked returns the number of entries queued for dst.

@@ -498,24 +498,30 @@ func TestFixedAckPolicyStarvationEscape(t *testing.T) {
 }
 
 // TestEntryReleaseRules: Release hands an entry back only once it has
-// left its queue, no copy of it is in flight and no batch pins it; a free
-// entry keeps no payload, is the next one Prepare hands out, and
-// releasing it again panics.
+// left its queue, no copy of it is in flight and no batch pins it, and
+// reports the payload it lets go of then and only then (through Release,
+// Recycle's drop or Unpin); a free entry keeps no payload, is the next
+// one Prepare hands out, and releasing it again panics.
 func TestEntryReleaseRules(t *testing.T) {
 	s := NewSender(Config{QueueSize: 8})
 	e := s.Prepare(dst, at(0), 8, "frame", 100)
 	s.OnTransmitted(e, at(0))
 	e.InFlight++ // a retransmitted copy waits in the transmit queue
 	s.Pin(e)     // and a batch with pending firmware work names it
-	s.Release(e)
+	if p := s.Release(e); p != nil {
+		t.Fatalf("a queued entry's release let go of %v", p)
+	}
 	if next := s.Prepare(dst, at(1), 8, nil, 100); next == e {
 		t.Fatal("a queued entry was handed out again")
 	}
-	s.Recycle(s.OnAck(dst, 0, 0, at(2)))
+	var dropped []any
+	s.Recycle(s.OnAck(dst, 0, 0, at(2)), func(p any) { dropped = append(dropped, p) })
 	if next := s.Prepare(dst, at(3), 8, nil, 100); next == e {
 		t.Fatal("an entry with a copy in flight and a pin was handed out again")
 	}
-	s.Unpin(e)
+	if p := s.Unpin(e); p != nil || len(dropped) != 0 {
+		t.Fatalf("an entry still reachable let go of %v and %v", p, dropped)
+	}
 	if next := s.Prepare(dst, at(4), 8, nil, 100); next == e {
 		t.Fatal("an entry with a copy in flight was handed out again")
 	}
@@ -523,7 +529,9 @@ func TestEntryReleaseRules(t *testing.T) {
 		t.Fatal("an entry still reachable lost its payload")
 	}
 	e.InFlight--
-	s.Release(e)
+	if p := s.Release(e); p != "frame" {
+		t.Fatalf("the entry's release let go of %v, want its payload", p)
+	}
 	if e.Payload != nil {
 		t.Fatal("a free entry keeps its payload")
 	}
@@ -537,5 +545,11 @@ func TestEntryReleaseRules(t *testing.T) {
 	}()
 	if next := s.Prepare(dst, at(5), 8, nil, 100); next != e || next.Seq != 4 || next.Payload != nil {
 		t.Fatalf("Prepare did not reuse the free entry as a fresh one: %+v", next)
+	}
+	last := s.Prepare(dst, at(6), 8, "last", 100)
+	s.OnTransmitted(last, at(6))
+	s.Recycle(s.OnAck(dst, 0, last.Seq, at(7)), func(p any) { dropped = append(dropped, p) })
+	if len(dropped) != 1 || dropped[0] != "last" {
+		t.Fatalf("Recycle let go of %v, want the payload of the one entry nothing else reaches", dropped)
 	}
 }

@@ -21,15 +21,25 @@ func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
 
 // PushFront puts vs at the front, in order, ahead of every waiting item.
-// It reuses the consumed prefix when vs fits there and allocates a new
-// backing array otherwise.
+// It reuses the consumed prefix when vs fits there, moves the waiting
+// items up within the backing array when they fit behind vs, and
+// allocates a new backing array only otherwise. vs must not alias the
+// queue.
 func (q *Queue[T]) PushFront(vs ...T) {
 	if len(vs) <= q.head {
 		q.head -= len(vs)
 		copy(q.items[q.head:], vs)
 		return
 	}
-	items := make([]T, 0, len(vs)+q.Len())
+	n := q.Len()
+	if len(vs)+n <= cap(q.items) {
+		items := q.items[:len(vs)+n]
+		copy(items[len(vs):], q.items[q.head:])
+		copy(items, vs)
+		q.items, q.head = items, 0
+		return
+	}
+	items := make([]T, 0, len(vs)+n)
 	q.items = append(append(items, vs...), q.items[q.head:]...)
 	q.head = 0
 }

@@ -9,7 +9,8 @@ import (
 
 // TestQueueFIFO drives a Queue through every operation against a plain
 // slice model: order is kept across pops that reclaim the consumed
-// prefix, front pushes that reuse it or outgrow it, and removals.
+// prefix, front pushes that reuse it, move the waiting items up within
+// the backing array or outgrow it, and removals.
 func TestQueueFIFO(t *testing.T) {
 	var q Queue[int]
 	var model []int
@@ -35,7 +36,7 @@ func TestQueueFIFO(t *testing.T) {
 		}
 		check("pop")
 		if round%3 == 0 {
-			front := []int{-round, -round - 1}[:round%2+1]
+			front := []int{-round, -round - 1, -round - 2, -round - 3}[:round%4+1]
 			q.PushFront(front...)
 			model = append(slices.Clone(front), model...)
 			check("push front")
@@ -58,6 +59,35 @@ func TestQueueFIFO(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("drained queue still holds item %d at slot %d", v, i)
 		}
+	}
+}
+
+// TestQueuePushFrontAllocs: a front push of more items than the consumed
+// prefix holds moves the waiting items up within the backing array when
+// they fit, as a go-back-N burst pushed ahead of a transmit queue does,
+// and allocates nothing once the array has grown.
+func TestQueuePushFrontAllocs(t *testing.T) {
+	var q Queue[int]
+	burst := make([]int, 16)
+	for i := range burst {
+		burst[i] = -i
+	}
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			q.Push(i)
+		}
+		q.Pop()
+		q.PushFront(burst...)
+		if got := q.Items(); !slices.Equal(got[:16], burst) || got[16] != 1 || q.Len() != 23 {
+			t.Fatalf("front push left %v", got)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("a front push that fits allocates %.2f times, want 0", avg)
 	}
 }
 

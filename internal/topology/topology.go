@@ -150,10 +150,17 @@ func (nw *Network) AddSwitch(name string, radix int) NodeID {
 // Node returns the node with the given ID.
 func (nw *Network) Node(id NodeID) *Node {
 	if id < 0 || int(id) >= len(nw.Nodes) {
-		panic(fmt.Sprintf("topology: no node %d", id))
+		noNode(id)
 	}
 	return nw.Nodes[id]
 }
+
+// noNode panics naming a node ID that is out of range. It is kept out of
+// line so that Node, which every hop of every packet calls, stays within
+// the inlining budget.
+//
+//go:noinline
+func noNode(id NodeID) { panic(fmt.Sprintf("topology: no node %d", id)) }
 
 // Hosts returns the IDs of all hosts, in ID order.
 func (nw *Network) Hosts() []NodeID {

@@ -155,7 +155,7 @@ func TestReassemblyMatchesMapReference(t *testing.T) {
 				notify := rng.Intn(4) != 0
 				for c := 0; c == 0 || c*chunk < size; c++ {
 					end := min((c+1)*chunk, size)
-					f := proto.NewData(dst, proto.DataPayload{
+					f := proto.FramesOf(nil).NewData(dst, proto.DataPayload{
 						BufID: buf.ID, MsgID: id, MsgLen: size,
 						BufOffset: off + c*chunk, MsgOffset: c * chunk,
 						Data: make([]byte, end-c*chunk), Notify: notify,
@@ -242,7 +242,7 @@ func TestReassembly64KAllocs(t *testing.T) {
 	exp := ep.Export("inbox", size)
 	chunks := make([]*proto.Frame, 0, size/mtu)
 	for off := 0; off < size; off += mtu {
-		f := proto.NewData(b, proto.DataPayload{
+		f := proto.FramesOf(nil).NewData(b, proto.DataPayload{
 			BufID: exp.ID, MsgLen: size, BufOffset: off, MsgOffset: off,
 			Data: make([]byte, mtu),
 		})

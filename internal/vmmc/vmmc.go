@@ -104,6 +104,9 @@ type Endpoint struct {
 	n    *nic.NIC
 	dir  *Directory
 	node topology.NodeID
+	// frames is the frame list of the kernel's cell, which every chunk
+	// sent is drawn from.
+	frames proto.Frames
 
 	exports []*Export // by BufID, which numbers exports densely from 0
 	byName  map[string]*Export
@@ -129,6 +132,7 @@ func NewEndpoint(k *sim.Kernel, n *nic.NIC, dir *Directory) *Endpoint {
 		n:         n,
 		dir:       dir,
 		node:      n.Node(),
+		frames:    proto.FramesOf(k),
 		byName:    make(map[string]*Export),
 		nextMsgID: make(map[topology.NodeID]*uint64),
 	}
@@ -210,7 +214,7 @@ func (imp *Import) Send(p *sim.Proc, offset int, data []byte, notify bool) uint6
 		if chunkLen > mtu {
 			chunkLen = mtu
 		}
-		frame := proto.NewData(imp.Remote, proto.DataPayload{
+		frame := ep.frames.NewData(imp.Remote, proto.DataPayload{
 			BufID:     imp.BufID,
 			MsgID:     msgID,
 			MsgLen:    len(data),

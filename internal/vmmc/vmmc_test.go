@@ -363,7 +363,7 @@ func TestSingleChunkDeliverAllocs(t *testing.T) {
 	a, b := r.hosts[0], r.hosts[1]
 	ep := r.eps[b]
 	exp := ep.Export("inbox", 64)
-	f := proto.NewData(b, proto.DataPayload{BufID: exp.ID, MsgLen: 4, Data: []byte{1, 2, 3, 4}})
+	f := proto.FramesOf(nil).NewData(b, proto.DataPayload{BufID: exp.ID, MsgLen: 4, Data: []byte{1, 2, 3, 4}})
 	f.Src = a
 	id := uint64(0)
 	deliver := func() {
